@@ -113,7 +113,8 @@ def _run_learn(config: RunConfig, outdir: Path) -> None:
         maxiter=config.maxiter,
     )
     x = learn_features(g, fl)
-    (outdir / "features.csv").write_text(features_to_csv(x))
+    with open(outdir / "features.csv", "w") as out:
+        features_to_csv(x, out)
     (outdir / "descriptors.json").write_text(descriptors_to_json(x.descriptors))
 
 

@@ -1,22 +1,26 @@
 """Recursive structural feature learning with redundancy pruning.
 
 Primitives (degree, wedge, triangle, egonet, core) seed the feature set;
-neighbor-aggregation operators grow it iteratively; vertical log binning plus
-an agreement threshold builds a feature graph whose connected components are
-collapsed to their earliest member. Descriptors record how to rebuild every
-surviving column on any other graph.
+neighbor-aggregation operators grow it one round at a time. Every new column
+is vertically log-binned once, when it is made. At the default agreement
+threshold of 1.0 a column survives unless its bin vector equals that of an
+earlier column (a group-by on the bin bytes); below 1.0 survivors and
+candidates form a feature graph whose connected components collapse to their
+earliest member. Descriptors record how to rebuild every surviving column on
+any other graph.
 
-Aggregations sort neighbor values before reducing, so equal value multisets
-produce bitwise-equal results; feature rows of automorphically equivalent
-nodes are therefore exactly equal, not merely close.
+Everything runs on the graph's CSR arrays. Aggregations sort neighbor values
+before reducing, so equal value multisets produce bitwise-equal results;
+feature rows of automorphically equivalent nodes are therefore exactly equal,
+not merely close.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,127 +143,253 @@ class FeatureLearnConfig:
     bin_fraction: float = 0.5
     threshold: float = 1.0
     maxiter: int = 10
-    similarity: str = "binned-agreement"
-    tiebreak: str = "earliest"
     attributes: np.ndarray | None = None
 
 
-def _triangle_counts(g: Graph) -> np.ndarray:
-    adj = [set(nbrs) for nbrs in g.neighbors]
-    undirected = {(min(e), max(e)) for e in g.edges}
-    tri = np.zeros(g.n)
-    for u, v in undirected:
-        common = len(adj[u] & adj[v])
-        tri[u] += common
-        tri[v] += common
-    # each triangle at a node is counted once per incident triangle edge
-    return tri / 2.0
+# Elements in one temporary block of binning or aggregation; bounds memory.
+_BLOCK_ELEMENTS = 1 << 19
 
 
-def _core_numbers(g: Graph) -> np.ndarray:
-    deg = [len(nbrs) for nbrs in g.neighbors]
-    adj = [set(nbrs) for nbrs in g.neighbors]
-    removed = [False] * g.n
-    core = [0] * g.n
-    level = 0
-    for _ in range(g.n):
-        u = min((x for x in range(g.n) if not removed[x]), key=lambda x: deg[x])
-        level = max(level, deg[u])
-        core[u] = level
-        removed[u] = True
-        for v in adj[u]:
-            if not removed[v]:
-                deg[v] -= 1
-    return np.array(core, dtype=float)
+def _check_fraction(p: float) -> None:
+    if not 0 < p < 1:
+        raise ValueError("bin fraction p must lie strictly between 0 and 1")
 
 
-def compute_primitive(g: Graph, kind: str) -> np.ndarray:
-    """Evaluate a structural primitive at every node.
+def _check_threshold(lam: float) -> None:
+    if not 0 < lam <= 1:
+        raise ValueError("lambda threshold must lie in (0, 1]")
 
-    All values are non-negative and depend only on the graph up to
-    relabeling. in/out-degree require directed=True; plain degree counts all
-    adjacent nodes on either graph kind.
-    """
+
+def _check_primitive(g: Graph, kind: str) -> None:
     if kind not in PRIMITIVE_KINDS:
         raise ValueError(f"unknown primitive {kind!r}")
     if kind in ("in-degree", "out-degree") and not g.directed:
         raise ValueError(f"{kind} requires a directed graph")
+
+
+def _check_operator(op: str) -> None:
+    if op not in OPERATOR_KINDS:
+        raise ValueError(f"unknown operator {op!r}")
+
+
+def _triangle_counts(g: Graph) -> np.ndarray:
+    """Triangles at each node, ignoring edge direction.
+
+    Every edge points from its endpoint of lower (degree, id) rank to the
+    higher one, so each triangle is found once, at its lowest corner, as an
+    adjacent pair of forward neighbors; forward lists stay short at hubs.
+    """
+    indptr, indices, _ = g.csr
+    n = g.n
+    deg = np.diff(indptr)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
+    src = np.repeat(np.arange(n), deg)
+    forward = rank[indices] > rank[src]
+    head = indices[forward]
+    fdeg = np.bincount(src[forward], minlength=n)
+    fptr = np.concatenate([[0], np.cumsum(fdeg)])
+    keys = src * n + indices  # ascending, one per adjacent ordered pair
+    tri = np.zeros(n)
+    for d in np.unique(fdeg[fdeg > 1]):
+        a_pos, b_pos = np.triu_indices(d, 1)
+        nodes = np.flatnonzero(fdeg == d)
+        step = max(1, _BLOCK_ELEMENTS // a_pos.size)
+        for lo in range(0, nodes.size, step):
+            chunk = nodes[lo : lo + step]
+            fw = head[fptr[chunk][:, None] + np.arange(d)]
+            a, b = fw[:, a_pos], fw[:, b_pos]
+            q = a * n + b
+            hit = keys[np.minimum(np.searchsorted(keys, q), keys.size - 1)] == q
+            corner = np.broadcast_to(chunk[:, None], q.shape)[hit]
+            tri += np.bincount(np.concatenate([corner, a[hit], b[hit]]), minlength=n)
+    return tri
+
+
+def _core_numbers(g: Graph) -> np.ndarray:
+    """Batagelj-Zaversnik bucket peel (arXiv cs/0310049), O(n + m).
+
+    Nodes sit in an array ordered by current degree; removing the node of
+    least degree moves each higher-degree neighbor one bucket down by a swap.
+    """
+    indptr, indices, _ = g.csr
+    ptr, nbrs = indptr.tolist(), indices.tolist()
+    deg = np.diff(indptr)
+    vert = np.argsort(deg, kind="stable").tolist()
+    pos = [0] * g.n
+    for i, v in enumerate(vert):
+        pos[v] = i
+    start = np.concatenate([[0], np.cumsum(np.bincount(deg))]).tolist()  # bucket heads
+    deg = deg.tolist()
+    for i in range(g.n):
+        v = vert[i]
+        for u in nbrs[ptr[v] : ptr[v + 1]]:
+            du = deg[u]
+            if du > deg[v]:
+                pu, pw = pos[u], start[du]
+                w = vert[pw]
+                vert[pu], vert[pw] = w, u
+                pos[u], pos[w] = pw, pu
+                start[du] += 1
+                deg[u] = du - 1
+    return np.array(deg, dtype=float)
+
+
+def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndarray:
+    """Evaluate a structural primitive at every node.
+
+    All values are non-negative and depend only on the graph up to
+    relabeling. in/out-degree require directed=True; plain degree counts all
+    adjacent nodes on either graph kind. cache, when given, keeps triangle
+    counts between calls on the same graph.
+    """
+    _check_primitive(g, kind)
+    indptr, indices, weights = g.csr
+    deg = np.diff(indptr).astype(float)
     if kind == "degree":
-        return np.array([len(nbrs) for nbrs in g.neighbors], dtype=float)
-    if kind == "in-degree":
-        return np.array([len(nbrs) for nbrs in g.in_neighbors], dtype=float)
-    if kind == "out-degree":
-        return np.array([len(nbrs) for nbrs in g.out_neighbors], dtype=float)
+        return deg
+    if kind in ("in-degree", "out-degree"):
+        ends = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
+        return np.bincount(ends[:, int(kind == "in-degree")], minlength=g.n).astype(float)
     if kind == "weighted-degree":
-        col = np.zeros(g.n)
-        for u in range(g.n):
-            ws = np.sort([g.edge_weight(u, v) for v in g.neighbors[u]])
-            col[u] = ws.sum() if ws.size else 0.0
-        return col
+        # summed like a lone column: sorted, then numpy's pairwise sum
+        slots = np.arange(indices.size)
+        return _aggregate_slots(indptr, weights[:, None], slots, ("sum",))[0][:, 0]
     if kind == "wedge-count":
-        deg = np.array([len(nbrs) for nbrs in g.neighbors], dtype=float)
         return deg * (deg - 1) / 2.0
-    if kind == "triangle-count":
-        return _triangle_counts(g)
-    if kind == "egonet-internal-edges":
-        # edges inside ego(u) = u's incident edges plus edges between
-        # neighbors; the latter equal the triangle count at u
-        deg = np.array([len(nbrs) for nbrs in g.neighbors], dtype=float)
-        return deg + _triangle_counts(g)
-    if kind == "egonet-external-edges":
-        deg = np.array([len(nbrs) for nbrs in g.neighbors], dtype=float)
-        internal = deg + _triangle_counts(g)
-        ego_degree_sum = np.array(
-            [deg[u] + sum(deg[v] for v in g.neighbors[u]) for u in range(g.n)]
-        )
-        return ego_degree_sum - 2.0 * internal
     if kind == "core-number":
         return _core_numbers(g)
-    raise AssertionError(kind)
+    if cache is None:
+        cache = {}
+    if "triangles" not in cache:
+        cache["triangles"] = _triangle_counts(g)
+    triangles = cache["triangles"]
+    if kind == "triangle-count":
+        return triangles
+    # edges inside ego(u) = u's incident edges plus edges between neighbors;
+    # the latter equal the triangle count at u
+    internal = deg + triangles
+    if kind == "egonet-internal-edges":
+        return internal
+    ego_degree_sum = deg + np.bincount(
+        np.repeat(np.arange(g.n), np.diff(indptr)), weights=deg[indices], minlength=g.n
+    )
+    return ego_degree_sum - 2.0 * internal
 
 
-def _aggregate_block(g: Graph, block: np.ndarray, op: str) -> np.ndarray:
-    """Apply one neighbor aggregation to every column of block at once."""
-    out = np.zeros_like(block)
-    if op == "mode":
+def _sorted_positions(source: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    """Gather source[rows[:, k]] for each of the d columns of rows, then sort
+    across k: entry k of the result holds each lane's k-th smallest value."""
+    v = np.sort(source[rows], axis=1)
+    return [v[:, k] for k in range(rows.shape[1])]
+
+
+def _aggregate_slots(indptr, values, slot_rows, ops):
+    """Reduce values[slot_rows[k]] over each CSR segment k of indptr, per op.
+
+    Each segment's values are sorted ascending per column before reduction.
+    Sums match np.sort(block, axis=0).sum(axis=0) on a node's (degree x f)
+    block bit for bit: numpy adds rows in sequence when f > 1 and sums a
+    lone column pairwise. Nodes are bucketed by degree and columns go
+    through in blocks.
+    """
+    n, f = indptr.size - 1, values.shape[1]
+    values = np.ascontiguousarray(values)
+    outs = [np.zeros((n, f)) for _ in ops]
+    deg = np.diff(indptr)
+    order = np.argsort(deg, kind="stable")
+    for nodes in np.split(order, np.flatnonzero(np.diff(deg[order])) + 1) if n else []:
+        d = deg[nodes[0]]
+        if d == 0:
+            continue
+        rows = slot_rows[indptr[nodes][:, None] + np.arange(d)]
+        step = max(1, _BLOCK_ELEMENTS // rows.size)
+        for lo in range(0, f, step):
+            cols = slice(lo, lo + step)
+            p = _sorted_positions(values[:, cols], rows)
+            if f == 1:
+                total = np.stack(p, axis=-1).sum(axis=-1)
+            else:
+                total = p[0].copy()
+                for v in p[1:]:
+                    total += v
+            for op, out in zip(ops, outs):
+                if op == "sum":
+                    out[nodes, cols] = total
+                elif op == "mean":
+                    out[nodes, cols] = total / d
+                elif op == "max":
+                    out[nodes, cols] = p[-1]
+                else:
+                    out[nodes, cols] = p[0]
+    return outs
+
+
+def _aggregate(g: Graph, block: np.ndarray, ops) -> list[np.ndarray]:
+    """Aggregate every column of block (n x f) over each node's neighbors,
+    once per op; isolated nodes get 0. All sorted ops share one sort."""
+    for op in ops:
+        _check_operator(op)
+    indptr, indices, _ = g.csr
+    sorted_ops = tuple(op for op in ops if op != "mode")
+    results = dict(zip(sorted_ops, _aggregate_slots(indptr, block, indices, sorted_ops)))
+    if "mode" in ops:
+        out = np.zeros_like(block)
         floored = np.floor(block)
         for u in range(g.n):
-            nbrs = list(g.neighbors[u])
-            if not nbrs:
-                continue
-            vals = floored[nbrs]
-            for j in range(block.shape[1]):
+            vals = floored[indices[indptr[u] : indptr[u + 1]]]
+            for j in range(vals.shape[1] if len(vals) else 0):
                 uniq, counts = np.unique(vals[:, j], return_counts=True)
                 out[u, j] = uniq[np.argmax(counts)]  # ties: smallest value
-        return out
-    for u in range(g.n):
-        nbrs = list(g.neighbors[u])
-        if not nbrs:
-            continue
-        vals = np.sort(block[nbrs], axis=0)  # fixed order: bitwise-stable sums
-        if op == "sum":
-            out[u] = vals.sum(axis=0)
-        elif op == "mean":
-            out[u] = vals.sum(axis=0) / len(nbrs)
-        elif op == "max":
-            out[u] = vals[-1]
-        elif op == "min":
-            out[u] = vals[0]
-        else:
-            raise ValueError(f"unknown operator {op!r}")
-    return out
+        results["mode"] = out
+    return [results[op] for op in ops]
 
 
 def apply_operator(g: Graph, x: FeatureMatrix, base: int, op: str) -> np.ndarray:
     """Aggregate the column of descriptor id `base` over each node's
     neighbors. Isolated nodes get 0."""
-    if op not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator {op!r}")
     by_id = {d.id: j for j, d in enumerate(x.descriptors)}
     if base not in by_id:
         raise ValueError(f"no feature with descriptor id {base}")
-    col = x.values[:, [by_id[base]]]
-    return _aggregate_block(g, col, op)[:, 0]
+    return _aggregate(g, x.values[:, [by_id[base]]], (op,))[0][:, 0]
+
+
+def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
+    """Vertical log bins of every row of rows (one feature per row, f x n).
+
+    Row by row this is vertical_log_bin. Each row is sorted once, then the
+    bin boundaries (about log n of them) are walked for all rows together;
+    a value's bin is the number of bins whose top value it exceeds. Rows go
+    through in blocks to bound the temporaries.
+    """
+    _check_fraction(p)
+    rows = np.asarray(rows, dtype=float)
+    f, n = rows.shape
+    bins = np.zeros((f, n), dtype=np.min_scalar_type(n))  # bin ids stay below n
+    if n == 0:
+        return bins
+    # last[i]: the sorted position a bin starting at position i must reach to
+    # hold ceil(p * (n - i)) values; last[n] = n - 1
+    last = np.arange(n + 1) + np.ceil(p * np.arange(n, -1, -1)).astype(np.int64) - 1
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for lo in range(0, f, step):
+        block, out = rows[lo : lo + step], bins[lo : lo + step]
+        lanes = np.arange(block.shape[0])
+        ranked = np.sort(block, axis=1)
+        # end[r, t]: one past the last sorted position tying with position t,
+        # so ties at the top of a bin join it
+        end = np.full(ranked.shape, n, dtype=np.int64)
+        end[:, :-1] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, n), n)
+        end = np.minimum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
+        cut = np.zeros(lanes.size, dtype=np.int64)  # where each row's next bin starts
+        while True:
+            top = last[cut]
+            cut = end[lanes, top]
+            if cut.min() == n:
+                break
+            # a row past its last bin sits at its maximum and gains nothing
+            out += block > ranked[lanes, top][:, None]
+    return bins
 
 
 def vertical_log_bin(column, p: float = 0.5) -> BinnedColumn:
@@ -268,22 +398,10 @@ def vertical_log_bin(column, p: float = 0.5) -> BinnedColumn:
     Values tying the bin boundary join the lower bin, so equal values never
     split across bins.
     """
-    if not 0 < p < 1:
-        raise ValueError("bin fraction p must lie strictly between 0 and 1")
-    values = np.asarray(column, dtype=float)
-    n = values.shape[0]
-    order = np.argsort(values, kind="stable")
-    bins = np.zeros(n, dtype=int)
-    i, b = 0, 0
-    while i < n:
-        k = math.ceil(p * (n - i))
-        boundary = values[order[i + k - 1]]
-        j = i + k
-        while j < n and values[order[j]] == boundary:
-            j += 1
-        bins[order[i:j]] = b
-        i, b = j, b + 1
-    return BinnedColumn(bins=tuple(int(x) for x in bins), bin_count=b, fraction=p)
+    bins = log_bin_rows(np.asarray(column, dtype=float)[None, :], p)[0]
+    return BinnedColumn(
+        bins=tuple(bins.tolist()), bin_count=int(bins.max()) + 1 if bins.size else 0, fraction=p
+    )
 
 
 def feature_similarity(a: BinnedColumn, b: BinnedColumn) -> float:
@@ -297,75 +415,39 @@ def feature_similarity(a: BinnedColumn, b: BinnedColumn) -> float:
     return agree / len(a.bins)
 
 
-def _pearson_similarity(cols: np.ndarray) -> np.ndarray:
-    f = cols.shape[1]
-    sims = np.zeros((f, f))
-    std = cols.std(axis=0)
-    for i in range(f):
-        for j in range(i, f):
-            if std[i] == 0 and std[j] == 0:
-                s = 1.0
-            elif std[i] == 0 or std[j] == 0:
-                s = 0.0
-            else:
-                s = abs(float(np.corrcoef(cols[:, i], cols[:, j])[0, 1]))
-            sims[i, j] = sims[j, i] = s
-    return sims
-
-
 def create_feature_graph(
-    x: FeatureMatrix, p: float = 0.5, lam: float = 1.0, similarity: str = "binned-agreement"
+    x: FeatureMatrix, p: float = 0.5, lam: float = 1.0, bins: np.ndarray | None = None
 ) -> FeatureGraph:
-    """Vertex per feature id; edge (i, j) iff similarity >= lam.
+    """Vertex per feature id; edge (i, j) iff binned agreement >= lam.
 
-    Only edges are materialized. At lam = 1.0 binned agreement holds exactly
-    when the bin vectors are identical, so features are grouped by vector
-    instead of compared all-pairs; below 1.0 the pairwise agreement matrix is
-    computed in column blocks to bound memory at O(n * block * f).
+    bins, when given, are log_bin_rows(x.values.T, p), computed earlier.
+    Only edges are materialized. At lam = 1.0 agreement holds exactly when
+    the bin vectors are identical, so features are grouped by vector instead
+    of compared all-pairs; below 1.0 the pairwise agreement matrix is
+    computed in blocks to bound memory at O(n * block * f).
     """
-    if not 0 < lam <= 1:
-        raise ValueError("lambda threshold must lie in (0, 1]")
+    _check_threshold(lam)
     ids = tuple(d.id for d in x.descriptors)
-    if x.f == 0:
-        return FeatureGraph(ids, frozenset(), {}, lam)
     edges: dict[tuple[int, int], float] = {}
-    if x.n == 0:
-        # vacuous agreement, matching feature_similarity on empty columns
-        for i in range(x.f):
-            for j in range(i + 1, x.f):
-                edges[(ids[i], ids[j])] = 1.0
+    if bins is None:
+        bins = log_bin_rows(x.values.T, p)
+    if lam == 1.0 or x.n == 0:
+        # empty columns agree vacuously, matching feature_similarity
+        groups: dict[bytes, list[int]] = {}
+        for j in range(x.f):
+            groups.setdefault(bins[j].tobytes(), []).append(j)
+        for members in groups.values():
+            for a, b in itertools.combinations(members, 2):
+                edges[(ids[a], ids[b])] = 1.0
         return FeatureGraph(ids, frozenset(edges), edges, lam)
-    if similarity == "binned-agreement":
-        bins = np.stack(
-            [np.array(vertical_log_bin(x.values[:, j], p).bins) for j in range(x.f)], axis=1
-        )
-        if lam == 1.0:
-            groups: dict[bytes, list[int]] = {}
-            for j in range(x.f):
-                groups.setdefault(np.ascontiguousarray(bins[:, j]).tobytes(), []).append(j)
-            for members in groups.values():
-                for a in range(len(members)):
-                    for b in range(a + 1, len(members)):
-                        edges[(ids[members[a]], ids[members[b]])] = 1.0
-            return FeatureGraph(ids, frozenset(edges), edges, lam)
-        block = max(1, (1 << 24) // max(1, x.n * x.f))
-        for start in range(0, x.f, block):
-            stop = min(start + block, x.f)
-            sims = (bins[:, start:stop, None] == bins[:, None, :]).mean(axis=0)
-            near = np.argwhere(sims >= lam)
-            for bi, j in near:
-                i = start + int(bi)
-                if i < j:
-                    edges[(ids[i], ids[int(j)])] = float(sims[bi, j])
-        return FeatureGraph(ids, frozenset(edges), edges, lam)
-    if similarity == "pearson":
-        sims = _pearson_similarity(x.values)
-    else:
-        raise ValueError(f"unknown similarity {similarity!r}")
-    for i in range(x.f):
-        for j in range(i + 1, x.f):
-            if sims[i, j] >= lam:
-                edges[(ids[i], ids[j])] = float(sims[i, j])
+    block = max(1, (1 << 24) // max(1, x.n * x.f))
+    for start in range(0, x.f, block):
+        stop = min(start + block, x.f)
+        sims = (bins[start:stop, None, :] == bins[None, :, :]).mean(axis=2)
+        for bi, j in np.argwhere(sims >= lam):
+            i = start + int(bi)
+            if i < j:
+                edges[(ids[i], ids[int(j)])] = float(sims[bi, j])
     return FeatureGraph(ids, frozenset(edges), edges, lam)
 
 
@@ -389,30 +471,12 @@ def _components(fg: FeatureGraph) -> list[list[int]]:
     return sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
 
 
-def prune_feature_set(fg: FeatureGraph, x: FeatureMatrix, tiebreak: str = "earliest") -> FeatureMatrix:
-    """Collapse each connected component of the feature graph to one feature.
-
-    "earliest" keeps the smallest descriptor id; "min-similarity" keeps the
-    component member with the smallest mean similarity to its co-members
-    (over stored edges), id as tiebreak.
-    """
+def prune_feature_set(fg: FeatureGraph, x: FeatureMatrix) -> FeatureMatrix:
+    """Collapse each connected component of the feature graph to its
+    earliest (smallest-id) feature."""
     if tuple(d.id for d in x.descriptors) != fg.vertices:
         raise ValueError("feature graph was not built over this matrix")
-    keep: set[int] = set()
-    for comp in _components(fg):
-        if tiebreak == "earliest" or len(comp) == 1:
-            keep.add(comp[0])
-        elif tiebreak == "min-similarity":
-            members = set(comp)
-
-            def mean_sim(fid: int) -> float:
-                sims = [s for (a, b), s in fg.similarity.items()
-                        if (a == fid and b in members) or (b == fid and a in members)]
-                return sum(sims) / len(sims) if sims else 0.0
-
-            keep.add(min(comp, key=lambda fid: (mean_sim(fid), fid)))
-        else:
-            raise ValueError(f"unknown tiebreak {tiebreak!r}")
+    keep = {comp[0] for comp in _components(fg)}
     cols = [j for j, d in enumerate(x.descriptors) if d.id in keep]
     return FeatureMatrix(
         values=x.values[:, cols],
@@ -432,93 +496,122 @@ def _required_ancestors(descriptors_by_id: dict[int, FeatureDescriptor], kept: s
     return needed
 
 
-def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) -> FeatureMatrix:
-    """Run the recursive feature-learning loop.
-
-    Iteration 0 evaluates primitives (plus attribute columns) and prunes.
-    Each later iteration applies every operator to every surviving feature,
-    merges with the survivors, rebuilds the feature graph, and prunes again;
-    the loop stops when no new feature survives or maxiter is reached.
-
-    At threshold < 1.0 a pruned old feature could orphan the recipe of a
-    surviving composite; such ancestors are re-protected after each prune so
-    every returned descriptor list stays evaluable via recompute. This never
-    triggers at the default threshold of 1.0.
-    """
+def _learn_primitives(g: Graph, config: FeatureLearnConfig) -> list[str]:
+    """Check config before any feature is computed; returns the primitives
+    to evaluate (degree expands to in- and out-degree on directed graphs)."""
     if config.maxiter < 1:
         raise ValueError("maxiter must be >= 1")
     if not config.primitives:
         raise ValueError("primitive set must not be empty")
+    _check_fraction(config.bin_fraction)
+    _check_threshold(config.threshold)
+    for op in config.operators:
+        _check_operator(op)
     primitives = []
     for kind in config.primitives:
         if kind == "degree" and g.directed:
             primitives.extend(["in-degree", "out-degree"])
         else:
             primitives.append(kind)
-
-    columns: list[np.ndarray] = []
-    descriptors: list[FeatureDescriptor] = []
     for kind in primitives:
-        descriptors.append(FeatureDescriptor(id=len(descriptors), kind="primitive", primitive=kind))
-        columns.append(compute_primitive(g, kind))
-    if config.attributes is not None:
-        attrs = np.asarray(config.attributes, dtype=float)
-        if attrs.ndim == 1:
-            attrs = attrs[:, None]
-        if attrs.shape[0] != g.n:
-            raise ValueError("attribute columns must have one row per node")
-        if attrs.size and ((attrs < 0).any() or not np.isfinite(attrs).all()):
-            raise ValueError("attribute columns must be finite and non-negative")
-        for k in range(attrs.shape[1]):
-            descriptors.append(
-                FeatureDescriptor(id=len(descriptors), kind="attribute", attribute=k)
-            )
-            columns.append(attrs[:, k])
-    next_id = len(descriptors)
-    all_by_id = {d.id: d for d in descriptors}
+        _check_primitive(g, kind)
+    return primitives
 
-    def prune_round(cols: list[np.ndarray], descs: list[FeatureDescriptor]):
-        fm = FeatureMatrix(np.column_stack(cols) if cols else np.zeros((g.n, 0)), tuple(descs))
-        fg = create_feature_graph(fm, config.bin_fraction, config.threshold, config.similarity)
-        pruned = prune_feature_set(fg, fm, config.tiebreak)
-        kept = {d.id for d in pruned.descriptors}
-        protected = _required_ancestors(all_by_id, kept)
-        if protected:
-            kept |= protected
-            keep_cols = [j for j, d in enumerate(descs) if d.id in kept]
-            return [cols[j] for j in keep_cols], [descs[j] for j in keep_cols]
-        by_id = {d.id: j for j, d in enumerate(descs)}
-        return (
-            [cols[by_id[d.id]] for d in pruned.descriptors],
-            list(pruned.descriptors),
+
+def _attribute_rows(g: Graph, attributes) -> np.ndarray:
+    attrs = np.asarray(attributes, dtype=float)
+    if attrs.ndim == 1:
+        attrs = attrs[:, None]
+    if attrs.shape[0] != g.n:
+        raise ValueError("attribute columns must have one row per node")
+    if attrs.size and ((attrs < 0).any() or not np.isfinite(attrs).all()):
+        raise ValueError("attribute columns must be finite and non-negative")
+    return attrs.T
+
+
+def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) -> FeatureMatrix:
+    """Run the recursive feature-learning loop.
+
+    Iteration 0 evaluates primitives (plus attribute columns) and prunes.
+    Each later iteration applies every operator to every surviving feature
+    and prunes the candidates against the survivors; the loop stops when no
+    new feature survives or maxiter is reached.
+
+    Every column is binned once, when it is made. At threshold 1.0 a column
+    survives unless its bin vector equals that of an earlier column. Below
+    1.0 survivors and candidates form a feature graph whose components keep
+    their earliest member; a pruned old feature could then orphan the recipe
+    of a surviving composite, so such ancestors are re-protected after each
+    prune and every returned descriptor list stays evaluable via recompute.
+    """
+    primitives = _learn_primitives(g, config)
+    attrs = None if config.attributes is None else _attribute_rows(g, config.attributes)
+    cache: dict = {}
+    columns = [compute_primitive(g, kind, cache) for kind in primitives]
+    cand_descs = [
+        FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
+    ]
+    if attrs is not None:
+        columns.extend(attrs)
+        cand_descs.extend(
+            FeatureDescriptor(id=len(primitives) + k, kind="attribute", attribute=k)
+            for k in range(len(attrs))
         )
+    all_by_id = {d.id: d for d in cand_descs}
+    next_id = len(cand_descs)
 
-    columns, descriptors = prune_round(columns, descriptors)
+    rows = np.zeros((0, g.n))  # survivors, one feature per row
+    bins = log_bin_rows(rows, config.bin_fraction)
+    descriptors: list[FeatureDescriptor] = []
+    seen: set[bytes] = set()  # bin vectors of the survivors, at threshold 1.0
+
+    def prune(cand_rows: np.ndarray, cands: list[FeatureDescriptor]):
+        nonlocal rows, bins, descriptors
+        cand_bins = log_bin_rows(cand_rows, config.bin_fraction)
+        if config.threshold == 1.0:
+            keep = []
+            for j, b in enumerate(cand_bins):
+                key = b.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    keep.append(j)
+            rows = np.concatenate([rows, cand_rows[keep]])
+            descriptors = descriptors + [cands[j] for j in keep]
+            return
+        rows = np.concatenate([rows, cand_rows])
+        bins = np.concatenate([bins, cand_bins])
+        descriptors = descriptors + cands
+        fm = FeatureMatrix(rows.T, tuple(descriptors))
+        fg = create_feature_graph(fm, config.bin_fraction, config.threshold, bins)
+        kept = {d.id for d in prune_feature_set(fg, fm).descriptors}
+        kept |= _required_ancestors(all_by_id, kept)
+        idx = [j for j, d in enumerate(descriptors) if d.id in kept]
+        rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
+
+    prune(np.array(columns), cand_descs)
     sizes = [len(descriptors)]
 
     for iteration in range(1, config.maxiter + 1):
         prior_ids = {d.id for d in descriptors}
-        cand_cols: list[np.ndarray] = []
-        cand_descs: list[FeatureDescriptor] = []
-        base_block = np.column_stack(columns)
+        cands = []
         for op in config.operators:
-            agg = _aggregate_block(g, base_block, op)
-            for j, d in enumerate(descriptors):
-                cand_descs.append(
+            for d in descriptors:
+                cands.append(
                     FeatureDescriptor(
                         id=next_id, kind="composite", operator=op, base=d.id, iteration=iteration
                     )
                 )
-                all_by_id[next_id] = cand_descs[-1]
+                all_by_id[next_id] = cands[-1]
                 next_id += 1
-                cand_cols.append(agg[:, j])
-        columns, descriptors = prune_round(columns + cand_cols, descriptors + cand_descs)
+        # rows[:0] keeps the shape when there are no operators
+        aggregated = (a.T for a in _aggregate(g, rows.T, config.operators))
+        prune(np.concatenate([rows[:0], *aggregated]), cands)
         sizes.append(len(descriptors))
         if {d.id for d in descriptors} == prior_ids:
             break
 
     return FeatureMatrix(
-        values=np.column_stack(columns) if columns else np.zeros((g.n, 0)),
+        values=np.ascontiguousarray(rows.T),
         descriptors=tuple(descriptors),
         iteration_sizes=tuple(sizes),
     )
@@ -531,16 +624,15 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
     rejected). Attribute descriptors read from the supplied attributes array.
     """
     descriptors = tuple(descriptors)
-    seen: set[int] = set()
     values: dict[int, np.ndarray] = {}
-    cols = []
+    cache: dict = {}
     last_id = -1
     for d in descriptors:
         if d.id <= last_id:
             raise ValueError("descriptor ids must be strictly increasing")
         last_id = d.id
         if d.kind == "primitive":
-            col = compute_primitive(g, d.primitive)
+            col = compute_primitive(g, d.primitive, cache)
         elif d.kind == "attribute":
             if attributes is None:
                 raise ValueError("descriptor needs attribute columns but none were given")
@@ -551,14 +643,12 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
                 raise ValueError(f"attribute column {d.attribute} missing")
             col = attrs[:, d.attribute]
         else:
-            if d.base not in seen:
+            if d.base not in values:
                 raise ValueError(f"descriptor {d.id} references missing base {d.base}")
-            col = _aggregate_block(g, values[d.base][:, None], d.operator)[:, 0]
-        seen.add(d.id)
+            col = _aggregate(g, values[d.base][:, None], (d.operator,))[0][:, 0]
         values[d.id] = col
-        cols.append(col)
     return FeatureMatrix(
-        values=np.column_stack(cols) if cols else np.zeros((g.n, 0)),
+        values=np.column_stack(list(values.values())) if values else np.zeros((g.n, 0)),
         descriptors=descriptors,
     )
 
@@ -596,13 +686,22 @@ def descriptors_from_json(text: str) -> tuple[FeatureDescriptor, ...]:
     )
 
 
-def features_to_csv(x: FeatureMatrix) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["node"] + [f"feat_{j}" for j in range(x.f)])
-    for u in range(x.n):
-        writer.writerow([u] + [repr(float(v)) for v in x.values[u]])
-    return buf.getvalue()
+def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
+    """features.csv: a node,feat_0,... header, then one line per node with
+    repr floats. Streams to the text file out in row chunks when given (and
+    returns None); otherwise returns the text."""
+    if out is None:
+        buf = io.StringIO()
+        features_to_csv(x, buf)
+        return buf.getvalue()
+    out.write(",".join(["node"] + [f"feat_{j}" for j in range(x.f)]) + "\n")
+    step = max(1, (1 << 16) // max(x.f, 1))
+    for lo in range(0, x.n, step):
+        rows = x.values[lo : lo + step].tolist()
+        out.write("".join(
+            ",".join([str(u), *map(repr, row)]) + "\n" for u, row in enumerate(rows, start=lo)
+        ))
+    return None
 
 
 def features_from_csv(text: str) -> np.ndarray:

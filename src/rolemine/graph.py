@@ -5,9 +5,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 Edge = tuple[int, int]
+
+
+class CSR(NamedTuple):
+    """Compressed sparse rows of the direction-free adjacency.
+
+    Row u is indices[indptr[u]:indptr[u + 1]], ascending, the same nodes as
+    Graph.neighbors[u]; weights[k] is edge_weight(u, indices[k]).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -54,11 +68,32 @@ class Graph:
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
         """Adjacent nodes per node, sorted ascending; ignores direction."""
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(tuple(sorted(s)) for s in adj)
+        ptr, idx = self.csr.indptr.tolist(), self.csr.indices.tolist()
+        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
+
+    @cached_property
+    def csr(self) -> CSR:
+        """The adjacency as CSR arrays, built once."""
+        edges = list(self.edges)
+        e = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+        if self.weights is None:
+            w = np.ones(len(edges))
+        else:
+            w = np.array([self.weights[x] for x in edges], dtype=float)
+        src = np.concatenate([e[:, 0], e[:, 1]])
+        dst = np.concatenate([e[:, 1], e[:, 0]])
+        # a directed edge u -> v weighs nothing seen from v
+        wt = np.concatenate([w, np.zeros(len(edges)) if self.directed else w])
+        key = src * self.n + dst
+        order = np.lexsort((wt, key))
+        key, wt = key[order], wt[order]
+        # reciprocal directed edges meet at one slot; keep its out-edge weight
+        last = np.ones(key.size, dtype=bool)
+        last[:-1] = key[1:] != key[:-1]
+        key, wt = key[last], wt[last]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // self.n, minlength=self.n), out=indptr[1:])
+        return CSR(indptr, key % self.n, wt)
 
     @cached_property
     def out_neighbors(self) -> tuple[tuple[int, ...], ...]:

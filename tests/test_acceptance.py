@@ -34,6 +34,7 @@ from rolemine import (
     vertical_log_bin,
     write_edge_list,
 )
+from rolemine.features import log_bin_rows
 
 
 def _report(capsys, num, name, ok, details):
@@ -146,13 +147,13 @@ def test_criterion_04_surviving_features_separated(capsys):
     violations = 0
     checked_pairs = 0
     for x in _learned_corpus():
-        binned = [vertical_log_bin(x.values[:, j]) for j in range(x.f)]
         # route 1: at the default threshold, any agreement of 1.0 means two
         # identical bin vectors, so all-distinct covers every pair
-        if len({b.bins for b in binned}) != x.f:
+        if len({row.tobytes() for row in log_bin_rows(x.values.T)}) != x.f:
             violations += 1
         # route 2: the similarity function itself, on a bounded prefix
         head = min(x.f, 60)
+        binned = [vertical_log_bin(x.values[:, j]) for j in range(head)]
         for i in range(head):
             for j in range(i + 1, head):
                 checked_pairs += 1

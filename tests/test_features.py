@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import itertools
 import json
 import math
@@ -19,15 +22,20 @@ from rolemine import (
     create_feature_graph,
     descriptors_from_json,
     descriptors_to_json,
+    erdos_renyi,
     feature_similarity,
     features_from_csv,
     features_to_csv,
     learn_features,
     load_edge_list,
+    planted_role_graph,
     prune_feature_set,
     recompute,
     vertical_log_bin,
 )
+
+from rolemine import features as features_module
+from rolemine.features import _aggregate, log_bin_rows
 
 from strategies import graph_with_permutation, graphs
 
@@ -519,3 +527,279 @@ class TestSerialization:
         )
         assert "attribute" not in rows[0]
         assert rows[1]["attribute"] == 2
+
+
+# --- pins of the array-native engine -------------------------------------
+#
+# The digests below were recorded with the per-node engine this one replaced
+# (per-column binning, a feature graph at every threshold, a Python loop per
+# node for aggregation, the quadratic core peel). The array engine must
+# reproduce them bit for bit.
+
+
+def weighted_er(n, p, seed, directed=False):
+    g = erdos_renyi(n, p, seed=seed, directed=directed)
+    rng = np.random.default_rng(seed)
+    edges = sorted(g.edges)
+    w = rng.uniform(0.25, 4.0, size=len(edges))
+    weights = dict(zip(edges, w.tolist()))
+    return Graph(n=n, edges=frozenset(edges), weights=weights, directed=directed)
+
+
+def learned_digest(x):
+    h = hashlib.sha256()
+    h.update(x.values.tobytes())
+    h.update(descriptors_to_json(x.descriptors).encode())
+    h.update(repr(tuple(x.iteration_sizes)).encode())
+    return h.hexdigest()
+
+
+GOLDEN_CASES = {
+    # stops at the maxiter cap of 10 rounds
+    "er-maxiter": (
+        lambda: erdos_renyi(120, 8 / 120, seed=11),
+        FeatureLearnConfig(),
+        (5, 14, 32, 65, 121, 206, 322, 450, 577, 694, 801),
+        "fb6763c7a2a36e44fbd87b1b1d5942e3808db4ab162dff385fc4b5d9c8e0530c",
+    ),
+    # stops at a fixed point
+    "planted": (
+        lambda: planted_role_graph(seed=5, units=6)[0],
+        FeatureLearnConfig(),
+        (4, 5, 5),
+        "0f7c946235dcb2d205ace7caacfc1e60a2b67f3688c5ed7be272b5e246ef134c",
+    ),
+    "weighted": (
+        lambda: weighted_er(90, 12 / 90, seed=4),
+        FeatureLearnConfig(maxiter=6),
+        (6, 18, 40, 77, 115, 160, 197),
+        "a37176fae41ffb588822d41adae242168c9095907d845f1a84f51f01fce183ba",
+    ),
+    # reciprocal edges: a neighbor reached only by an in-edge weighs 0
+    "weighted-directed": (
+        lambda: weighted_er(60, 0.15, seed=9, directed=True),
+        FeatureLearnConfig(maxiter=4),
+        (8, 24, 54, 96, 138),
+        "a4a2d88c4ef97e9be3e645188411219b663fa84e3f5f48eba79754eba0730b96",
+    ),
+    # a one-column round: numpy sums a lone column pairwise, not in sequence
+    "one-column": (
+        lambda: weighted_er(60, 0.2, seed=2),
+        FeatureLearnConfig(
+            primitives=("weighted-degree",), operators=("sum", "mean", "max", "min"), maxiter=3
+        ),
+        (1, 5, 20, 69),
+        "ce6c83f9958918788fa1740404ce92c7fc8e1fa38e6493cbd16e5f1aceb9f960",
+    ),
+    # the agreement-graph route below lambda = 1
+    "lambda-0.8": (
+        lambda: erdos_renyi(80, 0.1, seed=3),
+        FeatureLearnConfig(threshold=0.8, bin_fraction=0.3, maxiter=5),
+        (5, 15, 29, 41, 53, 65),
+        "f65343d7feabc3ed72f0f22f1c8ac7b03bf419ce6675ed22ee9eca73208e5e36",
+    ),
+}
+
+GOLDEN_RECOMPUTE = {
+    "er-maxiter": "b535a8cb7db1bb3459e026abeb60604e4163d4cabe8c32b9980f1b7758b84677",
+    "weighted": "99744a55bcd0c6630db4a6acdcf31863e064770aeb8f7c7e9891a2bd7b3da3e0",
+    "weighted-directed": "afac674b95b9f069e21b389a7d65770655648a8af989f4356a14e54054137763",
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_learned_bytes_unchanged(self, name):
+        make, config, sizes, digest = GOLDEN_CASES[name]
+        x = learn_features(make(), config)
+        assert x.iteration_sizes == sizes
+        assert learned_digest(x) == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RECOMPUTE))
+    def test_recomputed_bytes_unchanged(self, name):
+        make, config, _, _ = GOLDEN_CASES[name]
+        g = make()
+        y = recompute(g, learn_features(g, config).descriptors)
+        assert hashlib.sha256(y.values.tobytes()).hexdigest() == GOLDEN_RECOMPUTE[name]
+
+    def test_small_blocks_give_the_same_bytes(self, monkeypatch):
+        # binning and aggregation walk the matrix in column blocks
+        monkeypatch.setattr(features_module, "_BLOCK_ELEMENTS", 97)
+        make, config, sizes, digest = GOLDEN_CASES["weighted"]
+        x = learn_features(make(), config)
+        assert learned_digest(x) == digest
+
+
+def reference_log_bin(values, p):
+    """The per-column loop the matrix binner replaced, kept as an oracle."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    order = np.argsort(values, kind="stable")
+    bins = [0] * n
+    i, b = 0, 0
+    while i < n:
+        k = math.ceil(p * (n - i))
+        boundary = values[order[i + k - 1]]
+        j = i + k
+        while j < n and values[order[j]] == boundary:
+            j += 1
+        for t in order[i:j]:
+            bins[t] = b
+        i, b = j, b + 1
+    return bins
+
+
+class TestMatrixBinner:
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=1, max_size=6
+            )
+        ),
+        st.sampled_from([0.1, 0.3, 0.5, 0.9]),
+    )
+    @settings(max_examples=150)
+    def test_matches_per_column_binning_on_ties(self, rows, p):
+        rows = np.array(rows, dtype=float)
+        got = log_bin_rows(rows, p)
+        assert got.shape == rows.shape
+        for j, row in enumerate(rows):
+            want = reference_log_bin(row, p)
+            assert got[j].tolist() == want
+            assert list(vertical_log_bin(row, p).bins) == want
+
+    def test_empty_rows(self):
+        assert log_bin_rows(np.zeros((3, 0)), 0.5).shape == (3, 0)
+        assert vertical_log_bin([], 0.5).bin_count == 0
+
+
+def quadratic_core_numbers(g):
+    """The O(n^2) minimum-degree peel the bucket peel replaced, kept as an
+    oracle."""
+    deg = [len(nbrs) for nbrs in g.neighbors]
+    adj = [set(nbrs) for nbrs in g.neighbors]
+    removed = [False] * g.n
+    core = [0] * g.n
+    level = 0
+    for _ in range(g.n):
+        u = min((x for x in range(g.n) if not removed[x]), key=lambda x: deg[x])
+        level = max(level, deg[u])
+        core[u] = level
+        removed[u] = True
+        for v in adj[u]:
+            if not removed[v]:
+                deg[v] -= 1
+    return core
+
+
+class TestCoreNumber:
+    @given(graphs(max_n=10))
+    @settings(max_examples=80)
+    def test_matches_quadratic_peel(self, g):
+        assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
+
+    @given(graphs(max_n=8, directed=True))
+    @settings(max_examples=60)
+    def test_matches_quadratic_peel_directed(self, g):
+        assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
+
+    def test_isolated_nodes(self):
+        g = Graph(n=6, edges=frozenset({(0, 1), (1, 2), (0, 2), (2, 4)}))
+        assert compute_primitive(g, "core-number").tolist() == [2, 2, 2, 0, 1, 0]
+        assert compute_primitive(Graph(n=4), "core-number").tolist() == [0, 0, 0, 0]
+        assert compute_primitive(Graph(n=0), "core-number").tolist() == []
+
+    def test_random_and_planted_graphs(self):
+        rng = np.random.default_rng(12)
+        cases = [planted_role_graph(seed=2, units=4)[0]]
+        for seed in range(40):
+            n = int(rng.integers(2, 60))
+            cases.append(erdos_renyi(n, float(rng.uniform(0.02, 0.4)), seed=seed))
+        for g in cases:
+            assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
+
+
+def per_node_aggregate(g, block, op):
+    """The per-node loop the CSR kernel replaced, kept as an oracle for
+    bitwise equality."""
+    out = np.zeros_like(block)
+    for u in range(g.n):
+        nbrs = list(g.neighbors[u])
+        if not nbrs:
+            continue
+        vals = np.sort(block[nbrs], axis=0)
+        if op == "sum":
+            out[u] = vals.sum(axis=0)
+        elif op == "mean":
+            out[u] = vals.sum(axis=0) / len(nbrs)
+        elif op == "max":
+            out[u] = vals[-1]
+        else:
+            out[u] = vals[0]
+    return out
+
+
+class TestAggregationKernel:
+    @pytest.mark.parametrize("columns", [1, 2, 7])
+    def test_bitwise_equal_to_per_node_loop(self, columns):
+        # dense enough that many nodes have 8+ neighbors, where a pairwise
+        # and a sequential sum differ in the last bits; a hub of degree 40
+        # sits alone in its degree bucket
+        rng = np.random.default_rng(columns)
+        for seed in range(6):
+            g = erdos_renyi(40, 0.45, seed=seed)
+            hub = frozenset((v, 40) for v in range(40))
+            g = Graph(n=43, edges=g.edges | hub)  # nodes 41 and 42 are isolated
+            block = rng.random((g.n, columns)) * 10.0 ** rng.integers(-3, 4, size=columns)
+            ops = ("sum", "mean", "max", "min")
+            for op, got in zip(ops, _aggregate(g, block, ops)):
+                assert got.tobytes() == per_node_aggregate(g, block, op).tobytes()
+
+
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (FeatureLearnConfig(bin_fraction=1.5), "bin fraction"),
+            (FeatureLearnConfig(bin_fraction=0.0), "bin fraction"),
+            (FeatureLearnConfig(threshold=0.0), "lambda"),
+            (FeatureLearnConfig(threshold=1.5), "lambda"),
+            (FeatureLearnConfig(operators=("sum", "median")), "unknown operator"),
+            (FeatureLearnConfig(primitives=("degree", "pagerank")), "unknown primitive"),
+            (FeatureLearnConfig(primitives=("in-degree",)), "directed"),
+            (FeatureLearnConfig(maxiter=0), "maxiter"),
+        ],
+    )
+    def test_invalid_config_rejected_before_any_primitive(self, monkeypatch, config, message):
+        calls = []
+        monkeypatch.setattr(features_module, "compute_primitive", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            learn_features(P3, config)
+        assert calls == []
+
+    def test_triangles_counted_once_per_learn(self, monkeypatch):
+        calls = []
+        original = features_module._triangle_counts
+        monkeypatch.setattr(
+            features_module, "_triangle_counts", lambda g: calls.append(1) or original(g)
+        )
+        learn_features(K3, FeatureLearnConfig(maxiter=1))
+        assert len(calls) == 1
+
+
+class TestStreamedCsv:
+    def test_file_bytes_match_csv_writer(self, tmp_path):
+        x = learn_features(erdos_renyi(40, 0.2, seed=2), FeatureLearnConfig(maxiter=3))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["node"] + [f"feat_{j}" for j in range(x.f)])
+        for u in range(x.n):
+            writer.writerow([u] + [repr(float(v)) for v in x.values[u]])
+        path = tmp_path / "features.csv"
+        with open(path, "w") as fh:
+            assert features_to_csv(x, fh) is None
+        assert path.read_text() == buf.getvalue() == features_to_csv(x)
+
+    def test_zero_columns(self):
+        x = FeatureMatrix(np.zeros((2, 0)), ())
+        assert features_to_csv(x) == "node\n0\n1\n"

@@ -102,6 +102,31 @@ class TestGraphValidation:
         assert g.neighbors[1] == (0, 2, 3)
 
 
+class TestCSR:
+    @given(graphs(max_n=8, weighted=True))
+    def test_rows_match_neighbors_and_weights(self, g):
+        self.check(g)
+
+    @given(graphs(max_n=7, directed=True, weighted=True))
+    def test_rows_match_neighbors_and_weights_directed(self, g):
+        self.check(g)
+
+    def test_unweighted_directed_in_edge_weighs_zero(self):
+        g = Graph(n=3, edges=frozenset({(0, 1), (1, 0), (2, 0)}), directed=True)
+        assert g.csr.indptr.tolist() == [0, 2, 3, 4]
+        assert g.csr.indices.tolist() == [1, 2, 0, 0]
+        assert g.csr.weights.tolist() == [1.0, 0.0, 1.0, 1.0]
+
+    @staticmethod
+    def check(g):
+        indptr, indices, weights = g.csr
+        assert indptr[0] == 0 and indptr.size == g.n + 1
+        for u in range(g.n):
+            row = indices[indptr[u] : indptr[u + 1]].tolist()
+            assert tuple(row) == g.neighbors[u]
+            assert weights[indptr[u] : indptr[u + 1]].tolist() == [g.edge_weight(u, v) for v in row]
+
+
 class TestWrite:
     def test_endpoints_ascending_and_lf(self):
         g = load_edge_list("0 2\n2 1")
