@@ -8,12 +8,9 @@ transition.json for downstream plotting.
 """
 
 import argparse
-import sys
 from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rolemine import (
     Graph,

@@ -7,11 +7,8 @@ wall time. Optionally writes the table as CSV.
 
 import argparse
 import csv
-import sys
 import time
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rolemine import FeatureLearnConfig, erdos_renyi, learn_features
 

@@ -7,12 +7,8 @@ model onto a relabeled copy and reports the equivariance error.
 """
 
 import argparse
-import sys
-from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rolemine import (
     apply_permutation,

@@ -1,8 +1,8 @@
 """Command-line surface: file-in, file-out subcommands over the pipeline.
 
-Every run writes a run.json provenance file (the resolved config, no
-timestamps) beside its outputs, so identical inputs + flags + seed give
-byte-identical output trees.
+Every run writes a run.json provenance file (the resolved config plus the
+runner's deterministic counters, no timestamps) beside its outputs, so
+identical inputs + flags + seed give byte-identical output trees.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .features import (
 )
 from .graph import Graph, load_edge_list
 from .roles import (
+    RankSweep,
     RoleModel,
     factorize_at_rank,
     hard_assignment,
@@ -86,12 +87,13 @@ def _load_model(path: str) -> RoleModel:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
 
 
-def _write_run_json(config: RunConfig, outdir: Path) -> None:
+def _write_run_json(config: RunConfig, outdir: Path, counters: dict) -> None:
     doc = asdict(config)
     doc["inputs"] = list(config.inputs)
     doc["primitives"] = list(config.primitives)
     doc["operators"] = list(config.operators)
     doc["version"] = __version__
+    doc.update(counters)
     (outdir / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -118,13 +120,14 @@ def _run_learn(config: RunConfig, outdir: Path) -> None:
     (outdir / "descriptors.json").write_text(descriptors_to_json(x.descriptors))
 
 
-def _run_select_rank(config: RunConfig, outdir: Path) -> None:
+def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
     x = features_from_csv(_read(config.inputs[0]))
     descriptors = None
     if len(config.inputs) > 1:
         descriptors = descriptors_from_json(_read(config.inputs[1]))
         if len(descriptors) != x.shape[1]:
             raise ValueError("descriptor count does not match feature columns")
+    sweep = RankSweep()
     if config.rank is not None:
         model = factorize_at_rank(
             x,
@@ -134,6 +137,7 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> None:
             seed=config.seed,
             descriptors=descriptors,
             maxiter=config.maxiter,
+            sweep=sweep,
         )
     else:
         model = select_rank(
@@ -144,8 +148,10 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> None:
             seed=config.seed,
             descriptors=descriptors,
             maxiter=config.maxiter,
+            sweep=sweep,
         )
     (outdir / "model.json").write_text(model_to_json(model))
+    return {"sweep": [asdict(fit) for fit in sweep.fits], "stopped": sweep.stopped}
 
 
 def _run_assign(config: RunConfig, outdir: Path) -> None:
@@ -249,8 +255,8 @@ def execute(config: RunConfig) -> int:
         raise ValueError(f"{config.subcommand} takes exactly {arity} input path(s)")
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    runner(config, outdir)
-    _write_run_json(config, outdir)
+    counters = runner(config, outdir) or {}
+    _write_run_json(config, outdir, counters)
     return 0
 
 

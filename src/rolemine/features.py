@@ -284,16 +284,18 @@ def _sorted_positions(source: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
     return [v[:, k] for k in range(rows.shape[1])]
 
 
-def _aggregate_slots(indptr, values, slot_rows, ops):
+def _aggregate_slots(indptr, values, slot_rows, ops, in_sequence=None):
     """Reduce values[slot_rows[k]] over each CSR segment k of indptr, per op.
 
     Each segment's values are sorted ascending per column before reduction.
     Sums match np.sort(block, axis=0).sum(axis=0) on a node's (degree x f)
     block bit for bit: numpy adds rows in sequence when f > 1 and sums a
-    lone column pairwise. Nodes are bucketed by degree and columns go
-    through in blocks.
+    lone column pairwise. in_sequence overrides that choice, so one column
+    can be summed as it was inside a wider block. Nodes are bucketed by
+    degree and columns go through in blocks.
     """
     n, f = indptr.size - 1, values.shape[1]
+    in_sequence = f > 1 if in_sequence is None else in_sequence
     values = np.ascontiguousarray(values)
     outs = [np.zeros((n, f)) for _ in ops]
     deg = np.diff(indptr)
@@ -307,7 +309,7 @@ def _aggregate_slots(indptr, values, slot_rows, ops):
         for lo in range(0, f, step):
             cols = slice(lo, lo + step)
             p = _sorted_positions(values[:, cols], rows)
-            if f == 1:
+            if not in_sequence:
                 total = np.stack(p, axis=-1).sum(axis=-1)
             else:
                 total = p[0].copy()
@@ -325,14 +327,16 @@ def _aggregate_slots(indptr, values, slot_rows, ops):
     return outs
 
 
-def _aggregate(g: Graph, block: np.ndarray, ops) -> list[np.ndarray]:
+def _aggregate(g: Graph, block: np.ndarray, ops, in_sequence=None) -> list[np.ndarray]:
     """Aggregate every column of block (n x f) over each node's neighbors,
-    once per op; isolated nodes get 0. All sorted ops share one sort."""
+    once per op; isolated nodes get 0. All sorted ops share one sort.
+    in_sequence is passed to _aggregate_slots."""
     for op in ops:
         _check_operator(op)
     indptr, indices, _ = g.csr
     sorted_ops = tuple(op for op in ops if op != "mode")
-    results = dict(zip(sorted_ops, _aggregate_slots(indptr, block, indices, sorted_ops)))
+    slots = _aggregate_slots(indptr, block, indices, sorted_ops, in_sequence)
+    results = dict(zip(sorted_ops, slots))
     if "mode" in ops:
         out = np.zeros_like(block)
         floored = np.floor(block)
@@ -622,8 +626,14 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
 
     Composite bases must appear earlier in the list (malformed DAGs are
     rejected). Attribute descriptors read from the supplied attributes array.
+
+    Values equal learn_features' bit for bit: a composite of iteration t
+    was aggregated inside a block of every descriptor with an earlier
+    iteration, which sums in sequence when that block has more than one
+    column, so its base is summed the same way here.
     """
     descriptors = tuple(descriptors)
+    iterations = np.sort([d.iteration for d in descriptors])
     values: dict[int, np.ndarray] = {}
     cache: dict = {}
     last_id = -1
@@ -645,7 +655,8 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
         else:
             if d.base not in values:
                 raise ValueError(f"descriptor {d.id} references missing base {d.base}")
-            col = _aggregate(g, values[d.base][:, None], (d.operator,))[0][:, 0]
+            width = np.searchsorted(iterations, d.iteration)
+            col = _aggregate(g, values[d.base][:, None], (d.operator,), width > 1)[0][:, 0]
         values[d.id] = col
     return FeatureMatrix(
         values=np.column_stack(list(values.values())) if values else np.zeros((g.n, 0)),

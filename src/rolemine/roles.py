@@ -6,6 +6,13 @@ alternative assignments. Rank is chosen by a greedy sweep that scores each
 rank with an information criterion and stops after a run of non-improving
 ranks.
 
+The sweep fits its ranks in batches: the ranks it must try whatever their
+costs (the next `trials - failed` of them) run together through one
+multiplicative-update kernel, _nmf_batch, as a zero-padded stack of factor
+pairs that share x, with the objective read off Gram identities. The ranks
+tried, the iterates and the stop rule are those of fitting one rank at a
+time; nmf_factorize is the kernel's one-slice case.
+
 Cost criteria: "aic" (default) is 2*(n*r + r*f) + n*f*ln(SSE/(n*f) + 1e-12).
 "mdl" is b*(n*r + r*f) + max(0, (n*f/2)*log2(SSE/(n*f) + 1e-12)); note that
 on column-normalized input the MDL error term floors to zero (MSE never
@@ -15,7 +22,7 @@ exceeds 1), which makes the sweep degenerate to r=1, hence the AIC default.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,6 +88,67 @@ def _validate_input(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _nmf_batch(
+    x: np.ndarray, w0s, h0s, maxiter: int, tol: float
+) -> list[tuple[np.ndarray, np.ndarray, list[float]]]:
+    """Multiplicative-update NMF (Lee & Seung) on a stack of starts that
+    share x; start i is (w0s[i], h0s[i]) at its own rank.
+
+    W transposed is stored as (k, R, n) and H as (k, R, f), zero-padded to
+    the largest rank R; padded rows stay exactly zero under the updates. An
+    iteration makes two n*f*R products (W^T X and H X^T) and reads the
+    objective 0.5*||X - WH||^2 off Gram identities,
+    0.5*(||X||^2 - 2<W^T, H X^T> + <W^T W, H H^T>), clamped at 0; W^T W is
+    reused by the next H update. history[0] is the direct objective of the
+    start. Each slice stops on its own rule and then leaves the batch.
+    Returns (W, H, history) per start.
+    """
+    n, f = x.shape
+    ranks = [w0.shape[1] for w0 in w0s]
+    wt = np.zeros((len(ranks), max(ranks), n))
+    h = np.zeros((len(ranks), max(ranks), f))
+    histories = []
+    for i, (w0, h0) in enumerate(zip(w0s, h0s)):
+        wt[i, : ranks[i]] = w0.T
+        h[i, : ranks[i]] = h0
+        histories.append([0.5 * float(((x - w0 @ h0) ** 2).sum())])
+    xt = np.ascontiguousarray(x.T)
+    xx = float((x * x).sum())
+    eps = 1e-12
+    live = list(range(len(ranks)))
+    out: list = [None] * len(ranks)
+    wtw = wt @ wt.transpose(0, 2, 1)
+    buf = np.empty_like(wt)
+    while live:
+        h *= (wt @ x) / (wtw @ h + eps)
+        hxt = h @ xt
+        hht = h @ h.transpose(0, 2, 1)
+        np.matmul(hht, wt, out=buf)
+        buf += eps
+        np.divide(hxt, buf, out=buf)
+        wt *= buf
+        wtw = wt @ wt.transpose(0, 2, 1)
+        k = len(live)
+        cross = (wt.reshape(k, 1, -1) @ hxt.reshape(k, -1, 1)).ravel().tolist()
+        fit = (wtw.reshape(k, 1, -1) @ hht.reshape(k, -1, 1)).ravel().tolist()
+        keep = []
+        for j, i in enumerate(live):
+            history = histories[i]
+            prev = history[-1]
+            obj = max(0.5 * (xx - 2.0 * cross[j] + fit[j]), 0.0)
+            history.append(obj)
+            if prev == 0.0 or (prev - obj) / prev < tol or len(history) > maxiter:
+                out[i] = (wt[j, : ranks[i]].T.copy(), h[j, : ranks[i]].copy(), history)
+            else:
+                keep.append(j)
+        if len(keep) < k:
+            live = [live[j] for j in keep]
+            width = max((ranks[i] for i in live), default=0)
+            wt, h, wtw = wt[keep, :width], h[keep, :width], wtw[keep, :width, :width]
+            buf = np.empty_like(wt)
+    return out
+
+
 def nmf_factorize(
     x: np.ndarray,
     r: int,
@@ -94,7 +162,8 @@ def nmf_factorize(
 
     Returns (W, H, objective history). The history starts at the initial
     point and never increases. Default init is |N(0,1)| scaled by max(x);
-    w0/h0 override it (used by the rank sweep to slice one shared draw).
+    w0/h0 override it. A fit stops when the objective falls by less than
+    tol relative to the previous iterate, or after maxiter iterations.
     """
     x = _validate_input(x)
     n, f = x.shape
@@ -108,17 +177,7 @@ def nmf_factorize(
     h = np.abs(rng.standard_normal((r, f))) * scale if h0 is None else np.array(h0, dtype=float)
     if w.shape != (n, r) or h.shape != (r, f):
         raise ValueError("w0/h0 shapes do not match (n, r) and (r, f)")
-    eps = 1e-12
-    history = [0.5 * float(((x - w @ h) ** 2).sum())]
-    for _ in range(maxiter):
-        h *= (w.T @ x) / (w.T @ w @ h + eps)
-        w *= (x @ h.T) / (w @ h @ h.T + eps)
-        obj = 0.5 * float(((x - w @ h) ** 2).sum())
-        history.append(obj)
-        prev = history[-2]
-        if prev == 0.0 or (prev - obj) / prev < tol:
-            break
-    return w, h, history
+    return _nmf_batch(x, [w], [h], maxiter, tol)[0]
 
 
 def svd_factorize(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,6 +213,28 @@ def model_cost(x: np.ndarray, w: np.ndarray, h: np.ndarray, criterion: str = "ai
     raise ValueError(f"unknown criterion {criterion!r}")
 
 
+@dataclass(frozen=True)
+class RankFit:
+    """One fitted rank: NMF iterations run, whether they hit maxiter, and
+    the model cost."""
+
+    rank: int
+    iterations: int
+    capped: bool
+    cost: float
+
+
+@dataclass
+class RankSweep:
+    """What a rank search did, filled in by select_rank or factorize_at_rank:
+    one RankFit per fitted rank in fitting order (over all restarts), and
+    why the last sweep stopped: "trials" (that many non-improving ranks in a
+    row), "rmax" (reached min(n, f)) or "rank" (a fixed rank, no sweep)."""
+
+    fits: list[RankFit] = field(default_factory=list)
+    stopped: str | None = None
+
+
 def select_rank(
     x: np.ndarray,
     criterion: str = "aic",
@@ -164,6 +245,7 @@ def select_rank(
     maxiter: int = 500,
     tol: float = 1e-6,
     restarts: int = 1,
+    sweep: RankSweep | None = None,
 ) -> RoleModel:
     """Greedy rank search over column-normalized x.
 
@@ -171,7 +253,11 @@ def select_rank(
     columns/rows for each candidate rank; the sweep stops after `trials`
     consecutive ranks without a cost improvement or at r = min(n, f), and the
     cheapest model wins. `restarts` > 1 repeats the sweep with fresh draws
-    and keeps the overall best.
+    and keeps the overall best. `sweep`, when given, records each fit.
+
+    After `failed` non-improving ranks the next `trials - failed` ranks are
+    tried whatever their costs, so they are fitted together as one batch,
+    then accepted or counted as failures in rank order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -183,6 +269,7 @@ def select_rank(
     rmax = min(n, f)
     rng = np.random.default_rng(seed)
     scale0 = xn.max() if xn.max() > 0 else 1.0
+    sweep = RankSweep() if sweep is None else sweep
 
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
     for _ in range(restarts):
@@ -190,20 +277,25 @@ def select_rank(
         h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
         mincost = np.inf
         failed = 0
-        for r in range(1, rmax + 1):
-            w, h, _ = nmf_factorize(
-                xn, r, maxiter=maxiter, tol=tol, w0=w_full[:, :r], h0=h_full[:r, :]
+        lo = 1
+        while failed < trials and lo <= rmax:
+            ranks = range(lo, min(lo + trials - failed, rmax + 1))
+            fits = _nmf_batch(
+                xn, [w_full[:, :r] for r in ranks], [h_full[:r] for r in ranks], maxiter, tol
             )
-            cost = model_cost(xn, w, h, criterion=criterion, b=b)
-            if cost < mincost:
-                mincost = cost
-                failed = 0
-                if best is None or cost < best[0]:
-                    best = (cost, r, w, h)
-            else:
-                failed += 1
-                if failed >= trials:
-                    break
+            for r, (w, h, history) in zip(ranks, fits):
+                cost = model_cost(xn, w, h, criterion=criterion, b=b)
+                iterations = len(history) - 1
+                sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
+                if cost < mincost:
+                    mincost = cost
+                    failed = 0
+                    if best is None or cost < best[0]:
+                        best = (cost, r, w, h)
+                else:
+                    failed += 1
+            lo = ranks.stop
+        sweep.stopped = "trials" if failed >= trials else "rmax"
     assert best is not None
     cost, r, w, h = best
     return RoleModel(
@@ -228,12 +320,17 @@ def factorize_at_rank(
     descriptors=None,
     maxiter: int = 500,
     tol: float = 1e-6,
+    sweep: RankSweep | None = None,
 ) -> RoleModel:
     """Skip the sweep and fit a model at a fixed rank (CLI --rank override)."""
     x = _validate_input(x)
     xn, scales = normalize_columns(x)
-    w, h, _ = nmf_factorize(xn, r, seed=seed, maxiter=maxiter, tol=tol)
+    w, h, history = nmf_factorize(xn, r, seed=seed, maxiter=maxiter, tol=tol)
     cost = model_cost(xn, w, h, criterion=criterion, b=b)
+    if sweep is not None:
+        iterations = len(history) - 1
+        sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
+        sweep.stopped = "rank"
     return RoleModel(
         r=r,
         w=w,

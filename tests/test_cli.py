@@ -148,6 +148,42 @@ class TestSelectRankAndAssign:
         assert result.stderr.startswith("error: malformed model file")
 
 
+class TestSweepCounters:
+    def select(self, runner, tmp_path, *flags):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(write_edge_list(erdos_renyi(40, 0.15, seed=7)))
+        invoke_ok(runner, ["learn", str(graph), "--maxiter", "2",
+                           "--output-dir", str(tmp_path / "learn")])
+        invoke_ok(runner, ["select-rank", str(tmp_path / "learn" / "features.csv"), *flags,
+                           "--output-dir", str(tmp_path / "rank")])
+        run = json.loads((tmp_path / "rank" / "run.json").read_text())
+        model = json.loads((tmp_path / "rank" / "model.json").read_text())
+        return run, model
+
+    def test_one_entry_per_tried_rank(self, runner, tmp_path):
+        run, model = self.select(runner, tmp_path, "--maxiter", "60")
+        sweep = run["sweep"]
+        assert [e["rank"] for e in sweep] == list(range(1, len(sweep) + 1))
+        assert all(set(e) == {"rank", "iterations", "capped", "cost"} for e in sweep)
+        assert all(1 <= e["iterations"] <= 60 for e in sweep)
+        assert all(e["capped"] == (e["iterations"] == 60) for e in sweep)
+        assert any(e["capped"] for e in sweep)
+        (chosen,) = [e for e in sweep if e["rank"] == model["r"]]
+        assert chosen["cost"] == model["cost"]
+        assert chosen["cost"] == min(e["cost"] for e in sweep)
+        # the last improvement is followed by exactly `trials` failures
+        assert run["stopped"] == "trials"
+        assert model["r"] == len(sweep) - run["trials"]
+        assert "sweep" not in model and "stopped" not in model
+
+    def test_rank_override_has_one_entry(self, runner, tmp_path):
+        run, model = self.select(runner, tmp_path, "--rank", "3", "--maxiter", "40")
+        (entry,) = run["sweep"]
+        assert entry["rank"] == 3 and entry["cost"] == model["cost"]
+        assert entry["capped"] == (entry["iterations"] == 40)
+        assert run["stopped"] == "rank"
+
+
 class TestOracle:
     def test_path_orbits_to_stdout_and_file(self, runner, tmp_path):
         graph = tmp_path / "p4.txt"

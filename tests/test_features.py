@@ -600,13 +600,6 @@ GOLDEN_CASES = {
     ),
 }
 
-GOLDEN_RECOMPUTE = {
-    "er-maxiter": "b535a8cb7db1bb3459e026abeb60604e4163d4cabe8c32b9980f1b7758b84677",
-    "weighted": "99744a55bcd0c6630db4a6acdcf31863e064770aeb8f7c7e9891a2bd7b3da3e0",
-    "weighted-directed": "afac674b95b9f069e21b389a7d65770655648a8af989f4356a14e54054137763",
-}
-
-
 class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_learned_bytes_unchanged(self, name):
@@ -615,12 +608,15 @@ class TestGoldenDigests:
         assert x.iteration_sizes == sizes
         assert learned_digest(x) == digest
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN_RECOMPUTE))
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_recomputed_bytes_unchanged(self, name):
+        # recompute gives the learned bytes, whose digests are pinned above;
+        # "er-maxiter" has nodes of degree 8 and more, where a composite
+        # summed pairwise instead of in sequence differs in the last bits
         make, config, _, _ = GOLDEN_CASES[name]
         g = make()
-        y = recompute(g, learn_features(g, config).descriptors)
-        assert hashlib.sha256(y.values.tobytes()).hexdigest() == GOLDEN_RECOMPUTE[name]
+        x = learn_features(g, config)
+        assert recompute(g, x.descriptors).values.tobytes() == x.values.tobytes()
 
     def test_small_blocks_give_the_same_bytes(self, monkeypatch):
         # binning and aggregation walk the matrix in column blocks

@@ -6,15 +6,20 @@ from hypothesis.extra.numpy import arrays
 
 from rolemine import (
     FeatureDescriptor,
+    FeatureLearnConfig,
+    RankSweep,
     RoleModel,
+    erdos_renyi,
     factorize_at_rank,
     hard_assignment,
     kmeans_assign,
+    learn_features,
     model_cost,
     model_from_json,
     model_to_json,
     nmf_factorize,
     normalize_columns,
+    planted_role_graph,
     select_rank,
     soft_memberships,
     svd_factorize,
@@ -355,3 +360,139 @@ class TestModelJson:
                 r=4,
                 **{**ok, "w": np.ones((3, 4)), "h": np.ones((4, 2))},
             )
+
+
+def sequential_nmf(x, w0, h0, maxiter, tol):
+    """The per-rank multiplicative-update loop the batched kernel replaced,
+    kept as an oracle: five n*f*r products per iteration and the objective
+    from the residual."""
+    w = np.array(w0, dtype=float)
+    h = np.array(h0, dtype=float)
+    eps = 1e-12
+    history = [0.5 * float(((x - w @ h) ** 2).sum())]
+    for _ in range(maxiter):
+        h *= (w.T @ x) / (w.T @ w @ h + eps)
+        w *= (x @ h.T) / (w @ h @ h.T + eps)
+        obj = 0.5 * float(((x - w @ h) ** 2).sum())
+        history.append(obj)
+        prev = history[-2]
+        if prev == 0.0 or (prev - obj) / prev < tol:
+            break
+    return w, h, history
+
+
+def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6, restarts=1):
+    """The rank sweep before batching, kept as an oracle: one rank at a time,
+    stopping after `trials` non-improving ranks. Returns the chosen (rank,
+    cost, W) and one (rank, iterations, cost) per fitted rank."""
+    xn, _ = normalize_columns(x)
+    n, f = xn.shape
+    rmax = min(n, f)
+    rng = np.random.default_rng(seed)
+    scale0 = xn.max() if xn.max() > 0 else 1.0
+    best = None
+    fits = []
+    for _ in range(restarts):
+        w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
+        h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
+        mincost = np.inf
+        failed = 0
+        for r in range(1, rmax + 1):
+            w, h, history = sequential_nmf(xn, w_full[:, :r], h_full[:r, :], maxiter, tol)
+            cost = model_cost(xn, w, h)
+            fits.append((r, len(history) - 1, cost))
+            if cost < mincost:
+                mincost = cost
+                failed = 0
+                if best is None or cost < best[1]:
+                    best = (r, cost, w)
+            else:
+                failed += 1
+                if failed >= trials:
+                    break
+    return best, fits
+
+
+def er_features(seed, n=150, degree=8.0):
+    g = erdos_renyi(n, degree / (n - 1), seed=seed)
+    return learn_features(g, FeatureLearnConfig(maxiter=3)).values
+
+
+def assert_same_sweep(x, **kwargs):
+    (r, cost, w), want = sequential_sweep(x, **kwargs)
+    sweep = RankSweep()
+    model = select_rank(x, sweep=sweep, **kwargs)
+    got = [(fit.rank, fit.iterations, fit.cost) for fit in sweep.fits]
+    assert [g[:2] for g in got] == [o[:2] for o in want]
+    for (_, _, c_got), (_, _, c_want) in zip(got, want):
+        assert abs(c_got - c_want) <= 1e-12 * abs(c_want)
+    assert model.r == r
+    assert abs(model.cost - cost) <= 1e-12 * abs(cost)
+    assert np.abs(model.w - w).max() <= 1e-9 * max(1.0, np.abs(w).max())
+    return sweep
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_sequential_sweep_on_er_features(self, seed):
+        sweep = assert_same_sweep(er_features(seed))
+        assert sweep.stopped == "trials"
+
+    def test_matches_sequential_sweep_on_planted_roles(self):
+        g, _ = planted_role_graph(seed=3, units=6)
+        assert_same_sweep(learn_features(g).values)
+
+    def test_slices_that_stop_at_different_iterations(self):
+        # tall and nearly rank one: rank 1 converges long before the others
+        rng = np.random.default_rng(21)
+        x = np.outer(rng.random(600) + 0.5, rng.random(5) + 0.5) + 0.01 * rng.random((600, 5))
+        sweep = assert_same_sweep(x, maxiter=300)
+        iterations = [fit.iterations for fit in sweep.fits]
+        assert iterations[0] < 300
+        assert len(set(iterations)) > 1
+
+    def test_one_trial(self):
+        assert_same_sweep(er_features(4), trials=1)
+
+    def test_three_restarts(self):
+        sweep = assert_same_sweep(er_features(5, n=60), restarts=3)
+        assert [fit.rank for fit in sweep.fits].count(1) == 3
+
+    def test_reaches_full_rank(self):
+        sweep = assert_same_sweep(np.random.default_rng(8).random((30, 3)))
+        assert [fit.rank for fit in sweep.fits] == [1, 2, 3]
+        assert sweep.stopped == "rmax"
+
+
+class TestGramObjective:
+    @pytest.mark.parametrize("shape,r", [((40, 15), 4), ((150, 70), 12), ((5, 300), 5)])
+    def test_history_equals_direct_objective(self, shape, r):
+        rng = np.random.default_rng(shape[0] + r)
+        x = rng.random(shape)
+        scale = float((x**2).sum())
+        w0 = rng.random((shape[0], r))
+        h0 = rng.random((r, shape[1]))
+        _, _, want = sequential_nmf(x, w0, h0, 60, 0.0)
+        _, _, got = nmf_factorize(x, r, w0=w0, h0=h0, maxiter=60, tol=0.0)
+        assert got[0] == want[0]
+        assert len(got) == len(want)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 30])
+    def test_last_value_is_the_objective_of_the_returned_factors(self, steps):
+        rng = np.random.default_rng(steps)
+        x = rng.random((50, 20))
+        w, h, history = nmf_factorize(x, 5, seed=steps, maxiter=steps, tol=0.0)
+        assert len(history) == steps + 1
+        direct = 0.5 * float(((x - w @ h) ** 2).sum())
+        assert abs(history[-1] - direct) <= 1e-12 * float((x**2).sum())
+
+    @pytest.mark.parametrize("seed", [2, 3, 8])
+    def test_exact_fit_is_clamped_at_zero(self, seed):
+        # on these exact integer products the identity rounds below zero
+        rng = np.random.default_rng(seed)
+        n, f = int(rng.integers(2, 12)), int(rng.integers(2, 8))
+        r = int(rng.integers(1, min(n, f) + 1))
+        x = rng.integers(0, 4, (n, r)).astype(float) @ rng.integers(0, 4, (r, f)).astype(float)
+        _, _, history = nmf_factorize(x, r, seed=seed, maxiter=2000, tol=0.0)
+        assert min(history) == 0.0
