@@ -105,7 +105,7 @@ def _memberships_csv(w: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_learn(config: RunConfig, outdir: Path) -> None:
+def _run_learn(config: RunConfig, outdir: Path) -> dict:
     g = _load_graph(config.inputs[0])
     fl = FeatureLearnConfig(
         primitives=config.primitives,
@@ -118,6 +118,7 @@ def _run_learn(config: RunConfig, outdir: Path) -> None:
     with open(outdir / "features.csv", "w") as out:
         features_to_csv(x, out)
     (outdir / "descriptors.json").write_text(descriptors_to_json(x.descriptors))
+    return {"iteration_sizes": list(x.iteration_sizes)}
 
 
 def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
@@ -167,7 +168,7 @@ def _run_assign(config: RunConfig, outdir: Path) -> None:
 def _run_transfer(config: RunConfig, outdir: Path) -> None:
     model = _load_model(config.inputs[0])
     g2 = _load_graph(config.inputs[1])
-    w = transfer_memberships(g2, model, seed=config.seed)
+    w = transfer_memberships(g2, model)
     (outdir / "memberships.csv").write_text(_memberships_csv(w))
 
 
@@ -197,7 +198,7 @@ def _parse_manifest(path: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
     return tuple(timestamps), tuple(paths)
 
 
-def _run_dynamic(config: RunConfig, outdir: Path) -> None:
+def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
     model = _load_model(config.inputs[0])
     timestamps, paths = _parse_manifest(config.inputs[1])
     graphs = [_load_graph(p) for p in paths]
@@ -205,17 +206,15 @@ def _run_dynamic(config: RunConfig, outdir: Path) -> None:
     (outdir / "series.csv").write_text(series_to_csv(series))
     # one global transition: stack all consecutive snapshot pairs with a
     # shared node count and solve them jointly
-    pairs = [
-        (series.memberships[i], series.memberships[i + 1])
-        for i in range(len(graphs) - 1)
-        if series.memberships[i].shape[0] == series.memberships[i + 1].shape[0]
-    ]
+    pairs = [i for i in range(len(graphs) - 1) if graphs[i].n == graphs[i + 1].n]
     if not pairs:
         raise ValueError("no consecutive snapshots share a node count")
-    w_a = np.vstack([a for a, _ in pairs])
-    w_b = np.vstack([b for _, b in pairs])
+    w_a = np.vstack([series.memberships[i] for i in pairs])
+    w_b = np.vstack([series.memberships[i + 1] for i in pairs])
     t = estimate_transition_model(w_a, w_b)
     (outdir / "transition.json").write_text(transition_to_json(t))
+    used = [{"from": timestamps[i], "to": timestamps[i + 1], "nodes": graphs[i].n} for i in pairs]
+    return {"pairs": used}
 
 
 def _run_oracle(config: RunConfig, outdir: Path) -> None:
@@ -279,7 +278,6 @@ def _dispatch(config: RunConfig) -> None:
 _output_dir = click.option(
     "--output-dir", default=".", show_default=True, help="Directory for output files."
 )
-_seed = click.option("--seed", default=1, show_default=True, help="Random seed.")
 
 
 @click.group()
@@ -310,12 +308,11 @@ def main():
     "lam",
     default=1.0,
     show_default=True,
-    help="Feature-graph agreement threshold.",
+    help="Bin-agreement threshold for merging features.",
 )
 @click.option("--maxiter", default=10, show_default=True, help="Feature recursion depth cap.")
-@_seed
 @_output_dir
-def learn(graph_path, primitives, operators, bin_fraction, lam, maxiter, seed, output_dir):
+def learn(graph_path, primitives, operators, bin_fraction, lam, maxiter, output_dir):
     """Learn recursive features: EDGELIST -> features.csv + descriptors.json."""
     _dispatch(
         RunConfig(
@@ -327,7 +324,6 @@ def learn(graph_path, primitives, operators, bin_fraction, lam, maxiter, seed, o
             bin_fraction=bin_fraction,
             lam=lam,
             maxiter=maxiter,
-            seed=seed,
         )
     )
 
@@ -351,7 +347,7 @@ def learn(graph_path, primitives, operators, bin_fraction, lam, maxiter, seed, o
 )
 @click.option("--maxiter", default=500, show_default=True, help="NMF iteration cap.")
 @click.option("--rank", default=None, type=int, help="Skip the sweep and fit this rank.")
-@_seed
+@click.option("--seed", default=1, show_default=True, help="Random seed of the NMF starts.")
 @_output_dir
 def select_rank_cmd(
     features_path, descriptors_path, criterion, bits, trials, maxiter, rank, seed, output_dir
@@ -376,9 +372,8 @@ def select_rank_cmd(
 @main.command()
 @click.argument("model_path", metavar="MODEL_JSON")
 @click.option("--hard/--soft", default=False, help="Argmax labels vs row-normalized memberships.")
-@_seed
 @_output_dir
-def assign(model_path, hard, seed, output_dir):
+def assign(model_path, hard, output_dir):
     """Emit role assignments: MODEL_JSON -> assignments.csv."""
     _dispatch(
         RunConfig(
@@ -386,7 +381,6 @@ def assign(model_path, hard, seed, output_dir):
             inputs=(model_path,),
             output_dir=output_dir,
             hard=hard,
-            seed=seed,
         )
     )
 
@@ -394,16 +388,14 @@ def assign(model_path, hard, seed, output_dir):
 @main.command()
 @click.argument("model_path", metavar="MODEL_JSON")
 @click.argument("graph_path", metavar="EDGELIST")
-@_seed
 @_output_dir
-def transfer(model_path, graph_path, seed, output_dir):
+def transfer(model_path, graph_path, output_dir):
     """Score a new graph under a fitted model: -> memberships.csv."""
     _dispatch(
         RunConfig(
             subcommand="transfer",
             inputs=(model_path, graph_path),
             output_dir=output_dir,
-            seed=seed,
         )
     )
 
@@ -411,9 +403,8 @@ def transfer(model_path, graph_path, seed, output_dir):
 @main.command()
 @click.argument("model_path", metavar="MODEL_JSON")
 @click.argument("manifest_path", metavar="MANIFEST")
-@_seed
 @_output_dir
-def dynamic(model_path, manifest_path, seed, output_dir):
+def dynamic(model_path, manifest_path, output_dir):
     """Track roles over snapshots: -> series.csv + transition.json.
 
     MANIFEST lists one edge-list path per line (optional leading integer
@@ -424,7 +415,6 @@ def dynamic(model_path, manifest_path, seed, output_dir):
             subcommand="dynamic",
             inputs=(model_path, manifest_path),
             output_dir=output_dir,
-            seed=seed,
         )
     )
 
@@ -438,9 +428,8 @@ def dynamic(model_path, manifest_path, seed, output_dir):
     show_default=True,
     help="Equivalence relation to compute.",
 )
-@_seed
 @_output_dir
-def oracle(graph_path, kind, seed, output_dir):
+def oracle(graph_path, kind, output_dir):
     """Exact node-equivalence classes: EDGELIST -> classes.json (+ stdout)."""
     _dispatch(
         RunConfig(
@@ -448,7 +437,6 @@ def oracle(graph_path, kind, seed, output_dir):
             inputs=(graph_path,),
             output_dir=output_dir,
             kind=kind,
-            seed=seed,
         )
     )
 

@@ -4,8 +4,8 @@ Primitives (degree, wedge, triangle, egonet, core) seed the feature set;
 neighbor-aggregation operators grow it one round at a time. Every new column
 is vertically log-binned once, when it is made. At the default agreement
 threshold of 1.0 a column survives unless its bin vector equals that of an
-earlier column (a group-by on the bin bytes); below 1.0 survivors and
-candidates form a feature graph whose connected components collapse to their
+earlier column (a group-by on the bin bytes); below 1.0 the components of
+the >= lambda agreement graph over survivors and candidates keep their
 earliest member. Descriptors record how to rebuild every surviving column on
 any other graph.
 
@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .equivalences import _UnionFind
 from .graph import Graph
 
 PRIMITIVE_KINDS = (
@@ -115,25 +115,6 @@ class FeatureMatrix:
     @property
     def f(self) -> int:
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class BinnedColumn:
-    """Vertical log-bin assignment of one column."""
-
-    bins: tuple[int, ...]
-    bin_count: int
-    fraction: float
-
-
-@dataclass(frozen=True)
-class FeatureGraph:
-    """Similarity graph over feature ids; stored edges have sim >= lam."""
-
-    vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-    similarity: dict[tuple[int, int], float]
-    threshold: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,21 +330,14 @@ def _aggregate(g: Graph, block: np.ndarray, ops, in_sequence=None) -> list[np.nd
     return [results[op] for op in ops]
 
 
-def apply_operator(g: Graph, x: FeatureMatrix, base: int, op: str) -> np.ndarray:
-    """Aggregate the column of descriptor id `base` over each node's
-    neighbors. Isolated nodes get 0."""
-    by_id = {d.id: j for j, d in enumerate(x.descriptors)}
-    if base not in by_id:
-        raise ValueError(f"no feature with descriptor id {base}")
-    return _aggregate(g, x.values[:, [by_id[base]]], (op,))[0][:, 0]
-
-
 def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
     """Vertical log bins of every row of rows (one feature per row, f x n).
 
-    Row by row this is vertical_log_bin. Each row is sorted once, then the
-    bin boundaries (about log n of them) are walked for all rows together;
-    a value's bin is the number of bins whose top value it exceeds. Rows go
+    Each successive bin of a row takes the ceil(p * remaining) smallest of
+    its values; values tying a bin's top value join it, so equal values
+    never split across bins. Each row is sorted once, then the bin
+    boundaries (about log n of them) are walked for all rows together; a
+    value's bin is the number of bins whose top value it exceeds. Rows go
     through in blocks to bound the temporaries.
     """
     _check_fraction(p)
@@ -396,97 +370,19 @@ def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
     return bins
 
 
-def vertical_log_bin(column, p: float = 0.5) -> BinnedColumn:
-    """Assign ceil(p * remaining) smallest values to each successive bin.
-
-    Values tying the bin boundary join the lower bin, so equal values never
-    split across bins.
-    """
-    bins = log_bin_rows(np.asarray(column, dtype=float)[None, :], p)[0]
-    return BinnedColumn(
-        bins=tuple(bins.tolist()), bin_count=int(bins.max()) + 1 if bins.size else 0, fraction=p
-    )
-
-
-def feature_similarity(a: BinnedColumn, b: BinnedColumn) -> float:
-    """Agreement rate of two binned columns: fraction of nodes in the same
-    bin index. 1.0 iff identical."""
-    if len(a.bins) != len(b.bins):
-        raise ValueError("binned columns cover different node counts")
-    if not a.bins:
-        return 1.0
-    agree = sum(1 for x, y in zip(a.bins, b.bins) if x == y)
-    return agree / len(a.bins)
-
-
-def create_feature_graph(
-    x: FeatureMatrix, p: float = 0.5, lam: float = 1.0, bins: np.ndarray | None = None
-) -> FeatureGraph:
-    """Vertex per feature id; edge (i, j) iff binned agreement >= lam.
-
-    bins, when given, are log_bin_rows(x.values.T, p), computed earlier.
-    Only edges are materialized. At lam = 1.0 agreement holds exactly when
-    the bin vectors are identical, so features are grouped by vector instead
-    of compared all-pairs; below 1.0 the pairwise agreement matrix is
-    computed in blocks to bound memory at O(n * block * f).
-    """
-    _check_threshold(lam)
-    ids = tuple(d.id for d in x.descriptors)
-    edges: dict[tuple[int, int], float] = {}
-    if bins is None:
-        bins = log_bin_rows(x.values.T, p)
-    if lam == 1.0 or x.n == 0:
-        # empty columns agree vacuously, matching feature_similarity
-        groups: dict[bytes, list[int]] = {}
-        for j in range(x.f):
-            groups.setdefault(bins[j].tobytes(), []).append(j)
-        for members in groups.values():
-            for a, b in itertools.combinations(members, 2):
-                edges[(ids[a], ids[b])] = 1.0
-        return FeatureGraph(ids, frozenset(edges), edges, lam)
-    block = max(1, (1 << 24) // max(1, x.n * x.f))
-    for start in range(0, x.f, block):
-        stop = min(start + block, x.f)
-        sims = (bins[start:stop, None, :] == bins[None, :, :]).mean(axis=2)
-        for bi, j in np.argwhere(sims >= lam):
-            i = start + int(bi)
-            if i < j:
-                edges[(ids[i], ids[int(j)])] = float(sims[bi, j])
-    return FeatureGraph(ids, frozenset(edges), edges, lam)
-
-
-def _components(fg: FeatureGraph) -> list[list[int]]:
-    index = {v: i for i, v in enumerate(fg.vertices)}
-    parent = list(range(len(fg.vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in fg.edges:
-        ra, rb = find(index[a]), find(index[b])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[int]] = {}
-    for v in fg.vertices:
-        groups.setdefault(find(index[v]), []).append(v)
-    return sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
-
-
-def prune_feature_set(fg: FeatureGraph, x: FeatureMatrix) -> FeatureMatrix:
-    """Collapse each connected component of the feature graph to its
-    earliest (smallest-id) feature."""
-    if tuple(d.id for d in x.descriptors) != fg.vertices:
-        raise ValueError("feature graph was not built over this matrix")
-    keep = {comp[0] for comp in _components(fg)}
-    cols = [j for j, d in enumerate(x.descriptors) if d.id in keep]
-    return FeatureMatrix(
-        values=x.values[:, cols],
-        descriptors=tuple(x.descriptors[j] for j in cols),
-        iteration_sizes=x.iteration_sizes,
-    )
+def _agreement_roots(bins: np.ndarray, lam: float) -> list[int]:
+    """Rows of bins (f x n, n > 0) that survive a prune below threshold 1.0:
+    each connected component of the graph joining rows whose bins agree on
+    at least lam of the nodes keeps its earliest row. Agreement is computed
+    in blocks of rows to bound memory at O(n * block * f)."""
+    uf = _UnionFind(len(bins))
+    step = max(1, (1 << 24) // bins.size)
+    for lo in range(0, len(bins), step):
+        agree = (bins[lo : lo + step, None, :] == bins[None, :, :]).mean(axis=2)
+        ii, jj = np.nonzero(agree >= lam)
+        for i, j in zip((ii + lo).tolist(), jj.tolist()):
+            uf.union(i, j)
+    return [j for j in range(len(bins)) if uf.find(j) == j]
 
 
 def _required_ancestors(descriptors_by_id: dict[int, FeatureDescriptor], kept: set[int]) -> set[int]:
@@ -543,10 +439,11 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
 
     Every column is binned once, when it is made. At threshold 1.0 a column
     survives unless its bin vector equals that of an earlier column. Below
-    1.0 survivors and candidates form a feature graph whose components keep
-    their earliest member; a pruned old feature could then orphan the recipe
-    of a surviving composite, so such ancestors are re-protected after each
-    prune and every returned descriptor list stays evaluable via recompute.
+    1.0 the components of the >= threshold agreement graph over survivors
+    and candidates keep their earliest member; a pruned old feature could
+    then orphan the recipe of a surviving composite, so such ancestors are
+    re-protected after each prune and every returned descriptor list stays
+    evaluable via recompute.
     """
     primitives = _learn_primitives(g, config)
     attrs = None if config.attributes is None else _attribute_rows(g, config.attributes)
@@ -572,7 +469,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     def prune(cand_rows: np.ndarray, cands: list[FeatureDescriptor]):
         nonlocal rows, bins, descriptors
         cand_bins = log_bin_rows(cand_rows, config.bin_fraction)
-        if config.threshold == 1.0:
+        if config.threshold == 1.0 or g.n == 0:  # empty columns agree vacuously
             keep = []
             for j, b in enumerate(cand_bins):
                 key = b.tobytes()
@@ -585,9 +482,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
         rows = np.concatenate([rows, cand_rows])
         bins = np.concatenate([bins, cand_bins])
         descriptors = descriptors + cands
-        fm = FeatureMatrix(rows.T, tuple(descriptors))
-        fg = create_feature_graph(fm, config.bin_fraction, config.threshold, bins)
-        kept = {d.id for d in prune_feature_set(fg, fm).descriptors}
+        kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
         kept |= _required_ancestors(all_by_id, kept)
         idx = [j for j, d in enumerate(descriptors) if d.id in kept]
         rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
@@ -634,6 +529,7 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
     """
     descriptors = tuple(descriptors)
     iterations = np.sort([d.iteration for d in descriptors])
+    attrs = None if attributes is None else _attribute_rows(g, attributes)
     values: dict[int, np.ndarray] = {}
     cache: dict = {}
     last_id = -1
@@ -644,14 +540,11 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
         if d.kind == "primitive":
             col = compute_primitive(g, d.primitive, cache)
         elif d.kind == "attribute":
-            if attributes is None:
+            if attrs is None:
                 raise ValueError("descriptor needs attribute columns but none were given")
-            attrs = np.asarray(attributes, dtype=float)
-            if attrs.ndim == 1:
-                attrs = attrs[:, None]
-            if d.attribute >= attrs.shape[1]:
+            if d.attribute >= len(attrs):
                 raise ValueError(f"attribute column {d.attribute} missing")
-            col = attrs[:, d.attribute]
+            col = attrs[d.attribute]
         else:
             if d.base not in values:
                 raise ValueError(f"descriptor {d.id} references missing base {d.base}")
@@ -720,10 +613,10 @@ def features_from_csv(text: str) -> np.ndarray:
     if not rows or not rows[0] or rows[0][0] != "node":
         raise ValueError("expected a 'node,feat_0,...' header row")
     data = []
-    for i, row in enumerate(rows[1:]):
+    for row in rows[1:]:
         if not row:
             continue
-        if int(row[0]) != i:
-            raise ValueError(f"row {i} has node id {row[0]}, expected {i}")
+        if int(row[0]) != len(data):
+            raise ValueError(f"row {len(data)} has node id {row[0]}, expected {len(data)}")
         data.append([float(v) for v in row[1:]])
     return np.array(data, dtype=float) if data else np.zeros((0, len(rows[0]) - 1))

@@ -155,14 +155,12 @@ def nmf_factorize(
     seed: int = 0,
     maxiter: int = 500,
     tol: float = 1e-6,
-    w0: np.ndarray | None = None,
-    h0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Multiplicative-update NMF for the Frobenius objective 0.5*||x - WH||^2.
 
     Returns (W, H, objective history). The history starts at the initial
-    point and never increases. Default init is |N(0,1)| scaled by max(x);
-    w0/h0 override it. A fit stops when the objective falls by less than
+    point and never increases. The start is |N(0,1)| scaled by max(x),
+    drawn from seed. A fit stops when the objective falls by less than
     tol relative to the previous iterate, or after maxiter iterations.
     """
     x = _validate_input(x)
@@ -173,10 +171,8 @@ def nmf_factorize(
         raise ValueError("maxiter must be >= 1")
     rng = np.random.default_rng(seed)
     scale = x.max() if x.max() > 0 else 1.0
-    w = np.abs(rng.standard_normal((n, r))) * scale if w0 is None else np.array(w0, dtype=float)
-    h = np.abs(rng.standard_normal((r, f))) * scale if h0 is None else np.array(h0, dtype=float)
-    if w.shape != (n, r) or h.shape != (r, f):
-        raise ValueError("w0/h0 shapes do not match (n, r) and (r, f)")
+    w = np.abs(rng.standard_normal((n, r))) * scale
+    h = np.abs(rng.standard_normal((r, f))) * scale
     return _nmf_batch(x, [w], [h], maxiter, tol)[0]
 
 

@@ -63,11 +63,11 @@ def transfer_memberships(
     """
     if model.descriptors is None:
         raise ValueError("model carries no feature descriptors; cannot recompute features")
+    if clamp is not None and clamp <= 0:
+        raise ValueError("clamp must be positive")
     x2 = recompute(g2, model.descriptors, attributes=attributes)
     x2n = x2.values / model.column_scales
     if clamp is not None:
-        if clamp <= 0:
-            raise ValueError("clamp must be positive")
         x2n = np.minimum(x2n, clamp)
     return memberships_for_matrix(x2n, model.h, seed=seed, init=init)
 

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rolemine import descriptors_from_json, erdos_renyi, model_from_json, write_edge_list
+import rolemine
+from rolemine import (
+    FeatureLearnConfig,
+    descriptors_from_json,
+    erdos_renyi,
+    learn_features,
+    load_edge_list,
+    model_from_json,
+    write_edge_list,
+)
 from rolemine.cli import main
 
 P4_TEXT = "0 1\n1 2\n2 3\n"
@@ -49,16 +58,34 @@ class TestLearn:
         graph.write_text("0 1\n")
         invoke_ok(
             runner,
-            ["learn", str(graph), "--maxiter", "3", "--seed", "9",
-             "--output-dir", str(tmp_path / "out")],
+            ["learn", str(graph), "--maxiter", "3", "--output-dir", str(tmp_path / "out")],
         )
         doc = json.loads((tmp_path / "out" / "run.json").read_text())
         assert doc["subcommand"] == "learn"
         assert doc["maxiter"] == 3
-        assert doc["seed"] == 9
         assert doc["inputs"] == [str(graph)]
         assert "version" in doc
         assert not any("time" in key or "date" in key for key in doc)
+        invoke_ok(
+            runner,
+            ["select-rank", str(tmp_path / "out" / "features.csv"), "--seed", "9",
+             "--output-dir", str(tmp_path / "rank")],
+        )
+        doc = json.loads((tmp_path / "rank" / "run.json").read_text())
+        assert doc["subcommand"] == "select-rank"
+        assert doc["seed"] == 9
+        assert not any("time" in key or "date" in key for key in doc)
+
+    def test_run_json_records_iteration_sizes(self, runner, tmp_path):
+        g = erdos_renyi(40, 0.15, seed=7)
+        graph = tmp_path / "graph.txt"
+        graph.write_text(write_edge_list(g))
+        invoke_ok(runner, ["learn", str(graph), "--maxiter", "2", "--output-dir", str(tmp_path)])
+        run = json.loads((tmp_path / "run.json").read_text())
+        want = learn_features(load_edge_list(graph.read_text()), FeatureLearnConfig(maxiter=2))
+        assert run["iteration_sizes"] == list(want.iteration_sizes)
+        descs = descriptors_from_json((tmp_path / "descriptors.json").read_text())
+        assert len(descs) == run["iteration_sizes"][-1]
 
     def test_custom_primitive_and_operator_lists(self, runner, tmp_path):
         graph = tmp_path / "graph.txt"
@@ -264,6 +291,21 @@ class TestTransferAndDynamic:
                   (tmp_path / "d" / "series.csv").read_text().splitlines()[1:]}
         assert stamps == {"-3", "7"}
 
+    def test_dynamic_records_the_pairs_it_stacked(self, runner, tmp_path):
+        self.fit_chain(runner, tmp_path)
+        (tmp_path / "other.txt").write_text(write_edge_list(erdos_renyi(15, 0.3, seed=4)))
+        # the pairs 0 -> 5 and 5 -> 9 differ in node count and are left out
+        (tmp_path / "snapshots.txt").write_text(
+            "0 graph.txt\n5 other.txt\n9 graph.txt\n10 graph.txt\n"
+        )
+        invoke_ok(
+            runner,
+            ["dynamic", str(tmp_path / "model.json"), str(tmp_path / "snapshots.txt"),
+             "--output-dir", str(tmp_path / "d")],
+        )
+        run = json.loads((tmp_path / "d" / "run.json").read_text())
+        assert run["pairs"] == [{"from": 9, "to": 10, "nodes": 12}]
+
     def test_dynamic_requires_two_snapshots(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)
         (tmp_path / "snapshots.txt").write_text("graph.txt\n")
@@ -284,6 +326,25 @@ class TestTransferAndDynamic:
         result = runner.invoke(main, ["transfer", str(tmp_path / "model.json"), str(graph)])
         assert result.exit_code == 1
         assert "descriptors" in result.stderr
+
+
+SUBCOMMANDS = ("learn", "select-rank", "assign", "transfer", "dynamic", "oracle")
+
+
+class TestTooling:
+    def test_every_public_name_resolves(self):
+        assert len(set(rolemine.__all__)) == len(rolemine.__all__)
+        for name in rolemine.__all__:
+            assert getattr(rolemine, name, None) is not None, name
+
+    def test_six_subcommands(self):
+        assert sorted(main.commands) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_help_exits_cleanly_and_seed_only_where_random(self, runner, sub):
+        result = runner.invoke(main, [sub, "--help"])
+        assert result.exit_code == 0, result.output
+        assert ("--seed" in result.output) == (sub == "select-rank")
 
 
 class TestDeterminism:

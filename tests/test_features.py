@@ -15,27 +15,22 @@ from rolemine import (
     FeatureLearnConfig,
     FeatureMatrix,
     Graph,
-    apply_operator,
     apply_permutation,
     automorphic_orbits,
     compute_primitive,
-    create_feature_graph,
     descriptors_from_json,
     descriptors_to_json,
     erdos_renyi,
-    feature_similarity,
     features_from_csv,
     features_to_csv,
     learn_features,
     load_edge_list,
     planted_role_graph,
-    prune_feature_set,
     recompute,
-    vertical_log_bin,
 )
 
 from rolemine import features as features_module
-from rolemine.features import _aggregate, log_bin_rows
+from rolemine.features import _aggregate, _agreement_roots, log_bin_rows
 
 from strategies import graph_with_permutation, graphs
 
@@ -185,37 +180,33 @@ class TestPrimitives:
             assert all(col_h[perm[u]] == col_g[u] for u in range(g.n)), kind
 
 
+def aggregate_column(g, column, op):
+    return _aggregate(g, np.array(column, dtype=float)[:, None], (op,))[0][:, 0]
+
+
 class TestOperators:
     def test_path_neighbor_degree_sum(self):
-        x = matrix_from_columns([[1.0, 2.0, 1.0]])
-        assert apply_operator(P3, x, 0, "sum").tolist() == [2, 2, 2]
+        assert aggregate_column(P3, [1.0, 2.0, 1.0], "sum").tolist() == [2, 2, 2]
 
     def test_star_neighbor_degree_mean(self):
-        x = matrix_from_columns([[3.0, 1.0, 1.0, 1.0]])
-        assert apply_operator(S3, x, 0, "mean").tolist() == [1, 3, 3, 3]
+        assert aggregate_column(S3, [3.0, 1.0, 1.0, 1.0], "mean").tolist() == [1, 3, 3, 3]
 
     def test_max_of_zero_column_is_zero(self):
-        x = matrix_from_columns([[0.0, 0.0, 0.0]])
-        assert apply_operator(P3, x, 0, "max").tolist() == [0, 0, 0]
+        assert aggregate_column(P3, [0.0, 0.0, 0.0], "max").tolist() == [0, 0, 0]
 
     def test_isolated_node_aggregates_to_zero(self):
         g = Graph(n=3, edges=frozenset({(1, 2)}))
-        x = matrix_from_columns([[7.0, 7.0, 7.0]])
         for op in ("sum", "mean", "max", "min", "mode"):
-            assert apply_operator(g, x, 0, op)[0] == 0.0
+            assert aggregate_column(g, [7.0, 7.0, 7.0], op)[0] == 0.0
 
     def test_mode_floors_and_breaks_ties_low(self):
         # node 0 sees floored values {1, 2} once each: tie goes to 1
         g = load_edge_list("0 1\n0 2")
-        x = matrix_from_columns([[0.0, 1.9, 2.4]])
-        assert apply_operator(g, x, 0, "mode")[0] == 1.0
+        assert aggregate_column(g, [0.0, 1.9, 2.4], "mode")[0] == 1.0
 
     def test_bad_base_or_op_rejected(self):
-        x = matrix_from_columns([[1.0, 2.0, 1.0]])
         with pytest.raises(ValueError):
-            apply_operator(P3, x, 5, "sum")
-        with pytest.raises(ValueError):
-            apply_operator(P3, x, 0, "median")
+            aggregate_column(P3, [1.0, 2.0, 1.0], "median")
 
     @given(
         graphs(max_n=7),
@@ -227,38 +218,47 @@ class TestOperators:
         column = vals[: g.n]
         if g.n == 0:
             return
-        x = matrix_from_columns([column])
-        got = apply_operator(g, x, 0, op)
+        got = aggregate_column(g, column, op)
         want = naive_aggregate(g, column, op)
         assert np.allclose(got, want)
 
 
+def bin_row(values, p=0.5):
+    return log_bin_rows(np.array(values, dtype=float)[None, :], p)[0]
+
+
+def agreement(a, b):
+    return (a == b).mean()
+
+
 class TestVerticalLogBin:
+    """Vertical log binning of one column, as a one-row log_bin_rows."""
+
     def test_reference_trace(self):
         col = [1, 1, 1, 1, 2, 4, 8, 16]
-        assert list(vertical_log_bin(col, 0.5).bins) == [0, 0, 0, 0, 1, 1, 2, 3]
+        assert bin_row(col).tolist() == [0, 0, 0, 0, 1, 1, 2, 3]
 
     def test_constant_column_single_bin(self):
-        b = vertical_log_bin([5.0, 5.0, 5.0], 0.5)
-        assert list(b.bins) == [0, 0, 0]
-        assert b.bin_count == 1
+        b = bin_row([5.0, 5.0, 5.0])
+        assert b.tolist() == [0, 0, 0]
+        assert b.max() + 1 == 1
 
     def test_two_values(self):
-        assert list(vertical_log_bin([1.0, 2.0], 0.5).bins) == [0, 1]
+        assert bin_row([1.0, 2.0]).tolist() == [0, 1]
 
     def test_boundary_ties_join_lower_bin(self):
         # half of six is three, but the value at the cut repeats
-        assert list(vertical_log_bin([1, 1, 1, 1, 2, 3], 0.5).bins) == [0, 0, 0, 0, 1, 2]
+        assert bin_row([1, 1, 1, 1, 2, 3]).tolist() == [0, 0, 0, 0, 1, 2]
 
     def test_fraction_validated(self):
         with pytest.raises(ValueError):
-            vertical_log_bin([1.0], 0.0)
+            bin_row([1.0], 0.0)
         with pytest.raises(ValueError):
-            vertical_log_bin([1.0], 1.0)
+            bin_row([1.0], 1.0)
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=40))
     def test_bins_monotone_and_ties_share(self, vals):
-        bins = vertical_log_bin(vals, 0.5).bins
+        bins = bin_row(vals)
         for i, j in itertools.combinations(range(len(vals)), 2):
             if vals[i] < vals[j]:
                 assert bins[i] <= bins[j]
@@ -270,56 +270,81 @@ class TestVerticalLogBin:
         st.floats(0.1, 0.9),
     )
     def test_bin_ids_dense_from_zero(self, vals, p):
-        b = vertical_log_bin(vals, p)
-        assert set(b.bins) == set(range(b.bin_count))
+        b = bin_row(vals, p)
+        assert set(b.tolist()) == set(range(b.max() + 1))
 
 
 class TestFeatureSimilarity:
+    """Agreement of two bin rows: the share of nodes in the same bin."""
+
     def test_identical_is_one(self):
-        a = vertical_log_bin([1, 2, 3, 4], 0.5)
-        assert feature_similarity(a, a) == 1.0
+        a = bin_row([1, 2, 3, 4])
+        assert agreement(a, a) == 1.0
 
     def test_total_disagreement_is_zero(self):
-        a = vertical_log_bin([1, 1, 2, 2], 0.5)
-        b = vertical_log_bin([2, 2, 1, 1], 0.5)
-        assert feature_similarity(a, b) == 0.0
+        assert agreement(bin_row([1, 1, 2, 2]), bin_row([2, 2, 1, 1])) == 0.0
 
     def test_partial_agreement(self):
-        a = vertical_log_bin([1, 1, 2, 3], 0.5)
-        b = vertical_log_bin([1, 1, 2, 2], 0.5)
-        assert feature_similarity(a, b) == 0.75
+        assert agreement(bin_row([1, 1, 2, 3]), bin_row([1, 1, 2, 2])) == 0.75
 
-    def test_mismatched_length_rejected(self):
-        a = vertical_log_bin([1, 2], 0.5)
-        b = vertical_log_bin([1, 2, 3], 0.5)
-        with pytest.raises(ValueError):
-            feature_similarity(a, b)
+
+def pairwise_feature_graph(bins, lam):
+    """The all-pairs feature graph that the prune below lambda = 1 replaced,
+    kept as an oracle: edge (i, j), i < j, carries the agreement of bin rows
+    i and j and exists iff it is at least lam."""
+    edges = {}
+    for i, j in itertools.combinations(range(len(bins)), 2):
+        sim = agreement(bins[i], bins[j])
+        if sim >= lam:
+            edges[(i, j)] = sim
+    return edges
+
+
+def earliest_per_component(f, edges):
+    """Smallest vertex of each connected component, by min-label propagation."""
+    label = list(range(f))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    return sorted(set(label))
+
+
+def survivors(columns, lam):
+    """Rows the prune keeps, after checking them against the oracle."""
+    bins = log_bin_rows(np.array(columns, dtype=float))
+    got = _agreement_roots(bins, lam)
+    assert got == earliest_per_component(len(bins), pairwise_feature_graph(bins, lam))
+    return got
 
 
 class TestCreateFeatureGraph:
+    """The >= lambda agreement graph and the prune that keeps the earliest
+    member of each of its components, against the pairwise oracle."""
+
     def test_identical_columns_connect(self):
-        x = matrix_from_columns([[1, 2, 3], [1, 2, 3]])
-        fg = create_feature_graph(x, lam=1.0)
-        assert fg.edges == frozenset({(0, 1)})
-        assert fg.similarity[(0, 1)] == 1.0
+        bins = log_bin_rows(np.array([[1, 2, 3], [1, 2, 3]], dtype=float))
+        assert pairwise_feature_graph(bins, 1.0) == {(0, 1): 1.0}
+        assert survivors([[1, 2, 3], [1, 2, 3]], 1.0) == [0]
 
     def test_star_degree_vs_constant_no_edge(self):
-        x = matrix_from_columns([[3, 1, 1, 1], [1, 1, 1, 1]])
-        fg = create_feature_graph(x, lam=1.0)
-        assert fg.edges == frozenset()
+        bins = log_bin_rows(np.array([[3, 1, 1, 1], [1, 1, 1, 1]], dtype=float))
+        assert pairwise_feature_graph(bins, 1.0) == {}
+        assert survivors([[3, 1, 1, 1], [1, 1, 1, 1]], 1.0) == [0, 1]
 
     def test_single_feature_no_edges(self):
-        x = matrix_from_columns([[1, 2, 3]])
-        fg = create_feature_graph(x)
-        assert fg.vertices == (0,)
-        assert fg.edges == frozenset()
+        assert survivors([[1, 2, 3]], 0.2) == [0]
 
     def test_threshold_validated(self):
-        x = matrix_from_columns([[1, 2, 3]])
-        with pytest.raises(ValueError):
-            create_feature_graph(x, lam=0.0)
-        with pytest.raises(ValueError):
-            create_feature_graph(x, lam=1.5)
+        for lam in (0.0, 1.5, -0.5):
+            with pytest.raises(ValueError, match="lambda"):
+                learn_features(P3, FeatureLearnConfig(threshold=lam))
+        for lam in (1e-9, 1.0):
+            learn_features(P3, FeatureLearnConfig(threshold=lam, maxiter=1))
 
     @given(
         st.lists(
@@ -329,54 +354,49 @@ class TestCreateFeatureGraph:
     )
     @settings(max_examples=80)
     def test_edges_match_pairwise_similarity(self, cols, lam):
-        # the blocked/grouped construction must agree with the two-column API
-        x = matrix_from_columns([[float(v) for v in c] for c in cols])
-        fg = create_feature_graph(x, lam=lam)
-        binned = [vertical_log_bin(x.values[:, j], 0.5) for j in range(x.f)]
-        for i in range(x.f):
-            for j in range(i + 1, x.f):
-                sim = feature_similarity(binned[i], binned[j])
-                if sim >= lam:
-                    assert (i, j) in fg.similarity
-                    assert fg.similarity[(i, j)] == sim
-                else:
-                    assert (i, j) not in fg.similarity
+        # survivors are the oracle's, and no two of them agree on lam
+        kept = survivors(cols, lam)
+        bins = log_bin_rows(np.array(cols, dtype=float))
+        for i, j in itertools.combinations(kept, 2):
+            assert agreement(bins[i], bins[j]) < lam
 
 
 class TestPrune:
     def test_keep_earliest_per_component(self):
-        x = matrix_from_columns([[1, 2, 3], [9, 1, 2], [5, 5, 5], [1, 2, 3]])
-        fg = create_feature_graph(x, lam=1.0)
-        pruned = prune_feature_set(fg, x)
-        assert [d.id for d in pruned.descriptors] == [0, 1, 2]
+        assert survivors([[1, 2, 3], [9, 1, 2], [5, 5, 5], [1, 2, 3]], 1.0) == [0, 1, 2]
 
     def test_edgeless_graph_keeps_everything(self):
-        x = matrix_from_columns([[1, 2, 3], [3, 2, 1]])
-        fg = create_feature_graph(x, lam=1.0)
-        assert prune_feature_set(fg, x).f == 2
+        assert survivors([[1, 2, 3], [3, 2, 1]], 1.0) == [0, 1]
 
     def test_three_copies_keep_first(self):
-        x = matrix_from_columns([[1, 2, 3]] * 3)
-        fg = create_feature_graph(x, lam=1.0)
-        pruned = prune_feature_set(fg, x)
-        assert [d.id for d in pruned.descriptors] == [0]
+        assert survivors([[1, 2, 3]] * 3, 1.0) == [0]
 
     def test_survivors_separated_below_threshold(self):
         rng = np.random.default_rng(3)
-        x = matrix_from_columns(rng.integers(0, 3, size=(6, 8)).astype(float).tolist())
-        fg = create_feature_graph(x, lam=0.5)
-        pruned = prune_feature_set(fg, x)
-        binned = [vertical_log_bin(pruned.values[:, j], 0.5) for j in range(pruned.f)]
-        for i in range(pruned.f):
-            for j in range(i + 1, pruned.f):
-                assert feature_similarity(binned[i], binned[j]) < 0.5
+        cols = rng.integers(0, 3, size=(6, 8))
+        kept = survivors(cols, 0.5)
+        bins = log_bin_rows(cols.astype(float))
+        for i, j in itertools.combinations(kept, 2):
+            assert agreement(bins[i], bins[j]) < 0.5
 
-    def test_mismatched_graph_rejected(self):
-        x = matrix_from_columns([[1, 2, 3], [3, 2, 1]])
-        fg = create_feature_graph(x, lam=1.0)
-        y = matrix_from_columns([[1, 2, 3]])
-        with pytest.raises(ValueError):
-            prune_feature_set(fg, y)
+    def test_agreement_in_several_row_blocks(self):
+        # 400 rows of 120 nodes exceed one block of 2**24 compared elements;
+        # the rows are shuffled noisy copies of 40 random bin patterns, so
+        # each pattern is one component, kept at its first copy
+        rng = np.random.default_rng(4)
+        labels = rng.permutation(np.repeat(np.arange(40), 10))
+        bins = rng.integers(0, 2, size=(40, 120), dtype=np.uint8)[labels]
+        bins ^= (rng.random(bins.shape) < 0.03).astype(np.uint8)
+        kept = _agreement_roots(bins, 0.75)
+        assert kept == earliest_per_component(len(bins), pairwise_feature_graph(bins, 0.75))
+        assert kept == sorted(np.unique(labels, return_index=True)[1].tolist())
+
+    def test_empty_graph_keeps_the_first_column(self):
+        # empty columns agree vacuously, at every threshold
+        for lam in (1.0, 0.5):
+            x = learn_features(Graph(n=0), FeatureLearnConfig(threshold=lam))
+            assert [d.id for d in x.descriptors] == [0]
+            assert x.iteration_sizes == (1, 1)
 
 
 class TestLearnFeatures:
@@ -442,11 +462,11 @@ class TestLearnFeatures:
         x = learn_features(g, FeatureLearnConfig(maxiter=4))
         sizes = x.iteration_sizes
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
-        binned = [vertical_log_bin(x.values[:, j], 0.5) for j in range(x.f)]
-        assert len({b.bins for b in binned}) == x.f
+        bins = log_bin_rows(x.values.T)
+        assert len({b.tobytes() for b in bins}) == x.f
         for i in range(min(x.f, 40)):
             for j in range(i + 1, min(x.f, 40)):
-                assert feature_similarity(binned[i], binned[j]) < 1.0
+                assert agreement(bins[i], bins[j]) < 1.0
 
 
 class TestRecompute:
@@ -465,6 +485,17 @@ class TestRecompute:
             recompute(P3, d)
         got = recompute(P3, d, attributes=np.array([[1.0], [2.0], [3.0]]))
         assert got.values[:, 0].tolist() == [1, 2, 3]
+
+    def test_attributes_of_the_wrong_length_rejected(self, monkeypatch):
+        d = (
+            FeatureDescriptor(id=0, kind="attribute", attribute=0),
+            FeatureDescriptor(id=1, kind="composite", operator="sum", base=0),
+        )
+        calls = []
+        monkeypatch.setattr(features_module, "_aggregate", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="one row per node"):
+            recompute(P3, d, attributes=np.array([[1.0], [2.0]]))
+        assert calls == []
 
     def test_malformed_descriptor_order_rejected(self):
         d = (
@@ -508,6 +539,9 @@ class TestSerialization:
     def test_csv_bad_node_order_rejected(self):
         with pytest.raises(ValueError):
             features_from_csv("node,feat_0\n1,2.0\n")
+
+    def test_csv_blank_line_between_rows_skipped(self):
+        assert features_from_csv("node,feat_0\n0,1.0\n\n1,2.0\n").tolist() == [[1.0], [2.0]]
 
     def test_descriptor_json_round_trip(self):
         x = learn_features(
@@ -662,11 +696,11 @@ class TestMatrixBinner:
         for j, row in enumerate(rows):
             want = reference_log_bin(row, p)
             assert got[j].tolist() == want
-            assert list(vertical_log_bin(row, p).bins) == want
+            assert bin_row(row, p).tolist() == want
 
     def test_empty_rows(self):
         assert log_bin_rows(np.zeros((3, 0)), 0.5).shape == (3, 0)
-        assert vertical_log_bin([], 0.5).bin_count == 0
+        assert bin_row([]).shape == (0,)
 
 
 def quadratic_core_numbers(g):

@@ -24,6 +24,7 @@ from rolemine import (
     soft_memberships,
     svd_factorize,
 )
+from rolemine.roles import _nmf_batch
 
 nonneg_matrices = arrays(
     dtype=float,
@@ -78,7 +79,7 @@ class TestNMF:
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         w0 = np.ones((2, 2))
         h0 = np.ones((2, 2))
-        _, _, history = nmf_factorize(x, 2, w0=w0, h0=h0, maxiter=1)
+        _, _, history = _nmf_batch(x, [w0], [h0], 1, 1e-6)[0]
         assert history[0] == 0.5 * ((x - w0 @ h0) ** 2).sum()
 
     def test_bad_inputs_rejected(self):
@@ -91,8 +92,6 @@ class TestNMF:
             nmf_factorize(x, 3)
         with pytest.raises(ValueError):
             nmf_factorize(x, 1, maxiter=0)
-        with pytest.raises(ValueError):
-            nmf_factorize(x, 1, w0=np.ones((2, 2)), h0=np.ones((1, 2)))
 
     @given(nonneg_matrices, st.integers(0, 5))
     @settings(max_examples=60)
@@ -473,7 +472,7 @@ class TestGramObjective:
         w0 = rng.random((shape[0], r))
         h0 = rng.random((r, shape[1]))
         _, _, want = sequential_nmf(x, w0, h0, 60, 0.0)
-        _, _, got = nmf_factorize(x, r, w0=w0, h0=h0, maxiter=60, tol=0.0)
+        _, _, got = _nmf_batch(x, [w0], [h0], 60, 0.0)[0]
         assert got[0] == want[0]
         assert len(got) == len(want)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale

@@ -24,6 +24,8 @@ from rolemine import (
     transition_to_json,
 )
 
+from rolemine import transfer as transfer_module
+
 from strategies import graph_with_permutation
 
 
@@ -76,6 +78,15 @@ class TestTransferMemberships:
         _, model = trained_model(g)
         with pytest.raises(ValueError):
             transfer_memberships(g, model, clamp=0.0)
+
+    def test_clamp_checked_before_features_are_recomputed(self, monkeypatch):
+        g = load_edge_list("0 1\n1 2")
+        _, model = trained_model(g)
+        calls = []
+        monkeypatch.setattr(transfer_module, "recompute", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="clamp"):
+            transfer_memberships(g, model, clamp=-1.0)
+        assert calls == []
 
     @given(graph_with_permutation(min_n=2, max_n=7))
     @settings(max_examples=25)
