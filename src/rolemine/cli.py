@@ -50,7 +50,8 @@ ORACLE_KINDS = ("structural", "structural-weak", "automorphic", "regular")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved flags for one CLI run; echoed verbatim into run.json."""
+    """Resolved flags for one CLI run; run.json echoes the ones the
+    subcommand has a flag for."""
 
     subcommand: str
     inputs: tuple[str, ...]
@@ -88,10 +89,11 @@ def _load_model(path: str) -> RoleModel:
 
 
 def _write_run_json(config: RunConfig, outdir: Path, counters: dict) -> None:
-    doc = asdict(config)
-    doc["inputs"] = list(config.inputs)
-    doc["primitives"] = list(config.primitives)
-    doc["operators"] = list(config.operators)
+    doc = {"subcommand": config.subcommand, "inputs": list(config.inputs),
+           "output_dir": config.output_dir}
+    for name in _RUNNERS[config.subcommand][2]:
+        value = getattr(config, name)
+        doc[name] = list(value) if isinstance(value, tuple) else value
     doc["version"] = __version__
     doc.update(counters)
     (outdir / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -118,7 +120,17 @@ def _run_learn(config: RunConfig, outdir: Path) -> dict:
     with open(outdir / "features.csv", "w") as out:
         features_to_csv(x, out)
     (outdir / "descriptors.json").write_text(descriptors_to_json(x.descriptors))
-    return {"iteration_sizes": list(x.iteration_sizes)}
+    sizes = list(x.iteration_sizes)
+    # the loop stops early only when its last round left the survivors as
+    # they were: none new (a new one carries that round's iteration) and,
+    # below lambda 1, none dropped either
+    rounds = len(sizes) - 1
+    changed = sizes[-1] != sizes[-2] or any(d.iteration == rounds for d in x.descriptors)
+    return {
+        "iteration_sizes": sizes,
+        "candidates": [size * len(config.operators) for size in sizes[:-1]],
+        "stopped": "maxiter" if changed else "fixed-point",
+    }
 
 
 def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
@@ -235,13 +247,17 @@ def _run_oracle(config: RunConfig, outdir: Path) -> None:
     print(text, end="")
 
 
+# runner, input count (None: one or two), and the RunConfig fields the
+# subcommand has flags for, which run.json echoes
 _RUNNERS = {
-    "learn": (_run_learn, 1),
-    "select-rank": (_run_select_rank, None),
-    "assign": (_run_assign, 1),
-    "transfer": (_run_transfer, 2),
-    "dynamic": (_run_dynamic, 2),
-    "oracle": (_run_oracle, 1),
+    "learn": (_run_learn, 1, ("primitives", "operators", "bin_fraction", "lam", "maxiter")),
+    "select-rank": (
+        _run_select_rank, None, ("maxiter", "criterion", "bits", "trials", "seed", "rank")
+    ),
+    "assign": (_run_assign, 1, ("hard",)),
+    "transfer": (_run_transfer, 2, ()),
+    "dynamic": (_run_dynamic, 2, ()),
+    "oracle": (_run_oracle, 1, ("kind",)),
 }
 
 
@@ -249,7 +265,7 @@ def execute(config: RunConfig) -> int:
     """Run one subcommand; returns the process exit status."""
     if config.subcommand not in _RUNNERS:
         raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    runner, arity = _RUNNERS[config.subcommand]
+    runner, arity, _ = _RUNNERS[config.subcommand]
     if arity is not None and len(config.inputs) != arity:
         raise ValueError(f"{config.subcommand} takes exactly {arity} input path(s)")
     outdir = Path(config.output_dir)

@@ -9,6 +9,15 @@ the >= lambda agreement graph over survivors and candidates keep their
 earliest member. Descriptors record how to rebuild every surviving column on
 any other graph.
 
+A round streams its candidates: survivor columns go through in blocks, and
+each block is aggregated (every operator off one shared sort), binned and
+checked against the bin vectors already seen, so only the columns that may
+survive outlive their block. The stash is resolved in candidate-id order, so
+the group-by keeps the same columns as a prune over the whole round. The
+survivors grow in place, one feature per row, and the returned matrix is a
+view of them; a round holds the survivors, one candidate block and the kept
+columns, not the whole candidate set.
+
 Everything runs on the graph's CSR arrays. Aggregations sort neighbor values
 before reducing, so equal value multisets produce bitwise-equal results;
 feature rows of automorphically equivalent nodes are therefore exactly equal,
@@ -127,8 +136,9 @@ class FeatureLearnConfig:
     attributes: np.ndarray | None = None
 
 
-# Elements in one temporary block of binning or aggregation; bounds memory.
-_BLOCK_ELEMENTS = 1 << 19
+# Elements in one temporary block of binning or aggregation, and in one
+# block of a round's candidates; bounds memory.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def _check_fraction(p: float) -> None:
@@ -234,8 +244,8 @@ def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndar
         return np.bincount(ends[:, int(kind == "in-degree")], minlength=g.n).astype(float)
     if kind == "weighted-degree":
         # summed like a lone column: sorted, then numpy's pairwise sum
-        slots = np.arange(indices.size)
-        return _aggregate_slots(indptr, weights[:, None], slots, ("sum",))[0][:, 0]
+        groups = _degree_groups(indptr, np.arange(indices.size))
+        return _aggregate_slots(g.n, groups, weights[None, :], ("sum",), False)[0][0]
     if kind == "wedge-count":
         return deg * (deg - 1) / 2.0
     if kind == "core-number":
@@ -258,74 +268,78 @@ def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndar
     return ego_degree_sum - 2.0 * internal
 
 
-def _sorted_positions(source: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-    """Gather source[rows[:, k]] for each of the d columns of rows, then sort
-    across k: entry k of the result holds each lane's k-th smallest value."""
-    v = np.sort(source[rows], axis=1)
-    return [v[:, k] for k in range(rows.shape[1])]
-
-
-def _aggregate_slots(indptr, values, slot_rows, ops, in_sequence=None):
-    """Reduce values[slot_rows[k]] over each CSR segment k of indptr, per op.
-
-    Each segment's values are sorted ascending per column before reduction.
-    Sums match np.sort(block, axis=0).sum(axis=0) on a node's (degree x f)
-    block bit for bit: numpy adds rows in sequence when f > 1 and sums a
-    lone column pairwise. in_sequence overrides that choice, so one column
-    can be summed as it was inside a wider block. Nodes are bucketed by
-    degree and columns go through in blocks.
-    """
-    n, f = indptr.size - 1, values.shape[1]
-    in_sequence = f > 1 if in_sequence is None else in_sequence
-    values = np.ascontiguousarray(values)
-    outs = [np.zeros((n, f)) for _ in ops]
+def _degree_groups(indptr, slot_rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nodes bucketed by degree: for each degree d > 0, the nodes of that
+    degree and their (nodes x d) slot ids slot_rows[indptr[u]:indptr[u + 1]]."""
     deg = np.diff(indptr)
     order = np.argsort(deg, kind="stable")
-    for nodes in np.split(order, np.flatnonzero(np.diff(deg[order])) + 1) if n else []:
-        d = deg[nodes[0]]
-        if d == 0:
-            continue
-        rows = slot_rows[indptr[nodes][:, None] + np.arange(d)]
-        step = max(1, _BLOCK_ELEMENTS // rows.size)
+    groups = np.split(order, np.flatnonzero(np.diff(deg[order])) + 1) if order.size else []
+    return [
+        (nodes, slot_rows[indptr[nodes][:, None] + np.arange(deg[nodes[0]])])
+        for nodes in groups
+        if deg[nodes[0]]
+    ]
+
+
+def _aggregate_slots(n, groups, rows, ops, in_sequence):
+    """Reduce each row of rows (f x slots) over every node's slots in groups
+    (see _degree_groups), per op; returns one (f x n) array per op, with 0
+    at a node in no group.
+
+    Each node's values are sorted ascending before reduction. Sums match
+    np.sort(block, axis=0).sum(axis=0) on a node's (degree x f) block bit
+    for bit when in_sequence says how numpy would add it: in sequence when
+    f > 1, pairwise for a lone column. Rows go through in blocks.
+    """
+    f = rows.shape[0]
+    outs = [np.zeros((f, n)) for _ in ops]
+    for nodes, slots in groups:
+        d = slots.shape[1]
+        step = max(1, _BLOCK_ELEMENTS // slots.size)
         for lo in range(0, f, step):
-            cols = slice(lo, lo + step)
-            p = _sorted_positions(values[:, cols], rows)
-            if not in_sequence:
-                total = np.stack(p, axis=-1).sum(axis=-1)
+            v = rows[lo : lo + step][:, slots]  # (rows, nodes, d)
+            v.sort(axis=-1)
+            if in_sequence:
+                total = v[..., 0].copy()
+                for k in range(1, d):
+                    total += v[..., k]
             else:
-                total = p[0].copy()
-                for v in p[1:]:
-                    total += v
+                total = v.sum(axis=-1)
             for op, out in zip(ops, outs):
+                block = out[lo : lo + step]
                 if op == "sum":
-                    out[nodes, cols] = total
+                    block[:, nodes] = total
                 elif op == "mean":
-                    out[nodes, cols] = total / d
+                    block[:, nodes] = total / d
                 elif op == "max":
-                    out[nodes, cols] = p[-1]
+                    block[:, nodes] = v[..., -1]
                 else:
-                    out[nodes, cols] = p[0]
+                    block[:, nodes] = v[..., 0]
     return outs
 
 
-def _aggregate(g: Graph, block: np.ndarray, ops, in_sequence=None) -> list[np.ndarray]:
-    """Aggregate every column of block (n x f) over each node's neighbors,
-    once per op; isolated nodes get 0. All sorted ops share one sort.
-    in_sequence is passed to _aggregate_slots."""
+def _aggregate(
+    g: Graph, rows: np.ndarray, ops, in_sequence: bool, groups=None
+) -> list[np.ndarray]:
+    """Aggregate every feature row of rows (f x n) over each node's
+    neighbors, once per op; isolated nodes get 0. All sorted ops share one
+    sort; in_sequence is as in _aggregate_slots. groups, when given, are
+    the graph's _degree_groups over its neighbor ids."""
     for op in ops:
         _check_operator(op)
     indptr, indices, _ = g.csr
+    if groups is None:
+        groups = _degree_groups(indptr, indices)
     sorted_ops = tuple(op for op in ops if op != "mode")
-    slots = _aggregate_slots(indptr, block, indices, sorted_ops, in_sequence)
-    results = dict(zip(sorted_ops, slots))
+    results = dict(zip(sorted_ops, _aggregate_slots(g.n, groups, rows, sorted_ops, in_sequence)))
     if "mode" in ops:
-        out = np.zeros_like(block)
-        floored = np.floor(block)
+        out = np.zeros(rows.shape)
+        floored = np.floor(rows)
         for u in range(g.n):
-            vals = floored[indices[indptr[u] : indptr[u + 1]]]
-            for j in range(vals.shape[1] if len(vals) else 0):
-                uniq, counts = np.unique(vals[:, j], return_counts=True)
-                out[u, j] = uniq[np.argmax(counts)]  # ties: smallest value
+            vals = floored[:, indices[indptr[u] : indptr[u + 1]]]
+            for j in range(len(vals) if vals.shape[1] else 0):
+                uniq, counts = np.unique(vals[j], return_counts=True)
+                out[j, u] = uniq[np.argmax(counts)]  # ties: smallest value
         results["mode"] = out
     return [results[op] for op in ops]
 
@@ -429,6 +443,49 @@ def _attribute_rows(g: Graph, attributes) -> np.ndarray:
     return attrs.T
 
 
+def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, p: float):
+    """One block of a round's candidates: every op applied to survivor rows
+    lo:hi of rows (f x n), op-major, one candidate per row.
+
+    Returns (index, cand, bins): index is each candidate's place in the
+    round's candidate-id order (op-major over all f survivors) and bins are
+    cand's log bins. Sums run in sequence iff the round has more than one
+    survivor, whatever the block's width, as recompute assumes.
+    """
+    f = rows.shape[0]
+    hi = min(hi, f)
+    cand = np.concatenate(_aggregate(g, rows[lo:hi], ops, f > 1, groups))
+    index = (np.arange(len(ops))[:, None] * f + np.arange(lo, hi)).ravel()
+    return index, cand, log_bin_rows(cand, p)
+
+
+def _unseen_candidates(g: Graph, groups, rows, width: int, ops, p: float, seen: set[bytes]):
+    """The candidates of one round at threshold 1.0 whose bin vectors are
+    not in seen, the earliest per bin vector, as (index, row) pairs in
+    index order (see _candidate_block), made in blocks of width survivor
+    rows; their bin vectors join seen.
+
+    The stash maps bin bytes to the earliest candidate seen so far with
+    them; a later block can hold an earlier candidate, made by a lower
+    operator, so it is resolved only once every block is through.
+    """
+    stash: dict[bytes, tuple[int, np.ndarray]] = {}
+    for lo in range(0, len(rows) if ops else 0, width):
+        index, cand, bins = _candidate_block(g, groups, rows, lo, lo + width, ops, p)
+        picked: dict[bytes, tuple[int, int]] = {}  # a block runs in index order
+        for pos, (i, b) in enumerate(zip(index.tolist(), bins)):
+            key = b.tobytes()
+            if key in seen or key in picked or (key in stash and stash[key][0] < i):
+                continue
+            picked[key] = (i, pos)
+        kept = cand[[pos for _, pos in picked.values()]]  # a copy, so cand can go
+        for r, (key, (i, _)) in enumerate(picked.items()):
+            stash[key] = (i, kept[r])
+        del cand, bins, kept  # before the next block is made
+    seen.update(stash)
+    return sorted(stash.values(), key=lambda entry: entry[0])
+
+
 def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) -> FeatureMatrix:
     """Run the recursive feature-learning loop.
 
@@ -438,82 +495,100 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     new feature survives or maxiter is reached.
 
     Every column is binned once, when it is made. At threshold 1.0 a column
-    survives unless its bin vector equals that of an earlier column. Below
-    1.0 the components of the >= threshold agreement graph over survivors
-    and candidates keep their earliest member; a pruned old feature could
-    then orphan the recipe of a surviving composite, so such ancestors are
-    re-protected after each prune and every returned descriptor list stays
-    evaluable via recompute.
+    survives unless its bin vector equals that of an earlier column; the
+    candidates stream through in survivor blocks and only the unseen ones
+    are kept until the round ends. Below 1.0 the components of the >=
+    threshold agreement graph over survivors and candidates keep their
+    earliest member; a pruned old feature could then orphan the recipe of a
+    surviving composite, so such ancestors are re-protected after each
+    prune and every returned descriptor list stays evaluable via recompute.
+
+    The returned values are column-major: each feature's column is
+    contiguous, as the survivors are grown in place.
     """
     primitives = _learn_primitives(g, config)
     attrs = None if config.attributes is None else _attribute_rows(g, config.attributes)
     cache: dict = {}
     columns = [compute_primitive(g, kind, cache) for kind in primitives]
-    cand_descs = [
+    descriptors = [
         FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
     ]
     if attrs is not None:
         columns.extend(attrs)
-        cand_descs.extend(
+        descriptors.extend(
             FeatureDescriptor(id=len(primitives) + k, kind="attribute", attribute=k)
             for k in range(len(attrs))
         )
-    all_by_id = {d.id: d for d in cand_descs}
-    next_id = len(cand_descs)
+    all_by_id = {d.id: d for d in descriptors}
+    next_id = len(descriptors)
+    ops, p = config.operators, config.bin_fraction
+    exact = config.threshold == 1.0 or g.n == 0  # empty columns agree vacuously
+    groups = _degree_groups(*g.csr[:2])
+    # survivor rows per candidate block: a block holds about _BLOCK_ELEMENTS
+    width = max(1, _BLOCK_ELEMENTS // max(g.n * len(ops), 1))
 
-    rows = np.zeros((0, g.n))  # survivors, one feature per row
-    bins = log_bin_rows(rows, config.bin_fraction)
-    descriptors: list[FeatureDescriptor] = []
-    seen: set[bytes] = set()  # bin vectors of the survivors, at threshold 1.0
-
-    def prune(cand_rows: np.ndarray, cands: list[FeatureDescriptor]):
-        nonlocal rows, bins, descriptors
-        cand_bins = log_bin_rows(cand_rows, config.bin_fraction)
-        if config.threshold == 1.0 or g.n == 0:  # empty columns agree vacuously
-            keep = []
-            for j, b in enumerate(cand_bins):
-                key = b.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    keep.append(j)
-            rows = np.concatenate([rows, cand_rows[keep]])
-            descriptors = descriptors + [cands[j] for j in keep]
-            return
-        rows = np.concatenate([rows, cand_rows])
-        bins = np.concatenate([bins, cand_bins])
-        descriptors = descriptors + cands
-        kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
-        kept |= _required_ancestors(all_by_id, kept)
-        idx = [j for j, d in enumerate(descriptors) if d.id in kept]
-        rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
-
-    prune(np.array(columns), cand_descs)
+    rows = np.array(columns, dtype=float)  # one feature per row
+    bins = log_bin_rows(rows, p)
+    if exact:
+        seen: set[bytes] = set()  # bin vectors of the survivors
+        keep = []
+        for j, b in enumerate(bins):
+            if b.tobytes() not in seen:
+                seen.add(b.tobytes())
+                keep.append(j)
+    else:
+        keep = _agreement_roots(bins, config.threshold)
+        bins = bins[keep]
+    rows, descriptors = rows[keep], [descriptors[j] for j in keep]
     sizes = [len(descriptors)]
 
     for iteration in range(1, config.maxiter + 1):
+        f = len(descriptors)
+
+        def composite(i: int) -> FeatureDescriptor:
+            return FeatureDescriptor(
+                id=next_id + i,
+                kind="composite",
+                operator=ops[i // f],
+                base=descriptors[i % f].id,
+                iteration=iteration,
+            )
+
+        if exact:
+            new = _unseen_candidates(g, groups, rows, width, ops, p, seen)
+            # rows owns its buffer and no view of it outlived the round, so
+            # it can grow where it lies
+            rows.resize((f + len(new), g.n), refcheck=False)
+            for r, (_, row) in enumerate(new):
+                rows[f + r] = row
+            descriptors += [composite(i) for i, _ in new]
+            next_id += len(ops) * f
+            sizes.append(len(descriptors))
+            if not new:
+                break
+            continue
+
+        cand_rows = np.empty((len(ops) * f, g.n))
+        cand_bins = np.empty((len(ops) * f, g.n), dtype=bins.dtype)
+        for lo in range(0, f if ops else 0, width):
+            index, cand, block_bins = _candidate_block(g, groups, rows, lo, lo + width, ops, p)
+            cand_rows[index], cand_bins[index] = cand, block_bins
+        cands = [composite(i) for i in range(len(ops) * f)]
+        all_by_id.update((d.id, d) for d in cands)
+        next_id += len(cands)
         prior_ids = {d.id for d in descriptors}
-        cands = []
-        for op in config.operators:
-            for d in descriptors:
-                cands.append(
-                    FeatureDescriptor(
-                        id=next_id, kind="composite", operator=op, base=d.id, iteration=iteration
-                    )
-                )
-                all_by_id[next_id] = cands[-1]
-                next_id += 1
-        # rows[:0] keeps the shape when there are no operators
-        aggregated = (a.T for a in _aggregate(g, rows.T, config.operators))
-        prune(np.concatenate([rows[:0], *aggregated]), cands)
+        rows = np.concatenate([rows, cand_rows])
+        bins = np.concatenate([bins, cand_bins])
+        descriptors = descriptors + cands
+        kept_ids = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
+        kept_ids |= _required_ancestors(all_by_id, kept_ids)
+        idx = [j for j, d in enumerate(descriptors) if d.id in kept_ids]
+        rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
         sizes.append(len(descriptors))
         if {d.id for d in descriptors} == prior_ids:
             break
 
-    return FeatureMatrix(
-        values=np.ascontiguousarray(rows.T),
-        descriptors=tuple(descriptors),
-        iteration_sizes=tuple(sizes),
-    )
+    return FeatureMatrix(rows.T, tuple(descriptors), tuple(sizes))
 
 
 def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
@@ -532,6 +607,7 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
     attrs = None if attributes is None else _attribute_rows(g, attributes)
     values: dict[int, np.ndarray] = {}
     cache: dict = {}
+    groups = None
     last_id = -1
     for d in descriptors:
         if d.id <= last_id:
@@ -548,8 +624,10 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
         else:
             if d.base not in values:
                 raise ValueError(f"descriptor {d.id} references missing base {d.base}")
+            if groups is None:
+                groups = _degree_groups(*g.csr[:2])
             width = np.searchsorted(iterations, d.iteration)
-            col = _aggregate(g, values[d.base][:, None], (d.operator,), width > 1)[0][:, 0]
+            col = _aggregate(g, values[d.base][None], (d.operator,), width > 1, groups)[0][0]
         values[d.id] = col
     return FeatureMatrix(
         values=np.column_stack(list(values.values())) if values else np.zeros((g.n, 0)),

@@ -70,11 +70,13 @@ class RoleModel:
 
 def normalize_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each column so its max is 1; all-zero columns are untouched
-    (scale 1). Returns (scaled matrix, per-column scales)."""
+    (scale 1). Returns (scaled matrix, per-column scales). The scaled
+    matrix is row-major whatever the layout of x, so the factorizations
+    of learned (column-major) and of read-back features agree bit for bit."""
     x = np.asarray(x, dtype=float)
     scales = x.max(axis=0) if x.size else np.ones(x.shape[1])
     scales = np.where(scales > 0, scales, 1.0)
-    return x / scales, scales
+    return np.divide(x, scales, order="C"), scales
 
 
 def _validate_input(x: np.ndarray) -> np.ndarray:

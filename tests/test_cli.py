@@ -41,6 +41,20 @@ def invoke_ok(runner, args):
     return result
 
 
+# every run.json has these keys; then the flags of its subcommand and its
+# counters, and nothing else
+RUN_JSON_COMMON = {"subcommand", "inputs", "output_dir", "version"}
+RUN_JSON_KEYS = {
+    "learn": {"primitives", "operators", "bin_fraction", "lam", "maxiter",
+              "iteration_sizes", "candidates", "stopped"},
+    "select-rank": {"maxiter", "criterion", "bits", "trials", "seed", "rank", "sweep", "stopped"},
+    "assign": {"hard"},
+    "transfer": set(),
+    "dynamic": {"pairs"},
+    "oracle": {"kind"},
+}
+
+
 class TestLearn:
     def test_writes_features_descriptors_and_provenance(self, runner, tmp_path):
         graph = tmp_path / "graph.txt"
@@ -61,20 +75,21 @@ class TestLearn:
             ["learn", str(graph), "--maxiter", "3", "--output-dir", str(tmp_path / "out")],
         )
         doc = json.loads((tmp_path / "out" / "run.json").read_text())
+        # exactly the learn flags, the version and the counters: no
+        # timestamp, and none of the other subcommands' flags
+        assert set(doc) == RUN_JSON_COMMON | RUN_JSON_KEYS["learn"]
         assert doc["subcommand"] == "learn"
         assert doc["maxiter"] == 3
         assert doc["inputs"] == [str(graph)]
-        assert "version" in doc
-        assert not any("time" in key or "date" in key for key in doc)
         invoke_ok(
             runner,
             ["select-rank", str(tmp_path / "out" / "features.csv"), "--seed", "9",
              "--output-dir", str(tmp_path / "rank")],
         )
         doc = json.loads((tmp_path / "rank" / "run.json").read_text())
+        assert set(doc) == RUN_JSON_COMMON | RUN_JSON_KEYS["select-rank"]
         assert doc["subcommand"] == "select-rank"
         assert doc["seed"] == 9
-        assert not any("time" in key or "date" in key for key in doc)
 
     def test_run_json_records_iteration_sizes(self, runner, tmp_path):
         g = erdos_renyi(40, 0.15, seed=7)
@@ -86,6 +101,42 @@ class TestLearn:
         assert run["iteration_sizes"] == list(want.iteration_sizes)
         descs = descriptors_from_json((tmp_path / "descriptors.json").read_text())
         assert len(descs) == run["iteration_sizes"][-1]
+
+    @pytest.mark.parametrize(
+        "flags, candidates, stopped",
+        [
+            # ER(40) still grows at round 2: the cap stops it
+            (["--maxiter", "2"], [10, 26], "maxiter"),
+            (["--maxiter", "2", "--operators", "sum,mean,max"], [15, 48], "maxiter"),
+            # a path reaches its fixed point in round 2, before the cap
+            (["--maxiter", "5", "--primitives", "degree"], None, "fixed-point"),
+        ],
+    )
+    def test_run_json_records_candidates_and_stop(
+        self, runner, tmp_path, flags, candidates, stopped
+    ):
+        graph = tmp_path / "graph.txt"
+        text = P4_TEXT if "degree" in flags else write_edge_list(erdos_renyi(40, 0.15, seed=7))
+        graph.write_text(text)
+        invoke_ok(runner, ["learn", str(graph), *flags, "--output-dir", str(tmp_path)])
+        run = json.loads((tmp_path / "run.json").read_text())
+        sizes = run["iteration_sizes"]
+        ops = len(run["operators"])
+        assert run["candidates"] == [size * ops for size in sizes[:-1]]
+        if candidates is not None:
+            assert run["candidates"] == candidates
+        assert run["stopped"] == stopped
+
+    def test_fixed_point_on_the_last_allowed_round(self, runner, tmp_path):
+        # P4 keeps one new feature in round 1 and none in round 2, so with
+        # a cap of 2 the loop ends at the cap and at its fixed point at once
+        graph = tmp_path / "graph.txt"
+        graph.write_text(P4_TEXT)
+        invoke_ok(runner, ["learn", str(graph), "--primitives", "degree", "--maxiter", "2",
+                           "--output-dir", str(tmp_path)])
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["iteration_sizes"] == [1, 2, 2]
+        assert run["stopped"] == "fixed-point"
 
     def test_custom_primitive_and_operator_lists(self, runner, tmp_path):
         graph = tmp_path / "graph.txt"
@@ -329,6 +380,47 @@ class TestTransferAndDynamic:
 
 
 SUBCOMMANDS = ("learn", "select-rank", "assign", "transfer", "dynamic", "oracle")
+
+
+class TestRunJson:
+    # inputs, then flags, per subcommand
+    ARGS = {
+        "learn": (["graph.txt"], ["--maxiter", "2", "--operators", "sum"]),
+        "select-rank": (["learn/features.csv"], ["--trials", "2", "--seed", "4"]),
+        "assign": (["model/model.json"], ["--hard"]),
+        "transfer": (["model/model.json", "graph.txt"], []),
+        "dynamic": (["model/model.json", "snapshots.txt"], []),
+        "oracle": (["graph.txt"], ["--kind", "regular"]),
+    }
+    ECHOED = {
+        "learn": {"maxiter": 2, "operators": ["sum"], "lam": 1.0},
+        "select-rank": {"trials": 2, "seed": 4, "rank": None, "maxiter": 500},
+        "assign": {"hard": True},
+        "transfer": {},
+        "dynamic": {},
+        "oracle": {"kind": "regular"},
+    }
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_echoes_only_its_own_flags(self, runner, tmp_path, monkeypatch, sub):
+        monkeypatch.chdir(tmp_path)
+        Path("graph.txt").write_text(write_edge_list(erdos_renyi(12, 0.35, seed=2)))
+        Path("snapshots.txt").write_text("graph.txt\ngraph.txt\n")
+        if sub in ("assign", "transfer", "dynamic"):
+            invoke_ok(runner, ["learn", "graph.txt", "--output-dir", "model"])
+            invoke_ok(runner, ["select-rank", "model/features.csv", "model/descriptors.json",
+                               "--output-dir", "model"])
+        if sub == "select-rank":
+            invoke_ok(runner, ["learn", "graph.txt", "--output-dir", "learn"])
+        inputs, flags = self.ARGS[sub]
+        invoke_ok(runner, [sub, *inputs, *flags, "--output-dir", "out"])
+        doc = json.loads(Path("out/run.json").read_text())
+        assert set(doc) == RUN_JSON_COMMON | RUN_JSON_KEYS[sub]
+        assert doc["subcommand"] == sub
+        assert doc["inputs"] == inputs
+        assert doc["output_dir"] == "out"
+        for key, value in self.ECHOED[sub].items():
+            assert doc[key] == value, key
 
 
 class TestTooling:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ class TestPrimitives:
 
 
 def aggregate_column(g, column, op):
-    return _aggregate(g, np.array(column, dtype=float)[:, None], (op,))[0][:, 0]
+    return _aggregate(g, np.array(column, dtype=float)[None], (op,), False)[0][0]
 
 
 class TestOperators:
@@ -660,6 +661,130 @@ class TestGoldenDigests:
         assert learned_digest(x) == digest
 
 
+# --- the streamed round against the all-at-once learn ---------------------
+
+
+def all_at_once_learn(g, config=FeatureLearnConfig()):
+    """learn_features as it was before rounds streamed their candidates:
+    every candidate of a round is aggregated, binned and pruned at once.
+    Kept as an oracle for the streamed loop."""
+    primitives = features_module._learn_primitives(g, config)
+    attrs = (
+        None if config.attributes is None
+        else features_module._attribute_rows(g, config.attributes)
+    )
+    cache = {}
+    columns = [compute_primitive(g, kind, cache) for kind in primitives]
+    cand_descs = [
+        FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
+    ]
+    if attrs is not None:
+        columns.extend(attrs)
+        cand_descs.extend(
+            FeatureDescriptor(id=len(primitives) + k, kind="attribute", attribute=k)
+            for k in range(len(attrs))
+        )
+    all_by_id = {d.id: d for d in cand_descs}
+    next_id = len(cand_descs)
+    rows = np.zeros((0, g.n))
+    bins = log_bin_rows(rows, config.bin_fraction)
+    descriptors = []
+    seen = set()
+
+    def prune(cand_rows, cands):
+        nonlocal rows, bins, descriptors
+        cand_bins = log_bin_rows(cand_rows, config.bin_fraction)
+        if config.threshold == 1.0 or g.n == 0:
+            keep = []
+            for j, b in enumerate(cand_bins):
+                if b.tobytes() not in seen:
+                    seen.add(b.tobytes())
+                    keep.append(j)
+            rows = np.concatenate([rows, cand_rows[keep]])
+            descriptors = descriptors + [cands[j] for j in keep]
+            return
+        rows = np.concatenate([rows, cand_rows])
+        bins = np.concatenate([bins, cand_bins])
+        descriptors = descriptors + cands
+        kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
+        kept |= features_module._required_ancestors(all_by_id, kept)
+        idx = [j for j, d in enumerate(descriptors) if d.id in kept]
+        rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
+
+    prune(np.array(columns).reshape(len(columns), g.n), cand_descs)
+    sizes = [len(descriptors)]
+    for iteration in range(1, config.maxiter + 1):
+        prior_ids = {d.id for d in descriptors}
+        cands = []
+        for op in config.operators:
+            for d in descriptors:
+                cands.append(FeatureDescriptor(
+                    id=next_id, kind="composite", operator=op, base=d.id, iteration=iteration
+                ))
+                all_by_id[next_id] = cands[-1]
+                next_id += 1
+        aggregated = _aggregate(g, rows, config.operators, len(rows) > 1)
+        prune(np.concatenate([rows[:0], *aggregated]), cands)
+        sizes.append(len(descriptors))
+        if {d.id for d in descriptors} == prior_ids:
+            break
+    return FeatureMatrix(np.ascontiguousarray(rows.T), tuple(descriptors), tuple(sizes))
+
+
+def assert_same_learn(got, want):
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.descriptors == want.descriptors
+    assert got.iteration_sizes == want.iteration_sizes
+
+
+STREAM_CONFIGS = [
+    FeatureLearnConfig(maxiter=4),
+    FeatureLearnConfig(operators=("mean", "sum", "max", "min"), maxiter=3),
+    FeatureLearnConfig(operators=("sum", "mode"), bin_fraction=0.3, maxiter=3),
+    FeatureLearnConfig(threshold=0.75, maxiter=3),
+]
+
+
+class TestStreamedRound:
+    @given(
+        graphs(min_n=1, max_n=9, weighted=True),
+        st.sampled_from(STREAM_CONFIGS),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_all_at_once_learn(self, g, config, block):
+        want = all_at_once_learn(g, config)
+        with pytest.MonkeyPatch.context() as mp:
+            # survivor blocks of one column up to several
+            mp.setattr(features_module, "_BLOCK_ELEMENTS", block)
+            assert_same_learn(learn_features(g, config), want)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_one_survivor_blocks_match_all_at_once_learn(self, monkeypatch, name):
+        make, config, sizes, digest = GOLDEN_CASES[name]
+        g = make()
+        want = all_at_once_learn(g, config)
+        monkeypatch.setattr(features_module, "_BLOCK_ELEMENTS", g.n * len(config.operators))
+        got = learn_features(g, config)
+        assert_same_learn(got, want)
+        assert learned_digest(got) == digest
+
+    def test_peak_memory_bounded_by_the_result(self):
+        # the all-at-once round peaked at 4.75x the returned matrix here:
+        # survivors, their contiguous copy, every candidate and the kept
+        # copy were alive together
+        g = erdos_renyi(400, 8 / 399, seed=1)
+        g.csr
+        tracemalloc.start()
+        try:
+            x = learn_features(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.iteration_sizes[-1] > 2000 and len(x.iteration_sizes) == 11
+        assert peak <= 3.0 * x.values.nbytes, peak / x.values.nbytes
+
+
 def reference_log_bin(values, p):
     """The per-column loop the matrix binner replaced, kept as an oracle."""
     values = np.asarray(values, dtype=float)
@@ -782,8 +907,8 @@ class TestAggregationKernel:
             g = Graph(n=43, edges=g.edges | hub)  # nodes 41 and 42 are isolated
             block = rng.random((g.n, columns)) * 10.0 ** rng.integers(-3, 4, size=columns)
             ops = ("sum", "mean", "max", "min")
-            for op, got in zip(ops, _aggregate(g, block, ops)):
-                assert got.tobytes() == per_node_aggregate(g, block, op).tobytes()
+            for op, got in zip(ops, _aggregate(g, block.T, ops, columns > 1)):
+                assert got.T.tobytes() == per_node_aggregate(g, block, op).tobytes()
 
 
 class TestFailFast:

@@ -58,6 +58,18 @@ class TestNormalizeColumns:
             top = xn[:, j].max()
             assert top == 1.0 or (x[:, j] == 0).all()
 
+    def test_rank_sweep_ignores_the_input_layout(self):
+        # learn_features returns column-major values and features.csv reads
+        # back row-major; both must factorize to the same bits
+        g, _ = planted_role_graph(seed=2)
+        x = learn_features(g)
+        assert x.values.flags.f_contiguous
+        xn, _ = normalize_columns(x.values)
+        assert xn.flags.c_contiguous
+        a = select_rank(x.values)
+        b = select_rank(np.ascontiguousarray(x.values))
+        assert (a.r, a.w.tobytes(), a.h.tobytes()) == (b.r, b.w.tobytes(), b.h.tobytes())
+
 
 class TestNMF:
     def test_rank_one_matrix_fits_exactly(self):

@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script runs to completion on small inputs."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -12,6 +13,20 @@ import rolemine
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
+def run_script(script, args, cwd):
+    # the scripts import rolemine; give the child the absolute `src` this
+    # suite imported, as criterion 11 does for the CLI
+    src = str(Path(rolemine.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 @pytest.mark.parametrize(
     "script,args",
     [
@@ -21,16 +36,15 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     ],
 )
 def test_script_exits_cleanly(script, args, tmp_path):
-    # the scripts import rolemine; give the child the absolute `src` this
-    # suite imported, as criterion 11 does for the CLI
-    src = str(Path(rolemine.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    proc = run_script(script, args, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_feature_growth_reports_peak_memory(tmp_path):
+    args = ["--sizes", "30", "--degrees", "4", "--maxiter", "3", "--csv", "growth.csv"]
+    proc = run_script("feature_growth.py", args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "growth.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["peak_mb"]) > 0
