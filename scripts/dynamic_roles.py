@@ -26,18 +26,15 @@ from rolemine import (
 
 def rewire(g: Graph, fraction: float, rng) -> Graph:
     """Replace a fraction of edges with uniformly random non-edges."""
-    edges = set(g.edges)
-    k = int(len(edges) * fraction)
-    doomed = rng.choice(len(edges), size=k, replace=False)
-    ordered = sorted(edges)
-    for idx in doomed:
-        edges.discard(ordered[idx])
-    while len(edges) < len(g.edges):
+    m = len(g.edges)
+    doomed = rng.choice(m, size=int(m * fraction), replace=False)
+    edges = set(map(tuple, np.delete(g.edges, doomed, axis=0).tolist()))
+    while len(edges) < m:
         u, v = int(rng.integers(g.n)), int(rng.integers(g.n))
         if u == v:
             continue
         edges.add((min(u, v), max(u, v)))
-    return Graph(n=g.n, edges=frozenset(edges))
+    return Graph(n=g.n, edges=list(edges))
 
 
 def main(argv=None):

@@ -84,7 +84,7 @@ def _load_graph(path: str) -> Graph:
 def _load_model(path: str) -> RoleModel:
     try:
         return model_from_json(_read(path))
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed model file {path}: {exc}") from exc
 
 
@@ -241,8 +241,7 @@ def _run_oracle(config: RunConfig, outdir: Path) -> None:
         partition = regular_refinement(g)
     else:
         raise ValueError(f"unknown oracle kind {config.kind!r}")
-    doc = {"classes": [sorted(c) for c in partition.classes]}
-    text = json.dumps(doc, indent=2) + "\n"
+    text = json.dumps(partition.to_classes_dict(), indent=2) + "\n"
     (outdir / "classes.json").write_text(text)
     print(text, end="")
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .graph import Graph, NodePartition
+import numpy as np
+
+from .graph import CSR, Graph, NodePartition, _rows
 
 AUTOMORPHISM_NODE_LIMIT = 10
 
@@ -30,6 +32,22 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
+def _row_lists(csr: CSR) -> list[list[int]]:
+    ptr, idx = csr.indptr.tolist(), csr.indices.tolist()
+    return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+
+
+def _out_in_rows(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
+    """Out- and in-neighbors per node, ascending; both are the neighbors on
+    an undirected graph."""
+    if not g.directed:
+        rows = _row_lists(g.csr)
+        return rows, rows
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    ones = np.ones(src.size)
+    return _row_lists(_rows(g.n, src, dst, ones)), _row_lists(_rows(g.n, dst, src, ones))
+
+
 def structural_classes(g: Graph, variant: str = "strict") -> NodePartition:
     """Group nodes by neighbor sets.
 
@@ -39,20 +57,20 @@ def structural_classes(g: Graph, variant: str = "strict") -> NodePartition:
         raise ValueError(f"unknown variant {variant!r}")
     if g.n == 0:
         return NodePartition((), 0)
+    if g.directed and variant == "weak":
+        raise ValueError("weak structural equivalence is defined for undirected graphs")
+    out_rows, in_rows = _out_in_rows(g)
     if g.directed:
-        if variant == "weak":
-            raise ValueError("weak structural equivalence is defined for undirected graphs")
-        keys = [(frozenset(g.out_neighbors[u]), frozenset(g.in_neighbors[u])) for u in range(g.n)]
-        return NodePartition.from_labels(keys)
-    nbrs = [frozenset(g.neighbors[u]) for u in range(g.n)]
+        return NodePartition.from_labels([(tuple(o), tuple(i)) for o, i in zip(out_rows, in_rows)])
+    nbrs = [tuple(row) for row in out_rows]
     if variant == "strict":
         return NodePartition.from_labels(nbrs)
     # Weak pairs match on N(u) when non-adjacent or on N(u)|{u} when
     # adjacent. Chains mixing the two keys would force a self-loop, so
     # merging both groupings reproduces exactly the pairwise relation.
     uf = _UnionFind(g.n)
-    for key in (nbrs, [nbrs[u] | {u} for u in range(g.n)]):
-        first: dict[frozenset, int] = {}
+    for key in (nbrs, [tuple(sorted(row + [u])) for u, row in enumerate(out_rows)]):
+        first: dict[tuple, int] = {}
         for u in range(g.n):
             anchor = first.setdefault(key[u], u)
             uf.union(anchor, u)
@@ -72,8 +90,7 @@ def automorphic_orbits(g: Graph) -> NodePartition:
     if n == 0:
         return NodePartition((), 0)
 
-    out_adj = [frozenset(s) for s in g.out_neighbors]
-    in_adj = [frozenset(s) for s in g.in_neighbors]
+    out_adj, in_adj = ([set(row) for row in rows] for rows in _out_in_rows(g))
     degree = [(len(out_adj[u]), len(in_adj[u])) for u in range(n)]
 
     def find_automorphism(src: int, dst: int) -> list[int] | None:
@@ -135,25 +152,17 @@ def regular_refinement(g: Graph, p0: NodePartition | None = None, multiset: bool
             raise ValueError("p0 does not cover this graph's nodes")
         labels = list(p0.assignment)
 
-    directed = g.directed
+    out_rows, in_rows = _out_in_rows(g)
+    sides = (out_rows, in_rows) if g.directed else (out_rows,)
+
+    def summary(nbr_labels):
+        return tuple(sorted(Counter(nbr_labels).items())) if multiset else frozenset(nbr_labels)
+
     while True:
-        sigs = []
-        for u in range(g.n):
-            if directed:
-                out_labels = [labels[v] for v in g.out_neighbors[u]]
-                in_labels = [labels[v] for v in g.in_neighbors[u]]
-                if multiset:
-                    sig = (labels[u], tuple(sorted(Counter(out_labels).items())),
-                           tuple(sorted(Counter(in_labels).items())))
-                else:
-                    sig = (labels[u], frozenset(out_labels), frozenset(in_labels))
-            else:
-                nbr_labels = [labels[v] for v in g.neighbors[u]]
-                if multiset:
-                    sig = (labels[u], tuple(sorted(Counter(nbr_labels).items())))
-                else:
-                    sig = (labels[u], frozenset(nbr_labels))
-            sigs.append(sig)
+        sigs = [
+            (labels[u], *(summary([labels[v] for v in rows[u]]) for rows in sides))
+            for u in range(g.n)
+        ]
         refined = NodePartition.from_labels(sigs)
         if list(refined.assignment) == labels:
             return refined

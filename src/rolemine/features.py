@@ -240,8 +240,7 @@ def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndar
     if kind == "degree":
         return deg
     if kind in ("in-degree", "out-degree"):
-        ends = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
-        return np.bincount(ends[:, int(kind == "in-degree")], minlength=g.n).astype(float)
+        return np.bincount(g.edges[:, int(kind == "in-degree")], minlength=g.n).astype(float)
     if kind == "weighted-degree":
         # summed like a lone column: sorted, then numpy's pairwise sum
         groups = _degree_groups(indptr, np.arange(indices.size))
@@ -694,6 +693,10 @@ def features_from_csv(text: str) -> np.ndarray:
     for row in rows[1:]:
         if not row:
             continue
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"row {len(data)} has {len(row)} columns; the header has {len(rows[0])}"
+            )
         if int(row[0]) != len(data):
             raise ValueError(f"row {len(data)} has node id {row[0]}, expected {len(data)}")
         data.append([float(v) for v in row[1:]])

@@ -5,18 +5,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-Edge = tuple[int, int]
-
 
 class CSR(NamedTuple):
-    """Compressed sparse rows of the direction-free adjacency.
+    """Compressed sparse rows of an adjacency.
 
-    Row u is indices[indptr[u]:indptr[u + 1]], ascending, the same nodes as
-    Graph.neighbors[u]; weights[k] is edge_weight(u, indices[k]).
+    Row u is indices[indptr[u]:indptr[u + 1]], ascending; weights[k] is the
+    weight of the arc from u to indices[k].
     """
 
     indptr: np.ndarray
@@ -24,100 +22,91 @@ class CSR(NamedTuple):
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
+def _rows(n: int, src: np.ndarray, dst: np.ndarray, wt: np.ndarray) -> CSR:
+    """CSR of the arcs src[k] -> dst[k] weighing wt[k]. An arc given more
+    than once keeps its largest weight."""
+    key = src * n + dst
+    order = np.lexsort((wt, key))
+    key, wt = key[order], wt[order]
+    last = np.ones(key.size, dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    key, wt = key[last], wt[last]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    return CSR(indptr, key % n, wt)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Simple graph with dense node ids 0..n-1.
 
-    Undirected edges are stored with endpoints ascending; directed edges keep
-    their orientation. ``weights``, when present, maps every stored edge to a
-    strictly positive real; None means unweighted.
+    ``edges`` is an (m, 2) int64 array of distinct rows sorted ascending;
+    undirected rows have u < v, directed rows keep their orientation.
+    ``weights`` is None (unweighted) or a float array aligned with ``edges``.
+    The constructor takes any (m, 2) integer array-like and positive finite
+    weights, one per row; it orients undirected rows, sorts the rows and
+    merges repeated rows, summing their weights. Both arrays are read-only.
+    Graphs compare by identity.
     """
 
     n: int
-    edges: frozenset[Edge] = frozenset()
-    weights: Mapping[Edge, float] | None = None
+    edges: np.ndarray = ()
+    weights: np.ndarray | None = None
     directed: bool = False
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("node count must be non-negative")
-        canon = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) outside node range 0..{self.n - 1}")
-            canon.add((u, v) if self.directed or u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(canon))
-        if self.weights is not None:
-            normalized: dict[Edge, float] = {}
-            for (u, v), value in self.weights.items():
-                key = (u, v) if self.directed or u < v else (v, u)
-                if key not in self.edges:
-                    raise ValueError(f"weight given for missing edge ({u}, {v})")
-                if key in normalized:
-                    raise ValueError(f"duplicate weight for edge {key}")
-                if not value > 0:
-                    raise ValueError(f"non-positive weight {value} on edge ({u}, {v})")
-                normalized[key] = float(value)
-            missing = self.edges - normalized.keys()
-            if missing:
-                raise ValueError(f"missing weight for edge {min(missing)}")
-            object.__setattr__(self, "weights", normalized)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacent nodes per node, sorted ascending; ignores direction."""
-        ptr, idx = self.csr.indptr.tolist(), self.csr.indices.tolist()
-        return tuple(tuple(idx[a:b]) for a, b in zip(ptr, ptr[1:]))
+        e = np.asarray(self.edges)
+        if e.size == 0:
+            e = np.zeros((0, 2), dtype=np.int64)
+        if e.dtype.kind not in "iu" or e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be an (m, 2) integer array, got {e.dtype} {e.shape}")
+        e = e.astype(np.int64, copy=False)
+        outside = ((e < 0) | (e >= n)).any(axis=1)
+        if outside.any():
+            u, v = e[outside.argmax()]
+            raise ValueError(f"edge ({u}, {v}) outside node range 0..{n - 1}")
+        loops = e[:, 0] == e[:, 1]
+        if loops.any():
+            raise ValueError(f"self-loop at node {e[loops.argmax(), 0]}")
+        w = self.weights
+        if w is not None:
+            w = np.asarray(w, dtype=float)
+            if w.shape != (len(e),):
+                raise ValueError(f"{w.size} weights given for {len(e)} edge rows")
+            bad = ~(np.isfinite(w) & (w > 0))
+            if bad.any():
+                k = bad.argmax()
+                raise ValueError(f"weight {w[k]} on edge ({e[k, 0]}, {e[k, 1]}) "
+                                 "must be a positive finite number")
+        if not self.directed:
+            e = np.sort(e, axis=1)
+        keys, inverse = np.unique(e[:, 0] * n + e[:, 1], return_inverse=True)
+        edges = np.stack([keys // n, keys % n], axis=1)
+        if w is not None:
+            # repeated rows sum in row order, from 0.0
+            w = np.bincount(inverse, weights=w, minlength=keys.size)
+            w.flags.writeable = False
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", w)
 
     @cached_property
     def csr(self) -> CSR:
-        """The adjacency as CSR arrays, built once."""
-        edges = list(self.edges)
-        e = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
-        if self.weights is None:
-            w = np.ones(len(edges))
-        else:
-            w = np.array([self.weights[x] for x in edges], dtype=float)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        # a directed edge u -> v weighs nothing seen from v
-        wt = np.concatenate([w, np.zeros(len(edges)) if self.directed else w])
-        key = src * self.n + dst
-        order = np.lexsort((wt, key))
-        key, wt = key[order], wt[order]
-        # reciprocal directed edges meet at one slot; keep its out-edge weight
-        last = np.ones(key.size, dtype=bool)
-        last[:-1] = key[1:] != key[:-1]
-        key, wt = key[last], wt[last]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(key // self.n, minlength=self.n), out=indptr[1:])
-        return CSR(indptr, key % self.n, wt)
+        """The direction-free adjacency, built once.
 
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            if not self.directed:
-                adj[v].add(u)
-        return tuple(tuple(sorted(s)) for s in adj)
-
-    @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[v].add(u)
-            if not self.directed:
-                adj[u].add(v)
-        return tuple(tuple(sorted(s)) for s in adj)
-
-    def edge_weight(self, u: int, v: int) -> float:
-        key = (u, v) if self.directed or u < v else (v, u)
-        if self.weights is None:
-            return 1.0 if key in self.edges else 0.0
-        return self.weights.get(key, 0.0)
+        Row u holds every node adjacent to u. On a weighted graph an edge
+        weighs its weight from either end; an unweighted edge weighs 1. On a
+        directed graph an arc u -> v weighs nothing seen from v, and a
+        reciprocal pair keeps the out-arc's weight at each end.
+        """
+        src, dst = self.edges.T
+        w = np.ones(src.size) if self.weights is None else self.weights
+        back = np.zeros(src.size) if self.directed else w
+        return _rows(self.n, np.concatenate([src, dst]), np.concatenate([dst, src]),
+                     np.concatenate([w, back]))
 
 
 @dataclass(frozen=True)
@@ -194,7 +183,8 @@ def load_edge_list(source: str | Iterable[str], directed: bool = False) -> Graph
     """
     lines = source.splitlines() if isinstance(source, str) else source
     ids: dict[int, int] = {}
-    entries: list[tuple[int, int, float | None]] = []
+    ends: list[int] = []
+    weights: list[float] = []
     any_weighted = False
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -209,7 +199,7 @@ def load_edge_list(source: str | Iterable[str], directed: bool = False) -> Graph
             raise ValueError(f"line {lineno}: non-integer node id") from None
         if a == b:
             raise ValueError(f"line {lineno}: self-loop at node {a}")
-        w = None
+        w = 1.0
         if len(tokens) == 3:
             try:
                 w = float(tokens[2])
@@ -220,17 +210,11 @@ def load_edge_list(source: str | Iterable[str], directed: bool = False) -> Graph
             any_weighted = True
         u = ids.setdefault(a, len(ids))
         v = ids.setdefault(b, len(ids))
-        entries.append((u, v, w))
-
-    n = len(ids)
-    if not any_weighted:
-        edges = {(u, v) if directed or u < v else (v, u) for u, v, _ in entries}
-        return Graph(n=n, edges=frozenset(edges), weights=None, directed=directed)
-    weights: dict[Edge, float] = {}
-    for u, v, w in entries:
-        key = (u, v) if directed or u < v else (v, u)
-        weights[key] = weights.get(key, 0.0) + (1.0 if w is None else w)
-    return Graph(n=n, edges=frozenset(weights), weights=weights, directed=directed)
+        ends += (u, v)
+        weights.append(w)
+    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    weights = weights if any_weighted else None
+    return Graph(n=len(ids), edges=edges, weights=weights, directed=directed)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -242,46 +226,38 @@ def write_edge_list(g: Graph) -> str:
     where k leads with the smallest partner), then the remaining edges
     follow in sorted order. Isolated nodes are not representable.
     """
-    edges = sorted(g.edges)
-    head: list[tuple[int, int]] = []
-    used: set[tuple[int, int]] = set()
-    seen: set[int] = set()
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for e in edges:
-        incident.setdefault(e[0], []).append(e)
-        incident.setdefault(e[1], []).append(e)
-    for k in range(g.n):
-        if k in seen or k not in incident:
-            continue
-        candidates = []
-        for e in incident[k]:
-            other = e[1] if e[0] == k else e[0]
-            if other < k:
-                rank = 0
-            elif e[0] == k:
-                rank = 1
-            else:
-                rank = 2
-            candidates.append((rank, other, e))
-        e = min(candidates)[2]
-        head.append(e)
-        used.add(e)
-        seen.update(e)
-    lines = []
-    for u, v in head + [e for e in edges if e not in used]:
-        if g.weights is None:
-            lines.append(f"{u} {v}")
-        else:
-            lines.append(f"{u} {v} {g.weights[(u, v)]!r}")
+    e, m = g.edges, len(g.edges)
+    node, other = e.T.ravel(), e[:, ::-1].T.ravel()
+    row = np.tile(np.arange(m), 2)
+    # node k's introducing edge has the least (rank, partner, row): rank 0
+    # to a smaller id, 1 led by k, 2 led by a larger id
+    rank = np.where(other < node, 0, np.repeat([1, 2], m))
+    order = np.lexsort((row, other, rank, node))
+    nodes, first = np.unique(node[order], return_index=True)
+    intro = np.full(g.n, -1)
+    intro[nodes] = row[order[first]]
+    pairs = e.tolist()
+    seen = [False] * g.n
+    head = []
+    for k, r in enumerate(intro.tolist()):
+        if r >= 0 and not seen[k]:
+            head.append(r)
+            u, v = pairs[r]
+            seen[u] = seen[v] = True
+    rest = np.ones(m, dtype=bool)
+    rest[head] = False
+    order = np.concatenate([np.array(head, dtype=np.int64), np.flatnonzero(rest)])
+    pairs = e[order].tolist()
+    if g.weights is None:
+        lines = [f"{u} {v}" for u, v in pairs]
+    else:
+        lines = [f"{u} {v} {w!r}" for (u, v), w in zip(pairs, g.weights[order].tolist())]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
     """Relabel nodes: node u becomes perm[u]. perm must be a bijection."""
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
+    p = np.asarray(perm, dtype=np.int64)
+    if p.shape != (g.n,) or not (np.sort(p) == np.arange(g.n)).all():
         raise ValueError("perm must be a bijection on 0..n-1")
-    edges = frozenset((perm[u], perm[v]) for u, v in g.edges)
-    weights = None
-    if g.weights is not None:
-        weights = {(perm[u], perm[v]): w for (u, v), w in g.weights.items()}
-    return Graph(n=g.n, edges=edges, weights=weights, directed=g.directed)
+    return Graph(n=g.n, edges=p[g.edges], weights=g.weights, directed=g.directed)

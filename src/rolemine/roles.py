@@ -61,6 +61,10 @@ class RoleModel:
             raise ValueError("one scale per feature column required")
         if not np.isfinite(self.cost):
             raise ValueError("model cost must be finite")
+        if self.descriptors is not None and len(self.descriptors) != h.shape[1]:
+            raise ValueError(
+                f"{len(self.descriptors)} descriptors for {h.shape[1]} feature columns"
+            )
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "column_scales", scales)

@@ -14,16 +14,18 @@ def erdos_renyi(n: int, p: float, seed: int = 1, directed: bool = False) -> Grap
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = []
+    # one draw per candidate pair (u, v), in row-major order of the
+    # adjacency matrix; a row at a time keeps memory at O(n + m)
+    heads = []
     for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if not directed and u > v:
-                continue
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph(n=n, edges=frozenset(edges), directed=directed)
+        if directed:
+            v = np.flatnonzero(rng.random(n - 1) < p)
+            v += v >= u  # step over the diagonal
+        else:
+            v = u + 1 + np.flatnonzero(rng.random(n - 1 - u) < p)
+        heads.append(v)
+    tails = np.repeat(np.arange(n), [v.size for v in heads])
+    return Graph(n=n, edges=np.column_stack([tails, np.concatenate(heads)]), directed=directed)
 
 
 def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, tuple[int, ...]]:
@@ -57,11 +59,7 @@ def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, tuple[int,
             edges.append((clique[j], bridges[j]))
             edges.append((bridges[j], center))
         labels.extend([0] * 6 + [1] + [2] * 6 + [3] * 6)
-    g = Graph(n=n, edges=frozenset(edges))
-    rng = np.random.default_rng(seed)
-    perm = tuple(int(v) for v in rng.permutation(n))
-    g = apply_permutation(g, perm)
-    shuffled = [0] * n
-    for old, lab in enumerate(labels):
-        shuffled[perm[old]] = lab
-    return g, tuple(shuffled)
+    perm = np.random.default_rng(seed).permutation(n)
+    shuffled = np.empty(n, dtype=int)
+    shuffled[perm] = labels
+    return apply_permutation(Graph(n=n, edges=edges), perm), tuple(shuffled.tolist())

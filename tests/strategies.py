@@ -1,8 +1,29 @@
-"""Shared hypothesis strategies for graph-based property tests."""
+"""Shared hypothesis strategies and graph helpers for property tests."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from rolemine import Graph
+
+
+def same_graph(a, b):
+    """Graphs compare by identity; this compares their arrays."""
+    return (
+        a.n == b.n
+        and a.directed == b.directed
+        and np.array_equal(a.edges, b.edges)
+        and (a.weights is None) == (b.weights is None)
+        and (a.weights is None or np.array_equal(a.weights, b.weights))
+    )
+
+
+def neighbor_lists(g):
+    """Direction-free adjacent nodes per node, ascending, one edge at a time."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    return [sorted(s) for s in adj]
 
 
 @st.composite
@@ -25,8 +46,8 @@ def graphs(draw, min_n=1, max_n=8, directed=False, weighted=False):
                 max_size=len(chosen),
             )
         )
-        weights = dict(zip(chosen, vals))
-    return Graph(n=n, edges=frozenset(chosen), weights=weights, directed=directed)
+        weights = vals
+    return Graph(n=n, edges=chosen, weights=weights, directed=directed)
 
 
 @st.composite

@@ -52,8 +52,8 @@ def brute_force_orbits(g):
     """Automorphism orbits by checking every node permutation directly."""
     n = g.n
     a = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges:
-        a[u, v] = a[v, u] = True
+    a[g.edges[:, 0], g.edges[:, 1]] = True
+    a |= a.T
     perms = np.array(list(itertools.permutations(range(n))), dtype=int)
     mapped = a[perms[:, :, None], perms[:, None, :]]
     valid = perms[(mapped == a).all(axis=(1, 2))]

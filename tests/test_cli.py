@@ -1,4 +1,6 @@
+import ast
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +368,16 @@ class TestTransferAndDynamic:
         assert result.exit_code == 1
         assert "at least 2 snapshots" in result.stderr
 
+    def test_descriptor_count_must_match_h(self, runner, tmp_path):
+        graph = self.fit_chain(runner, tmp_path)
+        doc = json.loads((tmp_path / "model.json").read_text())
+        doc["descriptors"] = doc["descriptors"][:-1]
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["transfer", str(tmp_path / "model.json"), str(graph)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: malformed model file")
+        assert "descriptors for" in result.stderr
+
     def test_transfer_needs_model_descriptors(self, runner, tmp_path):
         (tmp_path / "features.csv").write_text(two_pattern_csv())
         invoke_ok(
@@ -437,6 +449,21 @@ class TestTooling:
         result = runner.invoke(main, [sub, "--help"])
         assert result.exit_code == 0, result.output
         assert ("--seed" in result.output) == (sub == "select-rank")
+
+
+class TestDependencies:
+    def test_runtime_imports_stay_in_the_contract(self):
+        # the package may import the standard library, numpy, click and itself
+        allowed = set(sys.stdlib_module_names) | {"numpy", "click", "rolemine"}
+        found = set()
+        for path in sorted((Path(rolemine.__file__).parent).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    found.update((path.name, a.name.split(".")[0]) for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    found.add((path.name, node.module.split(".")[0]))
+        assert {name for _, name in found} >= {"numpy", "click"}
+        assert sorted(f for f in found if f[1] not in allowed) == []
 
 
 class TestDeterminism:

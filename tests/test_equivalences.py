@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rolemine import (
     AUTOMORPHISM_NODE_LIMIT,
@@ -14,7 +15,7 @@ from rolemine import (
     structural_classes,
 )
 
-from strategies import graph_with_permutation, graphs
+from strategies import graph_with_permutation, graphs, neighbor_lists
 
 P3 = load_edge_list("0 1\n1 2")
 P4 = load_edge_list("0 1\n1 2\n2 3")
@@ -26,7 +27,7 @@ S3 = load_edge_list("0 1\n0 2\n0 3")
 
 def exhaustive_orbits(g):
     """Independent oracle: merge orbits over every edge-preserving bijection."""
-    edges = set(g.edges)
+    edges = set(map(tuple, g.edges.tolist()))
     labels = list(range(g.n))
 
     def find(x):
@@ -69,7 +70,7 @@ class TestStructural:
         assert weak.assignment[0] == weak.assignment[1]
 
     def test_directed_uses_in_and_out_neighborhoods(self):
-        g = Graph(n=4, edges=frozenset({(0, 2), (1, 2), (2, 3)}), directed=True)
+        g = Graph(n=4, edges=[(0, 2), (1, 2), (2, 3)], directed=True)
         p = structural_classes(g)
         assert p.assignment[0] == p.assignment[1]
         assert p.assignment[0] != p.assignment[2]
@@ -86,10 +87,23 @@ class TestStructural:
     @given(graphs(max_n=6))
     def test_strict_members_have_equal_neighbor_sets(self, g):
         p = structural_classes(g)
+        nbrs = neighbor_lists(g)
         for cls in p.classes:
-            base = set(g.neighbors[cls[0]])
+            base = set(nbrs[cls[0]])
             for u in cls[1:]:
-                assert set(g.neighbors[u]) == base
+                assert set(nbrs[u]) == base
+
+    @given(graphs(max_n=6, directed=True))
+    def test_directed_members_have_equal_out_and_in_sets(self, g):
+        p = structural_classes(g)
+        out_in = [(set(), set()) for _ in range(g.n)]
+        for u, v in g.edges.tolist():
+            out_in[u][0].add(v)
+            out_in[v][1].add(u)
+        for cls in p.classes:
+            assert all(out_in[u] == out_in[cls[0]] for u in cls)
+        keys = [out_in[cls[0]] for cls in p.classes]
+        assert all(a != b for a, b in itertools.combinations(keys, 2))
 
 
 class TestAutomorphic:
@@ -139,7 +153,7 @@ class TestRegular:
             assert regular_refinement(g).classes == (tuple(range(g.n)),)
 
     def test_isolated_node_splits_from_single_class(self):
-        g = Graph(n=3, edges=frozenset({(1, 2)}))
+        g = Graph(n=3, edges=[(1, 2)])
         assert regular_refinement(g).classes == ((0,), (1, 2))
 
     def test_multiset_mode_splits_by_neighbor_counts(self):
@@ -155,6 +169,19 @@ class TestRegular:
     def test_idempotent(self, g):
         once = regular_refinement(g)
         assert regular_refinement(g, once).classes == once.classes
+
+    @given(graphs(max_n=7, directed=True), st.booleans())
+    def test_directed_classes_see_equal_out_and_in_classes(self, g, multiset):
+        labels = regular_refinement(g, multiset=multiset).assignment
+        seen = [([], []) for _ in range(g.n)]
+        for u, v in g.edges.tolist():
+            seen[u][0].append(labels[v])
+            seen[v][1].append(labels[u])
+        summary = sorted if multiset else set
+        sig = [(summary(out), summary(into)) for out, into in seen]
+        for u, v in itertools.combinations(range(g.n), 2):
+            if labels[u] == labels[v]:
+                assert sig[u] == sig[v]
 
     @given(graphs(max_n=7))
     def test_refines_its_start(self, g):

@@ -33,7 +33,7 @@ from rolemine import (
 from rolemine import features as features_module
 from rolemine.features import _aggregate, _agreement_roots, log_bin_rows
 
-from strategies import graph_with_permutation, graphs
+from strategies import graph_with_permutation, graphs, neighbor_lists
 
 P3 = load_edge_list("0 1\n1 2")
 K3 = load_edge_list("0 1\n1 2\n0 2")
@@ -43,7 +43,8 @@ S3 = load_edge_list("0 1\n0 2\n0 3")
 def naive_primitive(g, kind):
     """Set-based per-node reference, independent of the vectorized path."""
     adj = [set() for _ in range(g.n)]
-    for u, v in g.edges:
+    edges = g.edges.tolist()
+    for u, v in edges:
         adj[u].add(v)
         adj[v].add(u)
     if kind == "degree":
@@ -52,7 +53,7 @@ def naive_primitive(g, kind):
         if g.weights is None:
             return [float(len(adj[u])) for u in range(g.n)]
         out = [0.0] * g.n
-        for (u, v), w in g.weights.items():
+        for (u, v), w in zip(edges, g.weights.tolist()):
             out[u] += w
             out[v] += w
         return out
@@ -69,13 +70,13 @@ def naive_primitive(g, kind):
         out = []
         for u in range(g.n):
             ego = adj[u] | {u}
-            out.append(sum(1 for a, b in g.edges if a in ego and b in ego))
+            out.append(sum(1 for a, b in edges if a in ego and b in ego))
         return out
     if kind == "egonet-external-edges":
         out = []
         for u in range(g.n):
             ego = adj[u] | {u}
-            out.append(sum(1 for a, b in g.edges if (a in ego) != (b in ego)))
+            out.append(sum(1 for a, b in edges if (a in ego) != (b in ego)))
         return out
     if kind == "core-number":
         alive = set(range(g.n))
@@ -96,8 +97,8 @@ def naive_primitive(g, kind):
 
 def naive_aggregate(g, column, op):
     out = []
-    for u in range(g.n):
-        vals = [column[v] for v in g.neighbors[u]]
+    for u, nbrs in enumerate(neighbor_lists(g)):
+        vals = [column[v] for v in nbrs]
         if not vals:
             out.append(0.0)
         elif op == "sum":
@@ -145,7 +146,7 @@ class TestPrimitives:
         assert compute_primitive(g, "weighted-degree").tolist() == [2.5, 3.0, 0.5]
 
     def test_in_out_degree_directed_only(self):
-        g = Graph(n=3, edges=frozenset({(0, 1), (2, 1)}), directed=True)
+        g = Graph(n=3, edges=[(0, 1), (2, 1)], directed=True)
         assert compute_primitive(g, "in-degree").tolist() == [0, 2, 0]
         assert compute_primitive(g, "out-degree").tolist() == [1, 0, 1]
         with pytest.raises(ValueError):
@@ -196,7 +197,7 @@ class TestOperators:
         assert aggregate_column(P3, [0.0, 0.0, 0.0], "max").tolist() == [0, 0, 0]
 
     def test_isolated_node_aggregates_to_zero(self):
-        g = Graph(n=3, edges=frozenset({(1, 2)}))
+        g = Graph(n=3, edges=[(1, 2)])
         for op in ("sum", "mean", "max", "min", "mode"):
             assert aggregate_column(g, [7.0, 7.0, 7.0], op)[0] == 0.0
 
@@ -424,7 +425,7 @@ class TestLearnFeatures:
             learn_features(P3, FeatureLearnConfig(primitives=()))
 
     def test_directed_degree_expands_to_in_and_out(self):
-        g = Graph(n=3, edges=frozenset({(0, 1), (1, 2)}), directed=True)
+        g = Graph(n=3, edges=[(0, 1), (1, 2)], directed=True)
         x = learn_features(g, FeatureLearnConfig(primitives=("degree",), maxiter=1))
         kinds = {d.primitive for d in x.descriptors}
         assert kinds <= {"in-degree", "out-degree"}
@@ -541,6 +542,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             features_from_csv("node,feat_0\n1,2.0\n")
 
+    @pytest.mark.parametrize("text, bad_row", [
+        ("node,feat_0,feat_1\n0,1.0\n1,2.0\n", 0),
+        ("node,feat_0\n0,1.0\n1,2.0,3.0\n", 1),
+    ])
+    def test_csv_row_width_must_match_header(self, text, bad_row):
+        with pytest.raises(ValueError, match=f"row {bad_row} has"):
+            features_from_csv(text)
+
     def test_csv_blank_line_between_rows_skipped(self):
         assert features_from_csv("node,feat_0\n0,1.0\n\n1,2.0\n").tolist() == [[1.0], [2.0]]
 
@@ -575,10 +584,8 @@ class TestSerialization:
 def weighted_er(n, p, seed, directed=False):
     g = erdos_renyi(n, p, seed=seed, directed=directed)
     rng = np.random.default_rng(seed)
-    edges = sorted(g.edges)
-    w = rng.uniform(0.25, 4.0, size=len(edges))
-    weights = dict(zip(edges, w.tolist()))
-    return Graph(n=n, edges=frozenset(edges), weights=weights, directed=directed)
+    w = rng.uniform(0.25, 4.0, size=len(g.edges))
+    return Graph(n=n, edges=g.edges, weights=w, directed=directed)
 
 
 def learned_digest(x):
@@ -831,8 +838,8 @@ class TestMatrixBinner:
 def quadratic_core_numbers(g):
     """The O(n^2) minimum-degree peel the bucket peel replaced, kept as an
     oracle."""
-    deg = [len(nbrs) for nbrs in g.neighbors]
-    adj = [set(nbrs) for nbrs in g.neighbors]
+    adj = [set(nbrs) for nbrs in neighbor_lists(g)]
+    deg = [len(nbrs) for nbrs in adj]
     removed = [False] * g.n
     core = [0] * g.n
     level = 0
@@ -859,7 +866,7 @@ class TestCoreNumber:
         assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
 
     def test_isolated_nodes(self):
-        g = Graph(n=6, edges=frozenset({(0, 1), (1, 2), (0, 2), (2, 4)}))
+        g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (2, 4)])
         assert compute_primitive(g, "core-number").tolist() == [2, 2, 2, 0, 1, 0]
         assert compute_primitive(Graph(n=4), "core-number").tolist() == [0, 0, 0, 0]
         assert compute_primitive(Graph(n=0), "core-number").tolist() == []
@@ -878,8 +885,7 @@ def per_node_aggregate(g, block, op):
     """The per-node loop the CSR kernel replaced, kept as an oracle for
     bitwise equality."""
     out = np.zeros_like(block)
-    for u in range(g.n):
-        nbrs = list(g.neighbors[u])
+    for u, nbrs in enumerate(neighbor_lists(g)):
         if not nbrs:
             continue
         vals = np.sort(block[nbrs], axis=0)
@@ -903,8 +909,8 @@ class TestAggregationKernel:
         rng = np.random.default_rng(columns)
         for seed in range(6):
             g = erdos_renyi(40, 0.45, seed=seed)
-            hub = frozenset((v, 40) for v in range(40))
-            g = Graph(n=43, edges=g.edges | hub)  # nodes 41 and 42 are isolated
+            hub = [(v, 40) for v in range(40)]
+            g = Graph(n=43, edges=np.vstack([g.edges, hub]))  # nodes 41 and 42 are isolated
             block = rng.random((g.n, columns)) * 10.0 ** rng.integers(-3, 4, size=columns)
             ops = ("sum", "mean", "max", "min")
             for op, got in zip(ops, _aggregate(g, block.T, ops, columns > 1)):

@@ -324,13 +324,13 @@ class TestKmeans:
 
 class TestModelJson:
     def test_round_trip_is_exact(self):
-        model = select_rank(
-            two_pattern_matrix(),
-            descriptors=(
-                FeatureDescriptor(id=0, kind="primitive", primitive="degree"),
-                FeatureDescriptor(id=2, kind="composite", operator="sum", base=0, iteration=1),
-            ),
+        x = two_pattern_matrix()
+        descriptors = (
+            FeatureDescriptor(id=0, kind="primitive", primitive="degree"),
+            *(FeatureDescriptor(id=j, kind="composite", operator="sum", base=0, iteration=1)
+              for j in range(1, x.shape[1])),
         )
+        model = select_rank(x, descriptors=descriptors)
         back = model_from_json(model_to_json(model))
         assert back.r == model.r
         assert (back.w == model.w).all()
@@ -371,6 +371,10 @@ class TestModelJson:
                 r=4,
                 **{**ok, "w": np.ones((3, 4)), "h": np.ones((4, 2))},
             )
+        degree = FeatureDescriptor(id=0, kind="primitive", primitive="degree")
+        RoleModel(r=1, **{**ok, "descriptors": (degree, degree)})
+        with pytest.raises(ValueError, match="1 descriptors for 2 feature columns"):
+            RoleModel(r=1, **{**ok, "descriptors": (degree,)})
 
 
 def sequential_nmf(x, w0, h0, maxiter, tol):
