@@ -101,10 +101,8 @@ def _write_run_json(config: RunConfig, outdir: Path, counters: dict) -> None:
 
 def _memberships_csv(w: np.ndarray) -> str:
     header = "node," + ",".join(f"role_{k}" for k in range(w.shape[1]))
-    lines = [header]
-    for node in range(w.shape[0]):
-        lines.append(f"{node}," + ",".join(repr(float(v)) for v in w[node]))
-    return "\n".join(lines) + "\n"
+    rows = (f"{node}," + ",".join(map(repr, row)) for node, row in enumerate(w.tolist()))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def _run_learn(config: RunConfig, outdir: Path) -> dict:
@@ -141,28 +139,12 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
         if len(descriptors) != x.shape[1]:
             raise ValueError("descriptor count does not match feature columns")
     sweep = RankSweep()
+    common = dict(criterion=config.criterion, b=config.bits, seed=config.seed,
+                  descriptors=descriptors, maxiter=config.maxiter, sweep=sweep)
     if config.rank is not None:
-        model = factorize_at_rank(
-            x,
-            config.rank,
-            criterion=config.criterion,
-            b=config.bits,
-            seed=config.seed,
-            descriptors=descriptors,
-            maxiter=config.maxiter,
-            sweep=sweep,
-        )
+        model = factorize_at_rank(x, config.rank, **common)
     else:
-        model = select_rank(
-            x,
-            criterion=config.criterion,
-            b=config.bits,
-            trials=config.trials,
-            seed=config.seed,
-            descriptors=descriptors,
-            maxiter=config.maxiter,
-            sweep=sweep,
-        )
+        model = select_rank(x, trials=config.trials, **common)
     (outdir / "model.json").write_text(model_to_json(model))
     return {"sweep": [asdict(fit) for fit in sweep.fits], "stopped": sweep.stopped}
 

@@ -356,12 +356,17 @@ def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
     _check_fraction(p)
     rows = np.asarray(rows, dtype=float)
     f, n = rows.shape
-    bins = np.zeros((f, n), dtype=np.min_scalar_type(n))  # bin ids stay below n
-    if n == 0:
-        return bins
     # last[i]: the sorted position a bin starting at position i must reach to
     # hold ceil(p * (n - i)) values; last[n] = n - 1
     last = np.arange(n + 1) + np.ceil(p * np.arange(n, -1, -1)).astype(np.int64) - 1
+    # a row without ties has the most bins, the length of the chain from 0;
+    # a tie only moves a cut later, and last never decreases
+    count, cut = 0, 0
+    while cut < n:
+        count, cut = count + 1, int(last[cut]) + 1
+    bins = np.zeros((f, n), dtype=np.min_scalar_type(count))
+    if n == 0:
+        return bins
     step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, f, step):
         block, out = rows[lo : lo + step], bins[lo : lo + step]

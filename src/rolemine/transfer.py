@@ -1,10 +1,11 @@
 """Role transfer: score new graphs against a fitted role model.
 
 The role definitions H (and the feature recipe) come from the fitted model;
-only the memberships W are re-estimated on the new graph, by non-negative
-least squares. Rows of W decouple and the start point is a constant, so
-relabeling the nodes permutes the membership rows; blocked BLAS kernels can
-shift the result by a few ulp across lane boundaries, nothing more.
+only the memberships W are re-estimated on the new graph, by exact
+non-negative least squares (Lawson-Hanson active sets, no iteration cap and
+no start point to choose). Rows of W decouple, so relabeling the nodes
+permutes the membership rows; blocked BLAS kernels can shift the result by
+a few ulp across lane boundaries, nothing more.
 """
 
 from __future__ import annotations
@@ -20,30 +21,70 @@ from .features import recompute
 from .graph import Graph
 from .roles import RoleModel
 
-_NNLS_TOL = 1e-8
-_NNLS_MAXITER = 2000
+_BLOCK_ELEMENTS = 1 << 20  # Gram-sized systems solved at once: bounds the stack
 
 
-def _nnls_multi(ata: np.ndarray, aty: np.ndarray, b0: np.ndarray) -> np.ndarray:
-    """Coordinate descent for min_B ||Y - A B||_F, B >= 0, given ata = A^T A
-    and aty = A^T Y. Columns of B are independent problems; one sweep updates
-    each coordinate row exactly. Degenerate rows (ata[k,k] ~ 0) are pinned
-    at zero."""
-    b = np.array(b0, dtype=float)
-    k = ata.shape[0]
-    dead = np.diag(ata) <= 1e-16
-    b[dead] = 0.0
-    for _ in range(_NNLS_MAXITER):
-        delta = 0.0
-        for i in range(k):
-            if dead[i]:
-                continue
-            new = np.maximum((aty[i] - ata[i] @ b) / ata[i, i] + b[i], 0.0)
-            delta = max(delta, float(np.abs(new - b[i]).max(initial=0.0)))
-            b[i] = new
-        if delta < _NNLS_TOL:
-            break
-    return b
+def _passive_solve(g: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Per column of c, the minimizer of 1/2 s'Gs - c's over its passive
+    coordinates with the rest held at 0: one masked batched solve. A passive
+    set whose block is singular takes the least-norm minimizer instead."""
+    m = np.where(passive.T[:, :, None] & passive.T[:, None, :], g, np.eye(len(g)))
+    rhs = np.where(passive, c, 0.0).T[:, :, None]
+    try:
+        s = np.linalg.solve(m, rhs)
+    except np.linalg.LinAlgError:
+        s = np.linalg.pinv(m) @ rhs
+    return np.where(passive, s[:, :, 0].T, 0.0)
+
+
+def _nnls(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Exact min 1/2 b'Gb - c'b over b >= 0 for every column of c (r x k),
+    sharing the r x r Gram g: Lawson & Hanson's (1974) active sets.
+
+    All open columns advance together. Each step moves the role with the
+    largest positive gradient into a column's passive set (its roles > 0),
+    solves that set, and steps back toward feasibility until the passive
+    solution is positive. A gradient counts as positive above its rounding
+    bound 10 r eps (|c| + |G| b), so a role with a zero Gram diagonal stays
+    at 0. A step that does not lower the objective is undone and its role
+    refused until the column moves: the objective falls strictly, so no
+    passive set recurs and every column stops at its optimum.
+    """
+    r, k = c.shape
+    step = max(1, _BLOCK_ELEMENTS // (r * r + 1))
+    if k > step:
+        return np.hstack([_nnls(g, c[:, lo : lo + step]) for lo in range(0, k, step)])
+    b, refused, loss = np.zeros((r, k)), np.zeros((r, k), dtype=bool), np.zeros(k)
+    slack = 10 * r * np.finfo(float).eps
+    cols = np.arange(k)
+    while True:
+        bo, co = b[:, cols], c[:, cols]
+        grad = co - g @ bo
+        ok = (bo == 0) & ~refused[:, cols] & (grad > slack * (np.abs(co) + np.abs(g) @ bo))
+        keep = ok.any(axis=0)
+        if not keep.any():
+            return b
+        cols, bo, co, grad, ok = cols[keep], bo[:, keep], co[:, keep], grad[:, keep], ok[:, keep]
+        enter = np.argmax(np.where(ok, grad, -np.inf), axis=0)
+        p = bo > 0
+        p[enter, np.arange(cols.size)] = True
+        s = _passive_solve(g, co, p)
+        bad = np.flatnonzero((p & (s <= 0)).any(axis=0))
+        while bad.size:  # step from bo toward s until a passive role hits 0
+            zb, sb, pb = bo[:, bad], s[:, bad], p[:, bad]
+            hit = pb & (sb <= 0)
+            ratio = np.where(hit, zb / np.where(zb > sb, zb - sb, 1.0), np.inf)
+            alpha = ratio.min(axis=0)
+            zb += alpha * (sb - zb)
+            pb &= (ratio != alpha) & (zb > 0)
+            bo[:, bad], p[:, bad] = np.where(pb, zb, 0.0), pb
+            s[:, bad] = _passive_solve(g, co[:, bad], pb)
+            bad = bad[(pb & (s[:, bad] <= 0)).any(axis=0)]
+        new = (s * (0.5 * (g @ s) - co)).sum(axis=0)
+        better = new < loss[cols]
+        b[:, cols[better]], loss[cols[better]] = s[:, better], new[better]
+        refused[:, cols[better]] = False
+        refused[enter[~better], cols[~better]] = True
 
 
 def transfer_memberships(
@@ -52,14 +93,14 @@ def transfer_memberships(
     attributes: np.ndarray | None = None,
     clamp: float | None = 10.0,
     seed: int = 1,
-    init: str = "ones",
 ) -> np.ndarray:
     """Estimate memberships W for g2 under a fitted model.
 
     Features are recomputed from the model's descriptors, scaled by the
     model's training column scales, and clamped post-normalization (values
     above `clamp` are cut to it; None disables). W solves the non-negative
-    least-squares fit to the fixed H.
+    least-squares fit to the fixed H exactly. `seed` is accepted for old
+    callers and unused: nothing here is random.
     """
     if model.descriptors is None:
         raise ValueError("model carries no feature descriptors; cannot recompute features")
@@ -69,33 +110,18 @@ def transfer_memberships(
     x2n = x2.values / model.column_scales
     if clamp is not None:
         x2n = np.minimum(x2n, clamp)
-    return memberships_for_matrix(x2n, model.h, seed=seed, init=init)
+    return memberships_for_matrix(x2n, model.h)
 
 
-def memberships_for_matrix(
-    x2n: np.ndarray,
-    h: np.ndarray,
-    seed: int = 1,
-    init: str = "ones",
-) -> np.ndarray:
-    """NNLS memberships for an already normalized feature matrix against
-    fixed role definitions h."""
+def memberships_for_matrix(x2n: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Exact NNLS memberships (n x r) for an already normalized feature
+    matrix against fixed role definitions h."""
     x2n = np.asarray(x2n, dtype=float)
     h = np.asarray(h, dtype=float)
     if x2n.ndim != 2 or x2n.shape[1] != h.shape[1]:
         raise ValueError("feature matrix width must match role definitions")
-    r, n = h.shape[0], x2n.shape[0]
-    if init == "ones":
-        b0 = np.ones((r, n))
-    elif init == "random":
-        rng = np.random.default_rng(seed)
-        b0 = np.abs(rng.standard_normal((r, n)))
-    else:
-        raise ValueError(f"unknown init {init!r}")
     # min_W ||X - W H|| == min_B ||X^T - H^T B|| with B = W^T
-    ata = h @ h.T
-    aty = h @ x2n.T
-    return _nnls_multi(ata, aty, b0).T
+    return _nnls(h @ h.T, h @ x2n.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +174,8 @@ def role_time_series(
         timestamps = range(len(graphs))
     if attributes is None:
         attributes = [None] * len(graphs)
-    ws = [
-        transfer_memberships(g, model, attributes=a, clamp=clamp)
-        for g, a in zip(graphs, attributes, strict=True)
-    ]
+    ws = [transfer_memberships(g, model, attributes=a, clamp=clamp)
+          for g, a in zip(graphs, attributes, strict=True)]
     return MembershipSeries(timestamps=tuple(timestamps), memberships=tuple(ws), model=model)
 
 
@@ -165,20 +189,15 @@ def estimate_transition_model(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
     w_b = np.asarray(w_b, dtype=float)
     if w_a.shape != w_b.shape:
         raise ValueError("membership matrices must have equal shapes")
-    r = w_a.shape[1]
-    ata = w_a.T @ w_a
-    aty = w_a.T @ w_b
-    return _nnls_multi(ata, aty, np.ones((r, r)))
+    return _nnls(w_a.T @ w_a, w_a.T @ w_b)
 
 
 def series_to_csv(series: MembershipSeries) -> str:
     out = io.StringIO()
-    r = series.r
-    out.write("timestamp,node," + ",".join(f"role_{k}" for k in range(r)) + "\n")
+    out.write("timestamp,node," + ",".join(f"role_{k}" for k in range(series.r)) + "\n")
     for t, w in zip(series.timestamps, series.memberships):
-        for node in range(w.shape[0]):
-            row = ",".join(repr(float(v)) for v in w[node])
-            out.write(f"{t},{node},{row}\n")
+        for node, row in enumerate(w.tolist()):
+            out.write(f"{t},{node}," + ",".join(map(repr, row)) + "\n")
     return out.getvalue()
 
 
@@ -187,22 +206,16 @@ def series_from_csv(text: str) -> MembershipSeries:
     if not lines or not lines[0].startswith("timestamp,node,"):
         raise ValueError("expected a 'timestamp,node,role_0,...' header row")
     r = len(lines[0].split(",")) - 2
-    by_time: dict[int, list[tuple[int, list[float]]]] = {}
-    order: list[int] = []
+    by_time: dict[int, list[tuple[int, list[float]]]] = {}  # in first-appearance order
     for ln in lines[1:]:
         parts = ln.split(",")
-        t, node = int(parts[0]), int(parts[1])
-        if t not in by_time:
-            by_time[t] = []
-            order.append(t)
-        by_time[t].append((node, [float(v) for v in parts[2:]]))
+        by_time.setdefault(int(parts[0]), []).append((int(parts[1]), [float(v) for v in parts[2:]]))
     mats = []
-    for t in order:
-        rows = by_time[t]
+    for t, rows in by_time.items():
         if [node for node, _ in rows] != list(range(len(rows))):
             raise ValueError(f"snapshot {t} rows must cover nodes 0..n-1 in order")
         mats.append(np.array([vals for _, vals in rows], dtype=float).reshape(len(rows), r))
-    return MembershipSeries(timestamps=tuple(order), memberships=tuple(mats))
+    return MembershipSeries(timestamps=tuple(by_time), memberships=tuple(mats))
 
 
 def transition_to_json(t: np.ndarray) -> str:

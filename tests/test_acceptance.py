@@ -21,8 +21,10 @@ from rolemine import (
     automorphic_orbits,
     erdos_renyi,
     estimate_transition_model,
+    factorize_at_rank,
     hard_assignment,
     learn_features,
+    memberships_for_matrix,
     nmf_factorize,
     planted_role_graph,
     regular_refinement,
@@ -331,4 +333,26 @@ def test_criterion_11_cli_determinism(capsys, tmp_path):
         same_keys and not diffs,
         f"6 subcommands x 3 runs, {len(runs[0])} outputs compared, "
         f"differing: {diffs or 'none'}, {dt:.1f}s",
+    )
+
+
+def test_criterion_12_exact_transfer_memberships(capsys):
+    from scipy.optimize import nnls
+
+    x = learn_features(erdos_renyi(1000, 8 / 999, seed=1), FeatureLearnConfig(maxiter=3))
+    model = factorize_at_rank(x.values, 20, descriptors=x.descriptors)
+    xn = x.values / model.column_scales
+    t0 = time.perf_counter()
+    w = memberships_for_matrix(xn, model.h)
+    dt = time.perf_counter() - t0
+    worst = 0.0
+    for u in range(len(xn)):
+        _, rnorm = nnls(model.h.T, xn[u])
+        ours = float(((xn[u] - w[u] @ model.h) ** 2).sum())
+        worst = max(worst, (ours - rnorm**2) / max(rnorm**2, np.finfo(float).tiny))
+    _report(
+        capsys, 12, "transfer memberships match the exact NNLS optimum",
+        worst <= 1e-9 and (w >= 0).all(),
+        f"worst relative objective gap {worst:.2e} of 1e-9 over {len(xn)} rows "
+        f"at rank {model.r}, solved in {dt:.2f}s",
     )

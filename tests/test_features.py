@@ -275,6 +275,21 @@ class TestVerticalLogBin:
         b = bin_row(vals, p)
         assert set(b.tolist()) == set(range(b.max() + 1))
 
+    @pytest.mark.parametrize("n, p", [(1, 0.5), (255, 0.5), (256, 0.5), (20000, 0.5),
+                                      (600, 0.01), (600, 0.001), (300, 0.999)])
+    def test_bin_dtype_sized_by_the_no_tie_row(self, n, p):
+        # distinct values give the most bins; their top id must fit the
+        # dtype, and ties only merge bins
+        distinct = np.arange(n, dtype=float)
+        tied = np.repeat(np.arange(n // 3 + 1, dtype=float), 3)[:n]
+        bins = log_bin_rows(np.stack([distinct, tied]), p)
+        top = int(bins[0].max())
+        assert set(bins[0].tolist()) == set(range(top + 1))
+        assert top <= np.iinfo(bins.dtype).max
+        assert bins[1].max() <= top
+        if p == 0.5:
+            assert bins.dtype == np.uint8  # at most log2(n) + 1 bins
+
 
 class TestFeatureSimilarity:
     """Agreement of two bin rows: the share of nodes in the same bin."""

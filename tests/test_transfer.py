@@ -104,18 +104,6 @@ class TestMembershipsForMatrix:
         with pytest.raises(ValueError):
             memberships_for_matrix(np.ones((3, 4)), np.ones((2, 3)))
 
-    def test_unknown_init_rejected(self):
-        with pytest.raises(ValueError):
-            memberships_for_matrix(np.ones((3, 2)), np.ones((1, 2)), init="zeros")
-
-    def test_random_init_reaches_same_solution(self):
-        rng = np.random.default_rng(21)
-        h = rng.random((3, 6)) + 0.1
-        x = rng.random((10, 6))
-        w_ones = memberships_for_matrix(x, h, init="ones")
-        w_rand = memberships_for_matrix(x, h, init="random", seed=4)
-        assert np.abs(w_ones - w_rand).max() < 1e-6
-
     @given(st.integers(0, 50))
     @settings(max_examples=30)
     def test_never_worse_than_all_ones_start(self, seed):
@@ -149,6 +137,107 @@ class TestMembershipsForMatrix:
             ours = ((x[u] - w[u] @ h) ** 2).sum()
             best = ((x[u] - ref @ h) ** 2).sum()
             assert ours <= best + 1e-9
+
+    @given(st.integers(0, 10**6), st.sampled_from(["duplicate", "combination", "zero"]))
+    @settings(max_examples=60, deadline=None)
+    def test_degenerate_roles_match_active_set_reference(self, seed, kind):
+        # a singular Gram matrix must not cost optimality: duplicate roles,
+        # a role that is a non-negative combination of two others, and an
+        # all-zero role, each against scipy's solver on every row
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(seed)
+        r, f, n = int(rng.integers(3, 9)), int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        h = rng.random((r, f)) * (rng.random((r, f)) < 0.7)
+        i, j, k = rng.choice(r, size=3, replace=False)
+        if kind == "duplicate":
+            h[k] = h[i]
+        elif kind == "combination":
+            h[k] = rng.random() * h[i] + rng.random() * h[j]
+        else:
+            h[k] = 0.0
+        x = rng.random((n, f)) * 10.0 ** rng.integers(-3, 4)
+        w = memberships_for_matrix(x, h)
+        assert w.shape == (n, r) and (w >= 0).all()
+        if kind == "zero":
+            assert (w[:, k] == 0.0).all()
+        for u in range(n):
+            _, rnorm = nnls(h.T, x[u])
+            ours = ((x[u] - w[u] @ h) ** 2).sum()
+            assert ours <= rnorm**2 + 1e-9 * (x[u] @ x[u])
+
+    def test_near_duplicate_roles_stay_feasible_and_optimal(self):
+        # two roles equal to 1e-9: their passive block is singular in
+        # floating point, so some of these problems take the least-norm route
+        from scipy.optimize import nnls
+
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            h = rng.random((9, 12))
+            h[7] = h[4] * (1 + 1e-9 * rng.standard_normal(12))
+            x = rng.random((5, 12))
+            w = memberships_for_matrix(x, h)
+            assert (w >= 0).all()
+            for u in range(5):
+                _, rnorm = nnls(h.T, x[u])
+                assert ((x[u] - w[u] @ h) ** 2).sum() <= rnorm**2 + 1e-9 * (x[u] @ x[u])
+
+    def test_singular_passive_block_still_solved(self):
+        # two identical roles both passive: the batched solve cannot factor
+        # the block, and the least-norm minimizer stands in; the role left
+        # out of the passive set stays exactly 0
+        h = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+        g, c = h @ h.T, h @ np.array([[2.0, 1.0, 1.0], [0.5, 0.0, 3.0]]).T
+        passive = np.array([[True, True], [True, True], [False, False]])
+        s = transfer_module._passive_solve(g, c, passive)
+        assert (s[2] == 0.0).all()
+        assert np.allclose(g[:2, :2] @ s[:2], c[:2])
+
+    def test_column_blocks_give_the_same_solution(self, monkeypatch):
+        # columns are solved in blocks that bound the stack of Gram systems;
+        # they are independent problems, so the split changes nothing
+        rng = np.random.default_rng(23)
+        h, x = rng.random((4, 9)), rng.random((50, 9))
+        whole = memberships_for_matrix(x, h)
+        monkeypatch.setattr(transfer_module, "_BLOCK_ELEMENTS", 7 * 16)
+        assert np.abs(memberships_for_matrix(x, h) - whole).max() < 1e-12
+
+
+def _rewire(g, fraction, rng):
+    """Replace a fraction of the edges of g with random node pairs."""
+    m = len(g.edges)
+    kept = np.delete(g.edges, rng.choice(m, size=int(m * fraction), replace=False), axis=0)
+    edges = set(map(tuple, kept.tolist()))
+    while len(edges) < m:
+        u, v = sorted(int(a) for a in rng.integers(g.n, size=2))
+        if u != v:
+            edges.add((u, v))
+    return Graph(n=g.n, edges=sorted(edges))
+
+
+class TestDynamicAtScale:
+    def test_rank_16_series_rows_are_exact(self):
+        # the shape of perfbench's er-dynamic: a rank-16 model on G(150, mean
+        # degree 8), scored on rewired snapshots; sampled rows against scipy
+        from scipy.optimize import nnls
+
+        from rolemine import recompute
+
+        rng = np.random.default_rng(7)
+        snaps = [erdos_renyi(150, 8 / 149, seed=7)]
+        for _ in range(3):
+            snaps.append(_rewire(snaps[-1], 0.05, rng))
+        x = learn_features(snaps[0], FeatureLearnConfig(maxiter=3))
+        model = factorize_at_rank(x.values, 16, descriptors=x.descriptors)
+        series = role_time_series(snaps, model)
+        worst = 0.0
+        for g, w in zip(snaps, series.memberships):
+            xn = np.minimum(recompute(g, model.descriptors).values / model.column_scales, 10.0)
+            for u in rng.choice(g.n, size=15, replace=False).tolist():
+                _, rnorm = nnls(model.h.T, xn[u])
+                ours = ((xn[u] - w[u] @ model.h) ** 2).sum()
+                worst = max(worst, (ours - rnorm**2) / (xn[u] @ xn[u]))
+        assert worst <= 1e-9
 
 
 class TestMembershipSeries:
