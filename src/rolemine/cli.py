@@ -15,6 +15,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._csv_rows import csv_rows
 from .equivalences import automorphic_orbits, regular_refinement, structural_classes
 from .features import (
     DEFAULT_OPERATORS,
@@ -100,9 +101,7 @@ def _write_run_json(config: RunConfig, outdir: Path, counters: dict) -> None:
 
 
 def _memberships_csv(w: np.ndarray) -> str:
-    header = "node," + ",".join(f"role_{k}" for k in range(w.shape[1]))
-    rows = (f"{node}," + ",".join(map(repr, row)) for node, row in enumerate(w.tolist()))
-    return "\n".join([header, *rows]) + "\n"
+    return "node," + ",".join(f"role_{k}" for k in range(w.shape[1])) + "\n" + csv_rows(w.tolist())
 
 
 def _run_learn(config: RunConfig, outdir: Path) -> dict:

@@ -29,10 +29,19 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ._csv_rows import block_rows, csv_rows
 from .equivalences import _UnionFind
 from .graph import Graph
 
@@ -672,37 +681,104 @@ def descriptors_from_json(text: str) -> tuple[FeatureDescriptor, ...]:
     )
 
 
+# features.csv rows go to fresh workers in parts of at least this many values
+_VALUES_PER_WORKER = 1 << 18
+_WORKER = Path(__file__).with_name("_csv_rows.py")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _feed(pipe, rows: np.ndarray) -> None:
+    """Write rows to a worker's stdin as float64 blocks, then close it. Stops
+    early if the worker has gone; its exit code then says why."""
+    try:
+        with pipe:
+            step = block_rows(rows.shape[1])
+            for lo in range(0, len(rows), step):
+                pipe.write(np.ascontiguousarray(rows[lo : lo + step], dtype=np.float64))
+    except BrokenPipeError:
+        pass
+
+
+def _stop(proc: subprocess.Popen, feeder: threading.Thread) -> None:
+    """Release a worker; on an error path, end it first."""
+    proc.kill()  # does nothing once the worker has been waited for
+    proc.wait()
+    if feeder.is_alive():
+        feeder.join()
+    proc.stdin.close()
+
+
+def _start_worker(stack: ExitStack, rows: np.ndarray, node: int):
+    """Format rows, numbered from node, in a `python -I -S` process that
+    imports only the standard library, fed from a thread and writing to a
+    temporary file. Returns the process, its feeder and its output and
+    stderr files, all released when stack closes."""
+    output = stack.enter_context(tempfile.TemporaryFile("w+", encoding="ascii"))
+    errors = stack.enter_context(tempfile.TemporaryFile("w+"))
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-S", str(_WORKER), str(node), str(rows.shape[1])],
+        stdin=subprocess.PIPE, stdout=output, stderr=errors,
+    )
+    feeder = threading.Thread(target=_feed, args=(proc.stdin, rows))
+    stack.callback(_stop, proc, feeder)
+    feeder.start()
+    return proc, feeder, output, errors
+
+
 def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
     """features.csv: a node,feat_0,... header, then one line per node with
-    repr floats. Streams to the text file out in row chunks when given (and
-    returns None); otherwise returns the text."""
+    repr floats. Streams to the text file out in row blocks when given (and
+    returns None); otherwise returns the text.
+
+    A matrix of n*f values is cut into up to min(CPUs, n*f // 2**18)
+    contiguous row parts. This process formats the first; each other part
+    goes to a fresh `python -I -S` worker, whose output is appended in row
+    order, so the bytes do not depend on the number of parts."""
     if out is None:
         buf = io.StringIO()
         features_to_csv(x, buf)
         return buf.getvalue()
     out.write(",".join(["node"] + [f"feat_{j}" for j in range(x.f)]) + "\n")
-    step = max(1, (1 << 16) // max(x.f, 1))
-    for lo in range(0, x.n, step):
-        rows = x.values[lo : lo + step].tolist()
-        out.write("".join(
-            ",".join([str(u), *map(repr, row)]) + "\n" for u, row in enumerate(rows, start=lo)
-        ))
+    parts = max(1, min(_cpu_count(), x.n * x.f // _VALUES_PER_WORKER))
+    bounds = [x.n * i // parts for i in range(parts + 1)]
+    with ExitStack() as stack:
+        workers = [
+            _start_worker(stack, x.values[lo:hi], lo) for lo, hi in zip(bounds[1:-1], bounds[2:])
+        ]
+        step = block_rows(x.f)
+        for lo in range(0, bounds[1], step):
+            out.write(csv_rows(x.values[lo : min(lo + step, bounds[1])].tolist(), lo))
+        for proc, feeder, output, errors in workers:
+            feeder.join()
+            if proc.wait() != 0:
+                errors.seek(0)
+                raise RuntimeError(
+                    f"features.csv worker exited with code {proc.returncode}: {errors.read()}"
+                )
+            output.seek(0)
+            shutil.copyfileobj(output, out, 1 << 20)
     return None
 
 
 def features_from_csv(text: str) -> np.ndarray:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or not rows[0] or rows[0][0] != "node":
+    lines = text.splitlines(keepends=True)
+    rows = csv.reader(lines)
+    header = next(rows, None)
+    if not header or header[0] != "node":
         raise ValueError("expected a 'node,feat_0,...' header row")
-    data = []
-    for row in rows[1:]:
+    data = np.empty((len(lines) - 1, len(header) - 1))
+    i = 0
+    for row in rows:
         if not row:
             continue
-        if len(row) != len(rows[0]):
-            raise ValueError(
-                f"row {len(data)} has {len(row)} columns; the header has {len(rows[0])}"
-            )
-        if int(row[0]) != len(data):
-            raise ValueError(f"row {len(data)} has node id {row[0]}, expected {len(data)}")
-        data.append([float(v) for v in row[1:]])
-    return np.array(data, dtype=float) if data else np.zeros((0, len(rows[0]) - 1))
+        if len(row) != len(header):
+            raise ValueError(f"row {i} has {len(row)} columns; the header has {len(header)}")
+        if int(row[0]) != i:
+            raise ValueError(f"row {i} has node id {row[0]}, expected {i}")
+        data[i] = row[1:]  # float() of each value, bit for bit
+        i += 1
+    return data[:i]

@@ -10,13 +10,13 @@ a few ulp across lane boundaries, nothing more.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import json
 
 import numpy as np
 
+from ._csv_rows import csv_rows
 from .features import recompute
 from .graph import Graph
 from .roles import RoleModel
@@ -193,12 +193,10 @@ def estimate_transition_model(w_a: np.ndarray, w_b: np.ndarray) -> np.ndarray:
 
 
 def series_to_csv(series: MembershipSeries) -> str:
-    out = io.StringIO()
-    out.write("timestamp,node," + ",".join(f"role_{k}" for k in range(series.r)) + "\n")
-    for t, w in zip(series.timestamps, series.memberships):
-        for node, row in enumerate(w.tolist()):
-            out.write(f"{t},{node}," + ",".join(map(repr, row)) + "\n")
-    return out.getvalue()
+    header = "timestamp,node," + ",".join(f"role_{k}" for k in range(series.r)) + "\n"
+    return header + "".join(
+        csv_rows(w.tolist(), prefix=f"{t},") for t, w in zip(series.timestamps, series.memberships)
+    )
 
 
 def series_from_csv(text: str) -> MembershipSeries:

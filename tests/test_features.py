@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -121,6 +123,45 @@ def matrix_from_columns(columns):
         FeatureDescriptor(id=j, kind="primitive", primitive="degree") for j in range(len(columns))
     )
     return FeatureMatrix(np.array(columns, dtype=float).T, descs)
+
+
+AWKWARD_FLOATS = [5e-324, 1e16, 1e-05, 0.1 + 0.2, 2.0, 1 / 3]
+
+
+def reference_csv(x):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["node"] + [f"feat_{j}" for j in range(x.f)])
+    for u in range(x.n):
+        writer.writerow([u] + [repr(float(v)) for v in x.values[u]])
+    return buf.getvalue()
+
+
+def first_difference(text, expected):
+    """None if the texts are equal, else the first differing line (cut short),
+    which stays cheap to report on texts of many megabytes."""
+    if text == expected:
+        return None
+    pairs = itertools.zip_longest(text.splitlines(), expected.splitlines(), fillvalue="")
+    return next(((i, a[:80], b[:80]) for i, (a, b) in enumerate(pairs) if a != b), "line breaks")
+
+
+def awkward_matrix(n, f):
+    return matrix_from_columns(np.resize(AWKWARD_FLOATS, (f, n)) * np.arange(1, n + 1))
+
+
+def count_workers(monkeypatch):
+    started = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a) or popen(*a, **k))
+    return started
+
+
+def refuse_workers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("features_to_csv started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
 
 
 class TestPrimitives:
@@ -565,6 +606,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"row {bad_row} has"):
             features_from_csv(text)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("trailing", [True, False])
+    def test_csv_read_is_bit_exact_at_any_line_break(self, newline, trailing):
+        x = awkward_matrix(7, 3)
+        text = features_to_csv(x).replace("\n", newline)
+        back = features_from_csv(text if trailing else text.removesuffix(newline))
+        assert back.dtype == np.float64
+        assert back.tobytes() == np.ascontiguousarray(x.values).tobytes()
+
     def test_csv_blank_line_between_rows_skipped(self):
         assert features_from_csv("node,feat_0\n0,1.0\n\n1,2.0\n").tolist() == [[1.0], [2.0]]
 
@@ -966,16 +1016,51 @@ class TestFailFast:
 class TestStreamedCsv:
     def test_file_bytes_match_csv_writer(self, tmp_path):
         x = learn_features(erdos_renyi(40, 0.2, seed=2), FeatureLearnConfig(maxiter=3))
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["node"] + [f"feat_{j}" for j in range(x.f)])
-        for u in range(x.n):
-            writer.writerow([u] + [repr(float(v)) for v in x.values[u]])
         path = tmp_path / "features.csv"
         with open(path, "w") as fh:
             assert features_to_csv(x, fh) is None
-        assert path.read_text() == buf.getvalue() == features_to_csv(x)
+        assert path.read_text() == reference_csv(x) == features_to_csv(x)
 
-    def test_zero_columns(self):
+    def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # 4099 x 256 values are just over 4 * 2**18: four uneven row parts
+        x = awkward_matrix(4099, 256)
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: 4)
+        started = count_workers(monkeypatch)
+        path = tmp_path / "features.csv"
+        with open(path, "w") as fh:
+            features_to_csv(x, fh)
+        assert len(started) == 3
+        expected = reference_csv(x)
+        assert first_difference(path.read_text(), expected) is None
+        assert first_difference(features_to_csv(x), expected) is None
+        assert len(started) == 6
+
+    def test_more_parts_than_rows(self, monkeypatch):
+        x = awkward_matrix(5, 3)
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
+        started = count_workers(monkeypatch)
+        assert features_to_csv(x) == reference_csv(x)
+        assert len(started) == 7
+
+    def test_failed_worker_raises(self, monkeypatch):
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
+        monkeypatch.setattr(sys, "executable", "/bin/false")
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            features_to_csv(awkward_matrix(50, 4))
+
+    def test_small_matrices_start_no_process(self, monkeypatch):
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: 4)
+        refuse_workers(monkeypatch)
+        x = learn_features(erdos_renyi(40, 0.2, seed=2), FeatureLearnConfig(maxiter=3))
+        assert features_to_csv(x) == reference_csv(x)
+        # one value short of two parts
+        monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 8)
+        x = awkward_matrix(5, 3)
+        assert features_to_csv(x) == reference_csv(x)
+
+    def test_zero_columns(self, monkeypatch):
+        refuse_workers(monkeypatch)
         x = FeatureMatrix(np.zeros((2, 0)), ())
         assert features_to_csv(x) == "node\n0\n1\n"

@@ -48,3 +48,4 @@ def test_feature_growth_reports_peak_memory(tmp_path):
     with open(tmp_path / "growth.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert float(row["peak_mb"]) > 0
+    assert float(row["csv_s"]) >= 0
