@@ -39,6 +39,7 @@ from .roles import (
     soft_memberships,
 )
 from .transfer import (
+    NnlsReport,
     estimate_transition_model,
     role_time_series,
     series_to_csv,
@@ -118,15 +119,10 @@ def _run_learn(config: RunConfig, outdir: Path) -> dict:
         features_to_csv(x, out)
     (outdir / "descriptors.json").write_text(descriptors_to_json(x.descriptors))
     sizes = list(x.iteration_sizes)
-    # the loop stops early only when its last round left the survivors as
-    # they were: none new (a new one carries that round's iteration) and,
-    # below lambda 1, none dropped either
-    rounds = len(sizes) - 1
-    changed = sizes[-1] != sizes[-2] or any(d.iteration == rounds for d in x.descriptors)
     return {
         "iteration_sizes": sizes,
         "candidates": [size * len(config.operators) for size in sizes[:-1]],
-        "stopped": "maxiter" if changed else "fixed-point",
+        "stopped": x.stopped,
     }
 
 
@@ -158,11 +154,13 @@ def _run_assign(config: RunConfig, outdir: Path) -> None:
         (outdir / "assignments.csv").write_text(_memberships_csv(soft_memberships(model.w)))
 
 
-def _run_transfer(config: RunConfig, outdir: Path) -> None:
+def _run_transfer(config: RunConfig, outdir: Path) -> dict:
     model = _load_model(config.inputs[0])
     g2 = _load_graph(config.inputs[1])
-    w = transfer_memberships(g2, model)
+    report = NnlsReport()
+    w = transfer_memberships(g2, model, report=report)
     (outdir / "memberships.csv").write_text(_memberships_csv(w))
+    return {"nnls": asdict(report)}
 
 
 def _parse_manifest(path: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
@@ -204,10 +202,11 @@ def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
         raise ValueError("no consecutive snapshots share a node count")
     w_a = np.vstack([series.memberships[i] for i in pairs])
     w_b = np.vstack([series.memberships[i + 1] for i in pairs])
-    t = estimate_transition_model(w_a, w_b)
+    report = NnlsReport()
+    t = estimate_transition_model(w_a, w_b, report=report)
     (outdir / "transition.json").write_text(transition_to_json(t))
     used = [{"from": timestamps[i], "to": timestamps[i + 1], "nodes": graphs[i].n} for i in pairs]
-    return {"pairs": used}
+    return {"pairs": used, "nnls": asdict(report)}
 
 
 def _run_oracle(config: RunConfig, outdir: Path) -> None:

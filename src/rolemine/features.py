@@ -18,6 +18,10 @@ survivors grow in place, one feature per row, and the returned matrix is a
 view of them; a round holds the survivors, one candidate block and the kept
 columns, not the whole candidate set.
 
+Growth also stops once a round's survivors have numerical rank n, the node
+count: every later candidate is then a linear combination of them, which a
+low-rank factorization of the features cannot use.
+
 Everything runs on the graph's CSR arrays. Aggregations sort neighbor values
 before reducing, so equal value multisets produce bitwise-equal results;
 feature rows of automorphically equivalent nodes are therefore exactly equal,
@@ -108,12 +112,14 @@ class FeatureMatrix:
     """Non-negative node-by-feature values plus the recipes that made them.
 
     iteration_sizes records the surviving feature count after each pruning
-    round when produced by learn_features (index 0 = pruned primitives).
+    round when produced by learn_features (index 0 = pruned primitives), and
+    stopped why its loop ended: "fixed-point", "rank" or "maxiter".
     """
 
     values: np.ndarray
     descriptors: tuple[FeatureDescriptor, ...]
     iteration_sizes: tuple[int, ...] | None = None
+    stopped: str | None = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -423,6 +429,18 @@ def _required_ancestors(descriptors_by_id: dict[int, FeatureDescriptor], kept: s
     return needed
 
 
+def _spans_nodes(rows: np.ndarray) -> bool:
+    """Whether the survivors (one feature per row, f x n) have numerical rank
+    n >= 1: the singular values of the column-max-normalized features
+    against np.linalg.matrix_rank's default tolerance, sigma_1 max(n, f) eps.
+    Run only when f >= n, as fewer features cannot reach rank n."""
+    f, n = rows.shape
+    if n == 0 or f < n:
+        return False
+    top = rows.max(axis=1, keepdims=True)
+    return np.linalg.matrix_rank(rows / np.where(top > 0, top, 1.0)) == n
+
+
 def _learn_primitives(g: Graph, config: FeatureLearnConfig) -> list[str]:
     """Check config before any feature is computed; returns the primitives
     to evaluate (degree expands to in- and out-degree on directed graphs)."""
@@ -504,8 +522,13 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
 
     Iteration 0 evaluates primitives (plus attribute columns) and prunes.
     Each later iteration applies every operator to every surviving feature
-    and prunes the candidates against the survivors; the loop stops when no
-    new feature survives or maxiter is reached.
+    and prunes the candidates against the survivors. The loop stops, and
+    the result's stopped says why, at the first of: a round that leaves the
+    survivors as they were ("fixed-point"); a round, iteration 0 included,
+    whose f >= n survivors have numerical rank n ("rank"; see _spans_nodes),
+    past which every candidate is a linear combination of them; or the
+    maxiter cap ("maxiter"). The rank stop only truncates: the result is
+    the uncapped run's first rounds, bit for bit.
 
     Every column is binned once, when it is made. At threshold 1.0 a column
     survives unless its bin vector equals that of an earlier column; the
@@ -554,8 +577,11 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
         bins = bins[keep]
     rows, descriptors = rows[keep], [descriptors[j] for j in keep]
     sizes = [len(descriptors)]
+    stopped = "rank" if _spans_nodes(rows) else None
 
     for iteration in range(1, config.maxiter + 1):
+        if stopped:
+            break
         f = len(descriptors)
 
         def composite(i: int) -> FeatureDescriptor:
@@ -576,32 +602,33 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
                 rows[f + r] = row
             descriptors += [composite(i) for i, _ in new]
             next_id += len(ops) * f
-            sizes.append(len(descriptors))
-            if not new:
-                break
-            continue
-
-        cand_rows = np.empty((len(ops) * f, g.n))
-        cand_bins = np.empty((len(ops) * f, g.n), dtype=bins.dtype)
-        for lo in range(0, f if ops else 0, width):
-            index, cand, block_bins = _candidate_block(g, groups, rows, lo, lo + width, ops, p)
-            cand_rows[index], cand_bins[index] = cand, block_bins
-        cands = [composite(i) for i in range(len(ops) * f)]
-        all_by_id.update((d.id, d) for d in cands)
-        next_id += len(cands)
-        prior_ids = {d.id for d in descriptors}
-        rows = np.concatenate([rows, cand_rows])
-        bins = np.concatenate([bins, cand_bins])
-        descriptors = descriptors + cands
-        kept_ids = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
-        kept_ids |= _required_ancestors(all_by_id, kept_ids)
-        idx = [j for j, d in enumerate(descriptors) if d.id in kept_ids]
-        rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
+            changed = bool(new)
+            del new  # the stashed rows, before a rank check copies the survivors
+        else:
+            cand_rows = np.empty((len(ops) * f, g.n))
+            cand_bins = np.empty((len(ops) * f, g.n), dtype=bins.dtype)
+            for lo in range(0, f if ops else 0, width):
+                index, cand, block_bins = _candidate_block(g, groups, rows, lo, lo + width, ops, p)
+                cand_rows[index], cand_bins[index] = cand, block_bins
+            cands = [composite(i) for i in range(len(ops) * f)]
+            all_by_id.update((d.id, d) for d in cands)
+            next_id += len(cands)
+            prior_ids = {d.id for d in descriptors}
+            rows = np.concatenate([rows, cand_rows])
+            bins = np.concatenate([bins, cand_bins])
+            descriptors = descriptors + cands
+            kept_ids = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
+            kept_ids |= _required_ancestors(all_by_id, kept_ids)
+            idx = [j for j, d in enumerate(descriptors) if d.id in kept_ids]
+            rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
+            changed = {d.id for d in descriptors} != prior_ids
         sizes.append(len(descriptors))
-        if {d.id for d in descriptors} == prior_ids:
-            break
+        if not changed:
+            stopped = "fixed-point"
+        elif _spans_nodes(rows):
+            stopped = "rank"
 
-    return FeatureMatrix(rows.T, tuple(descriptors), tuple(sizes))
+    return FeatureMatrix(rows.T, tuple(descriptors), tuple(sizes), stopped or "maxiter")
 
 
 def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:

@@ -36,6 +36,8 @@ from rolemine import (
 )
 from rolemine.features import log_bin_rows
 
+from oracles import all_at_once_learn, normalized_singular_values, truncated_at_full_rank
+
 
 def _report(capsys, num, name, ok, details):
     with capsys.disabled():
@@ -355,4 +357,44 @@ def test_criterion_12_exact_transfer_memberships(capsys):
         worst <= 1e-9 and (w >= 0).all(),
         f"worst relative objective gap {worst:.2e} of 1e-9 over {len(xn)} rows "
         f"at rank {model.r}, solved in {dt:.2f}s",
+    )
+
+
+def test_criterion_13_growth_stops_at_full_row_rank(capsys):
+    # the uncut all-at-once learn is the engine as it was before the rank
+    # rule; the stopped learn must be its prefix up to the first round
+    # whose survivors have rank n. Margins: the kept sigma_n over the
+    # tolerance, and the tolerance over the largest singular value it cut
+    # in an earlier round with f >= n
+    t0 = time.perf_counter()
+    ok, details = True, []
+    for n in (120, 400):
+        g = erdos_renyi(n, 8 / (n - 1), seed=1)
+        got = learn_features(g)
+        uncut = all_at_once_learn(g, rank_stop=False)
+        want = truncated_at_full_rank(uncut)
+        same = (
+            got.values.tobytes() == want.values.tobytes()
+            and got.descriptors == want.descriptors
+            and got.iteration_sizes == want.iteration_sizes
+            and got.stopped == "rank"
+        )
+        s, tol = normalized_singular_values(got.values)
+        above = s[n - 1] / tol if s.size >= n else 0.0
+        below = np.inf
+        for f in uncut.iteration_sizes[: len(got.iteration_sizes) - 1]:
+            if f >= n:
+                s_f, tol_f = normalized_singular_values(uncut.values[:, :f])
+                cut = s_f[s_f <= tol_f]
+                if cut.size:
+                    below = min(below, tol_f / max(cut.max(), np.finfo(float).tiny))
+        ok = ok and same and above >= 100 and below >= 100
+        details.append(
+            f"n={n}: {got.f} of {uncut.f} features, {'same' if same else 'DIFFERENT'} prefix, "
+            f"sigma_n {above:.1e}x tol, tol {below:.1e}x the cut"
+        )
+    dt = time.perf_counter() - t0
+    _report(
+        capsys, 13, "feature growth stops at full row rank, a prefix of the uncut run",
+        ok, "; ".join(details) + f"; margins need 1e2, {dt:.1f}s",
     )

@@ -10,11 +10,13 @@ from click.testing import CliRunner
 import rolemine
 from rolemine import (
     FeatureLearnConfig,
+    NnlsReport,
     descriptors_from_json,
     erdos_renyi,
     learn_features,
     load_edge_list,
     model_from_json,
+    transfer_memberships,
     write_edge_list,
 )
 from rolemine.cli import main
@@ -51,8 +53,8 @@ RUN_JSON_KEYS = {
               "iteration_sizes", "candidates", "stopped"},
     "select-rank": {"maxiter", "criterion", "bits", "trials", "seed", "rank", "sweep", "stopped"},
     "assign": {"hard"},
-    "transfer": set(),
-    "dynamic": {"pairs"},
+    "transfer": {"nnls"},
+    "dynamic": {"pairs", "nnls"},
     "oracle": {"kind"},
 }
 
@@ -112,6 +114,9 @@ class TestLearn:
             (["--maxiter", "2", "--operators", "sum,mean,max"], [15, 48], "maxiter"),
             # a path reaches its fixed point in round 2, before the cap
             (["--maxiter", "5", "--primitives", "degree"], None, "fixed-point"),
+            # ER(40)'s 79 survivors of round 4 have rank 40: nothing later
+            # could add to their span
+            (["--maxiter", "10"], [10, 26, 56, 102], "rank"),
         ],
     )
     def test_run_json_records_candidates_and_stop(
@@ -314,6 +319,12 @@ class TestTransferAndDynamic:
         model = model_from_json((tmp_path / "model.json").read_text())
         assert lines[0] == "node," + ",".join(f"role_{k}" for k in range(model.r))
         assert len(lines) == 13
+        # run.json records the solve: the same steps and residual in process
+        report = NnlsReport()
+        transfer_memberships(load_edge_list(graph.read_text()), model, report=report)
+        run = json.loads((tmp_path / "t" / "run.json").read_text())
+        assert run["nnls"] == {"steps": report.steps, "residual": report.residual}
+        assert report.steps >= 1 and report.residual > 0
 
     def test_dynamic_series_and_transition(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)
@@ -331,6 +342,9 @@ class TestTransferAndDynamic:
         assert t.shape == (model.r, model.r)
         # identical snapshots: roles carry over unchanged
         assert np.abs(t - np.eye(model.r)).max() < 1e-4
+        nnls = json.loads((tmp_path / "d" / "run.json").read_text())["nnls"]
+        assert set(nnls) == {"steps", "residual"}
+        assert nnls["steps"] >= 1 and 0 <= nnls["residual"] < 1e-6
 
     def test_dynamic_manifest_with_explicit_timestamps(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)

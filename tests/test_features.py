@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from rolemine import (
 from rolemine import features as features_module
 from rolemine.features import _aggregate, _agreement_roots, log_bin_rows
 
+from oracles import all_at_once_learn, truncated_at_full_rank
 from strategies import graph_with_permutation, graphs, neighbor_lists
 
 P3 = load_edge_list("0 1\n1 2")
@@ -662,12 +664,13 @@ def learned_digest(x):
 
 
 GOLDEN_CASES = {
-    # stops at the maxiter cap of 10 rounds
+    # grew to the maxiter cap of 10 rounds (801 features) before the rank
+    # rule; its 206 survivors of round 5 have rank n
     "er-maxiter": (
         lambda: erdos_renyi(120, 8 / 120, seed=11),
         FeatureLearnConfig(),
-        (5, 14, 32, 65, 121, 206, 322, 450, 577, 694, 801),
-        "fb6763c7a2a36e44fbd87b1b1d5942e3808db4ab162dff385fc4b5d9c8e0530c",
+        (5, 14, 32, 65, 121, 206),
+        "0b5bbe4bc31b699eb50fbcc97cf862a71684a88073a7c77f63558e67443095ff",
     ),
     # stops at a fixed point
     "planted": (
@@ -679,15 +682,15 @@ GOLDEN_CASES = {
     "weighted": (
         lambda: weighted_er(90, 12 / 90, seed=4),
         FeatureLearnConfig(maxiter=6),
-        (6, 18, 40, 77, 115, 160, 197),
-        "a37176fae41ffb588822d41adae242168c9095907d845f1a84f51f01fce183ba",
+        (6, 18, 40, 77, 115),
+        "923d58ea787f50797bed3a95b32041e71a2a8d7dee831f524210baf1832c60a7",
     ),
     # reciprocal edges: a neighbor reached only by an in-edge weighs 0
     "weighted-directed": (
         lambda: weighted_er(60, 0.15, seed=9, directed=True),
         FeatureLearnConfig(maxiter=4),
-        (8, 24, 54, 96, 138),
-        "a4a2d88c4ef97e9be3e645188411219b663fa84e3f5f48eba79754eba0730b96",
+        (8, 24, 54, 96),
+        "385afa5dc563e552c348b366659063d3f6e732939ac2284a3aa34851fec8de9d",
     ),
     # a one-column round: numpy sums a lone column pairwise, not in sequence
     "one-column": (
@@ -705,6 +708,15 @@ GOLDEN_CASES = {
         (5, 15, 29, 41, 53, 65),
         "f65343d7feabc3ed72f0f22f1c8ac7b03bf419ce6675ed22ee9eca73208e5e36",
     ),
+}
+
+# Digests of the cases the rank rule cut short, as pinned before it: the
+# all-at-once oracle without the rule must still give these bytes, and the
+# learn must be their truncation at the first round of rank n.
+UNCUT_DIGESTS = {
+    "er-maxiter": "fb6763c7a2a36e44fbd87b1b1d5942e3808db4ab162dff385fc4b5d9c8e0530c",
+    "weighted": "a37176fae41ffb588822d41adae242168c9095907d845f1a84f51f01fce183ba",
+    "weighted-directed": "a4a2d88c4ef97e9be3e645188411219b663fa84e3f5f48eba79754eba0730b96",
 }
 
 class TestGoldenDigests:
@@ -736,77 +748,11 @@ class TestGoldenDigests:
 # --- the streamed round against the all-at-once learn ---------------------
 
 
-def all_at_once_learn(g, config=FeatureLearnConfig()):
-    """learn_features as it was before rounds streamed their candidates:
-    every candidate of a round is aggregated, binned and pruned at once.
-    Kept as an oracle for the streamed loop."""
-    primitives = features_module._learn_primitives(g, config)
-    attrs = (
-        None if config.attributes is None
-        else features_module._attribute_rows(g, config.attributes)
-    )
-    cache = {}
-    columns = [compute_primitive(g, kind, cache) for kind in primitives]
-    cand_descs = [
-        FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
-    ]
-    if attrs is not None:
-        columns.extend(attrs)
-        cand_descs.extend(
-            FeatureDescriptor(id=len(primitives) + k, kind="attribute", attribute=k)
-            for k in range(len(attrs))
-        )
-    all_by_id = {d.id: d for d in cand_descs}
-    next_id = len(cand_descs)
-    rows = np.zeros((0, g.n))
-    bins = log_bin_rows(rows, config.bin_fraction)
-    descriptors = []
-    seen = set()
-
-    def prune(cand_rows, cands):
-        nonlocal rows, bins, descriptors
-        cand_bins = log_bin_rows(cand_rows, config.bin_fraction)
-        if config.threshold == 1.0 or g.n == 0:
-            keep = []
-            for j, b in enumerate(cand_bins):
-                if b.tobytes() not in seen:
-                    seen.add(b.tobytes())
-                    keep.append(j)
-            rows = np.concatenate([rows, cand_rows[keep]])
-            descriptors = descriptors + [cands[j] for j in keep]
-            return
-        rows = np.concatenate([rows, cand_rows])
-        bins = np.concatenate([bins, cand_bins])
-        descriptors = descriptors + cands
-        kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
-        kept |= features_module._required_ancestors(all_by_id, kept)
-        idx = [j for j, d in enumerate(descriptors) if d.id in kept]
-        rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
-
-    prune(np.array(columns).reshape(len(columns), g.n), cand_descs)
-    sizes = [len(descriptors)]
-    for iteration in range(1, config.maxiter + 1):
-        prior_ids = {d.id for d in descriptors}
-        cands = []
-        for op in config.operators:
-            for d in descriptors:
-                cands.append(FeatureDescriptor(
-                    id=next_id, kind="composite", operator=op, base=d.id, iteration=iteration
-                ))
-                all_by_id[next_id] = cands[-1]
-                next_id += 1
-        aggregated = _aggregate(g, rows, config.operators, len(rows) > 1)
-        prune(np.concatenate([rows[:0], *aggregated]), cands)
-        sizes.append(len(descriptors))
-        if {d.id for d in descriptors} == prior_ids:
-            break
-    return FeatureMatrix(np.ascontiguousarray(rows.T), tuple(descriptors), tuple(sizes))
-
-
 def assert_same_learn(got, want):
     assert got.values.tobytes() == want.values.tobytes()
     assert got.descriptors == want.descriptors
     assert got.iteration_sizes == want.iteration_sizes
+    assert got.stopped == want.stopped
 
 
 STREAM_CONFIGS = [
@@ -842,10 +788,14 @@ class TestStreamedRound:
         assert learned_digest(got) == digest
 
     def test_peak_memory_bounded_by_the_result(self):
-        # the all-at-once round peaked at 4.75x the returned matrix here:
-        # survivors, their contiguous copy, every candidate and the kept
-        # copy were alive together
-        g = erdos_renyi(400, 8 / 399, seed=1)
+        # the all-at-once round peaked at 4.75x the returned matrix on
+        # erdos_renyi(400, 8/399, seed=1): survivors, their contiguous copy,
+        # every candidate and the kept copy were alive together. That graph
+        # now stops at rank n after 850 features; two twin leaves on node 0
+        # share a feature row, so rank n is out of reach and growth runs to
+        # the cap, rank checks included
+        er = erdos_renyi(400, 8 / 399, seed=1)
+        g = Graph(n=402, edges=np.vstack([er.edges, [[0, 400], [0, 401]]]))
         g.csr
         tracemalloc.start()
         try:
@@ -854,7 +804,55 @@ class TestStreamedRound:
         finally:
             tracemalloc.stop()
         assert x.iteration_sizes[-1] > 2000 and len(x.iteration_sizes) == 11
+        assert x.stopped == "maxiter"
         assert peak <= 3.0 * x.values.nbytes, peak / x.values.nbytes
+
+
+class TestRankStop:
+    """Growth stops after the first round whose survivors have numerical
+    rank n; the result is the run without that rule, truncated there."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(k for k, case in GOLDEN_CASES.items() if case[1].threshold == 1.0)
+    )
+    def test_golden_cases_are_the_uncut_run_truncated(self, name):
+        make, config, _, digest = GOLDEN_CASES[name]
+        g = make()
+        uncut = all_at_once_learn(g, config, rank_stop=False)
+        assert learned_digest(uncut) == UNCUT_DIGESTS.get(name, digest)
+        got = learn_features(g, config)
+        assert_same_learn(got, truncated_at_full_rank(uncut))
+        if name in UNCUT_DIGESTS:
+            assert got.stopped == "rank" and got.f < uncut.f
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_empty_and_edgeless_graphs_keep_their_output(self, n, lam):
+        # n = 0 runs no rank check; five isolated nodes have all-zero
+        # features, of rank 0
+        g = Graph(n=n)
+        config = FeatureLearnConfig(threshold=lam)
+        got = learn_features(g, config)
+        assert_same_learn(got, all_at_once_learn(g, config, rank_stop=False))
+        assert got.stopped == "fixed-point"
+
+    def test_primitives_of_rank_n_stop_after_round_0(self):
+        # in- and out-degree of one directed edge already span R^2
+        g = Graph(n=2, edges=[(0, 1)], directed=True)
+        got = learn_features(g)
+        assert got.iteration_sizes == (3,) and got.stopped == "rank"
+        assert_same_learn(got, truncated_at_full_rank(all_at_once_learn(g, rank_stop=False)))
+
+    def test_rule_applies_below_lambda_one(self):
+        # below 1.0 a prune can drop old survivors, so the stopped run is
+        # compared with the uncut run capped at the same round
+        g = erdos_renyi(30, 8 / 29, seed=1)
+        got = learn_features(g, FeatureLearnConfig(threshold=0.9, maxiter=6))
+        assert got.stopped == "rank" and len(got.iteration_sizes) == 5
+        want = all_at_once_learn(g, FeatureLearnConfig(threshold=0.9, maxiter=4), rank_stop=False)
+        assert_same_learn(got, replace(want, stopped="rank"))
+        uncut = all_at_once_learn(g, FeatureLearnConfig(threshold=0.9, maxiter=6), rank_stop=False)
+        assert uncut.f > got.f
 
 
 def reference_log_bin(values, p):

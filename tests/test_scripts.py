@@ -49,3 +49,5 @@ def test_feature_growth_reports_peak_memory(tmp_path):
         (row,) = csv.DictReader(fh)
     assert float(row["peak_mb"]) > 0
     assert float(row["csv_s"]) >= 0
+    assert row["stopped"] in ("fixed-point", "rank", "maxiter")
+    assert 0 <= int(row["rank"]) <= min(30, int(row["final_features"]))

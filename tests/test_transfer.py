@@ -7,6 +7,7 @@ from rolemine import (
     FeatureLearnConfig,
     Graph,
     MembershipSeries,
+    NnlsReport,
     apply_permutation,
     erdos_renyi,
     estimate_transition_model,
@@ -193,6 +194,38 @@ class TestMembershipsForMatrix:
         assert (s[2] == 0.0).all()
         assert np.allclose(g[:2, :2] @ s[:2], c[:2])
 
+    def test_shared_passive_sets_match_per_column_solves(self):
+        # columns 0, 2 and 5 share a set, 1 and 4 share another, 3 is alone
+        rng = np.random.default_rng(29)
+        a = rng.random((4, 6))
+        g, c = a @ a.T, rng.random((4, 6))
+        sets = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 0, 1]]
+        passive = np.array(sets, dtype=bool).T
+        s = transfer_module._passive_solve(g, c, passive)
+        for j in range(6):
+            p = passive[:, j]
+            want = np.zeros(4)
+            want[p] = np.linalg.solve(g[np.ix_(p, p)], c[p, j])
+            assert np.abs(s[:, j] - want).max() < 1e-12
+
+    def test_only_a_singular_set_takes_the_least_norm_solve(self, monkeypatch):
+        # roles 0 and 1 are identical, so a set holding both is singular:
+        # {0, 1} is shared by columns 0 and 1, and {0, 1, 2} is column 4's
+        # alone; {1, 2} (columns 2 and 3) and {0, 2} (column 5) are not
+        h = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]])
+        g, c = h @ h.T, h @ np.random.default_rng(31).random((6, 3)).T
+        sets = [[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 1, 1], [1, 1, 1], [1, 0, 1]]
+        passive = np.array(sets, dtype=bool).T
+        blocks = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda m: blocks.append(m.shape) or pinv(m))
+        s = transfer_module._passive_solve(g, c, passive)
+        assert sorted(blocks) == [(2, 2), (3, 3)]
+        for j in range(6):
+            p = passive[:, j]
+            assert (s[~p, j] == 0.0).all()
+            assert np.allclose(g[np.ix_(p, p)] @ s[p, j], c[p, j])
+
     def test_column_blocks_give_the_same_solution(self, monkeypatch):
         # columns are solved in blocks that bound the stack of Gram systems;
         # they are independent problems, so the split changes nothing
@@ -201,6 +234,39 @@ class TestMembershipsForMatrix:
         whole = memberships_for_matrix(x, h)
         monkeypatch.setattr(transfer_module, "_BLOCK_ELEMENTS", 7 * 16)
         assert np.abs(memberships_for_matrix(x, h) - whole).max() < 1e-12
+
+
+class TestNnlsReport:
+    def test_memberships_report_steps_and_residual(self):
+        rng = np.random.default_rng(37)
+        h, x = rng.random((4, 9)), rng.random((50, 9))
+        report = NnlsReport()
+        w = memberships_for_matrix(x, h, report=report)
+        assert report.residual == float(np.linalg.norm(x - w @ h))
+        # each step admits one role into every open column, so at least as
+        # many steps as the most roles any row uses
+        assert report.steps >= (w > 0).sum(axis=1).max()
+
+    def test_column_blocks_sum_their_steps(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        h, x = rng.random((3, 8)), rng.random((12, 8))
+        whole = NnlsReport()
+        memberships_for_matrix(x, h, report=whole)
+        monkeypatch.setattr(transfer_module, "_BLOCK_ELEMENTS", 3 * 3 + 1)  # a row per block
+        split = NnlsReport()
+        memberships_for_matrix(x, h, report=split)
+        rows = [NnlsReport() for _ in range(12)]
+        for u, rep in enumerate(rows):
+            memberships_for_matrix(x[u : u + 1], h, report=rep)
+        assert split.steps == sum(rep.steps for rep in rows) >= whole.steps
+
+    def test_transition_reports_its_residual(self):
+        rng = np.random.default_rng(43)
+        w_a, w_b = rng.random((30, 3)), rng.random((30, 3))
+        report = NnlsReport()
+        t = estimate_transition_model(w_a, w_b, report=report)
+        assert report.residual == float(np.linalg.norm(w_b - w_a @ t))
+        assert report.steps >= 1
 
 
 def _rewire(g, fraction, rng):
