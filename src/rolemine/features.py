@@ -22,10 +22,11 @@ Growth also stops once a round's survivors have numerical rank n, the node
 count: every later candidate is then a linear combination of them, which a
 low-rank factorization of the features cannot use.
 
-Everything runs on the graph's CSR arrays. Aggregations sort neighbor values
-before reducing, so equal value multisets produce bitwise-equal results;
-feature rows of automorphically equivalent nodes are therefore exactly equal,
-not merely close.
+Everything runs on the graph's CSR arrays. Aggregations sort each node's
+neighbor values once and every operator, mode included, reduces them sorted,
+so equal value multisets produce bitwise-equal results; feature rows of
+automorphically equivalent nodes are therefore exactly equal, not merely
+close.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -295,12 +295,25 @@ def _degree_groups(indptr, slot_rows) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
+def _sorted_mode(v: np.ndarray) -> np.ndarray:
+    """Most frequent floored value along the last axis of v, whose values
+    are sorted ascending; a tie goes to the earliest run, the smallest
+    value. Flooring keeps them sorted, so equal values form runs."""
+    v = np.floor(v)
+    slot = np.arange(v.shape[-1])
+    opens = np.ones(v.shape, dtype=bool)  # a run of equal values opens here
+    opens[..., 1:] = v[..., 1:] != v[..., :-1]
+    # slots before this one in its run; the first maximum ends the earliest longest run
+    run = slot - np.maximum.accumulate(np.where(opens, slot, 0), axis=-1)
+    return np.take_along_axis(v, run.argmax(axis=-1)[..., None], -1)[..., 0]
+
+
 def _aggregate_slots(n, groups, rows, ops, in_sequence):
     """Reduce each row of rows (f x slots) over every node's slots in groups
     (see _degree_groups), per op; returns one (f x n) array per op, with 0
     at a node in no group.
 
-    Each node's values are sorted ascending before reduction. Sums match
+    Each node's values are sorted ascending once, for every op. Sums match
     np.sort(block, axis=0).sum(axis=0) on a node's (degree x f) block bit
     for bit when in_sequence says how numpy would add it: in sequence when
     f > 1, pairwise for a lone column. Rows go through in blocks.
@@ -327,8 +340,10 @@ def _aggregate_slots(n, groups, rows, ops, in_sequence):
                     block[:, nodes] = total / d
                 elif op == "max":
                     block[:, nodes] = v[..., -1]
-                else:
+                elif op == "min":
                     block[:, nodes] = v[..., 0]
+                else:
+                    block[:, nodes] = _sorted_mode(v)
     return outs
 
 
@@ -336,26 +351,14 @@ def _aggregate(
     g: Graph, rows: np.ndarray, ops, in_sequence: bool, groups=None
 ) -> list[np.ndarray]:
     """Aggregate every feature row of rows (f x n) over each node's
-    neighbors, once per op; isolated nodes get 0. All sorted ops share one
-    sort; in_sequence is as in _aggregate_slots. groups, when given, are
-    the graph's _degree_groups over its neighbor ids."""
+    neighbors, once per op; isolated nodes get 0. All ops share one sort;
+    in_sequence is as in _aggregate_slots. groups, when given, are the
+    graph's _degree_groups over its neighbor ids."""
     for op in ops:
         _check_operator(op)
-    indptr, indices, _ = g.csr
     if groups is None:
-        groups = _degree_groups(indptr, indices)
-    sorted_ops = tuple(op for op in ops if op != "mode")
-    results = dict(zip(sorted_ops, _aggregate_slots(g.n, groups, rows, sorted_ops, in_sequence)))
-    if "mode" in ops:
-        out = np.zeros(rows.shape)
-        floored = np.floor(rows)
-        for u in range(g.n):
-            vals = floored[:, indices[indptr[u] : indptr[u + 1]]]
-            for j in range(len(vals) if vals.shape[1] else 0):
-                uniq, counts = np.unique(vals[j], return_counts=True)
-                out[j, u] = uniq[np.argmax(counts)]  # ties: smallest value
-        results["mode"] = out
-    return [results[op] for op in ops]
+        groups = _degree_groups(*g.csr[:2])
+    return _aggregate_slots(g.n, groups, rows, ops, in_sequence)
 
 
 def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
@@ -718,42 +721,26 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _feed(pipe, rows: np.ndarray) -> None:
-    """Write rows to a worker's stdin as float64 blocks, then close it. Stops
-    early if the worker has gone; its exit code then says why."""
-    try:
-        with pipe:
-            step = block_rows(rows.shape[1])
-            for lo in range(0, len(rows), step):
-                pipe.write(np.ascontiguousarray(rows[lo : lo + step], dtype=np.float64))
-    except BrokenPipeError:
-        pass
-
-
-def _stop(proc: subprocess.Popen, feeder: threading.Thread) -> None:
-    """Release a worker; on an error path, end it first."""
-    proc.kill()  # does nothing once the worker has been waited for
-    proc.wait()
-    if feeder.is_alive():
-        feeder.join()
-    proc.stdin.close()
-
-
 def _start_worker(stack: ExitStack, rows: np.ndarray, node: int):
     """Format rows, numbered from node, in a `python -I -S` process that
-    imports only the standard library, fed from a thread and writing to a
-    temporary file. Returns the process, its feeder and its output and
-    stderr files, all released when stack closes."""
+    imports only the standard library. It reads them as float64 rows from a
+    temporary file and writes to another. Returns the process and its output
+    and stderr files, all released when stack closes; an unfinished worker
+    is killed and waited for first."""
+    source = stack.enter_context(tempfile.TemporaryFile())
+    step = block_rows(rows.shape[1])
+    for lo in range(0, len(rows), step):
+        np.ascontiguousarray(rows[lo : lo + step], dtype=np.float64).tofile(source)
+    source.seek(0)
     output = stack.enter_context(tempfile.TemporaryFile("w+", encoding="ascii"))
     errors = stack.enter_context(tempfile.TemporaryFile("w+"))
     proc = subprocess.Popen(
         [sys.executable, "-I", "-S", str(_WORKER), str(node), str(rows.shape[1])],
-        stdin=subprocess.PIPE, stdout=output, stderr=errors,
+        stdin=source, stdout=output, stderr=errors,
     )
-    feeder = threading.Thread(target=_feed, args=(proc.stdin, rows))
-    stack.callback(_stop, proc, feeder)
-    feeder.start()
-    return proc, feeder, output, errors
+    stack.callback(proc.wait)
+    stack.callback(proc.kill)  # runs first; does nothing once the worker has been waited for
+    return proc, output, errors
 
 
 def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
@@ -763,8 +750,9 @@ def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
 
     A matrix of n*f values is cut into up to min(CPUs, n*f // 2**18)
     contiguous row parts. This process formats the first; each other part
-    goes to a fresh `python -I -S` worker, whose output is appended in row
-    order, so the bytes do not depend on the number of parts."""
+    is written to a temporary file and read by a fresh `python -I -S`
+    worker, whose output is appended in row order, so the bytes do not
+    depend on the number of parts."""
     if out is None:
         buf = io.StringIO()
         features_to_csv(x, buf)
@@ -779,8 +767,7 @@ def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
         step = block_rows(x.f)
         for lo in range(0, bounds[1], step):
             out.write(csv_rows(x.values[lo : min(lo + step, bounds[1])].tolist(), lo))
-        for proc, feeder, output, errors in workers:
-            feeder.join()
+        for proc, output, errors in workers:
             if proc.wait() != 0:
                 errors.seek(0)
                 raise RuntimeError(

@@ -253,6 +253,43 @@ class TestOperators:
         with pytest.raises(ValueError):
             aggregate_column(P3, [1.0, 2.0, 1.0], "median")
 
+    @pytest.mark.parametrize(
+        "edges, column, node, want",
+        [
+            # the hub's 40 leaves floor to 0, 1, 2 and 3; 1 and 3 tie at 12
+            (
+                [(0, k) for k in range(1, 41)],
+                [5.5] + [
+                    v + 0.25 * (k % 4)
+                    for k, v in enumerate([0] * 7 + [1] * 12 + [2] * 9 + [3] * 12)
+                ],
+                0,
+                1.0,
+            ),
+            # every neighbor floors to 4
+            ([(0, k) for k in range(1, 6)], [0.0, 4.9, 4.1, 4.99, 4.5, 4.25], 0, 4.0),
+            # node 3 is isolated
+            ([(0, 1), (0, 2)], [3.5, 2.5, 2.75, 9.0], 3, 0.0),
+        ],
+        ids=["star-tie", "one-floor", "isolated"],
+    )
+    def test_mode_matches_naive_reference(self, edges, column, node, want):
+        g = Graph(n=len(column), edges=edges)
+        got = aggregate_column(g, column, "mode")
+        assert got[node] == want
+        assert got.tolist() == naive_aggregate(g, column, "mode")
+
+    @pytest.mark.parametrize("block", [1, 300])
+    def test_mode_in_small_blocks(self, monkeypatch, block):
+        # each degree group's rows go through in blocks of one row or a few;
+        # a node's neighbor values always stay in one block
+        monkeypatch.setattr(features_module, "_BLOCK_ELEMENTS", block)
+        g = erdos_renyi(60, 0.3, seed=5)
+        rng = np.random.default_rng(5)
+        rows = np.floor(rng.uniform(0, 4, (6, 60)) * 3) / 3
+        got = _aggregate(g, rows, ("sum", "mode", "max"), True)[1]
+        assert got.tolist() == [naive_aggregate(g, row.tolist(), "mode") for row in rows]
+
     @given(
         graphs(max_n=7),
         st.lists(st.floats(0, 9.5, allow_nan=False), min_size=7, max_size=7),
@@ -701,6 +738,13 @@ GOLDEN_CASES = {
         (1, 5, 20, 69),
         "ce6c83f9958918788fa1740404ce92c7fc8e1fa38e6493cbd16e5f1aceb9f960",
     ),
+    # mode: degrees up to 23 and fractional values, so floors tie in runs
+    "mode": (
+        lambda: weighted_er(90, 12 / 90, seed=4),
+        FeatureLearnConfig(operators=("sum", "mean", "mode"), maxiter=4),
+        (6, 23, 71, 203),
+        "2ed72f41cbd456dc6c6b3e61b793cfc61f11f7756021c4128296e275ff139aa9",
+    ),
     # the agreement-graph route below lambda = 1
     "lambda-0.8": (
         lambda: erdos_renyi(80, 0.1, seed=3),
@@ -717,6 +761,7 @@ UNCUT_DIGESTS = {
     "er-maxiter": "fb6763c7a2a36e44fbd87b1b1d5942e3808db4ab162dff385fc4b5d9c8e0530c",
     "weighted": "a37176fae41ffb588822d41adae242168c9095907d845f1a84f51f01fce183ba",
     "weighted-directed": "a4a2d88c4ef97e9be3e645188411219b663fa84e3f5f48eba79754eba0730b96",
+    "mode": "369f575aeba5958955fb708c2b05f6388458a490f0fd4d8ac79b086bfe1efd60",
 }
 
 class TestGoldenDigests:
@@ -1047,6 +1092,26 @@ class TestStreamedCsv:
         monkeypatch.setattr(sys, "executable", "/bin/false")
         with pytest.raises(RuntimeError, match="exited with code 1"):
             features_to_csv(awkward_matrix(50, 4))
+
+    def test_workers_are_ended_when_formatting_fails(self, monkeypatch):
+        procs = []
+        popen = subprocess.Popen
+
+        def start(*args, **kwargs):
+            procs.append(popen(*args, **kwargs))
+            return procs[-1]
+
+        def fail(*args):
+            raise ValueError("formatting failed")
+
+        monkeypatch.setattr(subprocess, "Popen", start)
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
+        monkeypatch.setattr(features_module, "csv_rows", fail)
+        with pytest.raises(ValueError, match="formatting failed"):
+            features_to_csv(awkward_matrix(50, 4))
+        assert len(procs) == 2
+        assert all(proc.returncode is not None for proc in procs)
 
     def test_small_matrices_start_no_process(self, monkeypatch):
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 4)
