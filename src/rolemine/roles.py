@@ -7,11 +7,16 @@ rank with an information criterion and stops after a run of non-improving
 ranks.
 
 The sweep fits its ranks in batches: the ranks it must try whatever their
-costs (the next `trials - failed` of them) run together through one
-multiplicative-update kernel, _nmf_batch, as a zero-padded stack of factor
-pairs that share x, with the objective read off Gram identities. The ranks
-tried, the iterates and the stop rule are those of fitting one rank at a
-time; nmf_factorize is the kernel's one-slice case.
+costs (the next `trials - failed` of them). A stack of ranks runs through one
+multiplicative-update kernel, _nmf_batch, as zero-padded factor pairs that
+share x, with the objective read off Gram identities. A batch of two or more
+ranks is cut, by its ranks alone, into two stacks: the narrower half (one
+more when the count is odd) runs in process, and the wider half in a worker
+forked once per sweep when x is large enough and two CPUs are free, or else
+in process afterwards. BLAS rounding depends on the stacked width, so fixed
+stacks give the same bits on any CPU count. The ranks tried, the iterates
+and the stop rule are those of fitting one rank at a time; nmf_factorize is
+the kernel's one-slice case.
 
 Cost criteria: "aic" (default) is 2*(n*r + r*f) + n*f*ln(SSE/(n*f) + 1e-12).
 "mdl" is b*(n*r + r*f) + max(0, (n*f/2)*log2(SSE/(n*f) + 1e-12)); note that
@@ -22,13 +27,20 @@ exceeds 1), which makes the sweep degenerate to r=1, hence the AIC default.
 from __future__ import annotations
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureDescriptor, descriptors_from_json, descriptors_to_json
+from .features import FeatureDescriptor, _cpu_count, descriptors_from_json, descriptors_to_json
 
 _EPS0 = 1e-12
+# a sweep forks its fit worker only for an x of at least this many values:
+# with one BLAS thread on 2 CPUs, the forked sweep broke even between 1125
+# and 1410 values of G(n, 8/(n-1)) features (12% slower at 25 x 45, 10%
+# faster at 30 x 47, 28% faster at 40 x 48)
+_VALUES_PER_FIT_WORKER = 1250
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +167,47 @@ def _nmf_batch(
     return out
 
 
+def _fit_stack(x, w_full, h_full, ranks, maxiter, tol):
+    """_nmf_batch on the starts of the given ranks, sliced from one full draw."""
+    return _nmf_batch(x, [w_full[:, :r] for r in ranks], [h_full[:r] for r in ranks], maxiter, tol)
+
+
+class _BatchFitter:
+    """Fits a sweep's batches as two fixed stacks (see the module
+    docstring). The worker is forked on first use and reused by later
+    batches; close() shuts it down."""
+
+    def __init__(self, x: np.ndarray, maxiter: int, tol: float):
+        self.x, self.maxiter, self.tol = x, maxiter, tol
+        self.forks = (
+            x.size >= _VALUES_PER_FIT_WORKER
+            and _cpu_count() >= 2
+            and "fork" in multiprocessing.get_all_start_methods()
+        )
+        self.pool = None
+
+    def fit(self, w_full, h_full, ranks: range):
+        """(W, H, history) per rank, in rank order."""
+        cut = (len(ranks) + 1) // 2
+        narrow, wide = ranks[:cut], ranks[cut:]
+        if not wide:
+            return _fit_stack(self.x, w_full, h_full, narrow, self.maxiter, self.tol)
+        args = (self.x, w_full[:, : wide[-1]], h_full[: wide[-1]], wide, self.maxiter, self.tol)
+        future = None
+        if self.forks:
+            if self.pool is None:
+                # fork, not spawn: a spawned worker would spend a large share
+                # of a small sweep importing numpy
+                self.pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+            future = self.pool.submit(_fit_stack, *args)
+        first = _fit_stack(self.x, w_full, h_full, narrow, self.maxiter, self.tol)
+        return first + (_fit_stack(*args) if future is None else future.result())
+
+    def close(self):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+
 def nmf_factorize(
     x: np.ndarray,
     r: int,
@@ -259,7 +312,10 @@ def select_rank(
 
     After `failed` non-improving ranks the next `trials - failed` ranks are
     tried whatever their costs, so they are fitted together as one batch,
-    then accepted or counted as failures in rank order.
+    then accepted or counted as failures in rank order. A batch is fitted
+    as two stacks fixed by its ranks, the second in a forked worker when
+    two CPUs are free and x has enough values; the model and the sweep are
+    the same bits on any CPU count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -274,30 +330,31 @@ def select_rank(
     sweep = RankSweep() if sweep is None else sweep
 
     best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-    for _ in range(restarts):
-        w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
-        h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
-        mincost = np.inf
-        failed = 0
-        lo = 1
-        while failed < trials and lo <= rmax:
-            ranks = range(lo, min(lo + trials - failed, rmax + 1))
-            fits = _nmf_batch(
-                xn, [w_full[:, :r] for r in ranks], [h_full[:r] for r in ranks], maxiter, tol
-            )
-            for r, (w, h, history) in zip(ranks, fits):
-                cost = model_cost(xn, w, h, criterion=criterion, b=b)
-                iterations = len(history) - 1
-                sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
-                if cost < mincost:
-                    mincost = cost
-                    failed = 0
-                    if best is None or cost < best[0]:
-                        best = (cost, r, w, h)
-                else:
-                    failed += 1
-            lo = ranks.stop
-        sweep.stopped = "trials" if failed >= trials else "rmax"
+    fitter = _BatchFitter(xn, maxiter, tol)
+    try:
+        for _ in range(restarts):
+            w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
+            h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
+            mincost = np.inf
+            failed = 0
+            lo = 1
+            while failed < trials and lo <= rmax:
+                ranks = range(lo, min(lo + trials - failed, rmax + 1))
+                for r, (w, h, history) in zip(ranks, fitter.fit(w_full, h_full, ranks)):
+                    cost = model_cost(xn, w, h, criterion=criterion, b=b)
+                    iterations = len(history) - 1
+                    sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
+                    if cost < mincost:
+                        mincost = cost
+                        failed = 0
+                        if best is None or cost < best[0]:
+                            best = (cost, r, w, h)
+                    else:
+                        failed += 1
+                lo = ranks.stop
+            sweep.stopped = "trials" if failed >= trials else "rmax"
+    finally:
+        fitter.close()
     assert best is not None
     cost, r, w, h = best
     return RoleModel(

@@ -1,5 +1,12 @@
+import multiprocessing
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -11,6 +18,7 @@ from rolemine import (
     RoleModel,
     erdos_renyi,
     factorize_at_rank,
+    features_to_csv,
     hard_assignment,
     kmeans_assign,
     learn_features,
@@ -24,6 +32,8 @@ from rolemine import (
     soft_memberships,
     svd_factorize,
 )
+from rolemine import roles as roles_module
+from rolemine.cli import main
 from rolemine.roles import _nmf_batch
 
 nonneg_matrices = arrays(
@@ -511,3 +521,118 @@ class TestGramObjective:
         x = rng.integers(0, 4, (n, r)).astype(float) @ rng.integers(0, 4, (r, f)).astype(float)
         _, _, history = nmf_factorize(x, r, seed=seed, maxiter=2000, tol=0.0)
         assert min(history) == 0.0
+
+
+def count_pools(monkeypatch):
+    """Record each fit worker pool the sweep creates."""
+    pools = []
+
+    class Counted(roles_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(roles_module, "ProcessPoolExecutor", Counted)
+    return pools
+
+
+def refuse_pools(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep started a process")
+
+    monkeypatch.setattr(roles_module, "ProcessPoolExecutor", refuse)
+
+
+def in_worker_only(monkeypatch, act):
+    """Make _nmf_batch call act() first when it runs in a forked worker."""
+    parent = os.getpid()
+    kernel = roles_module._nmf_batch
+
+    def kernel_or_act(*args):
+        if os.getpid() != parent:
+            act()
+        return kernel(*args)
+
+    monkeypatch.setattr(roles_module, "_nmf_batch", kernel_or_act)
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test, rather than hang, if the block runs over seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedStacks:
+    # the inputs of er_features(1..3), and a planted graph large enough to fork
+    @pytest.mark.parametrize(
+        "graph,config",
+        [(erdos_renyi(150, 8 / 149, seed=seed), FeatureLearnConfig(maxiter=3)) for seed in (1, 2, 3)]
+        + [(planted_role_graph(seed=3, units=30)[0], FeatureLearnConfig())],
+        ids=["er1", "er2", "er3", "planted"],
+    )
+    def test_same_bytes_on_any_cpu_count(self, graph, config, monkeypatch, tmp_path):
+        learned = learn_features(graph, config)
+        x = learned.values
+        (tmp_path / "features.csv").write_text(features_to_csv(learned))
+        pools = count_pools(monkeypatch)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(roles_module, "_cpu_count", lambda: cpus)
+            sweep = RankSweep()
+            model = select_rank(x, sweep=sweep)
+            result = CliRunner().invoke(main, ["select-rank", str(tmp_path / "features.csv"),
+                                               "--output-dir", str(tmp_path / "out")])
+            assert result.exit_code == 0, result.output
+            files = [(tmp_path / "out" / name).read_bytes() for name in ("model.json", "run.json")]
+            runs.append((model, sweep, files, len(pools)))
+        (model, sweep, files, _), *others = runs
+        for other, other_sweep, other_files, _ in others:
+            assert np.array_equal(other.w, model.w) and np.array_equal(other.h, model.h)
+            assert other.cost == model.cost
+            assert other_sweep == sweep
+            assert other_files == files
+        # one CPU forks nothing; two and three fork once per sweep
+        assert [count for *_, count in runs] == [0, 2, 4]
+
+    def test_error_in_the_worker_leaves_select_rank(self, monkeypatch):
+        def fail():
+            raise ValueError("second stack failed")
+
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+        in_worker_only(monkeypatch, fail)
+        with deadline(60), pytest.raises(ValueError, match="second stack failed"):
+            select_rank(er_features(1))
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_raises(self, monkeypatch):
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+        in_worker_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with deadline(60), pytest.raises(BrokenProcessPool):
+            select_rank(er_features(1))
+        assert multiprocessing.active_children() == []
+
+    def test_small_inputs_and_single_ranks_start_no_process(self, monkeypatch):
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+        refuse_pools(monkeypatch)
+        assert select_rank(np.random.default_rng(8).random((30, 3))).r >= 1
+        x = er_features(1)
+        factorize_at_rank(x, 5)
+        # one trial: every batch is one rank
+        sweep = RankSweep()
+        select_rank(x, trials=1, sweep=sweep)
+        assert len(sweep.fits) > 1
+
+    @pytest.mark.parametrize("shape", [(150, 68), (3800, 5)])
+    def test_benchmark_sized_inputs_take_the_worker(self, shape, monkeypatch):
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+        assert roles_module._BatchFitter(np.ones(shape), 500, 1e-6).forks
