@@ -15,12 +15,12 @@ import click
 import numpy as np
 
 from . import __version__
-from ._csv_rows import csv_rows
 from .equivalences import automorphic_orbits, regular_refinement, structural_classes
 from .features import (
     DEFAULT_OPERATORS,
     DEFAULT_PRIMITIVES,
     FeatureLearnConfig,
+    csv_rows,
     descriptors_from_json,
     descriptors_to_json,
     features_from_csv,

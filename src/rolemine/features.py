@@ -34,18 +34,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import os
 import shutil
-import subprocess
-import sys
 import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._csv_rows import block_rows, csv_rows
 from .equivalences import _UnionFind
 from .graph import Graph
 
@@ -711,36 +708,40 @@ def descriptors_from_json(text: str) -> tuple[FeatureDescriptor, ...]:
     )
 
 
-# features.csv rows go to fresh workers in parts of at least this many values
+def csv_rows(rows, node: int = 0, prefix: str = "") -> str:
+    """The row format of every matrix CSV: CSV lines for rows (lists of
+    floats), each its node id, counted from node and after prefix, then its
+    values as repr floats."""
+    return "".join(
+        ",".join([f"{prefix}{u}", *map(repr, row)]) + "\n" for u, row in enumerate(rows, start=node)
+    )
+
+
+# features.csv rows go to forked children in parts of at least this many
+# values. On 2 vCPUs, rows of the n=1000 features (1872 columns) wrote in two
+# parts faster than in one from about 2e4 values (6.9 against 7.9 ms at 18720
+# values, 78 against 141 ms at 340704) once the child ran on the other CPU;
+# a child placed on its parent's CPU, as in many fresh processes there, lost
+# 4-10 ms at every size up to 340000 values
 _VALUES_PER_WORKER = 1 << 18
-_WORKER = Path(__file__).with_name("_csv_rows.py")
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may run on, or 1 where it cannot fork: every
+    process rolemine starts is forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _start_worker(stack: ExitStack, rows: np.ndarray, node: int):
-    """Format rows, numbered from node, in a `python -I -S` process that
-    imports only the standard library. It reads them as float64 rows from a
-    temporary file and writes to another. Returns the process and its output
-    and stderr files, all released when stack closes; an unfinished worker
-    is killed and waited for first."""
-    source = stack.enter_context(tempfile.TemporaryFile())
-    step = block_rows(rows.shape[1])
-    for lo in range(0, len(rows), step):
-        np.ascontiguousarray(rows[lo : lo + step], dtype=np.float64).tofile(source)
-    source.seek(0)
-    output = stack.enter_context(tempfile.TemporaryFile("w+", encoding="ascii"))
-    errors = stack.enter_context(tempfile.TemporaryFile("w+"))
-    proc = subprocess.Popen(
-        [sys.executable, "-I", "-S", str(_WORKER), str(node), str(rows.shape[1])],
-        stdin=source, stdout=output, stderr=errors,
-    )
-    stack.callback(proc.wait)
-    stack.callback(proc.kill)  # runs first; does nothing once the worker has been waited for
-    return proc, output, errors
+def _write_rows(values: np.ndarray, lo: int, hi: int, out) -> None:
+    """CSV lines of rows lo:hi of values to the text file out, in blocks of
+    about 2**16 values, then flushed: a forked child leaves through
+    os._exit, which flushes nothing."""
+    step = max(1, (1 << 16) // max(values.shape[1], 1))
+    for a in range(lo, hi, step):
+        out.write(csv_rows(values[a : min(a + step, hi)].tolist(), a))
+    out.flush()
 
 
 def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
@@ -750,9 +751,10 @@ def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
 
     A matrix of n*f values is cut into up to min(CPUs, n*f // 2**18)
     contiguous row parts. This process formats the first; each other part
-    is written to a temporary file and read by a fresh `python -I -S`
-    worker, whose output is appended in row order, so the bytes do not
-    depend on the number of parts."""
+    is formatted by a forked child, which reads x copy-on-write, into a
+    temporary file opened before the fork. The files are appended in row
+    order, so the bytes do not depend on the number of parts. An unfinished
+    child is killed and joined when the write ends early."""
     if out is None:
         buf = io.StringIO()
         features_to_csv(x, buf)
@@ -761,18 +763,21 @@ def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
     parts = max(1, min(_cpu_count(), x.n * x.f // _VALUES_PER_WORKER))
     bounds = [x.n * i // parts for i in range(parts + 1)]
     with ExitStack() as stack:
-        workers = [
-            _start_worker(stack, x.values[lo:hi], lo) for lo, hi in zip(bounds[1:-1], bounds[2:])
-        ]
-        step = block_rows(x.f)
-        for lo in range(0, bounds[1], step):
-            out.write(csv_rows(x.values[lo : min(lo + step, bounds[1])].tolist(), lo))
-        for proc, output, errors in workers:
-            if proc.wait() != 0:
-                errors.seek(0)
-                raise RuntimeError(
-                    f"features.csv worker exited with code {proc.returncode}: {errors.read()}"
-                )
+        children = []
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            output = stack.enter_context(tempfile.TemporaryFile("w+", encoding="ascii"))
+            child = multiprocessing.get_context("fork").Process(
+                target=_write_rows, args=(x.values, lo, hi, output)
+            )
+            child.start()
+            stack.callback(child.join)
+            stack.callback(child.kill)  # runs first; does nothing once the child has been joined
+            children.append((child, output))
+        _write_rows(x.values, 0, bounds[1], out)
+        for child, output in children:
+            child.join()
+            if child.exitcode != 0:
+                raise RuntimeError(f"features.csv worker exited with code {child.exitcode}")
             output.seek(0)
             shutil.copyfileobj(output, out, 1 << 20)
     return None

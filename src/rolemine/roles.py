@@ -179,11 +179,7 @@ class _BatchFitter:
 
     def __init__(self, x: np.ndarray, maxiter: int, tol: float):
         self.x, self.maxiter, self.tol = x, maxiter, tol
-        self.forks = (
-            x.size >= _VALUES_PER_FIT_WORKER
-            and _cpu_count() >= 2
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
+        self.forks = x.size >= _VALUES_PER_FIT_WORKER and _cpu_count() >= 2
         self.pool = None
 
     def fit(self, w_full, h_full, ranks: range):
@@ -321,6 +317,8 @@ def select_rank(
         raise ValueError("trials must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if maxiter < 1:
+        raise ValueError("maxiter must be >= 1")
     x = _validate_input(x)
     xn, scales = normalize_columns(x)
     n, f = xn.shape

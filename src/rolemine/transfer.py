@@ -16,8 +16,7 @@ import json
 
 import numpy as np
 
-from ._csv_rows import csv_rows
-from .features import recompute
+from .features import csv_rows, recompute
 from .graph import Graph
 from .roles import RoleModel
 

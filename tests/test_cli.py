@@ -214,6 +214,18 @@ class TestSelectRankAndAssign:
         )
         assert model_from_json((tmp_path / "model.json").read_text()).r == 3
 
+    @pytest.mark.parametrize("maxiter", ["0", "-3"])
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]], ids=["sweep", "rank"])
+    def test_maxiter_below_one_rejected(self, runner, tmp_path, maxiter, rank):
+        (tmp_path / "features.csv").write_text(two_pattern_csv())
+        result = runner.invoke(
+            main,
+            ["select-rank", str(tmp_path / "features.csv"), "--maxiter", maxiter, *rank,
+             "--output-dir", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 1
+        assert result.stderr == "error: maxiter must be >= 1\n"
+
     def test_descriptor_count_mismatch_rejected(self, runner, tmp_path):
         (tmp_path / "features.csv").write_text(two_pattern_csv())
         (tmp_path / "descriptors.json").write_text(

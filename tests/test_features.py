@@ -4,8 +4,9 @@ import io
 import itertools
 import json
 import math
-import subprocess
-import sys
+import multiprocessing
+import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -36,6 +37,15 @@ from rolemine import (
 from rolemine import features as features_module
 from rolemine.features import _aggregate, _agreement_roots, log_bin_rows
 
+from forks import (
+    count_forks,
+    deadline,
+    in_child_only,
+    kill_self,
+    refuse_forks,
+    set_cpus,
+    without_fork,
+)
 from oracles import all_at_once_learn, truncated_at_full_rank
 from strategies import graph_with_permutation, graphs, neighbor_lists
 
@@ -150,20 +160,6 @@ def first_difference(text, expected):
 
 def awkward_matrix(n, f):
     return matrix_from_columns(np.resize(AWKWARD_FLOATS, (f, n)) * np.arange(1, n + 1))
-
-
-def count_workers(monkeypatch):
-    started = []
-    popen = subprocess.Popen
-    monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: started.append(a) or popen(*a, **k))
-    return started
-
-
-def refuse_workers(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("features_to_csv started a process")
-
-    monkeypatch.setattr(subprocess, "Popen", refuse)
 
 
 class TestPrimitives:
@@ -1068,7 +1064,7 @@ class TestStreamedCsv:
         # 4099 x 256 values are just over 4 * 2**18: four uneven row parts
         x = awkward_matrix(4099, 256)
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 4)
-        started = count_workers(monkeypatch)
+        started = count_forks(monkeypatch)
         path = tmp_path / "features.csv"
         with open(path, "w") as fh:
             features_to_csv(x, fh)
@@ -1077,45 +1073,74 @@ class TestStreamedCsv:
         assert first_difference(path.read_text(), expected) is None
         assert first_difference(features_to_csv(x), expected) is None
         assert len(started) == 6
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_one_part(self, monkeypatch):
+        x = awkward_matrix(4099, 256)
+        set_cpus(monkeypatch, 4)
+        started = count_forks(monkeypatch)
+        forked = features_to_csv(x)
+        assert len(started) == 3
+        without_fork(monkeypatch)
+        refuse_forks(monkeypatch)
+        assert first_difference(features_to_csv(x), forked) is None
+        assert multiprocessing.active_children() == []
 
     def test_more_parts_than_rows(self, monkeypatch):
         x = awkward_matrix(5, 3)
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 8)
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
-        started = count_workers(monkeypatch)
+        started = count_forks(monkeypatch)
         assert features_to_csv(x) == reference_csv(x)
         assert len(started) == 7
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_any_cpu_count_writes_the_same_bytes(self, monkeypatch, cpus):
+        x = awkward_matrix(97, 5)
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
+        started = count_forks(monkeypatch)
+        assert features_to_csv(x) == reference_csv(x)
+        assert len(started) == cpus - 1
+        assert multiprocessing.active_children() == []
 
     def test_failed_worker_raises(self, monkeypatch):
+        self.fail_in_child(monkeypatch, lambda: 1 / 0, "exited with code 1$")
+
+    def test_killed_worker_raises(self, monkeypatch):
+        self.fail_in_child(monkeypatch, kill_self, "exited with code -9$")
+
+    @staticmethod
+    def fail_in_child(monkeypatch, act, message):
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 2)
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
-        monkeypatch.setattr(sys, "executable", "/bin/false")
-        with pytest.raises(RuntimeError, match="exited with code 1"):
+        in_child_only(monkeypatch, features_module, "csv_rows", act)
+        with deadline(60), pytest.raises(RuntimeError, match=message):
             features_to_csv(awkward_matrix(50, 4))
+        assert multiprocessing.active_children() == []
 
     def test_workers_are_ended_when_formatting_fails(self, monkeypatch):
-        procs = []
-        popen = subprocess.Popen
-
-        def start(*args, **kwargs):
-            procs.append(popen(*args, **kwargs))
-            return procs[-1]
+        parent = os.getpid()
 
         def fail(*args):
-            raise ValueError("formatting failed")
+            if os.getpid() == parent:
+                raise ValueError("formatting failed")
+            time.sleep(120)
 
-        monkeypatch.setattr(subprocess, "Popen", start)
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 3)
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
         monkeypatch.setattr(features_module, "csv_rows", fail)
-        with pytest.raises(ValueError, match="formatting failed"):
+        started = count_forks(monkeypatch)
+        with deadline(60), pytest.raises(ValueError, match="formatting failed"):
             features_to_csv(awkward_matrix(50, 4))
-        assert len(procs) == 2
-        assert all(proc.returncode is not None for proc in procs)
+        # each child was still formatting, so it was killed
+        assert [child.exitcode for child in started] == [-9, -9]
+        assert multiprocessing.active_children() == []
 
     def test_small_matrices_start_no_process(self, monkeypatch):
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 4)
-        refuse_workers(monkeypatch)
+        refuse_forks(monkeypatch)
         x = learn_features(erdos_renyi(40, 0.2, seed=2), FeatureLearnConfig(maxiter=3))
         assert features_to_csv(x) == reference_csv(x)
         # one value short of two parts
@@ -1124,6 +1149,6 @@ class TestStreamedCsv:
         assert features_to_csv(x) == reference_csv(x)
 
     def test_zero_columns(self, monkeypatch):
-        refuse_workers(monkeypatch)
+        refuse_forks(monkeypatch)
         x = FeatureMatrix(np.zeros((2, 0)), ())
         assert features_to_csv(x) == "node\n0\n1\n"

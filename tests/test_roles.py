@@ -1,8 +1,5 @@
 import multiprocessing
-import os
-import signal
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -35,6 +32,16 @@ from rolemine import (
 from rolemine import roles as roles_module
 from rolemine.cli import main
 from rolemine.roles import _nmf_batch
+
+from forks import (
+    count_forks,
+    deadline,
+    in_child_only,
+    kill_self,
+    refuse_forks,
+    set_cpus,
+    without_fork,
+)
 
 nonneg_matrices = arrays(
     dtype=float,
@@ -253,6 +260,11 @@ class TestSelectRank:
             select_rank(x, trials=0)
         with pytest.raises(ValueError):
             select_rank(x, restarts=0)
+
+    @pytest.mark.parametrize("maxiter", [0, -3])
+    def test_maxiter_below_one_rejected(self, maxiter):
+        with pytest.raises(ValueError, match="maxiter must be >= 1"):
+            select_rank(two_pattern_matrix(), maxiter=maxiter)
 
     def test_fixed_rank_fit(self):
         x = two_pattern_matrix()
@@ -543,35 +555,6 @@ def refuse_pools(monkeypatch):
     monkeypatch.setattr(roles_module, "ProcessPoolExecutor", refuse)
 
 
-def in_worker_only(monkeypatch, act):
-    """Make _nmf_batch call act() first when it runs in a forked worker."""
-    parent = os.getpid()
-    kernel = roles_module._nmf_batch
-
-    def kernel_or_act(*args):
-        if os.getpid() != parent:
-            act()
-        return kernel(*args)
-
-    monkeypatch.setattr(roles_module, "_nmf_batch", kernel_or_act)
-
-
-@contextmanager
-def deadline(seconds):
-    """Fail the test, rather than hang, if the block runs over seconds."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestForkedStacks:
     # the inputs of er_features(1..3), and a planted graph large enough to fork
     @pytest.mark.parametrize(
@@ -609,14 +592,14 @@ class TestForkedStacks:
             raise ValueError("second stack failed")
 
         monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
-        in_worker_only(monkeypatch, fail)
+        in_child_only(monkeypatch, roles_module, "_nmf_batch", fail)
         with deadline(60), pytest.raises(ValueError, match="second stack failed"):
             select_rank(er_features(1))
         assert multiprocessing.active_children() == []
 
     def test_killed_worker_raises(self, monkeypatch):
         monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
-        in_worker_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        in_child_only(monkeypatch, roles_module, "_nmf_batch", kill_self)
         with deadline(60), pytest.raises(BrokenProcessPool):
             select_rank(er_features(1))
         assert multiprocessing.active_children() == []
@@ -631,6 +614,21 @@ class TestForkedStacks:
         sweep = RankSweep()
         select_rank(x, trials=1, sweep=sweep)
         assert len(sweep.fits) > 1
+
+    def test_without_fork_the_sweep_runs_in_process(self, monkeypatch):
+        x = er_features(1)
+        set_cpus(monkeypatch, 2)
+        started = count_forks(monkeypatch)
+        sweep = RankSweep()
+        model = select_rank(x, sweep=sweep)
+        assert len(started) == 1
+        without_fork(monkeypatch)
+        refuse_forks(monkeypatch)
+        other_sweep = RankSweep()
+        other = select_rank(x, sweep=other_sweep)
+        assert np.array_equal(other.w, model.w) and np.array_equal(other.h, model.h)
+        assert other.cost == model.cost and other_sweep == sweep
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("shape", [(150, 68), (3800, 5)])
     def test_benchmark_sized_inputs_take_the_worker(self, shape, monkeypatch):
