@@ -39,7 +39,6 @@ from .roles import (
     RoleModel,
     factorize_at_rank,
     hard_assignment,
-    kmeans_assign,
     model_cost,
     model_from_json,
     model_to_json,
@@ -56,10 +55,8 @@ from .transfer import (
     estimate_transition_model,
     memberships_for_matrix,
     role_time_series,
-    series_from_csv,
     series_to_csv,
     transfer_memberships,
-    transition_from_json,
     transition_to_json,
 )
 
@@ -91,7 +88,6 @@ __all__ = [
     "features_from_csv",
     "features_to_csv",
     "hard_assignment",
-    "kmeans_assign",
     "learn_features",
     "load_edge_list",
     "memberships_for_matrix",
@@ -105,13 +101,11 @@ __all__ = [
     "regular_refinement",
     "role_time_series",
     "select_rank",
-    "series_from_csv",
     "series_to_csv",
     "soft_memberships",
     "structural_classes",
     "svd_factorize",
     "transfer_memberships",
-    "transition_from_json",
     "transition_to_json",
     "write_edge_list",
 ]

@@ -30,7 +30,6 @@ from .features import (
 from .graph import Graph, load_edge_list
 from .roles import (
     RankSweep,
-    RoleModel,
     factorize_at_rank,
     hard_assignment,
     model_from_json,
@@ -83,11 +82,14 @@ def _load_graph(path: str) -> Graph:
     return load_edge_list(_read(path))
 
 
-def _load_model(path: str) -> RoleModel:
+def _load(path: str, parse, what: str):
+    """parse(text of path); any failure to parse is reported as a malformed
+    `what` file."""
+    text = _read(path)
     try:
-        return model_from_json(_read(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed model file {path}: {exc}") from exc
+        return parse(text)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}") from exc
 
 
 def _write_run_json(config: RunConfig, outdir: Path, counters: dict) -> None:
@@ -130,7 +132,7 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
     x = features_from_csv(_read(config.inputs[0]))
     descriptors = None
     if len(config.inputs) > 1:
-        descriptors = descriptors_from_json(_read(config.inputs[1]))
+        descriptors = _load(config.inputs[1], descriptors_from_json, "descriptors")
         if len(descriptors) != x.shape[1]:
             raise ValueError("descriptor count does not match feature columns")
     sweep = RankSweep()
@@ -145,7 +147,7 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
 
 
 def _run_assign(config: RunConfig, outdir: Path) -> None:
-    model = _load_model(config.inputs[0])
+    model = _load(config.inputs[0], model_from_json, "model")
     if config.hard:
         labels = hard_assignment(model.w)
         lines = ["node,role"] + [f"{node},{int(r)}" for node, r in enumerate(labels)]
@@ -155,7 +157,7 @@ def _run_assign(config: RunConfig, outdir: Path) -> None:
 
 
 def _run_transfer(config: RunConfig, outdir: Path) -> dict:
-    model = _load_model(config.inputs[0])
+    model = _load(config.inputs[0], model_from_json, "model")
     g2 = _load_graph(config.inputs[1])
     report = NnlsReport()
     w = transfer_memberships(g2, model, report=report)
@@ -190,7 +192,7 @@ def _parse_manifest(path: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
 
 
 def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
-    model = _load_model(config.inputs[0])
+    model = _load(config.inputs[0], model_from_json, "model")
     timestamps, paths = _parse_manifest(config.inputs[1])
     graphs = [_load_graph(p) for p in paths]
     series = role_time_series(graphs, model, timestamps=timestamps)

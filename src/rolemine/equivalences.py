@@ -7,8 +7,6 @@ by smallest member).
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from .graph import CSR, Graph, NodePartition, _rows
@@ -135,32 +133,19 @@ def automorphic_orbits(g: Graph) -> NodePartition:
     return NodePartition.from_labels([uf.find(u) for u in range(g.n)])
 
 
-def regular_refinement(g: Graph, p0: NodePartition | None = None, multiset: bool = False) -> NodePartition:
-    """Coarsest regular-consistent partition refining p0 (default: one class).
-
-    Repeatedly splits classes whose members see different sets of neighbor
-    class labels, simultaneously over all classes, until a fixed point. With
-    multiset=True the neighbor labels are compared with multiplicity
-    (equitable / color refinement).
+def regular_refinement(g: Graph) -> NodePartition:
+    """Coarsest regular-consistent partition: starting from one class,
+    repeatedly splits classes whose members see different sets of neighbor
+    class labels, simultaneously over all classes, until a fixed point.
     """
     if g.n == 0:
         return NodePartition((), 0)
-    if p0 is None:
-        labels = [0] * g.n
-    else:
-        if len(p0.assignment) != g.n:
-            raise ValueError("p0 does not cover this graph's nodes")
-        labels = list(p0.assignment)
-
+    labels = [0] * g.n
     out_rows, in_rows = _out_in_rows(g)
     sides = (out_rows, in_rows) if g.directed else (out_rows,)
-
-    def summary(nbr_labels):
-        return tuple(sorted(Counter(nbr_labels).items())) if multiset else frozenset(nbr_labels)
-
     while True:
         sigs = [
-            (labels[u], *(summary([labels[v] for v in rows[u]]) for rows in sides))
+            (labels[u], *(frozenset(labels[v] for v in rows[u]) for rows in sides))
             for u in range(g.n)
         ]
         refined = NodePartition.from_labels(sigs)

@@ -32,7 +32,6 @@ close.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import multiprocessing
 import os
@@ -744,10 +743,9 @@ def _write_rows(values: np.ndarray, lo: int, hi: int, out) -> None:
     out.flush()
 
 
-def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
+def features_to_csv(x: FeatureMatrix, out) -> None:
     """features.csv: a node,feat_0,... header, then one line per node with
-    repr floats. Streams to the text file out in row blocks when given (and
-    returns None); otherwise returns the text.
+    repr floats, streamed to the text file out in row blocks.
 
     A matrix of n*f values is cut into up to min(CPUs, n*f // 2**18)
     contiguous row parts. This process formats the first; each other part
@@ -755,10 +753,6 @@ def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
     temporary file opened before the fork. The files are appended in row
     order, so the bytes do not depend on the number of parts. An unfinished
     child is killed and joined when the write ends early."""
-    if out is None:
-        buf = io.StringIO()
-        features_to_csv(x, buf)
-        return buf.getvalue()
     out.write(",".join(["node"] + [f"feat_{j}" for j in range(x.f)]) + "\n")
     parts = max(1, min(_cpu_count(), x.n * x.f // _VALUES_PER_WORKER))
     bounds = [x.n * i // parts for i in range(parts + 1)]
@@ -780,7 +774,6 @@ def features_to_csv(x: FeatureMatrix, out=None) -> str | None:
                 raise RuntimeError(f"features.csv worker exited with code {child.exitcode}")
             output.seek(0)
             shutil.copyfileobj(output, out, 1 << 20)
-    return None
 
 
 def features_from_csv(text: str) -> np.ndarray:

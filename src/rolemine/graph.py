@@ -135,18 +135,6 @@ class NodePartition:
         remap = {lab: i for i, lab in enumerate(order)}
         return cls(tuple(remap[lab] for lab in labels), len(order))
 
-    @classmethod
-    def from_classes(cls, classes: Iterable[Iterable[int]], n: int) -> "NodePartition":
-        labels = [-1] * n
-        for i, members in enumerate(classes):
-            for u in members:
-                if labels[u] != -1:
-                    raise ValueError(f"node {u} appears in two classes")
-                labels[u] = i
-        if -1 in labels:
-            raise ValueError("classes do not cover all nodes")
-        return cls.from_labels(labels)
-
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """Classes as sorted tuples, ordered by smallest member."""

@@ -1,10 +1,9 @@
 """Role assignment: low-rank factorization of the feature matrix.
 
 NMF with multiplicative updates is the main route (W rows are per-node role
-memberships, H rows define roles over features); SVD and k-means are the
-alternative assignments. Rank is chosen by a greedy sweep that scores each
-rank with an information criterion and stops after a run of non-improving
-ranks.
+memberships, H rows define roles over features); SVD is the alternative
+assignment. Rank is chosen by a greedy sweep that scores each rank with an
+information criterion and stops after a run of non-improving ranks.
 
 The sweep fits its ranks in batches: the ranks it must try whatever their
 costs (the next `trials - failed` of them). A stack of ranks runs through one
@@ -242,6 +241,13 @@ def svd_factorize(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return u[:, :r], s[:r], vt[:r].T
 
 
+def _check_criterion(criterion: str, b: int) -> None:
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    if criterion not in ("aic", "mdl"):
+        raise ValueError(f"unknown criterion {criterion!r}")
+
+
 def model_cost(x: np.ndarray, w: np.ndarray, h: np.ndarray, criterion: str = "aic", b: int = 16) -> float:
     """Score a factorization: parameter-count complexity plus an error term
     driven by log mean squared error."""
@@ -250,8 +256,7 @@ def model_cost(x: np.ndarray, w: np.ndarray, h: np.ndarray, criterion: str = "ai
     h = np.asarray(h, dtype=float)
     if w.shape[0] != x.shape[0] or h.shape[1] != x.shape[1] or w.shape[1] != h.shape[0]:
         raise ValueError("shape mismatch between x, w, h")
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    _check_criterion(criterion, b)
     n, f = x.shape
     r = w.shape[1]
     sse = float(((x - w @ h) ** 2).sum())
@@ -259,9 +264,7 @@ def model_cost(x: np.ndarray, w: np.ndarray, h: np.ndarray, criterion: str = "ai
     if criterion == "mdl":
         error_bits = (n * f / 2.0) * np.log2(mse + _EPS0)
         return float(b * (n * r + r * f) + max(0.0, error_bits))
-    if criterion == "aic":
-        return float(2.0 * (n * r + r * f) + (n * f) * np.log(mse + _EPS0))
-    raise ValueError(f"unknown criterion {criterion!r}")
+    return float(2.0 * (n * r + r * f) + (n * f) * np.log(mse + _EPS0))
 
 
 @dataclass(frozen=True)
@@ -278,9 +281,9 @@ class RankFit:
 @dataclass
 class RankSweep:
     """What a rank search did, filled in by select_rank or factorize_at_rank:
-    one RankFit per fitted rank in fitting order (over all restarts), and
-    why the last sweep stopped: "trials" (that many non-improving ranks in a
-    row), "rmax" (reached min(n, f)) or "rank" (a fixed rank, no sweep)."""
+    one RankFit per fitted rank in fitting order, and why the sweep stopped:
+    "trials" (that many non-improving ranks in a row), "rmax" (reached
+    min(n, f)) or "rank" (a fixed rank, no sweep)."""
 
     fits: list[RankFit] = field(default_factory=list)
     stopped: str | None = None
@@ -295,7 +298,6 @@ def select_rank(
     descriptors=None,
     maxiter: int = 500,
     tol: float = 1e-6,
-    restarts: int = 1,
     sweep: RankSweep | None = None,
 ) -> RoleModel:
     """Greedy rank search over column-normalized x.
@@ -303,8 +305,7 @@ def select_rank(
     One random (W0, H0) pair is drawn at full rank and sliced to the first r
     columns/rows for each candidate rank; the sweep stops after `trials`
     consecutive ranks without a cost improvement or at r = min(n, f), and the
-    cheapest model wins. `restarts` > 1 repeats the sweep with fresh draws
-    and keeps the overall best. `sweep`, when given, records each fit.
+    cheapest model wins. `sweep`, when given, records each fit.
 
     After `failed` non-improving ranks the next `trials - failed` ranks are
     tried whatever their costs, so they are fitted together as one batch,
@@ -315,10 +316,9 @@ def select_rank(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     if maxiter < 1:
         raise ValueError("maxiter must be >= 1")
+    _check_criterion(criterion, b)
     x = _validate_input(x)
     xn, scales = normalize_columns(x)
     n, f = xn.shape
@@ -327,33 +327,28 @@ def select_rank(
     scale0 = xn.max() if xn.max() > 0 else 1.0
     sweep = RankSweep() if sweep is None else sweep
 
-    best: tuple[float, int, np.ndarray, np.ndarray] | None = None
+    w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
+    h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
+    best = (np.inf, 0, None, None)
+    failed = 0
+    lo = 1
     fitter = _BatchFitter(xn, maxiter, tol)
     try:
-        for _ in range(restarts):
-            w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
-            h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
-            mincost = np.inf
-            failed = 0
-            lo = 1
-            while failed < trials and lo <= rmax:
-                ranks = range(lo, min(lo + trials - failed, rmax + 1))
-                for r, (w, h, history) in zip(ranks, fitter.fit(w_full, h_full, ranks)):
-                    cost = model_cost(xn, w, h, criterion=criterion, b=b)
-                    iterations = len(history) - 1
-                    sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
-                    if cost < mincost:
-                        mincost = cost
-                        failed = 0
-                        if best is None or cost < best[0]:
-                            best = (cost, r, w, h)
-                    else:
-                        failed += 1
-                lo = ranks.stop
-            sweep.stopped = "trials" if failed >= trials else "rmax"
+        while failed < trials and lo <= rmax:
+            ranks = range(lo, min(lo + trials - failed, rmax + 1))
+            for r, (w, h, history) in zip(ranks, fitter.fit(w_full, h_full, ranks)):
+                cost = model_cost(xn, w, h, criterion=criterion, b=b)
+                iterations = len(history) - 1
+                sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
+                if cost < best[0]:
+                    best = (cost, r, w, h)
+                    failed = 0
+                else:
+                    failed += 1
+            lo = ranks.stop
     finally:
         fitter.close()
-    assert best is not None
+    sweep.stopped = "trials" if failed >= trials else "rmax"
     cost, r, w, h = best
     return RoleModel(
         r=r,
@@ -380,6 +375,7 @@ def factorize_at_rank(
     sweep: RankSweep | None = None,
 ) -> RoleModel:
     """Skip the sweep and fit a model at a fixed rank (CLI --rank override)."""
+    _check_criterion(criterion, b)
     x = _validate_input(x)
     xn, scales = normalize_columns(x)
     w, h, history = nmf_factorize(xn, r, seed=seed, maxiter=maxiter, tol=tol)
@@ -419,45 +415,6 @@ def hard_assignment(w: np.ndarray) -> np.ndarray:
     if (w < 0).any():
         raise ValueError("memberships must be non-negative")
     return np.argmax(w, axis=1)
-
-
-def kmeans_assign(x: np.ndarray, r: int, seed: int = 1, maxiter: int = 100) -> np.ndarray:
-    """Lloyd k-means on rows of column-normalized x.
-
-    Deterministic: the seeded start row plus farthest-point initialization;
-    an emptied cluster is re-seeded with the point farthest from its own
-    center. Returns hard labels.
-    """
-    x = _validate_input(x)
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    if r > x.shape[0]:
-        raise ValueError("r must not exceed the number of nodes")
-    xn, _ = normalize_columns(x)
-    n = xn.shape[0]
-    rng = np.random.default_rng(seed)
-    centers = [xn[int(rng.integers(n))]]
-    while len(centers) < r:
-        dists = np.min([((xn - c) ** 2).sum(axis=1) for c in centers], axis=0)
-        centers.append(xn[int(np.argmax(dists))])
-    centers = np.array(centers)
-    labels = np.zeros(n, dtype=int)
-    for _ in range(maxiter):
-        dists = ((xn[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(dists, axis=1)
-        for k in range(r):
-            members = new_labels == k
-            if members.any():
-                centers[k] = xn[members].mean(axis=0)
-            else:
-                own = dists[np.arange(n), new_labels]
-                far = int(np.argmax(own))
-                centers[k] = xn[far]
-                new_labels[far] = k
-        if (new_labels == labels).all():
-            return new_labels
-        labels = new_labels
-    return labels
 
 
 def model_to_json(model: RoleModel) -> str:

@@ -180,7 +180,7 @@ def memberships_for_matrix(
 @dataclass(frozen=True, eq=False)
 class MembershipSeries:
     """Membership matrices for a sequence of graph snapshots, sharing one
-    role model. `model` is None for series loaded from CSV."""
+    role model."""
 
     timestamps: tuple[int, ...]
     memberships: tuple[np.ndarray, ...]
@@ -258,32 +258,8 @@ def series_to_csv(series: MembershipSeries) -> str:
     )
 
 
-def series_from_csv(text: str) -> MembershipSeries:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("timestamp,node,"):
-        raise ValueError("expected a 'timestamp,node,role_0,...' header row")
-    r = len(lines[0].split(",")) - 2
-    by_time: dict[int, list[tuple[int, list[float]]]] = {}  # in first-appearance order
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        by_time.setdefault(int(parts[0]), []).append((int(parts[1]), [float(v) for v in parts[2:]]))
-    mats = []
-    for t, rows in by_time.items():
-        if [node for node, _ in rows] != list(range(len(rows))):
-            raise ValueError(f"snapshot {t} rows must cover nodes 0..n-1 in order")
-        mats.append(np.array([vals for _, vals in rows], dtype=float).reshape(len(rows), r))
-    return MembershipSeries(timestamps=tuple(by_time), memberships=tuple(mats))
-
-
 def transition_to_json(t: np.ndarray) -> str:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("transition model must be square")
     return json.dumps([[float(v) for v in row] for row in t], indent=2) + "\n"
-
-
-def transition_from_json(text: str) -> np.ndarray:
-    t = np.array(json.loads(text), dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError("transition model must be square")
-    return t

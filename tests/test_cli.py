@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -244,6 +245,26 @@ class TestSelectRankAndAssign:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: malformed model file")
 
+    def test_model_file_that_is_not_an_object_rejected(self, runner, tmp_path):
+        (tmp_path / "model.json").write_text("[1]\n")
+        result = runner.invoke(main, ["assign", str(tmp_path / "model.json")])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.stderr.startswith("error: malformed model file")
+
+    @pytest.mark.parametrize("text", ['[{"kind": "primitive"}]', '{"a": 1}', "[1]"])
+    def test_malformed_descriptors_file_rejected(self, runner, tmp_path, text):
+        (tmp_path / "features.csv").write_text(two_pattern_csv())
+        (tmp_path / "descriptors.json").write_text(text + "\n")
+        result = runner.invoke(
+            main,
+            ["select-rank", str(tmp_path / "features.csv"), str(tmp_path / "descriptors.json"),
+             "--output-dir", str(tmp_path / "out")],
+        )
+        # an uncaught exception would also end in exit code 1 under CliRunner
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.stderr.startswith("error: malformed descriptors file")
+        assert "Traceback" not in result.stderr
+
 
 class TestSweepCounters:
     def select(self, runner, tmp_path, *flags):
@@ -466,6 +487,22 @@ class TestTooling:
         assert len(set(rolemine.__all__)) == len(rolemine.__all__)
         for name in rolemine.__all__:
             assert getattr(rolemine, name, None) is not None, name
+
+    def test_every_public_name_has_a_caller(self):
+        # reached from the package itself, a script, the benchmark or an
+        # acceptance criterion, not only from its own tests
+        root = Path(__file__).resolve().parent.parent
+        files = [p for p in Path(rolemine.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+        files += [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py"),
+                  root / "tests" / "test_acceptance.py"]
+        lines = [line for path in files for line in path.read_text().splitlines()]
+        unreached = []
+        for name in rolemine.__all__:
+            own = re.compile(rf"\s*((def|class)\s+{name}\b|{name}\s*[:=])")
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(line) and not own.match(line) for line in lines):
+                unreached.append(name)
+        assert unreached == []
 
     def test_six_subcommands(self):
         assert sorted(main.commands) == sorted(SUBCOMMANDS)

@@ -149,6 +149,13 @@ def reference_csv(x):
     return buf.getvalue()
 
 
+def csv_text(x):
+    """What features_to_csv writes, through an in-memory text file."""
+    buf = io.StringIO()
+    features_to_csv(x, buf)
+    return buf.getvalue()
+
+
 def first_difference(text, expected):
     """None if the texts are equal, else the first differing line (cut short),
     which stays cheap to report on texts of many megabytes."""
@@ -619,14 +626,14 @@ class TestRecompute:
 class TestSerialization:
     def test_features_csv_round_trip_exact(self):
         x = learn_features(S3, FeatureLearnConfig(maxiter=2))
-        text = features_to_csv(x)
+        text = csv_text(x)
         assert text.startswith("node,feat_0")
         back = features_from_csv(text)
         assert (back == x.values).all()
 
     def test_csv_preserves_non_representable_floats(self):
         x = matrix_from_columns([[0.1 + 0.2, 1 / 3, 2.0]])
-        back = features_from_csv(features_to_csv(x))
+        back = features_from_csv(csv_text(x))
         assert (back == x.values).all()
 
     def test_csv_bad_node_order_rejected(self):
@@ -645,7 +652,7 @@ class TestSerialization:
     @pytest.mark.parametrize("trailing", [True, False])
     def test_csv_read_is_bit_exact_at_any_line_break(self, newline, trailing):
         x = awkward_matrix(7, 3)
-        text = features_to_csv(x).replace("\n", newline)
+        text = csv_text(x).replace("\n", newline)
         back = features_from_csv(text if trailing else text.removesuffix(newline))
         assert back.dtype == np.float64
         assert back.tobytes() == np.ascontiguousarray(x.values).tobytes()
@@ -1058,7 +1065,7 @@ class TestStreamedCsv:
         path = tmp_path / "features.csv"
         with open(path, "w") as fh:
             assert features_to_csv(x, fh) is None
-        assert path.read_text() == reference_csv(x) == features_to_csv(x)
+        assert path.read_text() == reference_csv(x) == csv_text(x)
 
     def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
         # 4099 x 256 values are just over 4 * 2**18: four uneven row parts
@@ -1071,7 +1078,7 @@ class TestStreamedCsv:
         assert len(started) == 3
         expected = reference_csv(x)
         assert first_difference(path.read_text(), expected) is None
-        assert first_difference(features_to_csv(x), expected) is None
+        assert first_difference(csv_text(x), expected) is None
         assert len(started) == 6
         assert multiprocessing.active_children() == []
 
@@ -1079,11 +1086,11 @@ class TestStreamedCsv:
         x = awkward_matrix(4099, 256)
         set_cpus(monkeypatch, 4)
         started = count_forks(monkeypatch)
-        forked = features_to_csv(x)
+        forked = csv_text(x)
         assert len(started) == 3
         without_fork(monkeypatch)
         refuse_forks(monkeypatch)
-        assert first_difference(features_to_csv(x), forked) is None
+        assert first_difference(csv_text(x), forked) is None
         assert multiprocessing.active_children() == []
 
     def test_more_parts_than_rows(self, monkeypatch):
@@ -1091,7 +1098,7 @@ class TestStreamedCsv:
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 8)
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
         started = count_forks(monkeypatch)
-        assert features_to_csv(x) == reference_csv(x)
+        assert csv_text(x) == reference_csv(x)
         assert len(started) == 7
         assert multiprocessing.active_children() == []
 
@@ -1101,7 +1108,7 @@ class TestStreamedCsv:
         monkeypatch.setattr(features_module, "_cpu_count", lambda: cpus)
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
         started = count_forks(monkeypatch)
-        assert features_to_csv(x) == reference_csv(x)
+        assert csv_text(x) == reference_csv(x)
         assert len(started) == cpus - 1
         assert multiprocessing.active_children() == []
 
@@ -1117,7 +1124,7 @@ class TestStreamedCsv:
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 1)
         in_child_only(monkeypatch, features_module, "csv_rows", act)
         with deadline(60), pytest.raises(RuntimeError, match=message):
-            features_to_csv(awkward_matrix(50, 4))
+            csv_text(awkward_matrix(50, 4))
         assert multiprocessing.active_children() == []
 
     def test_workers_are_ended_when_formatting_fails(self, monkeypatch):
@@ -1133,7 +1140,7 @@ class TestStreamedCsv:
         monkeypatch.setattr(features_module, "csv_rows", fail)
         started = count_forks(monkeypatch)
         with deadline(60), pytest.raises(ValueError, match="formatting failed"):
-            features_to_csv(awkward_matrix(50, 4))
+            csv_text(awkward_matrix(50, 4))
         # each child was still formatting, so it was killed
         assert [child.exitcode for child in started] == [-9, -9]
         assert multiprocessing.active_children() == []
@@ -1142,13 +1149,13 @@ class TestStreamedCsv:
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 4)
         refuse_forks(monkeypatch)
         x = learn_features(erdos_renyi(40, 0.2, seed=2), FeatureLearnConfig(maxiter=3))
-        assert features_to_csv(x) == reference_csv(x)
+        assert csv_text(x) == reference_csv(x)
         # one value short of two parts
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 8)
         x = awkward_matrix(5, 3)
-        assert features_to_csv(x) == reference_csv(x)
+        assert csv_text(x) == reference_csv(x)
 
     def test_zero_columns(self, monkeypatch):
         refuse_forks(monkeypatch)
         x = FeatureMatrix(np.zeros((2, 0)), ())
-        assert features_to_csv(x) == "node\n0\n1\n"
+        assert csv_text(x) == "node\n0\n1\n"

@@ -264,10 +264,6 @@ class TestNodePartition:
         assert p.assignment == (0, 0, 1, 1, 0)
         assert p.class_count == 2
 
-    def test_from_classes_round_trip(self):
-        p = NodePartition.from_classes([[0, 3], [1, 2]], n=4)
-        assert p.classes == ((0, 3), (1, 2))
-
     def test_classes_ordered_by_smallest_member(self):
         p = NodePartition.from_labels([1, 0, 1, 0])
         assert p.classes == ((0, 2), (1, 3))
@@ -278,10 +274,6 @@ class TestNodePartition:
         assert fine.refines(coarse)
         assert not coarse.refines(fine)
         assert fine.refines(fine)
-
-    def test_from_classes_rejects_missing_node(self):
-        with pytest.raises(ValueError):
-            NodePartition.from_classes([[0, 1]], n=3)
 
     @given(graphs(max_n=6))
     def test_singleton_and_whole_partitions(self, g):

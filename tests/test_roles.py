@@ -1,4 +1,5 @@
 import multiprocessing
+import re
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -17,7 +18,6 @@ from rolemine import (
     factorize_at_rank,
     features_to_csv,
     hard_assignment,
-    kmeans_assign,
     learn_features,
     model_cost,
     model_from_json,
@@ -241,13 +241,6 @@ class TestSelectRank:
         assert (scales == model.column_scales).all()
         assert model.cost == model_cost(xn, model.w, model.h, model.criterion, model.b)
 
-    def test_restarts_never_hurt(self):
-        rng = np.random.default_rng(11)
-        x = rng.random((12, 5))
-        one = select_rank(x, restarts=1, seed=4)
-        three = select_rank(x, restarts=3, seed=4)
-        assert three.cost <= one.cost
-
     def test_descriptors_carried_on_model(self):
         descs = (FeatureDescriptor(id=0, kind="primitive", primitive="degree"),)
         x = np.array([[1.0], [2.0], [2.0]])
@@ -258,8 +251,28 @@ class TestSelectRank:
         x = np.ones((3, 3))
         with pytest.raises(ValueError):
             select_rank(x, trials=0)
-        with pytest.raises(ValueError):
-            select_rank(x, restarts=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(criterion="bic"), "unknown criterion 'bic'"),
+        (dict(criterion="mdl", b=0), "b must be >= 1"),
+    ])
+    def test_criterion_checked_before_any_fit(self, monkeypatch, kwargs, message):
+        x = er_features(1)
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+
+        def refuse(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(roles_module, "_nmf_batch", refuse)
+        refuse_pools(monkeypatch)
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            select_rank(x, **kwargs)
+        with pytest.raises(ValueError, match=exact):
+            factorize_at_rank(x, 3, **kwargs)
+        with pytest.raises(ValueError, match=exact):
+            model_cost(x, np.ones((x.shape[0], 1)), np.ones((1, x.shape[1])), **kwargs)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("maxiter", [0, -3])
     def test_maxiter_below_one_rejected(self, maxiter):
@@ -310,38 +323,6 @@ class TestMembershipViews:
             soft_memberships(np.array([[-1.0, 2.0]]))
         with pytest.raises(ValueError):
             hard_assignment(np.array([[-1.0, 2.0]]))
-
-
-class TestKmeans:
-    def test_separates_two_patterns(self):
-        x = two_pattern_matrix(12)
-        labels = kmeans_assign(x, 2)
-        assert len(set(labels.tolist())) == 2
-        assert all(labels[i] == labels[i % 2] for i in range(12))
-
-    def test_single_cluster(self):
-        assert kmeans_assign(np.ones((4, 2)), 1).tolist() == [0, 0, 0, 0]
-
-    def test_one_cluster_per_distinct_row(self):
-        x = np.diag([1.0, 2.0, 3.0, 4.0])
-        labels = kmeans_assign(x, 4)
-        assert sorted(labels.tolist()) == [0, 1, 2, 3]
-        xn, _ = normalize_columns(x)
-        centers = np.array([xn[labels == k].mean(axis=0) for k in range(4)])
-        assert ((xn - centers[labels]) ** 2).sum() == 0.0
-
-    def test_rank_bounds(self):
-        with pytest.raises(ValueError):
-            kmeans_assign(np.ones((3, 2)), 0)
-        with pytest.raises(ValueError):
-            kmeans_assign(np.ones((3, 2)), 4)
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(17)
-        x = rng.random((15, 4))
-        a = kmeans_assign(x, 3, seed=5)
-        b = kmeans_assign(x, 3, seed=5)
-        assert (a == b).all()
 
 
 class TestModelJson:
@@ -418,7 +399,7 @@ def sequential_nmf(x, w0, h0, maxiter, tol):
     return w, h, history
 
 
-def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6, restarts=1):
+def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6):
     """The rank sweep before batching, kept as an oracle: one rank at a time,
     stopping after `trials` non-improving ranks. Returns the chosen (rank,
     cost, W) and one (rank, iterations, cost) per fitted rank."""
@@ -427,26 +408,22 @@ def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6, restarts=1):
     rmax = min(n, f)
     rng = np.random.default_rng(seed)
     scale0 = xn.max() if xn.max() > 0 else 1.0
+    w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
+    h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
     best = None
     fits = []
-    for _ in range(restarts):
-        w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
-        h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
-        mincost = np.inf
-        failed = 0
-        for r in range(1, rmax + 1):
-            w, h, history = sequential_nmf(xn, w_full[:, :r], h_full[:r, :], maxiter, tol)
-            cost = model_cost(xn, w, h)
-            fits.append((r, len(history) - 1, cost))
-            if cost < mincost:
-                mincost = cost
-                failed = 0
-                if best is None or cost < best[1]:
-                    best = (r, cost, w)
-            else:
-                failed += 1
-                if failed >= trials:
-                    break
+    failed = 0
+    for r in range(1, rmax + 1):
+        w, h, history = sequential_nmf(xn, w_full[:, :r], h_full[:r, :], maxiter, tol)
+        cost = model_cost(xn, w, h)
+        fits.append((r, len(history) - 1, cost))
+        if best is None or cost < best[1]:
+            best = (r, cost, w)
+            failed = 0
+        else:
+            failed += 1
+            if failed >= trials:
+                break
     return best, fits
 
 
@@ -490,10 +467,6 @@ class TestBatchedSweep:
 
     def test_one_trial(self):
         assert_same_sweep(er_features(4), trials=1)
-
-    def test_three_restarts(self):
-        sweep = assert_same_sweep(er_features(5, n=60), restarts=3)
-        assert [fit.rank for fit in sweep.fits].count(1) == 3
 
     def test_reaches_full_rank(self):
         sweep = assert_same_sweep(np.random.default_rng(8).random((30, 3)))
@@ -566,7 +539,8 @@ class TestForkedStacks:
     def test_same_bytes_on_any_cpu_count(self, graph, config, monkeypatch, tmp_path):
         learned = learn_features(graph, config)
         x = learned.values
-        (tmp_path / "features.csv").write_text(features_to_csv(learned))
+        with open(tmp_path / "features.csv", "w") as out:
+            features_to_csv(learned, out)
         pools = count_pools(monkeypatch)
         runs = []
         for cpus in (1, 2, 3):

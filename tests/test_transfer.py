@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,8 @@ from rolemine import (
     normalize_columns,
     role_time_series,
     select_rank,
-    series_from_csv,
     series_to_csv,
     transfer_memberships,
-    transition_from_json,
     transition_to_json,
 )
 
@@ -406,29 +406,19 @@ class TestSeriesSerialization:
             timestamps=(3, -1, 7),
             memberships=tuple(rng.random((4, 2)) for _ in range(3)),
         )
-        text = series_to_csv(series)
-        assert text.startswith("timestamp,node,role_0,role_1\n")
-        back = series_from_csv(text)
-        assert back.timestamps == series.timestamps
-        assert back.model is None
-        for got, want in zip(back.memberships, series.memberships):
-            assert (got == want).all()
-
-    def test_csv_header_required(self):
-        with pytest.raises(ValueError):
-            series_from_csv("time,node,role_0\n0,0,1.0\n")
-
-    def test_csv_rows_must_cover_nodes_in_order(self):
-        with pytest.raises(ValueError):
-            series_from_csv("timestamp,node,role_0\n0,1,1.0\n")
+        header, *lines = series_to_csv(series).splitlines()
+        assert header == "timestamp,node,role_0,role_1"
+        rows = [line.split(",") for line in lines]
+        assert [(int(t), int(u)) for t, u, *_ in rows] == [
+            (t, u) for t in series.timestamps for u in range(4)
+        ]
+        values = np.array([[float(v) for v in vals] for _, _, *vals in rows])
+        assert (values == np.vstack(series.memberships)).all()
 
     def test_transition_json_round_trip(self):
-        t = np.array([[0.25, 0.75], [1.0, 0.0]])
-        back = transition_from_json(transition_to_json(t))
-        assert (back == t).all()
+        t = np.array([[0.25, 0.75], [1.0, 0.1 + 0.2]])
+        assert (np.array(json.loads(transition_to_json(t))) == t).all()
 
     def test_transition_must_be_square(self):
         with pytest.raises(ValueError):
             transition_to_json(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            transition_from_json("[[1.0, 2.0]]")
