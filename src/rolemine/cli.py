@@ -143,7 +143,8 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
     else:
         model = select_rank(x, trials=config.trials, **common)
     (outdir / "model.json").write_text(model_to_json(model))
-    return {"sweep": [asdict(fit) for fit in sweep.fits], "stopped": sweep.stopped}
+    return {"sweep": [asdict(fit) for fit in sweep.fits], "stopped": sweep.stopped,
+            "distinct_rows": sweep.distinct_rows}
 
 
 def _run_assign(config: RunConfig, outdir: Path) -> None:

@@ -17,6 +17,16 @@ stacks give the same bits on any CPU count. The ranks tried, the iterates
 and the stop rule are those of fitting one rank at a time; nmf_factorize is
 the kernel's one-slice case.
 
+Nodes with equal feature rows must share a role, so select_rank and
+factorize_at_rank factorize the distinct rows of the normalized matrix, in
+order of first appearance, each scaled by the square root of its count: for
+tied rows the objective sum_i count_i * ||u_i - w_i H||^2 is the same. The
+start is drawn for all n rows, and each distinct row starts at sqrt(count)
+times the mean of its members' drawn rows. W is expanded back by dividing by
+sqrt(count) and indexing by the inverse; costs are those of the full matrix.
+When every row is distinct each step is exact, so the bits are those of the
+full-row fit.
+
 Cost criteria: "aic" (default) is 2*(n*r + r*f) + n*f*ln(SSE/(n*f) + 1e-12).
 "mdl" is b*(n*r + r*f) + max(0, (n*f/2)*log2(SSE/(n*f) + 1e-12)); note that
 on column-normalized input the MDL error term floors to zero (MSE never
@@ -203,6 +213,44 @@ class _BatchFitter:
             self.pool.shutdown(cancel_futures=True)
 
 
+def _check_fit(x: np.ndarray, r: int, maxiter: int) -> None:
+    if not 1 <= r <= min(x.shape):
+        raise ValueError(f"rank {r} outside 1..min(n,f)={min(x.shape)}")
+    if maxiter < 1:
+        raise ValueError("maxiter must be >= 1")
+
+
+def _start(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random start of a rank-r fit of x: W, then H, each |N(0,1)|
+    scaled by max(x), drawn from seed."""
+    n, f = x.shape
+    rng = np.random.default_rng(seed)
+    scale = x.max() if x.max() > 0 else 1.0
+    return np.abs(rng.standard_normal((n, r))) * scale, np.abs(rng.standard_normal((r, f))) * scale
+
+
+def _distinct_rows(xn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, inverse, root): the distinct rows of the row-major xn in order of
+    first appearance, each scaled by the square root of its count; the
+    index of each row of xn in u; and the column of those square roots.
+    Rows are compared as bytes: on a 1000 x 1872 matrix (2-vCPU VM) that
+    sorts in 9 ms, where np.unique(axis=0), comparing column by column,
+    takes 69 ms."""
+    rows = xn.view(np.dtype((np.void, xn.itemsize * xn.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    root = np.sqrt(counts[order])[:, None]
+    return xn[first[order]] * root, np.argsort(order)[inverse], root
+
+
+def _member_start(w: np.ndarray, inverse: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The start of each distinct row: sqrt(count) times the mean of its
+    members' rows of w."""
+    sums = np.zeros((len(root), w.shape[1]))
+    np.add.at(sums, inverse, w)
+    return sums / root
+
+
 def nmf_factorize(
     x: np.ndarray,
     r: int,
@@ -218,15 +266,8 @@ def nmf_factorize(
     tol relative to the previous iterate, or after maxiter iterations.
     """
     x = _validate_input(x)
-    n, f = x.shape
-    if not 1 <= r <= min(n, f):
-        raise ValueError(f"rank {r} outside 1..min(n,f)={min(n, f)}")
-    if maxiter < 1:
-        raise ValueError("maxiter must be >= 1")
-    rng = np.random.default_rng(seed)
-    scale = x.max() if x.max() > 0 else 1.0
-    w = np.abs(rng.standard_normal((n, r))) * scale
-    h = np.abs(rng.standard_normal((r, f))) * scale
+    _check_fit(x, r, maxiter)
+    w, h = _start(x, r, seed)
     return _nmf_batch(x, [w], [h], maxiter, tol)[0]
 
 
@@ -281,12 +322,14 @@ class RankFit:
 @dataclass
 class RankSweep:
     """What a rank search did, filled in by select_rank or factorize_at_rank:
-    one RankFit per fitted rank in fitting order, and why the sweep stopped:
+    one RankFit per fitted rank in fitting order; why the sweep stopped:
     "trials" (that many non-improving ranks in a row), "rmax" (reached
-    min(n, f)) or "rank" (a fixed rank, no sweep)."""
+    min(distinct rows, f)) or "rank" (a fixed rank, no sweep); and the
+    number of distinct rows of the normalized matrix, the rows it fitted."""
 
     fits: list[RankFit] = field(default_factory=list)
     stopped: str | None = None
+    distinct_rows: int | None = None
 
 
 def select_rank(
@@ -302,17 +345,22 @@ def select_rank(
 ) -> RoleModel:
     """Greedy rank search over column-normalized x.
 
-    One random (W0, H0) pair is drawn at full rank and sliced to the first r
-    columns/rows for each candidate rank; the sweep stops after `trials`
-    consecutive ranks without a cost improvement or at r = min(n, f), and the
-    cheapest model wins. `sweep`, when given, records each fit.
+    The sweep fits the distinct rows of the normalized x, each scaled by
+    sqrt(count), and expands W back to every node, so equal rows get equal
+    W rows. One random (W0, H0) pair is drawn at rank min(n, f) for all n
+    rows; each distinct row starts at sqrt(count) times its members' mean
+    row of W0, and the start is sliced to the first r columns/rows for each
+    candidate rank. The sweep stops after `trials` consecutive ranks
+    without a cost improvement or at r = min(distinct rows, f), and the
+    cheapest model, scored on the full matrix, wins. `sweep`, when given,
+    records each fit.
 
     After `failed` non-improving ranks the next `trials - failed` ranks are
     tried whatever their costs, so they are fitted together as one batch,
     then accepted or counted as failures in rank order. A batch is fitted
     as two stacks fixed by its ranks, the second in a forked worker when
-    two CPUs are free and x has enough values; the model and the sweep are
-    the same bits on any CPU count.
+    two CPUs are free and the distinct rows have enough values; the model
+    and the sweep are the same bits on any CPU count.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -321,22 +369,22 @@ def select_rank(
     _check_criterion(criterion, b)
     x = _validate_input(x)
     xn, scales = normalize_columns(x)
-    n, f = xn.shape
-    rmax = min(n, f)
-    rng = np.random.default_rng(seed)
-    scale0 = xn.max() if xn.max() > 0 else 1.0
+    u, inverse, root = _distinct_rows(xn)
+    rmax = min(u.shape)
     sweep = RankSweep() if sweep is None else sweep
+    sweep.distinct_rows = len(u)
 
-    w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
-    h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
+    w_full, h_full = _start(xn, min(xn.shape), seed)
+    w_full = _member_start(w_full, inverse, root)
     best = (np.inf, 0, None, None)
     failed = 0
     lo = 1
-    fitter = _BatchFitter(xn, maxiter, tol)
+    fitter = _BatchFitter(u, maxiter, tol)
     try:
         while failed < trials and lo <= rmax:
             ranks = range(lo, min(lo + trials - failed, rmax + 1))
             for r, (w, h, history) in zip(ranks, fitter.fit(w_full, h_full, ranks)):
+                w = (w / root)[inverse]
                 cost = model_cost(xn, w, h, criterion=criterion, b=b)
                 iterations = len(history) - 1
                 sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
@@ -374,16 +422,24 @@ def factorize_at_rank(
     tol: float = 1e-6,
     sweep: RankSweep | None = None,
 ) -> RoleModel:
-    """Skip the sweep and fit a model at a fixed rank (CLI --rank override)."""
+    """Skip the sweep and fit a model at a fixed rank (CLI --rank override).
+
+    The start is nmf_factorize's draw on the normalized x, fitted on the
+    distinct rows as select_rank fits them; r may be up to min(n, f)."""
     _check_criterion(criterion, b)
     x = _validate_input(x)
     xn, scales = normalize_columns(x)
-    w, h, history = nmf_factorize(xn, r, seed=seed, maxiter=maxiter, tol=tol)
+    _check_fit(xn, r, maxiter)
+    u, inverse, root = _distinct_rows(xn)
+    w, h = _start(xn, r, seed)
+    w, h, history = _nmf_batch(u, [_member_start(w, inverse, root)], [h], maxiter, tol)[0]
+    w = (w / root)[inverse]
     cost = model_cost(xn, w, h, criterion=criterion, b=b)
     if sweep is not None:
         iterations = len(history) - 1
         sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
         sweep.stopped = "rank"
+        sweep.distinct_rows = len(u)
     return RoleModel(
         r=r,
         w=w,

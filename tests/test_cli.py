@@ -52,7 +52,8 @@ RUN_JSON_COMMON = {"subcommand", "inputs", "output_dir", "version"}
 RUN_JSON_KEYS = {
     "learn": {"primitives", "operators", "bin_fraction", "lam", "maxiter",
               "iteration_sizes", "candidates", "stopped"},
-    "select-rank": {"maxiter", "criterion", "bits", "trials", "seed", "rank", "sweep", "stopped"},
+    "select-rank": {"maxiter", "criterion", "bits", "trials", "seed", "rank", "sweep", "stopped",
+                    "distinct_rows"},
     "assign": {"hard"},
     "transfer": {"nnls"},
     "dynamic": {"pairs", "nnls"},
@@ -300,6 +301,15 @@ class TestSweepCounters:
         assert entry["rank"] == 3 and entry["cost"] == model["cost"]
         assert entry["capped"] == (entry["iterations"] == 40)
         assert run["stopped"] == "rank"
+
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]], ids=["sweep", "rank"])
+    def test_distinct_rows_counts_the_fitted_rows(self, runner, tmp_path, rank):
+        # twenty rows, two distinct
+        (tmp_path / "features.csv").write_text(two_pattern_csv())
+        invoke_ok(runner, ["select-rank", str(tmp_path / "features.csv"), *rank,
+                           "--output-dir", str(tmp_path / "rank")])
+        run = json.loads((tmp_path / "rank" / "run.json").read_text())
+        assert run["distinct_rows"] == 2
 
 
 class TestOracle:

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import re
 from concurrent.futures.process import BrokenProcessPool
@@ -12,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from rolemine import (
     FeatureDescriptor,
     FeatureLearnConfig,
+    Graph,
     RankSweep,
     RoleModel,
     erdos_renyi,
@@ -400,21 +402,34 @@ def sequential_nmf(x, w0, h0, maxiter, tol):
 
 
 def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6):
-    """The rank sweep before batching, kept as an oracle: one rank at a time,
-    stopping after `trials` non-improving ranks. Returns the chosen (rank,
-    cost, W) and one (rank, iterations, cost) per fitted rank."""
+    """The rank sweep before batching, on the distinct rows, kept as an
+    oracle: one rank at a time, stopping after `trials` non-improving ranks.
+    The distinct rows, in order of first appearance, are scaled by
+    sqrt(count) and start at sqrt(count) times their members' mean drawn
+    row. Returns the chosen (rank, cost, W) and one (rank, iterations, cost)
+    per fitted rank."""
     xn, _ = normalize_columns(x)
     n, f = xn.shape
-    rmax = min(n, f)
     rng = np.random.default_rng(seed)
     scale0 = xn.max() if xn.max() > 0 else 1.0
-    w_full = np.abs(rng.standard_normal((n, rmax))) * scale0
-    h_full = np.abs(rng.standard_normal((rmax, f))) * scale0
+    w_drawn = np.abs(rng.standard_normal((n, min(n, f)))) * scale0
+    h_full = np.abs(rng.standard_normal((min(n, f), f))) * scale0
+    members = {}
+    for node, row in enumerate(xn):
+        members.setdefault(row.tobytes(), []).append(node)
+    groups = list(members.values())
+    inverse = np.empty(n, dtype=int)
+    for i, group in enumerate(groups):
+        inverse[group] = i
+    root = np.sqrt([[len(group)] for group in groups])
+    u = xn[[group[0] for group in groups]] * root
+    w_full = np.array([w_drawn[group].mean(axis=0) for group in groups]) * root
     best = None
     fits = []
     failed = 0
-    for r in range(1, rmax + 1):
-        w, h, history = sequential_nmf(xn, w_full[:, :r], h_full[:r, :], maxiter, tol)
+    for r in range(1, min(len(groups), f) + 1):
+        w, h, history = sequential_nmf(u, w_full[:, :r], h_full[:r, :], maxiter, tol)
+        w = (w / root)[inverse]
         cost = model_cost(xn, w, h)
         fits.append((r, len(history) - 1, cost))
         if best is None or cost < best[1]:
@@ -474,6 +489,37 @@ class TestBatchedSweep:
         assert sweep.stopped == "rmax"
 
 
+class TestDistinctRows:
+    def test_all_distinct_rows_keep_the_full_row_bits(self):
+        # recorded with the full-row sweep and fixed-rank fit, before both
+        # fitted the distinct rows: every row here is distinct
+        x = er_features(1)
+        digest = hashlib.sha256()
+        for model in (select_rank(x), factorize_at_rank(x, 5)):
+            digest.update(np.array([model.r, model.cost]).tobytes())
+            digest.update(model.w.tobytes())
+            digest.update(model.h.tobytes())
+        assert digest.hexdigest() == "ff7d2f2ec1e04d491420ba8250e63d66601c597d45d7ba0b9d7bc8cf8c21ce43"
+
+    def test_fixed_rank_above_the_distinct_row_count(self):
+        x = np.tile([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0]], (5, 1))
+        sweep = RankSweep()
+        model = factorize_at_rank(x, 4, sweep=sweep)
+        assert model.r == 4 and sweep.distinct_rows == 2
+        assert np.array_equal(model.w[0::2], np.repeat(model.w[:1], 5, axis=0))
+        assert np.array_equal(model.w[1::2], np.repeat(model.w[1:2], 5, axis=0))
+        with pytest.raises(ValueError, match="outside"):
+            factorize_at_rank(x, 5)
+
+    def test_sweep_stops_at_the_distinct_row_count(self):
+        x = np.repeat(np.random.default_rng(8).random((3, 6)), [4, 1, 2], axis=0)
+        sweep = RankSweep()
+        select_rank(x, sweep=sweep)
+        assert sweep.distinct_rows == 3
+        assert [fit.rank for fit in sweep.fits] == [1, 2, 3]
+        assert sweep.stopped == "rmax"
+
+
 class TestGramObjective:
     @pytest.mark.parametrize("shape,r", [((40, 15), 4), ((150, 70), 12), ((5, 300), 5)])
     def test_history_equals_direct_objective(self, shape, r):
@@ -528,13 +574,19 @@ def refuse_pools(monkeypatch):
     monkeypatch.setattr(roles_module, "ProcessPoolExecutor", refuse)
 
 
+def twice(g):
+    """Two disjoint copies of g: node u and node u + n have equal feature rows."""
+    return Graph(n=2 * g.n, edges=np.concatenate([g.edges, g.edges + g.n]))
+
+
 class TestForkedStacks:
-    # the inputs of er_features(1..3), and a planted graph large enough to fork
+    # the inputs of er_features(1..3), and tied rows whose distinct rows are
+    # large enough to fork
     @pytest.mark.parametrize(
         "graph,config",
         [(erdos_renyi(150, 8 / 149, seed=seed), FeatureLearnConfig(maxiter=3)) for seed in (1, 2, 3)]
-        + [(planted_role_graph(seed=3, units=30)[0], FeatureLearnConfig())],
-        ids=["er1", "er2", "er3", "planted"],
+        + [(twice(erdos_renyi(150, 8 / 149, seed=1)), FeatureLearnConfig(maxiter=3))],
+        ids=["er1", "er2", "er3", "er1-twice"],
     )
     def test_same_bytes_on_any_cpu_count(self, graph, config, monkeypatch, tmp_path):
         learned = learn_features(graph, config)
@@ -547,6 +599,7 @@ class TestForkedStacks:
             monkeypatch.setattr(roles_module, "_cpu_count", lambda: cpus)
             sweep = RankSweep()
             model = select_rank(x, sweep=sweep)
+            assert sweep.distinct_rows * x.shape[1] >= roles_module._VALUES_PER_FIT_WORKER
             result = CliRunner().invoke(main, ["select-rank", str(tmp_path / "features.csv"),
                                                "--output-dir", str(tmp_path / "out")])
             assert result.exit_code == 0, result.output
