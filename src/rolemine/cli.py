@@ -1,14 +1,17 @@
 """Command-line surface: file-in, file-out subcommands over the pipeline.
 
-Every run writes a run.json provenance file (the resolved config plus the
-runner's deterministic counters, no timestamps) beside its outputs, so
-identical inputs + flags + seed give byte-identical output trees.
+`_COMMANDS` is the one place where a subcommand's arguments, flags, defaults
+and echoed fields are declared: the click commands, the input-count check in
+`execute` and the run.json echo are all built from it. Every run writes a
+run.json provenance file (the resolved config plus the runner's deterministic
+counters, no timestamps) beside its outputs, so identical inputs + flags +
+seed give byte-identical output trees.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import click
@@ -27,7 +30,7 @@ from .features import (
     features_to_csv,
     learn_features,
 )
-from .graph import Graph, load_edge_list
+from .graph import load_edge_list
 from .roles import (
     RankSweep,
     factorize_at_rank,
@@ -45,8 +48,6 @@ from .transfer import (
     transfer_memberships,
     transition_to_json,
 )
-
-ORACLE_KINDS = ("structural", "structural-weak", "automorphic", "regular")
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,6 @@ def _read(path: str) -> str:
     return p.read_text()
 
 
-def _load_graph(path: str) -> Graph:
-    return load_edge_list(_read(path))
-
-
 def _load(path: str, parse, what: str):
     """parse(text of path); any failure to parse is reported as a malformed
     `what` file."""
@@ -92,23 +89,12 @@ def _load(path: str, parse, what: str):
         raise ValueError(f"malformed {what} file {path}: {exc}") from exc
 
 
-def _write_run_json(config: RunConfig, outdir: Path, counters: dict) -> None:
-    doc = {"subcommand": config.subcommand, "inputs": list(config.inputs),
-           "output_dir": config.output_dir}
-    for name in _RUNNERS[config.subcommand][2]:
-        value = getattr(config, name)
-        doc[name] = list(value) if isinstance(value, tuple) else value
-    doc["version"] = __version__
-    doc.update(counters)
-    (outdir / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def _memberships_csv(w: np.ndarray) -> str:
     return "node," + ",".join(f"role_{k}" for k in range(w.shape[1])) + "\n" + csv_rows(w.tolist())
 
 
 def _run_learn(config: RunConfig, outdir: Path) -> dict:
-    g = _load_graph(config.inputs[0])
+    g = load_edge_list(_read(config.inputs[0]))
     fl = FeatureLearnConfig(
         primitives=config.primitives,
         operators=config.operators,
@@ -159,7 +145,7 @@ def _run_assign(config: RunConfig, outdir: Path) -> None:
 
 def _run_transfer(config: RunConfig, outdir: Path) -> dict:
     model = _load(config.inputs[0], model_from_json, "model")
-    g2 = _load_graph(config.inputs[1])
+    g2 = load_edge_list(_read(config.inputs[1]))
     report = NnlsReport()
     w = transfer_memberships(g2, model, report=report)
     (outdir / "memberships.csv").write_text(_memberships_csv(w))
@@ -168,11 +154,12 @@ def _run_transfer(config: RunConfig, outdir: Path) -> dict:
 
 def _parse_manifest(path: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Snapshot manifest: one edge-list path per line, optionally preceded by
-    an integer timestamp. Relative paths resolve against the manifest."""
+    an integer timestamp. Timestamps must increase; a line without one takes
+    the previous one plus 1 (the first takes 0). Relative paths resolve
+    against the manifest."""
     base = Path(path).parent
     timestamps: list[int] = []
     paths: list[str] = []
-    next_t = 0
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -181,21 +168,21 @@ def _parse_manifest(path: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
         if len(parts) == 2 and parts[0].lstrip("-").isdigit():
             t, target = int(parts[0]), parts[1]
         else:
-            t, target = next_t, line
-        next_t = t + 1
+            t, target = (timestamps[-1] + 1 if timestamps else 0), line
+        if timestamps and t <= timestamps[-1]:
+            raise ValueError(f"manifest {path} line {lineno}: timestamp {t} is not "
+                             f"greater than {timestamps[-1]}")
         timestamps.append(t)
         paths.append(str(base / target))
     if len(paths) < 2:
         raise ValueError(f"manifest {path} must list at least 2 snapshots")
-    if len(set(timestamps)) != len(timestamps):
-        raise ValueError(f"manifest {path} has duplicate timestamps")
     return tuple(timestamps), tuple(paths)
 
 
 def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
     model = _load(config.inputs[0], model_from_json, "model")
     timestamps, paths = _parse_manifest(config.inputs[1])
-    graphs = [_load_graph(p) for p in paths]
+    graphs = [load_edge_list(_read(p)) for p in paths]
     series = role_time_series(graphs, model, timestamps=timestamps)
     (outdir / "series.csv").write_text(series_to_csv(series))
     # one global transition: stack all consecutive snapshot pairs with a
@@ -212,49 +199,22 @@ def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
     return {"pairs": used, "nnls": asdict(report)}
 
 
-def _run_oracle(config: RunConfig, outdir: Path) -> None:
-    g = _load_graph(config.inputs[0])
-    if config.kind == "structural":
-        partition = structural_classes(g, variant="strict")
-    elif config.kind == "structural-weak":
-        partition = structural_classes(g, variant="weak")
-    elif config.kind == "automorphic":
-        partition = automorphic_orbits(g)
-    elif config.kind == "regular":
-        partition = regular_refinement(g)
-    else:
-        raise ValueError(f"unknown oracle kind {config.kind!r}")
-    text = json.dumps(partition.to_classes_dict(), indent=2) + "\n"
-    (outdir / "classes.json").write_text(text)
-    print(text, end="")
-
-
-# runner, input count (None: one or two), and the RunConfig fields the
-# subcommand has flags for, which run.json echoes
-_RUNNERS = {
-    "learn": (_run_learn, 1, ("primitives", "operators", "bin_fraction", "lam", "maxiter")),
-    "select-rank": (
-        _run_select_rank, None, ("maxiter", "criterion", "bits", "trials", "seed", "rank")
-    ),
-    "assign": (_run_assign, 1, ("hard",)),
-    "transfer": (_run_transfer, 2, ()),
-    "dynamic": (_run_dynamic, 2, ()),
-    "oracle": (_run_oracle, 1, ("kind",)),
+# each --kind and its partition, in --help order, looked up at call time
+_ORACLES = {
+    "structural": lambda g: structural_classes(g, variant="strict"),
+    "structural-weak": lambda g: structural_classes(g, variant="weak"),
+    "automorphic": lambda g: automorphic_orbits(g),
+    "regular": lambda g: regular_refinement(g),
 }
 
 
-def execute(config: RunConfig) -> int:
-    """Run one subcommand; returns the process exit status."""
-    if config.subcommand not in _RUNNERS:
-        raise ValueError(f"unknown subcommand {config.subcommand!r}")
-    runner, arity, _ = _RUNNERS[config.subcommand]
-    if arity is not None and len(config.inputs) != arity:
-        raise ValueError(f"{config.subcommand} takes exactly {arity} input path(s)")
-    outdir = Path(config.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    counters = runner(config, outdir) or {}
-    _write_run_json(config, outdir, counters)
-    return 0
+def _run_oracle(config: RunConfig, outdir: Path) -> None:
+    if config.kind not in _ORACLES:
+        raise ValueError(f"unknown oracle kind {config.kind!r}")
+    partition = _ORACLES[config.kind](load_edge_list(_read(config.inputs[0])))
+    text = json.dumps(partition.to_classes_dict(), indent=2) + "\n"
+    (outdir / "classes.json").write_text(text)
+    print(text, end="")
 
 
 def _split_names(_ctx, _param, value: str) -> tuple[str, ...]:
@@ -264,18 +224,86 @@ def _split_names(_ctx, _param, value: str) -> tuple[str, ...]:
     return names
 
 
-def _dispatch(config: RunConfig) -> None:
-    try:
-        status = execute(config)
-    except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(1) from exc
-    raise SystemExit(status)
+def _option(*decls, **attrs) -> click.Option:
+    attrs.setdefault("show_default", True)
+    return click.Option(decls, **attrs)
 
 
-_output_dir = click.option(
-    "--output-dir", default=".", show_default=True, help="Directory for output files."
-)
+# subcommand -> (runner, help, input metavars with an optional one in
+# brackets, flags). run.json echoes the flags' RunConfig fields; runners look
+# the library functions up at call time, so they can be wrapped in place.
+_COMMANDS = {
+    "learn": (
+        _run_learn, "Learn recursive features: EDGELIST -> features.csv + descriptors.json.",
+        ("EDGELIST",),
+        (
+            _option("--primitives", default=",".join(DEFAULT_PRIMITIVES), callback=_split_names,
+                    help="Comma-separated primitive feature names."),
+            _option("--operators", default=",".join(DEFAULT_OPERATORS), callback=_split_names,
+                    help="Comma-separated neighbor aggregation operators."),
+            _option("--bin-fraction", default=0.5, help="Log-binning fraction p."),
+            _option("--lambda", "lam", default=1.0,
+                    help="Bin-agreement threshold for merging features."),
+            _option("--maxiter", default=10, help="Feature recursion depth cap."),
+        ),
+    ),
+    "select-rank": (
+        _run_select_rank, "Pick a role count by cost sweep: FEATURES_CSV -> model.json.",
+        ("FEATURES_CSV", "[DESCRIPTORS_JSON]"),
+        (
+            _option("--criterion", type=click.Choice(["mdl", "aic"]), default="aic",
+                    help="Model selection criterion."),
+            _option("--bits", default=16, help="Bits per parameter (mdl)."),
+            _option("--trials", default=5,
+                    help="Consecutive non-improving ranks before the sweep stops."),
+            _option("--maxiter", default=500, help="NMF iteration cap."),
+            _option("--rank", default=None, type=int, help="Skip the sweep and fit this rank."),
+            _option("--seed", default=1, help="Random seed of the NMF starts."),
+        ),
+    ),
+    "assign": (
+        _run_assign, "Emit role assignments: MODEL_JSON -> assignments.csv.", ("MODEL_JSON",),
+        (_option("--hard/--soft", default=False, show_default=False,
+                 help="Argmax labels vs row-normalized memberships."),),
+    ),
+    "transfer": (
+        _run_transfer, "Score a new graph under a fitted model: -> memberships.csv.",
+        ("MODEL_JSON", "EDGELIST"), (),
+    ),
+    "dynamic": (
+        _run_dynamic,
+        "Track roles over snapshots: -> series.csv + transition.json.\n\n"
+        "MANIFEST lists one edge-list path per line (optional leading integer\n"
+        "timestamp); relative paths resolve against the manifest file.",
+        ("MODEL_JSON", "MANIFEST"), (),
+    ),
+    "oracle": (
+        _run_oracle, "Exact node-equivalence classes: EDGELIST -> classes.json (+ stdout).",
+        ("EDGELIST",),
+        (_option("--kind", type=click.Choice(list(_ORACLES)), default="structural",
+                 help="Equivalence relation to compute."),),
+    ),
+}
+
+
+def execute(config: RunConfig) -> int:
+    """Run one subcommand; returns the process exit status."""
+    if config.subcommand not in _COMMANDS:
+        raise ValueError(f"unknown subcommand {config.subcommand!r}")
+    runner, _, metavars, options = _COMMANDS[config.subcommand]
+    least = sum(not m.startswith("[") for m in metavars)
+    if not least <= len(config.inputs) <= len(metavars):
+        count = least if least == len(metavars) else f"{least} to {len(metavars)}"
+        raise ValueError(f"{config.subcommand} takes {count} input path(s)")
+    outdir = Path(config.output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    counters = runner(config, outdir) or {}
+    echoed = {"subcommand", "inputs", "output_dir", *(opt.name for opt in options)}
+    values = ((f.name, getattr(config, f.name)) for f in fields(config) if f.name in echoed)
+    doc = {k: list(v) if isinstance(v, tuple) else v for k, v in values}
+    doc.update(version=__version__, **counters)
+    (outdir / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
 
 
 @click.group()
@@ -284,159 +312,26 @@ def main():
     """Structural role discovery in graphs."""
 
 
-@main.command()
-@click.argument("graph_path", metavar="EDGELIST")
-@click.option(
-    "--primitives",
-    default=",".join(DEFAULT_PRIMITIVES),
-    show_default=True,
-    callback=_split_names,
-    help="Comma-separated primitive feature names.",
-)
-@click.option(
-    "--operators",
-    default=",".join(DEFAULT_OPERATORS),
-    show_default=True,
-    callback=_split_names,
-    help="Comma-separated neighbor aggregation operators.",
-)
-@click.option("--bin-fraction", default=0.5, show_default=True, help="Log-binning fraction p.")
-@click.option(
-    "--lambda",
-    "lam",
-    default=1.0,
-    show_default=True,
-    help="Bin-agreement threshold for merging features.",
-)
-@click.option("--maxiter", default=10, show_default=True, help="Feature recursion depth cap.")
-@_output_dir
-def learn(graph_path, primitives, operators, bin_fraction, lam, maxiter, output_dir):
-    """Learn recursive features: EDGELIST -> features.csv + descriptors.json."""
-    _dispatch(
-        RunConfig(
-            subcommand="learn",
-            inputs=(graph_path,),
-            output_dir=output_dir,
-            primitives=primitives,
-            operators=operators,
-            bin_fraction=bin_fraction,
-            lam=lam,
-            maxiter=maxiter,
-        )
-    )
+def _run_command(output_dir: str, **values) -> None:
+    """Callback of every subcommand: its arguments input0, input1, ... and
+    its flags become one RunConfig; errors go to stderr with exit status 1."""
+    name = click.get_current_context().command.name
+    inputs = [values.pop(f"input{i}") for i in range(len(_COMMANDS[name][2]))]
+    config = RunConfig(name, tuple(p for p in inputs if p is not None), output_dir, **values)
+    try:
+        status = execute(config)
+    except (ValueError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        raise SystemExit(1) from exc
+    raise SystemExit(status)
 
 
-@main.command("select-rank")
-@click.argument("features_path", metavar="FEATURES_CSV")
-@click.argument("descriptors_path", metavar="[DESCRIPTORS_JSON]", required=False)
-@click.option(
-    "--criterion",
-    type=click.Choice(["mdl", "aic"]),
-    default="aic",
-    show_default=True,
-    help="Model selection criterion.",
-)
-@click.option("--bits", default=16, show_default=True, help="Bits per parameter (mdl).")
-@click.option(
-    "--trials",
-    default=5,
-    show_default=True,
-    help="Consecutive non-improving ranks before the sweep stops.",
-)
-@click.option("--maxiter", default=500, show_default=True, help="NMF iteration cap.")
-@click.option("--rank", default=None, type=int, help="Skip the sweep and fit this rank.")
-@click.option("--seed", default=1, show_default=True, help="Random seed of the NMF starts.")
-@_output_dir
-def select_rank_cmd(
-    features_path, descriptors_path, criterion, bits, trials, maxiter, rank, seed, output_dir
-):
-    """Pick a role count by cost sweep: FEATURES_CSV -> model.json."""
-    inputs = (features_path,) if descriptors_path is None else (features_path, descriptors_path)
-    _dispatch(
-        RunConfig(
-            subcommand="select-rank",
-            inputs=inputs,
-            output_dir=output_dir,
-            criterion=criterion,
-            bits=bits,
-            trials=trials,
-            maxiter=maxiter,
-            rank=rank,
-            seed=seed,
-        )
-    )
-
-
-@main.command()
-@click.argument("model_path", metavar="MODEL_JSON")
-@click.option("--hard/--soft", default=False, help="Argmax labels vs row-normalized memberships.")
-@_output_dir
-def assign(model_path, hard, output_dir):
-    """Emit role assignments: MODEL_JSON -> assignments.csv."""
-    _dispatch(
-        RunConfig(
-            subcommand="assign",
-            inputs=(model_path,),
-            output_dir=output_dir,
-            hard=hard,
-        )
-    )
-
-
-@main.command()
-@click.argument("model_path", metavar="MODEL_JSON")
-@click.argument("graph_path", metavar="EDGELIST")
-@_output_dir
-def transfer(model_path, graph_path, output_dir):
-    """Score a new graph under a fitted model: -> memberships.csv."""
-    _dispatch(
-        RunConfig(
-            subcommand="transfer",
-            inputs=(model_path, graph_path),
-            output_dir=output_dir,
-        )
-    )
-
-
-@main.command()
-@click.argument("model_path", metavar="MODEL_JSON")
-@click.argument("manifest_path", metavar="MANIFEST")
-@_output_dir
-def dynamic(model_path, manifest_path, output_dir):
-    """Track roles over snapshots: -> series.csv + transition.json.
-
-    MANIFEST lists one edge-list path per line (optional leading integer
-    timestamp); relative paths resolve against the manifest file.
-    """
-    _dispatch(
-        RunConfig(
-            subcommand="dynamic",
-            inputs=(model_path, manifest_path),
-            output_dir=output_dir,
-        )
-    )
-
-
-@main.command()
-@click.argument("graph_path", metavar="EDGELIST")
-@click.option(
-    "--kind",
-    type=click.Choice(list(ORACLE_KINDS)),
-    default="structural",
-    show_default=True,
-    help="Equivalence relation to compute.",
-)
-@_output_dir
-def oracle(graph_path, kind, output_dir):
-    """Exact node-equivalence classes: EDGELIST -> classes.json (+ stdout)."""
-    _dispatch(
-        RunConfig(
-            subcommand="oracle",
-            inputs=(graph_path,),
-            output_dir=output_dir,
-            kind=kind,
-        )
-    )
+for _name, (_, _help, _metavars, _options) in _COMMANDS.items():
+    _inputs = [click.Argument([f"input{i}"], metavar=m, required=not m.startswith("["))
+               for i, m in enumerate(_metavars)]
+    _output = _option("--output-dir", default=".", help="Directory for output files.")
+    main.add_command(click.Command(_name, callback=_run_command,
+                                   params=[*_inputs, *_options, _output], help=_help))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from rolemine import (
     transfer_memberships,
     write_edge_list,
 )
-from rolemine.cli import main
+from rolemine.cli import RunConfig, execute, main
 
 P4_TEXT = "0 1\n1 2\n2 3\n"
 
@@ -162,6 +162,16 @@ class TestLearn:
         result = runner.invoke(main, ["learn", str(tmp_path / "absent.txt")])
         assert result.exit_code == 1
         assert result.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--primitives", "--operators"])
+    def test_empty_name_list_rejected_by_parser(self, runner, tmp_path, flag):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("0 1\n")
+        result = runner.invoke(main, ["learn", str(graph), flag, ",",
+                                      "--output-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "expected a comma-separated list of names" in result.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_bad_bin_fraction_fails_cleanly(self, runner, tmp_path):
         graph = tmp_path / "graph.txt"
@@ -416,6 +426,32 @@ class TestTransferAndDynamic:
         run = json.loads((tmp_path / "d" / "run.json").read_text())
         assert run["pairs"] == [{"from": 9, "to": 10, "nodes": 12}]
 
+    @pytest.mark.parametrize(
+        "text, lineno, t, prev",
+        [
+            ("5 graph.txt\n3 graph.txt\n", 2, 3, 5),
+            ("# snapshots\n4 graph.txt\n\n4 graph.txt\n", 4, 4, 4),
+            # the line without a timestamp takes 6
+            ("5 graph.txt\ngraph.txt\n6 graph.txt\n", 3, 6, 6),
+        ],
+        ids=["decreasing", "duplicate", "after-implicit"],
+    )
+    def test_dynamic_manifest_timestamps_must_increase(
+        self, runner, tmp_path, text, lineno, t, prev
+    ):
+        self.fit_chain(runner, tmp_path)
+        manifest = tmp_path / "snapshots.txt"
+        manifest.write_text(text)
+        result = runner.invoke(
+            main, ["dynamic", str(tmp_path / "model.json"), str(manifest),
+                   "--output-dir", str(tmp_path / "d")]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: manifest {manifest} line {lineno}: timestamp {t} is not greater than {prev}\n"
+        )
+        assert not (tmp_path / "d" / "series.csv").exists()
+
     def test_dynamic_requires_two_snapshots(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)
         (tmp_path / "snapshots.txt").write_text("graph.txt\n")
@@ -470,8 +506,25 @@ class TestRunJson:
         "oracle": {"kind": "regular"},
     }
 
-    @pytest.mark.parametrize("sub", SUBCOMMANDS)
-    def test_echoes_only_its_own_flags(self, runner, tmp_path, monkeypatch, sub):
+    # every echoed flag of a run with none given
+    DEFAULTS = {
+        "learn": {
+            "primitives": ["degree", "weighted-degree", "wedge-count", "triangle-count",
+                           "egonet-internal-edges", "egonet-external-edges", "core-number"],
+            "operators": ["sum", "mean"],
+            "bin_fraction": 0.5,
+            "lam": 1.0,
+            "maxiter": 10,
+        },
+        "select-rank": {"maxiter": 500, "criterion": "aic", "bits": 16, "trials": 5, "seed": 1,
+                        "rank": None},
+        "assign": {"hard": False},
+        "transfer": {},
+        "dynamic": {},
+        "oracle": {"kind": "structural"},
+    }
+
+    def run(self, runner, tmp_path, monkeypatch, sub, flags):
         monkeypatch.chdir(tmp_path)
         Path("graph.txt").write_text(write_edge_list(erdos_renyi(12, 0.35, seed=2)))
         Path("snapshots.txt").write_text("graph.txt\ngraph.txt\n")
@@ -481,15 +534,50 @@ class TestRunJson:
                                "--output-dir", "model"])
         if sub == "select-rank":
             invoke_ok(runner, ["learn", "graph.txt", "--output-dir", "learn"])
-        inputs, flags = self.ARGS[sub]
+        inputs = self.ARGS[sub][0]
         invoke_ok(runner, [sub, *inputs, *flags, "--output-dir", "out"])
         doc = json.loads(Path("out/run.json").read_text())
         assert set(doc) == RUN_JSON_COMMON | RUN_JSON_KEYS[sub]
         assert doc["subcommand"] == sub
         assert doc["inputs"] == inputs
         assert doc["output_dir"] == "out"
+        return doc
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_echoes_only_its_own_flags(self, runner, tmp_path, monkeypatch, sub):
+        doc = self.run(runner, tmp_path, monkeypatch, sub, self.ARGS[sub][1])
         for key, value in self.ECHOED[sub].items():
             assert doc[key] == value, key
+
+    @pytest.mark.parametrize("sub", SUBCOMMANDS)
+    def test_echoes_every_default_without_flags(self, runner, tmp_path, monkeypatch, sub):
+        doc = self.run(runner, tmp_path, monkeypatch, sub, [])
+        flags = set(doc) - RUN_JSON_COMMON - {"iteration_sizes", "candidates", "stopped",
+                                              "sweep", "distinct_rows", "nnls", "pairs"}
+        assert flags == set(self.DEFAULTS[sub])
+        for key, value in self.DEFAULTS[sub].items():
+            assert doc[key] == value, key
+
+
+class TestExecute:
+    @pytest.mark.parametrize(
+        "sub, count, allowed", [("select-rank", 0, "1 to 2"), ("select-rank", 3, "1 to 2"),
+                                ("transfer", 1, "2")]
+    )
+    def test_input_count_checked_before_output(self, tmp_path, sub, count, allowed):
+        (tmp_path / "features.csv").write_text(two_pattern_csv())
+        out = tmp_path / "out"
+        config = RunConfig(sub, (str(tmp_path / "features.csv"),) * count, str(out))
+        with pytest.raises(ValueError, match=rf"^{sub} takes {allowed} input path\(s\)$"):
+            execute(config)
+        assert not out.exists()
+
+    def test_unknown_oracle_kind_rejected(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n")
+        config = RunConfig("oracle", (str(graph),), str(tmp_path / "out"), kind="exotic")
+        with pytest.raises(ValueError, match="unknown oracle kind 'exotic'"):
+            execute(config)
 
 
 class TestTooling:
@@ -516,6 +604,25 @@ class TestTooling:
 
     def test_six_subcommands(self):
         assert sorted(main.commands) == sorted(SUBCOMMANDS)
+
+    def test_library_functions_are_looked_up_at_call_time(self, runner, tmp_path, monkeypatch):
+        # the benchmark times and captures these calls by replacing the
+        # rolemine.cli globals, so the runners must not hold their own copies
+        import rolemine.cli as cli
+
+        calls = []
+        for name in ("learn_features", "select_rank"):
+            def wrapper(*args, _name=name, _original=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        graph = tmp_path / "graph.txt"
+        graph.write_text(write_edge_list(erdos_renyi(12, 0.35, seed=2)))
+        invoke_ok(runner, ["learn", str(graph), "--output-dir", str(tmp_path)])
+        invoke_ok(runner, ["select-rank", str(tmp_path / "features.csv"),
+                           "--output-dir", str(tmp_path)])
+        assert calls == ["learn_features", "select_rank"]
 
     @pytest.mark.parametrize("sub", SUBCOMMANDS)
     def test_help_exits_cleanly_and_seed_only_where_random(self, runner, sub):
