@@ -11,6 +11,7 @@ seed give byte-identical output trees.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -296,8 +297,15 @@ def execute(config: RunConfig) -> int:
         count = least if least == len(metavars) else f"{least} to {len(metavars)}"
         raise ValueError(f"{config.subcommand} takes {count} input path(s)")
     outdir = Path(config.output_dir)
+    created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
-    counters = runner(config, outdir) or {}
+    try:
+        counters = runner(config, outdir) or {}
+    except Exception:
+        if created:  # a failed run leaves no empty directory it made; rmdir deletes no file
+            with suppress(OSError):
+                outdir.rmdir()
+        raise
     echoed = {"subcommand", "inputs", "output_dir", *(opt.name for opt in options)}
     values = ((f.name, getattr(config, f.name)) for f in fields(config) if f.name in echoed)
     doc = {k: list(v) if isinstance(v, tuple) else v for k, v in values}

@@ -717,12 +717,15 @@ def csv_rows(rows, node: int = 0, prefix: str = "") -> str:
 
 
 # features.csv rows go to forked children in parts of at least this many
-# values. On 2 vCPUs, rows of the n=1000 features (1872 columns) wrote in two
-# parts faster than in one from about 2e4 values (6.9 against 7.9 ms at 18720
-# values, 78 against 141 ms at 340704) once the child ran on the other CPU;
-# a child placed on its parent's CPU, as in many fresh processes there, lost
-# 4-10 ms at every size up to 340000 values
-_VALUES_PER_WORKER = 1 << 18
+# values, so a second part starts at 2**17, the measured break-even. On 2
+# vCPUs, one write per fresh process, 10-12 alternating pairs per size, rows
+# of the perfbench er-deep-features matrices (seeds 1, 2), median ms of two
+# parts against one: 83/74 at 65450 values, 144/133 at 114304, 114/150 at
+# 131271, 116/185 at 163419, 222/414 at 340000. Two parts won 0-3 pairs up
+# to 114304 values and 8-12 from 130900 up. Below that the fork's fixed cost
+# (about 9 ms more than one part at 4250 values) and a child that starts on
+# its parent's CPU outweigh the halved formatting.
+_VALUES_PER_WORKER = 1 << 16
 
 
 def _cpu_count() -> int:
@@ -747,10 +750,11 @@ def features_to_csv(x: FeatureMatrix, out) -> None:
     """features.csv: a node,feat_0,... header, then one line per node with
     repr floats, streamed to the text file out in row blocks.
 
-    A matrix of n*f values is cut into up to min(CPUs, n*f // 2**18)
-    contiguous row parts. This process formats the first; each other part
-    is formatted by a forked child, which reads x copy-on-write, into a
-    temporary file opened before the fork. The files are appended in row
+    A matrix of n*f values is cut into up to min(CPUs, n*f // 2**16)
+    contiguous row parts, so a second part starts at 2**17 values. This
+    process formats the first; each other part is formatted by a forked
+    child, which reads x copy-on-write, into a temporary file opened before
+    the fork. The files are appended in row
     order, so the bytes do not depend on the number of parts. An unfinished
     child is killed and joined when the write ends early."""
     out.write(",".join(["node"] + [f"feat_{j}" for j in range(x.f)]) + "\n")

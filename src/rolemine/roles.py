@@ -479,12 +479,12 @@ def model_to_json(model: RoleModel) -> str:
         "criterion": model.criterion,
         "b": model.b,
         "seed": model.seed,
-        "column_scales": [float(v) for v in model.column_scales],
+        "column_scales": model.column_scales.tolist(),
         "descriptors": None
         if model.descriptors is None
         else json.loads(descriptors_to_json(model.descriptors)),
-        "W": [[float(v) for v in row] for row in model.w],
-        "H": [[float(v) for v in row] for row in model.h],
+        "W": model.w.tolist(),
+        "H": model.h.tolist(),
         "cost": float(model.cost),
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -262,4 +262,4 @@ def transition_to_json(t: np.ndarray) -> str:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("transition model must be square")
-    return json.dumps([[float(v) for v in row] for row in t], indent=2) + "\n"
+    return json.dumps(t.tolist(), indent=2) + "\n"

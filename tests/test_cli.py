@@ -450,7 +450,7 @@ class TestTransferAndDynamic:
         assert result.stderr == (
             f"error: manifest {manifest} line {lineno}: timestamp {t} is not greater than {prev}\n"
         )
-        assert not (tmp_path / "d" / "series.csv").exists()
+        assert not (tmp_path / "d").exists()
 
     def test_dynamic_requires_two_snapshots(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)
@@ -571,6 +571,22 @@ class TestExecute:
         with pytest.raises(ValueError, match=rf"^{sub} takes {allowed} input path\(s\)$"):
             execute(config)
         assert not out.exists()
+
+    def test_failed_run_removes_the_output_dir_it_made(self, runner, tmp_path):
+        out = tmp_path / "bad"
+        result = runner.invoke(main, ["learn", str(tmp_path / "missing.txt"),
+                                      "--output-dir", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: input file not found")
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_output_dir(self, runner, tmp_path):
+        out = tmp_path / "kept"
+        out.mkdir()
+        result = runner.invoke(main, ["learn", str(tmp_path / "missing.txt"),
+                                      "--output-dir", str(out)])
+        assert result.exit_code == 1
+        assert out.is_dir() and list(out.iterdir()) == []
 
     def test_unknown_oracle_kind_rejected(self, tmp_path):
         graph = tmp_path / "g.txt"

@@ -1068,7 +1068,8 @@ class TestStreamedCsv:
         assert path.read_text() == reference_csv(x) == csv_text(x)
 
     def test_workers_write_the_same_bytes(self, tmp_path, monkeypatch):
-        # 4099 x 256 values are just over 4 * 2**18: four uneven row parts
+        # 4099 x 256 values would make 16 parts; four CPUs cut them to four
+        # uneven row parts
         x = awkward_matrix(4099, 256)
         monkeypatch.setattr(features_module, "_cpu_count", lambda: 4)
         started = count_forks(monkeypatch)
@@ -1153,6 +1154,22 @@ class TestStreamedCsv:
         # one value short of two parts
         monkeypatch.setattr(features_module, "_VALUES_PER_WORKER", 8)
         x = awkward_matrix(5, 3)
+        assert csv_text(x) == reference_csv(x)
+
+    def test_er_deep_features_size_starts_one_child(self, monkeypatch):
+        # the 400 x 850 matrix of perfbench er-deep-features (seed 1) on 2 CPUs
+        x = awkward_matrix(400, 850)
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: 2)
+        started = count_forks(monkeypatch)
+        assert first_difference(csv_text(x), reference_csv(x)) is None
+        assert len(started) == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n, f", [(3800, 5), (150, 70)], ids=["planted-cli", "er-roles"])
+    def test_small_workload_sizes_start_no_process(self, monkeypatch, n, f):
+        monkeypatch.setattr(features_module, "_cpu_count", lambda: 2)
+        refuse_forks(monkeypatch)
+        x = awkward_matrix(n, f)
         assert csv_text(x) == reference_csv(x)
 
     def test_zero_columns(self, monkeypatch):

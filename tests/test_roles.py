@@ -1,4 +1,5 @@
 import hashlib
+import json
 import multiprocessing
 import re
 from concurrent.futures.process import BrokenProcessPool
@@ -350,6 +351,26 @@ class TestModelJson:
         back = model_from_json(model_to_json(model))
         assert back.descriptors is None
         assert (back.w == model.w).all()
+
+    def test_bytes_match_per_value_floats(self):
+        # .tolist() gives the Python floats float(v) gave, so the same text
+        awkward = [0.1, 1 / 3, 1e-300, 1e16, 5e-324, 7.0]
+        model = RoleModel(
+            r=2, w=np.array(awkward).reshape(3, 2), h=np.array([awkward, awkward[::-1]]),
+            column_scales=np.array(awkward), descriptors=None, cost=1 / 3,
+            criterion="aic", b=16, seed=1,
+        )
+        old = {
+            "r": 2, "criterion": "aic", "b": 16, "seed": 1,
+            "column_scales": [float(v) for v in model.column_scales],
+            "descriptors": None,
+            "W": [[float(v) for v in row] for row in model.w],
+            "H": [[float(v) for v in row] for row in model.h],
+            "cost": float(model.cost),
+        }
+        text = model_to_json(model)
+        assert text == json.dumps(old, indent=2) + "\n"
+        assert "5e-324" in text and "1e+16" in text and "7.0" in text
 
     def test_model_validation(self):
         ok = dict(

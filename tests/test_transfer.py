@@ -419,6 +419,11 @@ class TestSeriesSerialization:
         t = np.array([[0.25, 0.75], [1.0, 0.1 + 0.2]])
         assert (np.array(json.loads(transition_to_json(t))) == t).all()
 
+    def test_transition_json_bytes_match_per_value_floats(self):
+        t = np.resize([0.1, 1 / 3, 1e-300, 1e16, 5e-324, 7.0], (3, 3))
+        old = json.dumps([[float(v) for v in row] for row in t], indent=2) + "\n"
+        assert transition_to_json(t) == old
+
     def test_transition_must_be_square(self):
         with pytest.raises(ValueError):
             transition_to_json(np.ones((2, 3)))
