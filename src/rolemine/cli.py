@@ -155,9 +155,10 @@ def _run_transfer(config: RunConfig, outdir: Path) -> dict:
 
 def _parse_manifest(path: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
     """Snapshot manifest: one edge-list path per line, optionally preceded by
-    an integer timestamp. Timestamps must increase; a line without one takes
-    the previous one plus 1 (the first takes 0). Relative paths resolve
-    against the manifest."""
+    an integer timestamp, a first token of ASCII digits after an optional
+    minus sign; any other line is a path. Timestamps must increase; a line
+    without one takes the previous one plus 1 (the first takes 0). Relative
+    paths resolve against the manifest."""
     base = Path(path).parent
     timestamps: list[int] = []
     paths: list[str] = []
@@ -166,7 +167,7 @@ def _parse_manifest(path: str) -> tuple[tuple[int, ...], tuple[str, ...]]:
         if not line or line.startswith("#"):
             continue
         parts = line.split(maxsplit=1)
-        if len(parts) == 2 and parts[0].lstrip("-").isdigit():
+        if len(parts) == 2 and parts[0].isascii() and parts[0].removeprefix("-").isdigit():
             t, target = int(parts[0]), parts[1]
         else:
             t, target = (timestamps[-1] + 1 if timestamps else 0), line
@@ -184,13 +185,13 @@ def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
     model = _load(config.inputs[0], model_from_json, "model")
     timestamps, paths = _parse_manifest(config.inputs[1])
     graphs = [load_edge_list(_read(p)) for p in paths]
-    series = role_time_series(graphs, model, timestamps=timestamps)
-    (outdir / "series.csv").write_text(series_to_csv(series))
     # one global transition: stack all consecutive snapshot pairs with a
     # shared node count and solve them jointly
     pairs = [i for i in range(len(graphs) - 1) if graphs[i].n == graphs[i + 1].n]
     if not pairs:
         raise ValueError("no consecutive snapshots share a node count")
+    series = role_time_series(graphs, model, timestamps=timestamps)
+    (outdir / "series.csv").write_text(series_to_csv(series))
     w_a = np.vstack([series.memberships[i] for i in pairs])
     w_b = np.vstack([series.memberships[i + 1] for i in pairs])
     report = NnlsReport()

@@ -489,19 +489,18 @@ def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, 
     return index, cand, log_bin_rows(cand, p)
 
 
-def _unseen_candidates(g: Graph, groups, rows, width: int, ops, p: float, seen: set[bytes]):
+def _unseen_candidates(blocks, seen: set[bytes]):
     """The candidates of one round at threshold 1.0 whose bin vectors are
     not in seen, the earliest per bin vector, as (index, row) pairs in
-    index order (see _candidate_block), made in blocks of width survivor
-    rows; their bin vectors join seen.
+    index order; blocks yields the round's candidates as (index, rows,
+    bins) blocks (see _candidate_block). Their bin vectors join seen.
 
     The stash maps bin bytes to the earliest candidate seen so far with
     them; a later block can hold an earlier candidate, made by a lower
     operator, so it is resolved only once every block is through.
     """
     stash: dict[bytes, tuple[int, np.ndarray]] = {}
-    for lo in range(0, len(rows) if ops else 0, width):
-        index, cand, bins = _candidate_block(g, groups, rows, lo, lo + width, ops, p)
+    for index, cand, bins in blocks:
         picked: dict[bytes, tuple[int, int]] = {}  # a block runs in index order
         for pos, (i, b) in enumerate(zip(index.tolist(), bins)):
             key = b.tobytes()
@@ -519,15 +518,15 @@ def _unseen_candidates(g: Graph, groups, rows, width: int, ops, p: float, seen: 
 def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) -> FeatureMatrix:
     """Run the recursive feature-learning loop.
 
-    Iteration 0 evaluates primitives (plus attribute columns) and prunes.
-    Each later iteration applies every operator to every surviving feature
-    and prunes the candidates against the survivors. The loop stops, and
-    the result's stopped says why, at the first of: a round that leaves the
-    survivors as they were ("fixed-point"); a round, iteration 0 included,
+    Round 0's candidates are the primitives (plus attribute columns); a
+    later round's are every operator applied to every surviving feature.
+    Every round prunes its candidates against the survivors the same way.
+    The loop stops, and the result's stopped says why, at the first of: a
+    round that leaves the survivors as they were ("fixed-point"); a round
     whose f >= n survivors have numerical rank n ("rank"; see _spans_nodes),
     past which every candidate is a linear combination of them; or the
-    maxiter cap ("maxiter"). The rank stop only truncates: the result is
-    the uncapped run's first rounds, bit for bit.
+    maxiter cap on the rounds after round 0 ("maxiter"). The rank stop only
+    truncates: the result is the uncapped run's first rounds, bit for bit.
 
     Every column is binned once, when it is made. At threshold 1.0 a column
     survives unless its bin vector equals that of an earlier column; the
@@ -542,77 +541,68 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     contiguous, as the survivors are grown in place.
     """
     primitives = _learn_primitives(g, config)
-    attrs = None if config.attributes is None else _attribute_rows(g, config.attributes)
+    attrs = np.zeros((0, g.n)) if config.attributes is None else _attribute_rows(g, config.attributes)
     cache: dict = {}
-    columns = [compute_primitive(g, kind, cache) for kind in primitives]
-    descriptors = [
+    columns = np.array([compute_primitive(g, kind, cache) for kind in primitives] + list(attrs))
+    first = [
         FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
     ]
-    if attrs is not None:
-        columns.extend(attrs)
-        descriptors.extend(
-            FeatureDescriptor(id=len(primitives) + k, kind="attribute", attribute=k)
-            for k in range(len(attrs))
-        )
-    all_by_id = {d.id: d for d in descriptors}
-    next_id = len(descriptors)
+    first += [
+        FeatureDescriptor(id=len(first) + k, kind="attribute", attribute=k) for k in range(len(attrs))
+    ]
     ops, p = config.operators, config.bin_fraction
     exact = config.threshold == 1.0 or g.n == 0  # empty columns agree vacuously
     groups = _degree_groups(*g.csr[:2])
     # survivor rows per candidate block: a block holds about _BLOCK_ELEMENTS
     width = max(1, _BLOCK_ELEMENTS // max(g.n * len(ops), 1))
-
-    rows = np.array(columns, dtype=float)  # one feature per row
+    rows = np.zeros((0, g.n))  # the survivors, one feature per row
     bins = log_bin_rows(rows, p)
-    if exact:
-        seen: set[bytes] = set()  # bin vectors of the survivors
-        keep = []
-        for j, b in enumerate(bins):
-            if b.tobytes() not in seen:
-                seen.add(b.tobytes())
-                keep.append(j)
-    else:
-        keep = _agreement_roots(bins, config.threshold)
-        bins = bins[keep]
-    rows, descriptors = rows[keep], [descriptors[j] for j in keep]
-    sizes = [len(descriptors)]
-    stopped = "rank" if _spans_nodes(rows) else None
+    seen: set[bytes] = set()  # bin vectors of the survivors at threshold 1.0
+    descriptors: list[FeatureDescriptor] = []
+    all_by_id: dict[int, FeatureDescriptor] = {}
+    next_id = 0
+    sizes = []
+    stopped = "maxiter"
 
-    for iteration in range(1, config.maxiter + 1):
-        if stopped:
-            break
+    for iteration in range(config.maxiter + 1):
         f = len(descriptors)
-
-        def composite(i: int) -> FeatureDescriptor:
-            return FeatureDescriptor(
-                id=next_id + i,
-                kind="composite",
-                operator=ops[i // f],
-                base=descriptors[i % f].id,
-                iteration=iteration,
+        if iteration == 0:
+            count, describe = len(first), first.__getitem__
+            blocks = [(np.arange(count), columns, log_bin_rows(columns, p))]
+        else:
+            count = len(ops) * f
+            # lazy: each block reads rows, which must not change until all are made
+            blocks = (
+                _candidate_block(g, groups, rows, lo, lo + width, ops, p)
+                for lo in range(0, f if ops else 0, width)
             )
 
+            def describe(i: int) -> FeatureDescriptor:
+                return FeatureDescriptor(
+                    id=next_id + i,
+                    kind="composite",
+                    operator=ops[i // f],
+                    base=descriptors[i % f].id,
+                    iteration=iteration,
+                )
+
+        prior_ids = [d.id for d in descriptors]
         if exact:
-            new = _unseen_candidates(g, groups, rows, width, ops, p, seen)
+            new = _unseen_candidates(blocks, seen)
             # rows owns its buffer and no view of it outlived the round, so
             # it can grow where it lies
             rows.resize((f + len(new), g.n), refcheck=False)
             for r, (_, row) in enumerate(new):
                 rows[f + r] = row
-            descriptors += [composite(i) for i, _ in new]
-            next_id += len(ops) * f
-            changed = bool(new)
+            descriptors += [describe(i) for i, _ in new]
             del new  # the stashed rows, before a rank check copies the survivors
         else:
-            cand_rows = np.empty((len(ops) * f, g.n))
-            cand_bins = np.empty((len(ops) * f, g.n), dtype=bins.dtype)
-            for lo in range(0, f if ops else 0, width):
-                index, cand, block_bins = _candidate_block(g, groups, rows, lo, lo + width, ops, p)
+            cand_rows = np.empty((count, g.n))
+            cand_bins = np.empty((count, g.n), dtype=bins.dtype)
+            for index, cand, block_bins in blocks:
                 cand_rows[index], cand_bins[index] = cand, block_bins
-            cands = [composite(i) for i in range(len(ops) * f)]
+            cands = [describe(i) for i in range(count)]
             all_by_id.update((d.id, d) for d in cands)
-            next_id += len(cands)
-            prior_ids = {d.id for d in descriptors}
             rows = np.concatenate([rows, cand_rows])
             bins = np.concatenate([bins, cand_bins])
             descriptors = descriptors + cands
@@ -620,14 +610,14 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
             kept_ids |= _required_ancestors(all_by_id, kept_ids)
             idx = [j for j, d in enumerate(descriptors) if d.id in kept_ids]
             rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
-            changed = {d.id for d in descriptors} != prior_ids
+        next_id += count
         sizes.append(len(descriptors))
-        if not changed:
-            stopped = "fixed-point"
-        elif _spans_nodes(rows):
-            stopped = "rank"
+        changed = [d.id for d in descriptors] != prior_ids
+        if not changed or _spans_nodes(rows):
+            stopped = "rank" if changed else "fixed-point"
+            break
 
-    return FeatureMatrix(rows.T, tuple(descriptors), tuple(sizes), stopped or "maxiter")
+    return FeatureMatrix(rows.T, tuple(descriptors), tuple(sizes), stopped)
 
 
 def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:

@@ -6,26 +6,27 @@ assignment. Rank is chosen by a greedy sweep that scores each rank with an
 information criterion and stops after a run of non-improving ranks.
 
 The sweep fits its ranks in batches: the ranks it must try whatever their
-costs (the next `trials - failed` of them). A stack of ranks runs through one
+costs (the next `trials - failed` of them). A fixed rank r (factorize_at_rank)
+is the one-rank batch range(r, r + 1), from a start drawn at rank r as
+nmf_factorize draws it. A stack of ranks runs through one
 multiplicative-update kernel, _nmf_batch, as zero-padded factor pairs that
 share x, with the objective read off Gram identities. A batch of two or more
 ranks is cut, by its ranks alone, into two stacks: the narrower half (one
 more when the count is odd) runs in process, and the wider half in a worker
-forked once per sweep when x is large enough and two CPUs are free, or else
-in process afterwards. BLAS rounding depends on the stacked width, so fixed
-stacks give the same bits on any CPU count. The ranks tried, the iterates
-and the stop rule are those of fitting one rank at a time; nmf_factorize is
-the kernel's one-slice case.
+forked once per sweep when the distinct rows are large enough and two CPUs
+are free, or else in process afterwards. BLAS rounding depends on the
+stacked width, so fixed stacks give the same bits on any CPU count. The
+ranks tried, the iterates and the stop rule are those of fitting one rank
+at a time; nmf_factorize is the kernel's one-slice case.
 
-Nodes with equal feature rows must share a role, so select_rank and
-factorize_at_rank factorize the distinct rows of the normalized matrix, in
-order of first appearance, each scaled by the square root of its count: for
-tied rows the objective sum_i count_i * ||u_i - w_i H||^2 is the same. The
-start is drawn for all n rows, and each distinct row starts at sqrt(count)
-times the mean of its members' drawn rows. W is expanded back by dividing by
-sqrt(count) and indexing by the inverse; costs are those of the full matrix.
-When every row is distinct each step is exact, so the bits are those of the
-full-row fit.
+Nodes with equal feature rows must share a role, so both fits factorize the
+distinct rows of the normalized matrix, in order of first appearance, each
+scaled by the square root of its count: for tied rows the objective
+sum_i count_i * ||u_i - w_i H||^2 is the same. The start is drawn for all n
+rows, and each distinct row starts at sqrt(count) times the mean of its
+members' drawn rows. W is expanded back by dividing by sqrt(count) and
+indexing by the inverse; costs are those of the full matrix. When every row
+is distinct each step is exact, so the bits are those of the full-row fit.
 
 Cost criteria: "aic" (default) is 2*(n*r + r*f) + n*f*ln(SSE/(n*f) + 1e-12).
 "mdl" is b*(n*r + r*f) + max(0, (n*f/2)*log2(SSE/(n*f) + 1e-12)); note that
@@ -38,6 +39,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,38 +183,6 @@ def _fit_stack(x, w_full, h_full, ranks, maxiter, tol):
     return _nmf_batch(x, [w_full[:, :r] for r in ranks], [h_full[:r] for r in ranks], maxiter, tol)
 
 
-class _BatchFitter:
-    """Fits a sweep's batches as two fixed stacks (see the module
-    docstring). The worker is forked on first use and reused by later
-    batches; close() shuts it down."""
-
-    def __init__(self, x: np.ndarray, maxiter: int, tol: float):
-        self.x, self.maxiter, self.tol = x, maxiter, tol
-        self.forks = x.size >= _VALUES_PER_FIT_WORKER and _cpu_count() >= 2
-        self.pool = None
-
-    def fit(self, w_full, h_full, ranks: range):
-        """(W, H, history) per rank, in rank order."""
-        cut = (len(ranks) + 1) // 2
-        narrow, wide = ranks[:cut], ranks[cut:]
-        if not wide:
-            return _fit_stack(self.x, w_full, h_full, narrow, self.maxiter, self.tol)
-        args = (self.x, w_full[:, : wide[-1]], h_full[: wide[-1]], wide, self.maxiter, self.tol)
-        future = None
-        if self.forks:
-            if self.pool is None:
-                # fork, not spawn: a spawned worker would spend a large share
-                # of a small sweep importing numpy
-                self.pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
-            future = self.pool.submit(_fit_stack, *args)
-        first = _fit_stack(self.x, w_full, h_full, narrow, self.maxiter, self.tol)
-        return first + (_fit_stack(*args) if future is None else future.result())
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
-
-
 def _check_fit(x: np.ndarray, r: int, maxiter: int) -> None:
     if not 1 <= r <= min(x.shape):
         raise ValueError(f"rank {r} outside 1..min(n,f)={min(x.shape)}")
@@ -241,14 +211,6 @@ def _distinct_rows(xn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(first)
     root = np.sqrt(counts[order])[:, None]
     return xn[first[order]] * root, np.argsort(order)[inverse], root
-
-
-def _member_start(w: np.ndarray, inverse: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The start of each distinct row: sqrt(count) times the mean of its
-    members' rows of w."""
-    sums = np.zeros((len(root), w.shape[1]))
-    np.add.at(sums, inverse, w)
-    return sums / root
 
 
 def nmf_factorize(
@@ -332,6 +294,73 @@ class RankSweep:
     distinct_rows: int | None = None
 
 
+def _fit_ranks(x, rank, trials, criterion, b, seed, descriptors, maxiter, tol, sweep) -> RoleModel:
+    """select_rank's sweep, or with rank given, factorize_at_rank's fit: the
+    sweep's one-rank batch range(rank, rank + 1) from a start drawn at rank."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    _check_criterion(criterion, b)
+    xn, scales = normalize_columns(_validate_input(x))
+    top = min(xn.shape) if rank is None else rank  # the rank of the drawn start
+    _check_fit(xn, top, maxiter)
+    u, inverse, root = _distinct_rows(xn)
+    lo, rmax = (1, min(u.shape)) if rank is None else (rank, rank)
+    sweep = RankSweep() if sweep is None else sweep
+    sweep.distinct_rows = len(u)
+
+    w_drawn, h_full = _start(xn, top, seed)
+    # each distinct row starts at sqrt(count) times its members' mean drawn row
+    w_full = np.zeros((len(u), top))
+    np.add.at(w_full, inverse, w_drawn)
+    w_full /= root
+    best = (np.inf, 0, None, None)
+    failed = 0
+    with ExitStack() as stack:
+        pool = None
+        while failed < trials and lo <= rmax:
+            ranks = range(lo, min(lo + trials - failed, rmax + 1))
+            # two stacks fixed by the ranks alone: the narrower half here,
+            # the wider one in the worker when it forks, else after it
+            cut = (len(ranks) + 1) // 2
+            narrow, wide = ranks[:cut], ranks[cut:]
+            args = (u, w_full[:, : ranks[-1]], h_full[: ranks[-1]], wide, maxiter, tol)
+            future = None
+            if wide and u.size >= _VALUES_PER_FIT_WORKER and _cpu_count() >= 2:
+                if pool is None:
+                    # fork, not spawn: a spawned worker would spend a large
+                    # share of a small sweep importing numpy
+                    pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+                    stack.callback(pool.shutdown, cancel_futures=True)
+                future = pool.submit(_fit_stack, *args)
+            fits = _fit_stack(u, w_full, h_full, narrow, maxiter, tol)
+            if wide:
+                fits += _fit_stack(*args) if future is None else future.result()
+            for r, (w, h, history) in zip(ranks, fits):
+                w = (w / root)[inverse]
+                cost = model_cost(xn, w, h, criterion=criterion, b=b)
+                iterations = len(history) - 1
+                sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
+                if cost < best[0]:
+                    best = (cost, r, w, h)
+                    failed = 0
+                else:
+                    failed += 1
+            lo = ranks.stop
+    sweep.stopped = "rank" if rank is not None else "trials" if failed >= trials else "rmax"
+    cost, r, w, h = best
+    return RoleModel(
+        r=r,
+        w=w,
+        h=h,
+        column_scales=scales,
+        descriptors=tuple(descriptors) if descriptors is not None else None,
+        cost=cost,
+        criterion=criterion,
+        b=b,
+        seed=seed,
+    )
+
+
 def select_rank(
     x: np.ndarray,
     criterion: str = "aic",
@@ -356,59 +385,12 @@ def select_rank(
     records each fit.
 
     After `failed` non-improving ranks the next `trials - failed` ranks are
-    tried whatever their costs, so they are fitted together as one batch,
-    then accepted or counted as failures in rank order. A batch is fitted
-    as two stacks fixed by its ranks, the second in a forked worker when
-    two CPUs are free and the distinct rows have enough values; the model
-    and the sweep are the same bits on any CPU count.
+    tried whatever their costs, so they are fitted together as one batch
+    (two stacks, see the module docstring), then accepted or counted as
+    failures in rank order; the model and the sweep are the same bits on
+    any CPU count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if maxiter < 1:
-        raise ValueError("maxiter must be >= 1")
-    _check_criterion(criterion, b)
-    x = _validate_input(x)
-    xn, scales = normalize_columns(x)
-    u, inverse, root = _distinct_rows(xn)
-    rmax = min(u.shape)
-    sweep = RankSweep() if sweep is None else sweep
-    sweep.distinct_rows = len(u)
-
-    w_full, h_full = _start(xn, min(xn.shape), seed)
-    w_full = _member_start(w_full, inverse, root)
-    best = (np.inf, 0, None, None)
-    failed = 0
-    lo = 1
-    fitter = _BatchFitter(u, maxiter, tol)
-    try:
-        while failed < trials and lo <= rmax:
-            ranks = range(lo, min(lo + trials - failed, rmax + 1))
-            for r, (w, h, history) in zip(ranks, fitter.fit(w_full, h_full, ranks)):
-                w = (w / root)[inverse]
-                cost = model_cost(xn, w, h, criterion=criterion, b=b)
-                iterations = len(history) - 1
-                sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
-                if cost < best[0]:
-                    best = (cost, r, w, h)
-                    failed = 0
-                else:
-                    failed += 1
-            lo = ranks.stop
-    finally:
-        fitter.close()
-    sweep.stopped = "trials" if failed >= trials else "rmax"
-    cost, r, w, h = best
-    return RoleModel(
-        r=r,
-        w=w,
-        h=h,
-        column_scales=scales,
-        descriptors=tuple(descriptors) if descriptors is not None else None,
-        cost=cost,
-        criterion=criterion,
-        b=b,
-        seed=seed,
-    )
+    return _fit_ranks(x, None, trials, criterion, b, seed, descriptors, maxiter, tol, sweep)
 
 
 def factorize_at_rank(
@@ -424,33 +406,10 @@ def factorize_at_rank(
 ) -> RoleModel:
     """Skip the sweep and fit a model at a fixed rank (CLI --rank override).
 
-    The start is nmf_factorize's draw on the normalized x, fitted on the
-    distinct rows as select_rank fits them; r may be up to min(n, f)."""
-    _check_criterion(criterion, b)
-    x = _validate_input(x)
-    xn, scales = normalize_columns(x)
-    _check_fit(xn, r, maxiter)
-    u, inverse, root = _distinct_rows(xn)
-    w, h = _start(xn, r, seed)
-    w, h, history = _nmf_batch(u, [_member_start(w, inverse, root)], [h], maxiter, tol)[0]
-    w = (w / root)[inverse]
-    cost = model_cost(xn, w, h, criterion=criterion, b=b)
-    if sweep is not None:
-        iterations = len(history) - 1
-        sweep.fits.append(RankFit(r, iterations, iterations == maxiter, cost))
-        sweep.stopped = "rank"
-        sweep.distinct_rows = len(u)
-    return RoleModel(
-        r=r,
-        w=w,
-        h=h,
-        column_scales=scales,
-        descriptors=tuple(descriptors) if descriptors is not None else None,
-        cost=cost,
-        criterion=criterion,
-        b=b,
-        seed=seed,
-    )
+    This is the sweep's one-rank batch, from nmf_factorize's draw at rank r
+    on the normalized x; r may be up to min(n, f). `sweep`, when given,
+    records the fit, stopped "rank"."""
+    return _fit_ranks(x, r, 1, criterion, b, seed, descriptors, maxiter, tol, sweep)
 
 
 def soft_memberships(w: np.ndarray) -> np.ndarray:

@@ -452,6 +452,35 @@ class TestTransferAndDynamic:
         )
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("token", ["--5", "²"], ids=["two-minus-signs", "superscript-two"])
+    def test_dynamic_manifest_token_that_only_looks_like_an_integer(self, runner, tmp_path, token):
+        # not a timestamp, so the whole line names the snapshot
+        self.fit_chain(runner, tmp_path)
+        manifest = tmp_path / "snapshots.txt"
+        manifest.write_text(f"{token} graph.txt\ngraph.txt\n", encoding="utf-8")
+        result = runner.invoke(
+            main, ["dynamic", str(tmp_path / "model.json"), str(manifest),
+                   "--output-dir", str(tmp_path / "d")]
+        )
+        assert result.exit_code == 1
+        assert result.stderr == f"error: input file not found: {tmp_path / (token + ' graph.txt')}\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_dynamic_without_a_shared_node_count_writes_nothing(self, runner, tmp_path):
+        self.fit_chain(runner, tmp_path)
+        (tmp_path / "other.txt").write_text(write_edge_list(erdos_renyi(15, 0.3, seed=4)))
+        (tmp_path / "snapshots.txt").write_text("graph.txt\nother.txt\n")
+        args = ["dynamic", str(tmp_path / "model.json"), str(tmp_path / "snapshots.txt")]
+        result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "d")])
+        assert result.exit_code == 1
+        assert result.stderr == "error: no consecutive snapshots share a node count\n"
+        assert not (tmp_path / "d").exists()
+        # an output directory that was already there gains no file
+        (tmp_path / "e").mkdir()
+        result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "e")])
+        assert result.exit_code == 1
+        assert list((tmp_path / "e").iterdir()) == []
+
     def test_dynamic_requires_two_snapshots(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)
         (tmp_path / "snapshots.txt").write_text("graph.txt\n")

@@ -816,9 +816,17 @@ class TestStreamedRound:
         graphs(min_n=1, max_n=9, weighted=True),
         st.sampled_from(STREAM_CONFIGS),
         st.integers(1, 40),
+        st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_all_at_once_learn(self, g, config, block):
+    def test_matches_all_at_once_learn(self, g, config, block, data):
+        # zero to two attribute columns join round 0's candidates; small
+        # integers tie with each other and with the primitives
+        k = data.draw(st.integers(0, 2))
+        if k:
+            values = st.integers(0, 3).map(float)
+            attrs = data.draw(st.lists(values, min_size=g.n * k, max_size=g.n * k))
+            config = replace(config, attributes=np.reshape(attrs, (g.n, k)))
         want = all_at_once_learn(g, config)
         with pytest.MonkeyPatch.context() as mp:
             # survivor blocks of one column up to several

@@ -522,6 +522,24 @@ class TestDistinctRows:
             digest.update(model.h.tobytes())
         assert digest.hexdigest() == "ff7d2f2ec1e04d491420ba8250e63d66601c597d45d7ba0b9d7bc8cf8c21ce43"
 
+    def test_tied_rows_keep_their_bits(self):
+        # 570 rows, 4 distinct; recorded while the fixed-rank fit had its
+        # own code path. Rank 5 lies above the distinct row count
+        g, _ = planted_role_graph(seed=1, units=30)
+        x = learn_features(g).values
+        digest = hashlib.sha256()
+        fits = (lambda s: select_rank(x, sweep=s),
+                lambda s: factorize_at_rank(x, 4, sweep=s),
+                lambda s: factorize_at_rank(x, 5, sweep=s))
+        for fit in fits:
+            sweep = RankSweep()
+            model = fit(sweep)
+            digest.update(np.array([model.r, model.cost]).tobytes())
+            digest.update(model.w.tobytes())
+            digest.update(model.h.tobytes())
+            digest.update(repr(sweep).encode())
+        assert digest.hexdigest() == "7c0203c2d86b9bb3d73ce8f86dfc43af6239db6aac587d8bf386ec01a0564a90"
+
     def test_fixed_rank_above_the_distinct_row_count(self):
         x = np.tile([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0]], (5, 1))
         sweep = RankSweep()
@@ -678,7 +696,20 @@ class TestForkedStacks:
         assert other.cost == model.cost and other_sweep == sweep
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("shape", [(150, 68), (3800, 5)])
-    def test_benchmark_sized_inputs_take_the_worker(self, shape, monkeypatch):
+    def test_er_features_take_the_worker(self, monkeypatch):
+        # the sweep forks on its distinct rows: all 150 rows of these are
         monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
-        assert roles_module._BatchFitter(np.ones(shape), 500, 1e-6).forks
+        pools = count_pools(monkeypatch)
+        select_rank(er_features(1))
+        assert len(pools) == 1
+
+    def test_planted_features_fork_nothing(self, monkeypatch):
+        # 3800 x 5 features, as the planted-cli benchmark's, of 4 distinct rows
+        g, _ = planted_role_graph(seed=1, units=200)
+        x = learn_features(g).values
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+        pools = count_pools(monkeypatch)
+        sweep = RankSweep()
+        select_rank(x, sweep=sweep)
+        assert x.shape == (3800, 5) and sweep.distinct_rows == 4
+        assert pools == []

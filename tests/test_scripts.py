@@ -1,6 +1,8 @@
-"""Smoke tests: each experiment script runs to completion on small inputs."""
+"""Smoke tests: each experiment script runs to completion on small inputs,
+and the benchmark's quick workloads pass once."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 import rolemine
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
 def run_script(script, args, cwd):
@@ -51,3 +54,19 @@ def test_feature_growth_reports_peak_memory(tmp_path):
     assert float(row["csv_s"]) >= 0
     assert row["stopped"] in ("fixed-point", "rank", "maxiter")
     assert 0 <= int(row["rank"]) <= min(30, int(row["final_features"]))
+
+
+@pytest.mark.parametrize("workload", ["planted-cli", "er-deep-features"])
+def test_benchmark_workload_passes_once(workload, tmp_path):
+    # one pass (--seconds 0) over the sources beside the runner: a library
+    # change that breaks a call the benchmark makes fails here. The runner
+    # writes .perfbench/ under its working directory
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH), "--workload", workload, "--seed", "1", "--seconds", "0"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
