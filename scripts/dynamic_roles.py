@@ -17,9 +17,9 @@ from rolemine import (
     estimate_transition_model,
     learn_features,
     erdos_renyi,
-    role_time_series,
     select_rank,
     series_to_csv,
+    transfer_memberships,
     transition_to_json,
 )
 
@@ -56,20 +56,21 @@ def main(argv=None):
     model = select_rank(x.values, descriptors=x.descriptors)
     print(f"fit on snapshot 0: {x.f} features, r={model.r}")
 
-    series = role_time_series(snaps, model)
+    memberships = [transfer_memberships(g, model) for g in snaps]
     print("\nrole mass per snapshot (column sums of memberships):")
-    for t, w in zip(series.timestamps, series.memberships):
+    for t, w in enumerate(memberships):
         mass = " ".join(f"{v:8.2f}" for v in w.sum(axis=0))
         print(f"  t={t}: {mass}")
 
-    t_mat = estimate_transition_model(series.memberships[0], series.memberships[-1])
-    print(f"\ntransition from t={series.timestamps[0]} to t={series.timestamps[-1]}:")
+    t_mat = estimate_transition_model(memberships[0], memberships[-1])
+    print(f"\ntransition from t=0 to t={len(memberships) - 1}:")
     for row in t_mat:
         print("  " + " ".join(f"{v:6.3f}" for v in row))
 
     if args.output_dir is not None:
         args.output_dir.mkdir(parents=True, exist_ok=True)
-        (args.output_dir / "series.csv").write_text(series_to_csv(series))
+        series = series_to_csv(range(len(memberships)), memberships)
+        (args.output_dir / "series.csv").write_text(series)
         (args.output_dir / "transition.json").write_text(transition_to_json(t_mat))
         print(f"\nwrote series.csv and transition.json to {args.output_dir}")
 

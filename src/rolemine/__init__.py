@@ -37,7 +37,6 @@ from .graph import (
 from .roles import (
     RankSweep,
     RoleModel,
-    factorize_at_rank,
     hard_assignment,
     model_cost,
     model_from_json,
@@ -50,11 +49,9 @@ from .roles import (
 )
 from .synth import erdos_renyi, planted_role_graph
 from .transfer import (
-    MembershipSeries,
     NnlsReport,
     estimate_transition_model,
     memberships_for_matrix,
-    role_time_series,
     series_to_csv,
     transfer_memberships,
     transition_to_json,
@@ -70,7 +67,6 @@ __all__ = [
     "FeatureLearnConfig",
     "FeatureMatrix",
     "Graph",
-    "MembershipSeries",
     "NnlsReport",
     "NodePartition",
     "OPERATOR_KINDS",
@@ -84,7 +80,6 @@ __all__ = [
     "descriptors_to_json",
     "erdos_renyi",
     "estimate_transition_model",
-    "factorize_at_rank",
     "features_from_csv",
     "features_to_csv",
     "hard_assignment",
@@ -99,7 +94,6 @@ __all__ = [
     "planted_role_graph",
     "recompute",
     "regular_refinement",
-    "role_time_series",
     "select_rank",
     "series_to_csv",
     "soft_memberships",

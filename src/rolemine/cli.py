@@ -34,7 +34,6 @@ from .features import (
 from .graph import load_edge_list
 from .roles import (
     RankSweep,
-    factorize_at_rank,
     hard_assignment,
     model_from_json,
     model_to_json,
@@ -44,7 +43,6 @@ from .roles import (
 from .transfer import (
     NnlsReport,
     estimate_transition_model,
-    role_time_series,
     series_to_csv,
     transfer_memberships,
     transition_to_json,
@@ -123,12 +121,9 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
         if len(descriptors) != x.shape[1]:
             raise ValueError("descriptor count does not match feature columns")
     sweep = RankSweep()
-    common = dict(criterion=config.criterion, b=config.bits, seed=config.seed,
-                  descriptors=descriptors, maxiter=config.maxiter, sweep=sweep)
-    if config.rank is not None:
-        model = factorize_at_rank(x, config.rank, **common)
-    else:
-        model = select_rank(x, trials=config.trials, **common)
+    model = select_rank(x, criterion=config.criterion, b=config.bits, trials=config.trials,
+                        seed=config.seed, descriptors=descriptors, maxiter=config.maxiter,
+                        sweep=sweep, rank=config.rank)
     (outdir / "model.json").write_text(model_to_json(model))
     return {"sweep": [asdict(fit) for fit in sweep.fits], "stopped": sweep.stopped,
             "distinct_rows": sweep.distinct_rows}
@@ -190,10 +185,10 @@ def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
     pairs = [i for i in range(len(graphs) - 1) if graphs[i].n == graphs[i + 1].n]
     if not pairs:
         raise ValueError("no consecutive snapshots share a node count")
-    series = role_time_series(graphs, model, timestamps=timestamps)
-    (outdir / "series.csv").write_text(series_to_csv(series))
-    w_a = np.vstack([series.memberships[i] for i in pairs])
-    w_b = np.vstack([series.memberships[i + 1] for i in pairs])
+    memberships = [transfer_memberships(g, model) for g in graphs]
+    (outdir / "series.csv").write_text(series_to_csv(timestamps, memberships))
+    w_a = np.vstack([memberships[i] for i in pairs])
+    w_b = np.vstack([memberships[i + 1] for i in pairs])
     report = NnlsReport()
     t = estimate_transition_model(w_a, w_b, report=report)
     (outdir / "transition.json").write_text(transition_to_json(t))

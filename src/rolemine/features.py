@@ -2,12 +2,11 @@
 
 Primitives (degree, wedge, triangle, egonet, core) seed the feature set;
 neighbor-aggregation operators grow it one round at a time. Every new column
-is vertically log-binned once, when it is made. At the default agreement
-threshold of 1.0 a column survives unless its bin vector equals that of an
-earlier column (a group-by on the bin bytes); below 1.0 the components of
-the >= lambda agreement graph over survivors and candidates keep their
-earliest member. Descriptors record how to rebuild every surviving column on
-any other graph.
+is vertically log-binned once, when it is made. A column survives unless
+its bin vector equals that of an earlier column (a group-by on the bin
+bytes); below the default agreement threshold of 1.0 the components of the
+>= lambda agreement graph over what is left then keep their earliest member.
+Descriptors record how to rebuild every surviving column on any other graph.
 
 A round streams its candidates: survivor columns go through in blocks, and
 each block is aggregated (every operator off one shared sort), binned and
@@ -88,6 +87,10 @@ class FeatureDescriptor:
     iteration: int = 0
 
     def __post_init__(self):
+        for name in ("id", "iteration"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"descriptor {name} must be a non-negative integer, not {value!r}")
         if self.kind == "primitive":
             if self.primitive not in PRIMITIVE_KINDS:
                 raise ValueError(f"unknown primitive {self.primitive!r}")
@@ -490,10 +493,10 @@ def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, 
 
 
 def _unseen_candidates(blocks, seen: set[bytes]):
-    """The candidates of one round at threshold 1.0 whose bin vectors are
-    not in seen, the earliest per bin vector, as (index, row) pairs in
-    index order; blocks yields the round's candidates as (index, rows,
-    bins) blocks (see _candidate_block). Their bin vectors join seen.
+    """The candidates of one round whose bin vectors are not in seen, the
+    earliest per bin vector, as (index, row) pairs in index order; blocks
+    yields the round's candidates as (index, rows, bins) blocks (see
+    _candidate_block). Their bin vectors join seen.
 
     The stash maps bin bytes to the earliest candidate seen so far with
     them; a later block can hold an earlier candidate, made by a lower
@@ -528,14 +531,15 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     maxiter cap on the rounds after round 0 ("maxiter"). The rank stop only
     truncates: the result is the uncapped run's first rounds, bit for bit.
 
-    Every column is binned once, when it is made. At threshold 1.0 a column
-    survives unless its bin vector equals that of an earlier column; the
-    candidates stream through in survivor blocks and only the unseen ones
-    are kept until the round ends. Below 1.0 the components of the >=
-    threshold agreement graph over survivors and candidates keep their
-    earliest member; a pruned old feature could then orphan the recipe of a
-    surviving composite, so such ancestors are re-protected after each
-    prune and every returned descriptor list stays evaluable via recompute.
+    Every column is binned once, when it is made. A column survives unless
+    its bin vector equals that of an earlier column; the candidates stream
+    through in survivor blocks and only the unseen ones are kept until the
+    round ends. Below threshold 1.0 the components of the >= threshold
+    agreement graph over the survivors and those unseen candidates then
+    keep their earliest member; a pruned old feature could orphan the
+    recipe of a surviving composite, so such ancestors are re-protected
+    after each prune and every returned descriptor list stays evaluable via
+    recompute.
 
     The returned values are column-major: each feature's column is
     contiguous, as the survivors are grown in place.
@@ -551,15 +555,12 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
         FeatureDescriptor(id=len(first) + k, kind="attribute", attribute=k) for k in range(len(attrs))
     ]
     ops, p = config.operators, config.bin_fraction
-    exact = config.threshold == 1.0 or g.n == 0  # empty columns agree vacuously
     groups = _degree_groups(*g.csr[:2])
     # survivor rows per candidate block: a block holds about _BLOCK_ELEMENTS
     width = max(1, _BLOCK_ELEMENTS // max(g.n * len(ops), 1))
     rows = np.zeros((0, g.n))  # the survivors, one feature per row
-    bins = log_bin_rows(rows, p)
-    seen: set[bytes] = set()  # bin vectors of the survivors at threshold 1.0
+    seen: set[bytes] = set()  # bin vectors of the survivors
     descriptors: list[FeatureDescriptor] = []
-    all_by_id: dict[int, FeatureDescriptor] = {}
     next_id = 0
     sizes = []
     stopped = "maxiter"
@@ -587,29 +588,23 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
                 )
 
         prior_ids = [d.id for d in descriptors]
-        if exact:
-            new = _unseen_candidates(blocks, seen)
-            # rows owns its buffer and no view of it outlived the round, so
-            # it can grow where it lies
-            rows.resize((f + len(new), g.n), refcheck=False)
-            for r, (_, row) in enumerate(new):
-                rows[f + r] = row
-            descriptors += [describe(i) for i, _ in new]
-            del new  # the stashed rows, before a rank check copies the survivors
-        else:
-            cand_rows = np.empty((count, g.n))
-            cand_bins = np.empty((count, g.n), dtype=bins.dtype)
-            for index, cand, block_bins in blocks:
-                cand_rows[index], cand_bins[index] = cand, block_bins
-            cands = [describe(i) for i in range(count)]
-            all_by_id.update((d.id, d) for d in cands)
-            rows = np.concatenate([rows, cand_rows])
-            bins = np.concatenate([bins, cand_bins])
-            descriptors = descriptors + cands
-            kept_ids = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
-            kept_ids |= _required_ancestors(all_by_id, kept_ids)
-            idx = [j for j, d in enumerate(descriptors) if d.id in kept_ids]
-            rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
+        new = _unseen_candidates(blocks, seen)
+        # rows owns its buffer and no view of it outlived the round, so it
+        # can grow where it lies
+        rows.resize((f + len(new), g.n), refcheck=False)
+        for r, (_, row) in enumerate(new):
+            rows[f + r] = row
+        descriptors += [describe(i) for i, _ in new]
+        del new  # the stashed rows, before a prune or a rank check copies the survivors
+        if config.threshold < 1.0 and g.n:  # empty columns agree vacuously
+            # a candidate dropped above agrees with every row as its earlier
+            # twin does, so it would have changed no component and no root
+            bins = log_bin_rows(rows, p)
+            kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
+            kept |= _required_ancestors({d.id: d for d in descriptors}, kept)
+            idx = [j for j, d in enumerate(descriptors) if d.id in kept]
+            rows, descriptors = rows[idx], [descriptors[j] for j in idx]
+            seen = {b.tobytes() for b in bins[idx]}
         next_id += count
         sizes.append(len(descriptors))
         changed = [d.id for d in descriptors] != prior_ids

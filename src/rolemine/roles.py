@@ -6,8 +6,8 @@ assignment. Rank is chosen by a greedy sweep that scores each rank with an
 information criterion and stops after a run of non-improving ranks.
 
 The sweep fits its ranks in batches: the ranks it must try whatever their
-costs (the next `trials - failed` of them). A fixed rank r (factorize_at_rank)
-is the one-rank batch range(r, r + 1), from a start drawn at rank r as
+costs (the next `trials - failed` of them). A fixed rank r (select_rank's
+rank) is the one-rank batch range(r, r + 1), from a start drawn at rank r as
 nmf_factorize draws it. A stack of ranks runs through one
 multiplicative-update kernel, _nmf_batch, as zero-padded factor pairs that
 share x, with the objective read off Gram identities. A batch of two or more
@@ -283,20 +283,50 @@ class RankFit:
 
 @dataclass
 class RankSweep:
-    """What a rank search did, filled in by select_rank or factorize_at_rank:
-    one RankFit per fitted rank in fitting order; why the sweep stopped:
-    "trials" (that many non-improving ranks in a row), "rmax" (reached
-    min(distinct rows, f)) or "rank" (a fixed rank, no sweep); and the
-    number of distinct rows of the normalized matrix, the rows it fitted."""
+    """What a rank search did, filled in by select_rank: one RankFit per
+    fitted rank in fitting order; why the sweep stopped: "trials" (that many
+    non-improving ranks in a row), "rmax" (reached min(distinct rows, f)) or
+    "rank" (a fixed rank, no sweep); and the number of distinct rows of the
+    normalized matrix, the rows it fitted."""
 
     fits: list[RankFit] = field(default_factory=list)
     stopped: str | None = None
     distinct_rows: int | None = None
 
 
-def _fit_ranks(x, rank, trials, criterion, b, seed, descriptors, maxiter, tol, sweep) -> RoleModel:
-    """select_rank's sweep, or with rank given, factorize_at_rank's fit: the
-    sweep's one-rank batch range(rank, rank + 1) from a start drawn at rank."""
+def select_rank(
+    x: np.ndarray,
+    criterion: str = "aic",
+    b: int = 16,
+    trials: int = 5,
+    seed: int = 1,
+    descriptors=None,
+    maxiter: int = 500,
+    tol: float = 1e-6,
+    sweep: RankSweep | None = None,
+    rank: int | None = None,
+) -> RoleModel:
+    """Greedy rank search over column-normalized x, or with rank given, a
+    fit at that rank alone (CLI --rank).
+
+    The sweep fits the distinct rows of the normalized x, each scaled by
+    sqrt(count), and expands W back to every node, so equal rows get equal
+    W rows. One random (W0, H0) pair is drawn at rank min(n, f), or at the
+    given rank, for all n rows; each distinct row starts at sqrt(count)
+    times its members' mean row of W0, and the start is sliced to the first
+    r columns/rows for each candidate rank. The sweep stops after `trials`
+    consecutive ranks without a cost improvement or at r = min(distinct
+    rows, f), and the cheapest model, scored on the full matrix, wins. A
+    given rank may be up to min(n, f) and is the one-rank batch
+    range(rank, rank + 1), stopped "rank". `sweep`, when given, records
+    each fit.
+
+    After `failed` non-improving ranks the next `trials - failed` ranks are
+    tried whatever their costs, so they are fitted together as one batch
+    (two stacks, see the module docstring), then accepted or counted as
+    failures in rank order; the model and the sweep are the same bits on
+    any CPU count.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_criterion(criterion, b)
@@ -359,57 +389,6 @@ def _fit_ranks(x, rank, trials, criterion, b, seed, descriptors, maxiter, tol, s
         b=b,
         seed=seed,
     )
-
-
-def select_rank(
-    x: np.ndarray,
-    criterion: str = "aic",
-    b: int = 16,
-    trials: int = 5,
-    seed: int = 1,
-    descriptors=None,
-    maxiter: int = 500,
-    tol: float = 1e-6,
-    sweep: RankSweep | None = None,
-) -> RoleModel:
-    """Greedy rank search over column-normalized x.
-
-    The sweep fits the distinct rows of the normalized x, each scaled by
-    sqrt(count), and expands W back to every node, so equal rows get equal
-    W rows. One random (W0, H0) pair is drawn at rank min(n, f) for all n
-    rows; each distinct row starts at sqrt(count) times its members' mean
-    row of W0, and the start is sliced to the first r columns/rows for each
-    candidate rank. The sweep stops after `trials` consecutive ranks
-    without a cost improvement or at r = min(distinct rows, f), and the
-    cheapest model, scored on the full matrix, wins. `sweep`, when given,
-    records each fit.
-
-    After `failed` non-improving ranks the next `trials - failed` ranks are
-    tried whatever their costs, so they are fitted together as one batch
-    (two stacks, see the module docstring), then accepted or counted as
-    failures in rank order; the model and the sweep are the same bits on
-    any CPU count.
-    """
-    return _fit_ranks(x, None, trials, criterion, b, seed, descriptors, maxiter, tol, sweep)
-
-
-def factorize_at_rank(
-    x: np.ndarray,
-    r: int,
-    criterion: str = "aic",
-    b: int = 16,
-    seed: int = 1,
-    descriptors=None,
-    maxiter: int = 500,
-    tol: float = 1e-6,
-    sweep: RankSweep | None = None,
-) -> RoleModel:
-    """Skip the sweep and fit a model at a fixed rank (CLI --rank override).
-
-    This is the sweep's one-rank batch, from nmf_factorize's draw at rank r
-    on the normalized x; r may be up to min(n, f). `sweep`, when given,
-    records the fit, stopped "rank"."""
-    return _fit_ranks(x, r, 1, criterion, b, seed, descriptors, maxiter, tol, sweep)
 
 
 def soft_memberships(w: np.ndarray) -> np.ndarray:

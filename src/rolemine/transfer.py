@@ -177,61 +177,6 @@ def memberships_for_matrix(
     return b.T
 
 
-@dataclass(frozen=True, eq=False)
-class MembershipSeries:
-    """Membership matrices for a sequence of graph snapshots, sharing one
-    role model."""
-
-    timestamps: tuple[int, ...]
-    memberships: tuple[np.ndarray, ...]
-    model: RoleModel | None = None
-
-    def __post_init__(self):
-        if len(self.timestamps) != len(self.memberships):
-            raise ValueError("one membership matrix per timestamp required")
-        if len(self.timestamps) == 0:
-            raise ValueError("series must be non-empty")
-        if len(set(self.timestamps)) != len(self.timestamps):
-            raise ValueError("timestamps must be distinct")
-        widths = {m.shape[1] for m in self.memberships}
-        if len(widths) != 1:
-            raise ValueError("all snapshots must share the model rank")
-        if self.model is not None and widths != {self.model.r}:
-            raise ValueError("membership width must equal the model rank")
-        if any((m < 0).any() for m in self.memberships):
-            raise ValueError("memberships must be non-negative")
-        object.__setattr__(self, "timestamps", tuple(int(t) for t in self.timestamps))
-        object.__setattr__(
-            self, "memberships", tuple(np.asarray(m, dtype=float) for m in self.memberships)
-        )
-
-    @property
-    def r(self) -> int:
-        return self.memberships[0].shape[1]
-
-
-def role_time_series(
-    graphs,
-    model: RoleModel,
-    timestamps=None,
-    attributes=None,
-    clamp: float | None = 10.0,
-) -> MembershipSeries:
-    """Transfer one model across snapshots; timestamps default to 0, 1, ...
-
-    `attributes` may be None or a sequence with one entry (array or None)
-    per snapshot.
-    """
-    graphs = list(graphs)
-    if timestamps is None:
-        timestamps = range(len(graphs))
-    if attributes is None:
-        attributes = [None] * len(graphs)
-    ws = [transfer_memberships(g, model, attributes=a, clamp=clamp)
-          for g, a in zip(graphs, attributes, strict=True)]
-    return MembershipSeries(timestamps=tuple(timestamps), memberships=tuple(ws), model=model)
-
-
 def estimate_transition_model(
     w_a: np.ndarray, w_b: np.ndarray, report: NnlsReport | None = None
 ) -> np.ndarray:
@@ -251,10 +196,12 @@ def estimate_transition_model(
     return t
 
 
-def series_to_csv(series: MembershipSeries) -> str:
-    header = "timestamp,node," + ",".join(f"role_{k}" for k in range(series.r)) + "\n"
-    return header + "".join(
-        csv_rows(w.tolist(), prefix=f"{t},") for t, w in zip(series.timestamps, series.memberships)
+def series_to_csv(timestamps, memberships) -> str:
+    """series.csv: a timestamp,node,role_0,... header, then each snapshot's
+    membership rows (n x r, one matrix per timestamp) after its timestamp."""
+    header = "timestamp,node," + ",".join(f"role_{k}" for k in range(memberships[0].shape[1]))
+    return header + "\n" + "".join(
+        csv_rows(w.tolist(), prefix=f"{t},") for t, w in zip(timestamps, memberships, strict=True)
     )
 
 

@@ -1,11 +1,14 @@
 """Independent references for learn_features, shared by the unit and
-acceptance suites: the all-at-once round and the rank rule written out."""
+acceptance suites: the all-at-once round, its prune below lambda = 1 and the
+rank rule written out."""
+
+import itertools
 
 import numpy as np
 
 from rolemine import FeatureDescriptor, FeatureLearnConfig, FeatureMatrix, compute_primitive
 from rolemine import features as features_module
-from rolemine.features import _aggregate, _agreement_roots, log_bin_rows
+from rolemine.features import _aggregate, log_bin_rows
 
 
 def normalized_singular_values(columns):
@@ -39,6 +42,47 @@ def truncated_at_full_rank(x):
                 x.values[:, :f], x.descriptors[:f], x.iteration_sizes[: t + 1], "rank"
             )
     return x
+
+
+def agreement(a, b):
+    """The share of nodes on which bin rows a and b agree."""
+    return (a == b).mean()
+
+
+def pairwise_feature_graph(bins, lam):
+    """The all-pairs feature graph that the prune below lambda = 1 replaced,
+    kept as an oracle: edge (i, j), i < j, carries the agreement of bin rows
+    i and j and exists iff it is at least lam."""
+    edges = {}
+    for i, j in itertools.combinations(range(len(bins)), 2):
+        sim = agreement(bins[i], bins[j])
+        if sim >= lam:
+            edges[(i, j)] = sim
+    return edges
+
+
+def earliest_per_component(f, edges):
+    """Smallest vertex of each connected component, by min-label propagation."""
+    label = list(range(f))
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            low = min(label[i], label[j])
+            if label[i] != low or label[j] != low:
+                label[i] = label[j] = low
+                changed = True
+    return sorted(set(label))
+
+
+def with_bases(by_id, kept):
+    """kept ids plus the base of every kept composite, repeated until no
+    base joins."""
+    while True:
+        bases = {by_id[i].base for i in kept if by_id[i].kind == "composite"}
+        if bases <= kept:
+            return kept
+        kept = kept | bases
 
 
 def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
@@ -84,8 +128,8 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
         rows = np.concatenate([rows, cand_rows])
         bins = np.concatenate([bins, cand_bins])
         descriptors = descriptors + cands
-        kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
-        kept |= features_module._required_ancestors(all_by_id, kept)
+        roots = earliest_per_component(len(bins), pairwise_feature_graph(bins, config.threshold))
+        kept = with_bases(all_by_id, {descriptors[j].id for j in roots})
         idx = [j for j, d in enumerate(descriptors) if d.id in kept]
         rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
 

@@ -21,7 +21,6 @@ from rolemine import (
     automorphic_orbits,
     erdos_renyi,
     estimate_transition_model,
-    factorize_at_rank,
     hard_assignment,
     learn_features,
     memberships_for_matrix,
@@ -342,7 +341,7 @@ def test_criterion_12_exact_transfer_memberships(capsys):
     from scipy.optimize import nnls
 
     x = learn_features(erdos_renyi(1000, 8 / 999, seed=1), FeatureLearnConfig(maxiter=3))
-    model = factorize_at_rank(x.values, 20, descriptors=x.descriptors)
+    model = select_rank(x.values, rank=20, descriptors=x.descriptors)
     xn = x.values / model.column_scales
     t0 = time.perf_counter()
     w = memberships_for_matrix(xn, model.h)

@@ -379,6 +379,30 @@ class TestTransferAndDynamic:
         assert run["nnls"] == {"steps": report.steps, "residual": report.residual}
         assert report.steps >= 1 and report.residual > 0
 
+    @pytest.mark.parametrize("field, value", [
+        ("iteration", None), ("iteration", -1), ("iteration", 1.5), ("iteration", True),
+        ("id", "0"), ("id", None), ("id", -1), ("id", 0.5),
+    ])
+    def test_malformed_descriptor_id_or_iteration_rejected(self, runner, tmp_path, field, value):
+        # select-rank used to copy such a descriptor into model.json, where
+        # transfer then failed with a traceback
+        graph = self.fit_chain(runner, tmp_path)
+        descriptors = json.loads((tmp_path / "descriptors.json").read_text())
+        descriptors[0][field] = value
+        (tmp_path / "bad.json").write_text(json.dumps(descriptors))
+        model = json.loads((tmp_path / "model.json").read_text())
+        model["descriptors"] = descriptors
+        (tmp_path / "bad_model.json").write_text(json.dumps(model))
+        for args, what in (
+            (["select-rank", str(tmp_path / "features.csv"), str(tmp_path / "bad.json")],
+             "descriptors"),
+            (["transfer", str(tmp_path / "bad_model.json"), str(graph)], "model"),
+        ):
+            result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "out")])
+            assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+            assert result.stderr.startswith(f"error: malformed {what} file"), result.stderr
+            assert "Traceback" not in result.stderr
+
     def test_dynamic_series_and_transition(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)
         (tmp_path / "snapshots.txt").write_text("graph.txt\ngraph.txt\n")

@@ -46,7 +46,13 @@ from forks import (
     set_cpus,
     without_fork,
 )
-from oracles import all_at_once_learn, truncated_at_full_rank
+from oracles import (
+    agreement,
+    all_at_once_learn,
+    earliest_per_component,
+    pairwise_feature_graph,
+    truncated_at_full_rank,
+)
 from strategies import graph_with_permutation, graphs, neighbor_lists
 
 P3 = load_edge_list("0 1\n1 2")
@@ -312,10 +318,6 @@ def bin_row(values, p=0.5):
     return log_bin_rows(np.array(values, dtype=float)[None, :], p)[0]
 
 
-def agreement(a, b):
-    return (a == b).mean()
-
-
 class TestVerticalLogBin:
     """Vertical log binning of one column, as a one-row log_bin_rows."""
 
@@ -386,32 +388,6 @@ class TestFeatureSimilarity:
 
     def test_partial_agreement(self):
         assert agreement(bin_row([1, 1, 2, 3]), bin_row([1, 1, 2, 2])) == 0.75
-
-
-def pairwise_feature_graph(bins, lam):
-    """The all-pairs feature graph that the prune below lambda = 1 replaced,
-    kept as an oracle: edge (i, j), i < j, carries the agreement of bin rows
-    i and j and exists iff it is at least lam."""
-    edges = {}
-    for i, j in itertools.combinations(range(len(bins)), 2):
-        sim = agreement(bins[i], bins[j])
-        if sim >= lam:
-            edges[(i, j)] = sim
-    return edges
-
-
-def earliest_per_component(f, edges):
-    """Smallest vertex of each connected component, by min-label propagation."""
-    label = list(range(f))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in edges:
-            low = min(label[i], label[j])
-            if label[i] != low or label[j] != low:
-                label[i] = label[j] = low
-                changed = True
-    return sorted(set(label))
 
 
 def survivors(columns, lam):
@@ -842,6 +818,24 @@ class TestStreamedRound:
         got = learn_features(g, config)
         assert_same_learn(got, want)
         assert learned_digest(got) == digest
+
+    @pytest.mark.parametrize("make", [
+        lambda: planted_role_graph(seed=1, units=30)[0],
+        lambda: erdos_renyi(400, 8 / 399, seed=1),
+    ], ids=["planted", "er"])
+    def test_agreement_prune_sees_no_exact_duplicates(self, monkeypatch, make):
+        # below lambda = 1 the group-by drops every candidate whose bin
+        # vector an earlier row has before the agreement prune runs
+        calls = []
+        roots = features_module._agreement_roots
+
+        def counted(bins, lam):
+            calls.append((len(bins), len({b.tobytes() for b in bins})))
+            return roots(bins, lam)
+
+        monkeypatch.setattr(features_module, "_agreement_roots", counted)
+        learn_features(make(), FeatureLearnConfig(threshold=0.9, maxiter=6))
+        assert calls and all(rows == distinct for rows, distinct in calls), calls
 
     def test_peak_memory_bounded_by_the_result(self):
         # the all-at-once round peaked at 4.75x the returned matrix on

@@ -18,7 +18,6 @@ from rolemine import (
     RankSweep,
     RoleModel,
     erdos_renyi,
-    factorize_at_rank,
     features_to_csv,
     hard_assignment,
     learn_features,
@@ -272,7 +271,7 @@ class TestSelectRank:
         with pytest.raises(ValueError, match=exact):
             select_rank(x, **kwargs)
         with pytest.raises(ValueError, match=exact):
-            factorize_at_rank(x, 3, **kwargs)
+            select_rank(x, rank=3, **kwargs)
         with pytest.raises(ValueError, match=exact):
             model_cost(x, np.ones((x.shape[0], 1)), np.ones((1, x.shape[1])), **kwargs)
         assert multiprocessing.active_children() == []
@@ -284,7 +283,7 @@ class TestSelectRank:
 
     def test_fixed_rank_fit(self):
         x = two_pattern_matrix()
-        model = factorize_at_rank(x, 3, seed=2)
+        model = select_rank(x, rank=3, seed=2)
         assert model.r == 3
         xn, _ = normalize_columns(x)
         assert model.cost == model_cost(xn, model.w, model.h, model.criterion, model.b)
@@ -347,7 +346,7 @@ class TestModelJson:
         assert (back.criterion, back.b, back.seed) == (model.criterion, model.b, model.seed)
 
     def test_round_trip_without_descriptors(self):
-        model = factorize_at_rank(np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+        model = select_rank(np.array([[1.0, 2.0], [2.0, 1.0]]), rank=1)
         back = model_from_json(model_to_json(model))
         assert back.descriptors is None
         assert (back.w == model.w).all()
@@ -516,7 +515,7 @@ class TestDistinctRows:
         # fitted the distinct rows: every row here is distinct
         x = er_features(1)
         digest = hashlib.sha256()
-        for model in (select_rank(x), factorize_at_rank(x, 5)):
+        for model in (select_rank(x), select_rank(x, rank=5)):
             digest.update(np.array([model.r, model.cost]).tobytes())
             digest.update(model.w.tobytes())
             digest.update(model.h.tobytes())
@@ -529,8 +528,8 @@ class TestDistinctRows:
         x = learn_features(g).values
         digest = hashlib.sha256()
         fits = (lambda s: select_rank(x, sweep=s),
-                lambda s: factorize_at_rank(x, 4, sweep=s),
-                lambda s: factorize_at_rank(x, 5, sweep=s))
+                lambda s: select_rank(x, rank=4, sweep=s),
+                lambda s: select_rank(x, rank=5, sweep=s))
         for fit in fits:
             sweep = RankSweep()
             model = fit(sweep)
@@ -543,12 +542,12 @@ class TestDistinctRows:
     def test_fixed_rank_above_the_distinct_row_count(self):
         x = np.tile([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0]], (5, 1))
         sweep = RankSweep()
-        model = factorize_at_rank(x, 4, sweep=sweep)
+        model = select_rank(x, rank=4, sweep=sweep)
         assert model.r == 4 and sweep.distinct_rows == 2
         assert np.array_equal(model.w[0::2], np.repeat(model.w[:1], 5, axis=0))
         assert np.array_equal(model.w[1::2], np.repeat(model.w[1:2], 5, axis=0))
         with pytest.raises(ValueError, match="outside"):
-            factorize_at_rank(x, 5)
+            select_rank(x, rank=5)
 
     def test_sweep_stops_at_the_distinct_row_count(self):
         x = np.repeat(np.random.default_rng(8).random((3, 6)), [4, 1, 2], axis=0)
@@ -675,7 +674,7 @@ class TestForkedStacks:
         refuse_pools(monkeypatch)
         assert select_rank(np.random.default_rng(8).random((30, 3))).r >= 1
         x = er_features(1)
-        factorize_at_rank(x, 5)
+        select_rank(x, rank=5)
         # one trial: every batch is one rank
         sweep = RankSweep()
         select_rank(x, trials=1, sweep=sweep)

@@ -56,7 +56,8 @@ def test_feature_growth_reports_peak_memory(tmp_path):
     assert 0 <= int(row["rank"]) <= min(30, int(row["final_features"]))
 
 
-@pytest.mark.parametrize("workload", ["planted-cli", "er-deep-features"])
+# er-dynamic is the one workload that runs select-rank --rank and dynamic
+@pytest.mark.parametrize("workload", ["planted-cli", "er-deep-features", "er-dynamic"])
 def test_benchmark_workload_passes_once(workload, tmp_path):
     # one pass (--seconds 0) over the sources beside the runner: a library
     # change that breaks a call the benchmark makes fails here. The runner

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 from rolemine import (
     FeatureLearnConfig,
     Graph,
-    MembershipSeries,
     NnlsReport,
     apply_permutation,
     erdos_renyi,
     estimate_transition_model,
-    factorize_at_rank,
     learn_features,
     load_edge_list,
     memberships_for_matrix,
     normalize_columns,
-    role_time_series,
     select_rank,
     series_to_csv,
     transfer_memberships,
@@ -55,7 +52,7 @@ class TestTransferMemberships:
         assert (w2[3] == 0.0).all()
 
     def test_model_without_descriptors_rejected(self):
-        model = factorize_at_rank(np.array([[1.0, 2.0], [2.0, 1.0]]), 1)
+        model = select_rank(np.array([[1.0, 2.0], [2.0, 1.0]]), rank=1)
         with pytest.raises(ValueError):
             transfer_memberships(load_edge_list("0 1"), model)
 
@@ -294,10 +291,10 @@ class TestDynamicAtScale:
         for _ in range(3):
             snaps.append(_rewire(snaps[-1], 0.05, rng))
         x = learn_features(snaps[0], FeatureLearnConfig(maxiter=3))
-        model = factorize_at_rank(x.values, 16, descriptors=x.descriptors)
-        series = role_time_series(snaps, model)
+        model = select_rank(x.values, rank=16, descriptors=x.descriptors)
         worst = 0.0
-        for g, w in zip(snaps, series.memberships):
+        for g in snaps:
+            w = transfer_memberships(g, model)
             xn = np.minimum(recompute(g, model.descriptors).values / model.column_scales, 10.0)
             for u in rng.choice(g.n, size=15, replace=False).tolist():
                 _, rnorm = nnls(model.h.T, xn[u])
@@ -307,52 +304,36 @@ class TestDynamicAtScale:
 
 
 class TestMembershipSeries:
-    def test_validation(self):
-        w = np.ones((3, 2))
-        with pytest.raises(ValueError):
-            MembershipSeries(timestamps=(), memberships=())
-        with pytest.raises(ValueError):
-            MembershipSeries(timestamps=(0, 0), memberships=(w, w))
-        with pytest.raises(ValueError):
-            MembershipSeries(timestamps=(0,), memberships=(w, w))
-        with pytest.raises(ValueError):
-            MembershipSeries(timestamps=(0, 1), memberships=(w, np.ones((3, 3))))
-        with pytest.raises(ValueError):
-            MembershipSeries(timestamps=(0,), memberships=(-w,))
-
-    def test_width_must_match_attached_model(self):
-        model = factorize_at_rank(np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
-        with pytest.raises(ValueError):
-            MembershipSeries(timestamps=(0,), memberships=(np.ones((2, 3)),), model=model)
+    """A series is one transfer per snapshot, written by series_to_csv."""
 
     def test_identical_snapshots_give_identical_memberships(self):
         g = erdos_renyi(12, 0.4, seed=5)
         _, model = trained_model(g)
-        series = role_time_series([g, g, g], model)
-        assert series.timestamps == (0, 1, 2)
-        assert series.model is model
-        assert (series.memberships[0] == series.memberships[1]).all()
-        assert (series.memberships[0] == series.memberships[2]).all()
+        ws = [transfer_memberships(h, model) for h in (g, g, g)]
+        assert (ws[0] == ws[1]).all()
+        assert (ws[0] == ws[2]).all()
 
     def test_relabeled_snapshot_permutes_rows(self):
         g = erdos_renyi(10, 0.4, seed=6)
         _, model = trained_model(g)
         perm = tuple(np.roll(np.arange(10), 3).tolist())
-        series = role_time_series([g, apply_permutation(g, perm)], model, timestamps=(5, 9))
-        assert series.timestamps == (5, 9)
-        assert np.abs(series.memberships[1][list(perm)] - series.memberships[0]).max() < 1e-9
+        ws = [transfer_memberships(h, model) for h in (g, apply_permutation(g, perm))]
+        assert np.abs(ws[1][list(perm)] - ws[0]).max() < 1e-9
 
     def test_single_snapshot_series(self):
         g = load_edge_list("0 1\n1 2")
         _, model = trained_model(g)
-        series = role_time_series([g], model)
-        assert len(series.memberships) == 1
+        w = transfer_memberships(g, model)
+        header, *lines = series_to_csv((4,), [w]).splitlines()
+        assert header.count(",") == 1 + model.r
+        assert [line.split(",")[:2] for line in lines] == [["4", str(u)] for u in range(3)]
 
-    def test_attribute_list_length_must_match(self):
-        g = load_edge_list("0 1\n1 2")
-        _, model = trained_model(g)
+    def test_timestamp_count_must_match(self):
+        w = np.ones((3, 2))
         with pytest.raises(ValueError):
-            role_time_series([g, g], model, attributes=[None])
+            series_to_csv((0, 1), [w])
+        with pytest.raises(ValueError):
+            series_to_csv((0,), [w, w])
 
 
 class TestTransitionModel:
@@ -402,18 +383,16 @@ class TestTransitionModel:
 class TestSeriesSerialization:
     def test_csv_round_trip_exact(self):
         rng = np.random.default_rng(41)
-        series = MembershipSeries(
-            timestamps=(3, -1, 7),
-            memberships=tuple(rng.random((4, 2)) for _ in range(3)),
-        )
-        header, *lines = series_to_csv(series).splitlines()
+        timestamps = (3, -1, 7)
+        memberships = [rng.random((4, 2)) for _ in timestamps]
+        header, *lines = series_to_csv(timestamps, memberships).splitlines()
         assert header == "timestamp,node,role_0,role_1"
         rows = [line.split(",") for line in lines]
         assert [(int(t), int(u)) for t, u, *_ in rows] == [
-            (t, u) for t in series.timestamps for u in range(4)
+            (t, u) for t in timestamps for u in range(4)
         ]
         values = np.array([[float(v) for v in vals] for _, _, *vals in rows])
-        assert (values == np.vstack(series.memberships)).all()
+        assert (values == np.vstack(memberships)).all()
 
     def test_transition_json_round_trip(self):
         t = np.array([[0.25, 0.75], [1.0, 0.1 + 0.2]])
