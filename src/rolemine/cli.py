@@ -89,7 +89,7 @@ def _load(path: str, parse, what: str):
 
 
 def _memberships_csv(w: np.ndarray) -> str:
-    return "node," + ",".join(f"role_{k}" for k in range(w.shape[1])) + "\n" + csv_rows(w.tolist())
+    return "node," + ",".join(f"role_{k}" for k in range(w.shape[1])) + "\n" + csv_rows(w)
 
 
 def _run_learn(config: RunConfig, outdir: Path) -> dict:

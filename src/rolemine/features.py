@@ -69,6 +69,15 @@ DEFAULT_PRIMITIVES = (
 DEFAULT_OPERATORS = ("sum", "mean")
 
 
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Reject a value that is not an int >= least. A bool is refused too,
+    though True == 1: JSON would write it as true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class FeatureDescriptor:
     """Reproducible recipe for one feature column.
@@ -87,20 +96,20 @@ class FeatureDescriptor:
     iteration: int = 0
 
     def __post_init__(self):
-        for name in ("id", "iteration"):
+        for name in ("id", "iteration", "base", "attribute"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"descriptor {name} must be a non-negative integer, not {value!r}")
+            if value is not None or name in ("id", "iteration"):
+                _check_count(f"descriptor {name}", value)
         if self.kind == "primitive":
             if self.primitive not in PRIMITIVE_KINDS:
                 raise ValueError(f"unknown primitive {self.primitive!r}")
         elif self.kind == "composite":
             if self.operator not in OPERATOR_KINDS:
                 raise ValueError(f"unknown operator {self.operator!r}")
-            if self.base is None or self.base < 0 or self.base >= self.id:
+            if self.base is None or self.base >= self.id:
                 raise ValueError("composite base id must precede its own id")
         elif self.kind == "attribute":
-            if self.attribute is None or self.attribute < 0:
+            if self.attribute is None:
                 raise ValueError("attribute descriptor needs a column index")
         else:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
@@ -692,13 +701,30 @@ def descriptors_from_json(text: str) -> tuple[FeatureDescriptor, ...]:
     )
 
 
-def csv_rows(rows, node: int = 0, prefix: str = "") -> str:
-    """The row format of every matrix CSV: CSV lines for rows (lists of
-    floats), each its node id, counted from node and after prefix, then its
-    values as repr floats."""
-    return "".join(
-        ",".join([f"{prefix}{u}", *map(repr, row)]) + "\n" for u, row in enumerate(rows, start=node)
-    )
+def _byte_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of the 2-d x, at least one column wide, as one void scalar
+    each, so that np.unique compares rows as bytes: -0.0 and 0.0 differ."""
+    x = np.ascontiguousarray(x)
+    return x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
+
+
+def _row_texts(x: np.ndarray, sep: str) -> list[str]:
+    """sep.join of the repr of each value, for each row of the 2-d float
+    array x. Each distinct row is formatted once; equal bytes give equal
+    text."""
+    if not x.shape[1]:
+        return [""] * len(x)
+    _, first, inverse = np.unique(_byte_rows(x), return_index=True, return_inverse=True)
+    texts = [sep.join(map(repr, row)) for row in x[first].tolist()]
+    return [texts[i] for i in inverse.tolist()]
+
+
+def csv_rows(x: np.ndarray, node: int = 0, prefix: str = "") -> str:
+    """The row format of every matrix CSV: a CSV line for each row of the
+    2-d float array x, its node id, counted from node and after prefix,
+    then its values as repr floats."""
+    comma = "," if x.shape[1] else ""
+    return "".join([f"{prefix}{u}{comma}{text}\n" for u, text in enumerate(_row_texts(x, ","), node)])
 
 
 # features.csv rows go to forked children in parts of at least this many
@@ -727,7 +753,7 @@ def _write_rows(values: np.ndarray, lo: int, hi: int, out) -> None:
     os._exit, which flushes nothing."""
     step = max(1, (1 << 16) // max(values.shape[1], 1))
     for a in range(lo, hi, step):
-        out.write(csv_rows(values[a : min(a + step, hi)].tolist(), a))
+        out.write(csv_rows(values[a : min(a + step, hi)], a))
     out.flush()
 
 

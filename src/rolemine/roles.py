@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureDescriptor, _cpu_count, descriptors_from_json, descriptors_to_json
+from .features import _byte_rows, _check_count, _row_texts
 
 _EPS0 = 1e-12
 # a sweep forks its fit worker only for an x of at least this many values:
@@ -69,9 +70,14 @@ class RoleModel:
     seed: int
 
     def __post_init__(self):
+        _check_count("model r", self.r, 1)
+        _check_count("model seed", self.seed)
+        _check_criterion(self.criterion, self.b)
         w = np.asarray(self.w, dtype=float)
         h = np.asarray(self.h, dtype=float)
         scales = np.asarray(self.column_scales, dtype=float)
+        if not (np.isfinite(w).all() and np.isfinite(h).all() and np.isfinite(scales).all()):
+            raise ValueError("factors and column scales must be finite")
         if not (1 <= self.r == w.shape[1] == h.shape[0]):
             raise ValueError("rank must be >= 1 and match factor shapes")
         if self.r > min(w.shape[0], h.shape[1]):
@@ -206,7 +212,7 @@ def _distinct_rows(xn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Rows are compared as bytes: on a 1000 x 1872 matrix (2-vCPU VM) that
     sorts in 9 ms, where np.unique(axis=0), comparing column by column,
     takes 69 ms."""
-    rows = xn.view(np.dtype((np.void, xn.itemsize * xn.shape[1]))).ravel()
+    rows = _byte_rows(xn)
     _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
     order = np.argsort(first)
     root = np.sqrt(counts[order])[:, None]
@@ -245,8 +251,7 @@ def svd_factorize(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _check_criterion(criterion: str, b: int) -> None:
-    if b < 1:
-        raise ValueError("b must be >= 1")
+    _check_count("b", b, 1)
     if criterion not in ("aic", "mdl"):
         raise ValueError(f"unknown criterion {criterion!r}")
 
@@ -330,6 +335,7 @@ def select_rank(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_criterion(criterion, b)
+    _check_count("seed", seed)
     xn, scales = normalize_columns(_validate_input(x))
     top = min(xn.shape) if rank is None else rank  # the rank of the drawn start
     _check_fit(xn, top, maxiter)
@@ -411,8 +417,18 @@ def hard_assignment(w: np.ndarray) -> np.ndarray:
     return np.argmax(w, axis=1)
 
 
+def _json_matrix(x: np.ndarray) -> str:
+    """json.dumps(x.tolist(), indent=2) as the value of a top-level key, for
+    a finite 2-d float x of at least one row and column: each distinct row
+    is formatted once, and repr is json's text for a finite float."""
+    rows = "\n    ],\n    [\n      ".join(_row_texts(x, ",\n      "))
+    return f"[\n    [\n      {rows}\n    ]\n  ]"
+
+
 def model_to_json(model: RoleModel) -> str:
-    doc = {
+    """The model in json.dumps(..., indent=2) layout, with W and H written by
+    _json_matrix: json's indent encoder is pure Python."""
+    head = json.dumps({
         "r": model.r,
         "criterion": model.criterion,
         "b": model.b,
@@ -421,11 +437,9 @@ def model_to_json(model: RoleModel) -> str:
         "descriptors": None
         if model.descriptors is None
         else json.loads(descriptors_to_json(model.descriptors)),
-        "W": model.w.tolist(),
-        "H": model.h.tolist(),
-        "cost": float(model.cost),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    }, indent=2).removesuffix("\n}")
+    return (f'{head},\n  "W": {_json_matrix(model.w)},\n  "H": {_json_matrix(model.h)},\n'
+            f'  "cost": {float(model.cost)!r}\n}}\n')
 
 
 def model_from_json(text: str) -> RoleModel:

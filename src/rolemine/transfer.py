@@ -201,7 +201,7 @@ def series_to_csv(timestamps, memberships) -> str:
     membership rows (n x r, one matrix per timestamp) after its timestamp."""
     header = "timestamp,node," + ",".join(f"role_{k}" for k in range(memberships[0].shape[1]))
     return header + "\n" + "".join(
-        csv_rows(w.tolist(), prefix=f"{t},") for t, w in zip(timestamps, memberships, strict=True)
+        csv_rows(w, prefix=f"{t},") for t, w in zip(timestamps, memberships, strict=True)
     )
 
 
@@ -209,4 +209,6 @@ def transition_to_json(t: np.ndarray) -> str:
     t = np.asarray(t, dtype=float)
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("transition model must be square")
+    if not np.isfinite(t).all():
+        raise ValueError("transition model must be finite")
     return json.dumps(t.tolist(), indent=2) + "\n"

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import re
 import sys
@@ -7,20 +8,29 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rolemine
 from rolemine import (
     FeatureLearnConfig,
+    FeatureDescriptor,
     NnlsReport,
+    RoleModel,
     descriptors_from_json,
+    descriptors_to_json,
     erdos_renyi,
     learn_features,
     load_edge_list,
     model_from_json,
+    model_to_json,
+    planted_role_graph,
+    series_to_csv,
     transfer_memberships,
     write_edge_list,
 )
-from rolemine.cli import RunConfig, execute, main
+from rolemine.cli import RunConfig, _memberships_csv, execute, main
+from rolemine.features import csv_rows
 
 P4_TEXT = "0 1\n1 2\n2 3\n"
 
@@ -256,6 +266,22 @@ class TestSelectRankAndAssign:
         assert result.exit_code == 1
         assert result.stderr.startswith("error: malformed model file")
 
+    @pytest.mark.parametrize("key, value", [
+        ("r", True), ("b", 2.5), ("seed", -3), ("criterion", "bogus"),
+        ("W", [[float("nan")], [1.0]]), ("column_scales", [1.0, float("inf")]),
+    ])
+    def test_model_file_json_cannot_hold_rejected(self, runner, tmp_path, key, value):
+        doc = {"r": 1, "criterion": "aic", "b": 16, "seed": 1, "column_scales": [1.0, 1.0],
+               "descriptors": None, "W": [[1.0], [1.0]], "H": [[1.0, 1.0]], "cost": 1.0}
+        model_from_json(json.dumps(doc))
+        # json.dumps writes nan and inf as NaN and Infinity, which json.loads reads
+        (tmp_path / "model.json").write_text(json.dumps({**doc, key: value}))
+        result = runner.invoke(
+            main, ["assign", str(tmp_path / "model.json"), "--output-dir", str(tmp_path / "out")]
+        )
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.stderr.startswith("error: malformed model file"), result.stderr
+
     def test_model_file_that_is_not_an_object_rejected(self, runner, tmp_path):
         (tmp_path / "model.json").write_text("[1]\n")
         result = runner.invoke(main, ["assign", str(tmp_path / "model.json")])
@@ -389,6 +415,18 @@ class TestTransferAndDynamic:
         graph = self.fit_chain(runner, tmp_path)
         descriptors = json.loads((tmp_path / "descriptors.json").read_text())
         descriptors[0][field] = value
+        self.assert_descriptors_rejected(runner, tmp_path, graph, descriptors)
+
+    @pytest.mark.parametrize("value", [True, 0.0, 1.0])
+    def test_malformed_descriptor_base_rejected(self, runner, tmp_path, value):
+        # "base": true was read as base 1
+        graph = self.fit_chain(runner, tmp_path)
+        descriptors = json.loads((tmp_path / "descriptors.json").read_text())
+        next(d for d in descriptors if d["kind"] == "composite")["base"] = value
+        self.assert_descriptors_rejected(runner, tmp_path, graph, descriptors)
+
+    @staticmethod
+    def assert_descriptors_rejected(runner, tmp_path, graph, descriptors):
         (tmp_path / "bad.json").write_text(json.dumps(descriptors))
         model = json.loads((tmp_path / "model.json").read_text())
         model["descriptors"] = descriptors
@@ -750,3 +788,110 @@ class TestDeterminism:
         assert a.keys() == b.keys()
         for key in a:
             assert a[key] == b[key], key
+
+    # sha256 of each file of the planted chain below, recorded at the commit
+    # before the writers formatted each distinct row once: the bytes must not
+    # change with the writers
+    PINNED = {
+        "model.json": "12ce2445b1298a8d7fc2642e899496f2d52bd6dce29130669fde4765fc6ceb65",
+        "soft/assignments.csv": "f513e02fa6d89d00fdfe10b34e69c3cfc0e20e31b3acefccd27892226d224737",
+        "hard/assignments.csv": "b90c7a72465b47441b83de3f98067875e1fa0fa268a3b713b7b3bb99a6291d0b",
+        "memberships.csv": "c6db0259d83fd6f7641941c25d8da1fc07cc97820b8bdfe0b01adeaee69d03fe",
+        "series.csv": "50c8ab6c3c6569c0aba81cdf62e7fbea49fed977231c3be4b93db617ec16e547",
+        "transition.json": "c4be60126972c42c8c0c180dc3bb913b8c3116e049443c425577330c55d1de05",
+    }
+
+    def test_planted_chain_bytes_are_pinned(self, runner, tmp_path):
+        # W of the 76-node planted graph has 4 distinct rows, each written
+        # many times
+        for seed in (1, 2):
+            g, _ = planted_role_graph(seed=seed, units=4)
+            (tmp_path / f"g{seed}.txt").write_text(write_edge_list(g))
+        (tmp_path / "snapshots.txt").write_text("g1.txt\ng2.txt\n")
+        model, out = str(tmp_path / "model.json"), str(tmp_path)
+        for args in (
+            ["learn", str(tmp_path / "g1.txt"), "--output-dir", out],
+            ["select-rank", str(tmp_path / "features.csv"), str(tmp_path / "descriptors.json"),
+             "--output-dir", out],
+            ["assign", model, "--output-dir", str(tmp_path / "soft")],
+            ["assign", model, "--hard", "--output-dir", str(tmp_path / "hard")],
+            ["transfer", model, str(tmp_path / "g2.txt"), "--output-dir", out],
+            ["dynamic", model, str(tmp_path / "snapshots.txt"), "--output-dir", out],
+        ):
+            invoke_ok(runner, args)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.PINNED}
+        assert got == self.PINNED
+
+
+# every float the writers must spell as repr: the smallest subnormal, a
+# value repr writes with an exponent either way, and -0.0, which passes the
+# non-negativity checks and must not share a row's text with 0.0
+AWKWARD_FLOATS = (0.0, -0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 1 / 3)
+
+
+@st.composite
+def tied_matrices(draw, rows=(0, 12), cols=(0, 4), non_negative=False):
+    """Float matrices whose rows are drawn from a pool of at most four, so
+    rows repeat; the pool may hold rows that differ only in the sign of a
+    zero."""
+    k = draw(st.integers(*cols))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.sampled_from(AWKWARD_FLOATS) | (values.map(abs) if non_negative else values)
+    pool = draw(st.lists(st.lists(values, min_size=k, max_size=k), min_size=1, max_size=4))
+    pool += [[-v if v == 0 else v for v in row] for row in pool]
+    picks = draw(st.lists(st.sampled_from(range(len(pool))), min_size=rows[0], max_size=rows[1]))
+    return np.array([pool[i] for i in picks], dtype=float).reshape(len(picks), k)
+
+
+def reference_rows(x, node=0, prefix=""):
+    """The per-row CSV lines the writers used to build, value by value."""
+    return "".join(
+        ",".join([f"{prefix}{u}", *map(repr, row)]) + "\n" for u, row in enumerate(x.tolist(), node)
+    )
+
+
+class TestRowWriters:
+    """Each writer formats every distinct row once; the bytes must equal the
+    per-row stdlib form."""
+
+    SHAPES = [np.zeros((1, 1)), np.full((5, 1), 1e16), np.zeros((3, 0)),
+              np.array([[0.0, 5e-324], [-0.0, 5e-324], [0.0, 5e-324], [1e-05, -0.0]])]
+
+    @pytest.mark.parametrize("x", SHAPES, ids=["1x1", "nx1", "nx0", "signed-zeros"])
+    def test_csv_rows_fixed_shapes(self, x):
+        assert csv_rows(x, 7, "3,") == reference_rows(x, 7, "3,")
+
+    @given(tied_matrices(), st.integers(0, 5), st.sampled_from(["", "-2,"]))
+    @settings(max_examples=150, deadline=None)
+    def test_csv_rows(self, x, node, prefix):
+        assert csv_rows(x, node, prefix) == reference_rows(x, node, prefix)
+
+    @given(tied_matrices(rows=(1, 12), cols=(1, 4), non_negative=True))
+    @settings(max_examples=60, deadline=None)
+    def test_memberships_and_series(self, w):
+        header = ",".join(f"role_{k}" for k in range(w.shape[1])) + "\n"
+        assert _memberships_csv(w) == "node," + header + reference_rows(w)
+        assert series_to_csv((-1, 4), [w, w[::-1]]) == (
+            "timestamp,node," + header + reference_rows(w, prefix="-1,")
+            + reference_rows(w[::-1], prefix="4,")
+        )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_model_json(self, data):
+        r = data.draw(st.integers(1, 3))
+        w = data.draw(tied_matrices(rows=(r, 12), cols=(r, r), non_negative=True))
+        h = data.draw(tied_matrices(rows=(r, r), cols=(r, 5), non_negative=True))
+        scales = [1.0, 1e16, 5e-324, 1e-05, 0.1 + 0.2][: h.shape[1]]
+        descriptors = data.draw(st.sampled_from([None, tuple(
+            FeatureDescriptor(id=j, kind="primitive", primitive="degree") for j in range(h.shape[1])
+        )]))
+        model = RoleModel(r=r, w=w, h=h, column_scales=scales, descriptors=descriptors,
+                          cost=data.draw(st.sampled_from([-1e16, 1 / 3, 0.0])),
+                          criterion="mdl", b=3, seed=data.draw(st.integers(0, 2**64)))
+        doc = {
+            "r": r, "criterion": "mdl", "b": 3, "seed": model.seed, "column_scales": scales,
+            "descriptors": None if descriptors is None else json.loads(descriptors_to_json(descriptors)),
+            "W": w.tolist(), "H": h.tolist(), "cost": model.cost,
+        }
+        assert model_to_json(model) == json.dumps(doc, indent=2) + "\n"

@@ -655,6 +655,19 @@ class TestSerialization:
         assert "attribute" not in rows[0]
         assert rows[1]["attribute"] == 2
 
+    @pytest.mark.parametrize("fields", [
+        {"kind": "composite", "operator": "sum", "base": True},
+        {"kind": "composite", "operator": "sum", "base": 0.0},
+        {"kind": "composite", "operator": "sum", "base": -1},
+        {"kind": "attribute", "attribute": False},
+        {"kind": "attribute", "attribute": 1.0},
+        {"kind": "attribute", "attribute": -1},
+    ])
+    def test_descriptor_base_and_attribute_must_be_integers(self, fields):
+        # base=True was read as base 1, and base=0.0 as base 0
+        with pytest.raises(ValueError, match="^descriptor (base|attribute) must be"):
+            FeatureDescriptor(id=2, **fields)
+
 
 # --- pins of the array-native engine -------------------------------------
 #

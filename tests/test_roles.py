@@ -257,6 +257,8 @@ class TestSelectRank:
     @pytest.mark.parametrize("kwargs, message", [
         (dict(criterion="bic"), "unknown criterion 'bic'"),
         (dict(criterion="mdl", b=0), "b must be >= 1"),
+        (dict(criterion="mdl", b=2.5), "b must be an integer, not 2.5"),
+        (dict(b=True), "b must be an integer, not True"),
     ])
     def test_criterion_checked_before_any_fit(self, monkeypatch, kwargs, message):
         x = er_features(1)
@@ -275,6 +277,17 @@ class TestSelectRank:
         with pytest.raises(ValueError, match=exact):
             model_cost(x, np.ones((x.shape[0], 1)), np.ones((1, x.shape[1])), **kwargs)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, np.int64(1)])
+    def test_seed_checked_before_any_fit(self, monkeypatch, seed):
+        # model.json could not hold it, so the model would be refused after
+        # the whole sweep
+        def refuse(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(roles_module, "_nmf_batch", refuse)
+        with pytest.raises(ValueError, match="^seed must be"):
+            select_rank(er_features(1), seed=seed)
 
     @pytest.mark.parametrize("maxiter", [0, -3])
     def test_maxiter_below_one_rejected(self, maxiter):
@@ -371,17 +384,19 @@ class TestModelJson:
         assert text == json.dumps(old, indent=2) + "\n"
         assert "5e-324" in text and "1e+16" in text and "7.0" in text
 
+    OK = dict(
+        w=np.ones((3, 1)),
+        h=np.ones((1, 2)),
+        column_scales=np.ones(2),
+        descriptors=None,
+        cost=1.0,
+        criterion="aic",
+        b=16,
+        seed=1,
+    )
+
     def test_model_validation(self):
-        ok = dict(
-            w=np.ones((3, 1)),
-            h=np.ones((1, 2)),
-            column_scales=np.ones(2),
-            descriptors=None,
-            cost=1.0,
-            criterion="aic",
-            b=16,
-            seed=1,
-        )
+        ok = self.OK
         RoleModel(r=1, **ok)
         with pytest.raises(ValueError):
             RoleModel(r=2, **ok)
@@ -400,6 +415,17 @@ class TestModelJson:
         RoleModel(r=1, **{**ok, "descriptors": (degree, degree)})
         with pytest.raises(ValueError, match="1 descriptors for 2 feature columns"):
             RoleModel(r=1, **{**ok, "descriptors": (degree,)})
+
+    @pytest.mark.parametrize("field, value", [
+        ("r", True), ("b", 2.5), ("b", True), ("b", 0), ("seed", -3), ("seed", 1.0),
+        ("criterion", "bogus"), ("w", [[np.nan], [1.0], [1.0]]), ("h", [[1.0, np.inf]]),
+        ("column_scales", [1.0, np.inf]),
+    ])
+    def test_model_rejects_what_json_cannot_hold(self, field, value):
+        # each was accepted, then written to model.json as true, 2.5, NaN,
+        # Infinity or an unknown criterion, and read back
+        with pytest.raises(ValueError):
+            RoleModel(**{**self.OK, "r": 1, field: value})
 
 
 def sequential_nmf(x, w0, h0, maxiter, tol):

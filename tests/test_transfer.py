@@ -406,3 +406,9 @@ class TestSeriesSerialization:
     def test_transition_must_be_square(self):
         with pytest.raises(ValueError):
             transition_to_json(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_transition_must_be_finite(self, bad):
+        # json would write NaN or Infinity, which is not JSON
+        with pytest.raises(ValueError, match="finite"):
+            transition_to_json(np.array([[1.0, bad], [0.0, 1.0]]))
