@@ -83,8 +83,7 @@ class FeatureDescriptor:
     """Reproducible recipe for one feature column.
 
     kind "primitive" names a structural primitive; "composite" applies an
-    aggregation operator to the column of an earlier descriptor (base id);
-    "attribute" passes through an externally supplied column by index.
+    aggregation operator to the column of an earlier descriptor (base id).
     """
 
     id: int
@@ -92,14 +91,13 @@ class FeatureDescriptor:
     primitive: str | None = None
     operator: str | None = None
     base: int | None = None
-    attribute: int | None = None
     iteration: int = 0
 
     def __post_init__(self):
-        for name in ("id", "iteration", "base", "attribute"):
-            value = getattr(self, name)
-            if value is not None or name in ("id", "iteration"):
-                _check_count(f"descriptor {name}", value)
+        _check_count("descriptor id", self.id)
+        _check_count("descriptor iteration", self.iteration)
+        if self.base is not None:
+            _check_count("descriptor base", self.base)
         if self.kind == "primitive":
             if self.primitive not in PRIMITIVE_KINDS:
                 raise ValueError(f"unknown primitive {self.primitive!r}")
@@ -108,9 +106,6 @@ class FeatureDescriptor:
                 raise ValueError(f"unknown operator {self.operator!r}")
             if self.base is None or self.base >= self.id:
                 raise ValueError("composite base id must precede its own id")
-        elif self.kind == "attribute":
-            if self.attribute is None:
-                raise ValueError("attribute descriptor needs a column index")
         else:
             raise ValueError(f"unknown descriptor kind {self.kind!r}")
 
@@ -149,14 +144,13 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FeatureLearnConfig:
     primitives: tuple[str, ...] = DEFAULT_PRIMITIVES
     operators: tuple[str, ...] = DEFAULT_OPERATORS
     bin_fraction: float = 0.5
     threshold: float = 1.0
     maxiter: int = 10
-    attributes: np.ndarray | None = None
 
 
 # Elements in one temporary block of binning or aggregation, and in one
@@ -179,11 +173,6 @@ def _check_primitive(g: Graph, kind: str) -> None:
         raise ValueError(f"unknown primitive {kind!r}")
     if kind in ("in-degree", "out-degree") and not g.directed:
         raise ValueError(f"{kind} requires a directed graph")
-
-
-def _check_operator(op: str) -> None:
-    if op not in OPERATOR_KINDS:
-        raise ValueError(f"unknown operator {op!r}")
 
 
 def _triangle_counts(g: Graph) -> np.ndarray:
@@ -319,7 +308,7 @@ def _sorted_mode(v: np.ndarray) -> np.ndarray:
 def _aggregate_slots(n, groups, rows, ops, in_sequence):
     """Reduce each row of rows (f x slots) over every node's slots in groups
     (see _degree_groups), per op; returns one (f x n) array per op, with 0
-    at a node in no group.
+    at a node in no group. Callers check ops: any op not named is mode.
 
     Each node's values are sorted ascending once, for every op. Sums match
     np.sort(block, axis=0).sum(axis=0) on a node's (degree x f) block bit
@@ -353,20 +342,6 @@ def _aggregate_slots(n, groups, rows, ops, in_sequence):
                 else:
                     block[:, nodes] = _sorted_mode(v)
     return outs
-
-
-def _aggregate(
-    g: Graph, rows: np.ndarray, ops, in_sequence: bool, groups=None
-) -> list[np.ndarray]:
-    """Aggregate every feature row of rows (f x n) over each node's
-    neighbors, once per op; isolated nodes get 0. All ops share one sort;
-    in_sequence is as in _aggregate_slots. groups, when given, are the
-    graph's _degree_groups over its neighbor ids."""
-    for op in ops:
-        _check_operator(op)
-    if groups is None:
-        groups = _degree_groups(*g.csr[:2])
-    return _aggregate_slots(g.n, groups, rows, ops, in_sequence)
 
 
 def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
@@ -462,7 +437,8 @@ def _learn_primitives(g: Graph, config: FeatureLearnConfig) -> list[str]:
     _check_fraction(config.bin_fraction)
     _check_threshold(config.threshold)
     for op in config.operators:
-        _check_operator(op)
+        if op not in OPERATOR_KINDS:
+            raise ValueError(f"unknown operator {op!r}")
     primitives = []
     for kind in config.primitives:
         if kind == "degree" and g.directed:
@@ -472,17 +448,6 @@ def _learn_primitives(g: Graph, config: FeatureLearnConfig) -> list[str]:
     for kind in primitives:
         _check_primitive(g, kind)
     return primitives
-
-
-def _attribute_rows(g: Graph, attributes) -> np.ndarray:
-    attrs = np.asarray(attributes, dtype=float)
-    if attrs.ndim == 1:
-        attrs = attrs[:, None]
-    if attrs.shape[0] != g.n:
-        raise ValueError("attribute columns must have one row per node")
-    if attrs.size and ((attrs < 0).any() or not np.isfinite(attrs).all()):
-        raise ValueError("attribute columns must be finite and non-negative")
-    return attrs.T
 
 
 def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, p: float):
@@ -496,7 +461,7 @@ def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, 
     """
     f = rows.shape[0]
     hi = min(hi, f)
-    cand = np.concatenate(_aggregate(g, rows[lo:hi], ops, f > 1, groups))
+    cand = np.concatenate(_aggregate_slots(g.n, groups, rows[lo:hi], ops, f > 1))
     index = (np.arange(len(ops))[:, None] * f + np.arange(lo, hi)).ravel()
     return index, cand, log_bin_rows(cand, p)
 
@@ -530,8 +495,8 @@ def _unseen_candidates(blocks, seen: set[bytes]):
 def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) -> FeatureMatrix:
     """Run the recursive feature-learning loop.
 
-    Round 0's candidates are the primitives (plus attribute columns); a
-    later round's are every operator applied to every surviving feature.
+    Round 0's candidates are the primitives; a later round's are every
+    operator applied to every surviving feature.
     Every round prunes its candidates against the survivors the same way.
     The loop stops, and the result's stopped says why, at the first of: a
     round that leaves the survivors as they were ("fixed-point"); a round
@@ -554,14 +519,10 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     contiguous, as the survivors are grown in place.
     """
     primitives = _learn_primitives(g, config)
-    attrs = np.zeros((0, g.n)) if config.attributes is None else _attribute_rows(g, config.attributes)
     cache: dict = {}
-    columns = np.array([compute_primitive(g, kind, cache) for kind in primitives] + list(attrs))
+    columns = np.array([compute_primitive(g, kind, cache) for kind in primitives])
     first = [
         FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
-    ]
-    first += [
-        FeatureDescriptor(id=len(first) + k, kind="attribute", attribute=k) for k in range(len(attrs))
     ]
     ops, p = config.operators, config.bin_fraction
     groups = _degree_groups(*g.csr[:2])
@@ -624,11 +585,11 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     return FeatureMatrix(rows.T, tuple(descriptors), tuple(sizes), stopped)
 
 
-def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
+def recompute(g: Graph, descriptors) -> FeatureMatrix:
     """Evaluate a descriptor list on a graph, in id order, with no pruning.
 
     Composite bases must appear earlier in the list (malformed DAGs are
-    rejected). Attribute descriptors read from the supplied attributes array.
+    rejected).
 
     Values equal learn_features' bit for bit: a composite of iteration t
     was aggregated inside a block of every descriptor with an earlier
@@ -637,7 +598,6 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
     """
     descriptors = tuple(descriptors)
     iterations = np.sort([d.iteration for d in descriptors])
-    attrs = None if attributes is None else _attribute_rows(g, attributes)
     values: dict[int, np.ndarray] = {}
     cache: dict = {}
     groups = None
@@ -648,19 +608,13 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
         last_id = d.id
         if d.kind == "primitive":
             col = compute_primitive(g, d.primitive, cache)
-        elif d.kind == "attribute":
-            if attrs is None:
-                raise ValueError("descriptor needs attribute columns but none were given")
-            if d.attribute >= len(attrs):
-                raise ValueError(f"attribute column {d.attribute} missing")
-            col = attrs[d.attribute]
         else:
             if d.base not in values:
                 raise ValueError(f"descriptor {d.id} references missing base {d.base}")
             if groups is None:
                 groups = _degree_groups(*g.csr[:2])
             width = np.searchsorted(iterations, d.iteration)
-            col = _aggregate(g, values[d.base][None], (d.operator,), width > 1, groups)[0][0]
+            col = _aggregate_slots(g.n, groups, values[d.base][None], (d.operator,), width > 1)[0][0]
         values[d.id] = col
     return FeatureMatrix(
         values=np.column_stack(list(values.values())) if values else np.zeros((g.n, 0)),
@@ -669,36 +623,16 @@ def recompute(g: Graph, descriptors, attributes=None) -> FeatureMatrix:
 
 
 def descriptors_to_json(descriptors) -> str:
-    rows = []
-    for d in descriptors:
-        row = {
-            "id": d.id,
-            "kind": d.kind,
-            "primitive": d.primitive,
-            "operator": d.operator,
-            "base": d.base,
-            "iteration": d.iteration,
-        }
-        if d.kind == "attribute":
-            row["attribute"] = d.attribute
-        rows.append(row)
-    return json.dumps(rows, indent=2) + "\n"
+    """One JSON object per descriptor: its fields, in field order. vars, not
+    dataclasses.asdict, which deep-copies every value: on 551 descriptors
+    (2-vCPU VM) asdict took 11.6 ms and vars 4.3 ms."""
+    return json.dumps([vars(d) for d in descriptors], indent=2) + "\n"
 
 
 def descriptors_from_json(text: str) -> tuple[FeatureDescriptor, ...]:
-    rows = json.loads(text)
-    return tuple(
-        FeatureDescriptor(
-            id=row["id"],
-            kind=row["kind"],
-            primitive=row.get("primitive"),
-            operator=row.get("operator"),
-            base=row.get("base"),
-            attribute=row.get("attribute"),
-            iteration=row.get("iteration", 0),
-        )
-        for row in rows
-    )
+    """The inverse of descriptors_to_json; a row with a key that is not a
+    field is refused."""
+    return tuple(FeatureDescriptor(**row) for row in json.loads(text))
 
 
 def _byte_rows(x: np.ndarray) -> np.ndarray:

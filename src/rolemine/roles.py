@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureDescriptor, _cpu_count, descriptors_from_json, descriptors_to_json
-from .features import _byte_rows, _check_count, _row_texts
+from .features import FeatureDescriptor, _byte_rows, _check_count, _cpu_count, _row_texts
 
 _EPS0 = 1e-12
 # a sweep forks its fit worker only for an x of at least this many values:
@@ -434,9 +433,7 @@ def model_to_json(model: RoleModel) -> str:
         "b": model.b,
         "seed": model.seed,
         "column_scales": model.column_scales.tolist(),
-        "descriptors": None
-        if model.descriptors is None
-        else json.loads(descriptors_to_json(model.descriptors)),
+        "descriptors": None if model.descriptors is None else [vars(d) for d in model.descriptors],
     }, indent=2).removesuffix("\n}")
     return (f'{head},\n  "W": {_json_matrix(model.w)},\n  "H": {_json_matrix(model.h)},\n'
             f'  "cost": {float(model.cost)!r}\n}}\n')
@@ -444,9 +441,9 @@ def model_to_json(model: RoleModel) -> str:
 
 def model_from_json(text: str) -> RoleModel:
     doc = json.loads(text)
-    descriptors = None
-    if doc.get("descriptors") is not None:
-        descriptors = descriptors_from_json(json.dumps(doc["descriptors"]))
+    descriptors = doc.get("descriptors")
+    if descriptors is not None:
+        descriptors = tuple(FeatureDescriptor(**row) for row in descriptors)
     return RoleModel(
         r=doc["r"],
         w=np.array(doc["W"], dtype=float),

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .features import csv_rows, recompute
+from .features import _byte_rows, csv_rows, recompute
 from .graph import Graph
 from .roles import RoleModel
 
@@ -41,10 +41,8 @@ def _passive_solve(g: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndar
     share one solve; the columns alone in theirs go through one masked
     batched solve. Only a singular set takes the least-norm minimizer."""
     s = np.zeros(c.shape)
-    packed = np.packbits(passive, axis=0).T.copy()
     _, first, group, count = np.unique(
-        packed.view(f"V{packed.shape[1]}").ravel(),
-        return_index=True, return_inverse=True, return_counts=True,
+        _byte_rows(passive.T), return_index=True, return_inverse=True, return_counts=True
     )
     lone = np.flatnonzero(count[group] == 1)
     if lone.size:
@@ -135,7 +133,6 @@ def _nnls(g: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
 def transfer_memberships(
     g2: Graph,
     model: RoleModel,
-    attributes: np.ndarray | None = None,
     clamp: float | None = 10.0,
     seed: int = 1,
     report: NnlsReport | None = None,
@@ -153,7 +150,7 @@ def transfer_memberships(
         raise ValueError("model carries no feature descriptors; cannot recompute features")
     if clamp is not None and clamp <= 0:
         raise ValueError("clamp must be positive")
-    x2 = recompute(g2, model.descriptors, attributes=attributes)
+    x2 = recompute(g2, model.descriptors)
     x2n = x2.values / model.column_scales
     if clamp is not None:
         x2n = np.minimum(x2n, clamp)

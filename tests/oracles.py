@@ -8,7 +8,13 @@ import numpy as np
 
 from rolemine import FeatureDescriptor, FeatureLearnConfig, FeatureMatrix, compute_primitive
 from rolemine import features as features_module
-from rolemine.features import _aggregate, log_bin_rows
+from rolemine.features import _aggregate_slots, _degree_groups, log_bin_rows
+
+
+def aggregate_rows(g, rows, ops, in_sequence):
+    """Every op of the library kernel over each node's neighbors, for every
+    feature row of rows (f x n); ops are not checked."""
+    return _aggregate_slots(g.n, _degree_groups(*g.csr[:2]), rows, ops, in_sequence)
 
 
 def normalized_singular_values(columns):
@@ -91,21 +97,11 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
     Kept as an oracle for the streamed loop; rank_stop=False runs it as it
     was before the rank rule, to maxiter or a fixed point."""
     primitives = features_module._learn_primitives(g, config)
-    attrs = (
-        None if config.attributes is None
-        else features_module._attribute_rows(g, config.attributes)
-    )
     cache = {}
     columns = [compute_primitive(g, kind, cache) for kind in primitives]
     cand_descs = [
         FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
     ]
-    if attrs is not None:
-        columns.extend(attrs)
-        cand_descs.extend(
-            FeatureDescriptor(id=len(primitives) + k, kind="attribute", attribute=k)
-            for k in range(len(attrs))
-        )
     all_by_id = {d.id: d for d in cand_descs}
     next_id = len(cand_descs)
     rows = np.zeros((0, g.n))
@@ -150,7 +146,7 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
                 ))
                 all_by_id[next_id] = cands[-1]
                 next_id += 1
-        aggregated = _aggregate(g, rows, config.operators, len(rows) > 1)
+        aggregated = aggregate_rows(g, rows, config.operators, len(rows) > 1)
         prune(np.concatenate([rows[:0], *aggregated]), cands)
         sizes.append(len(descriptors))
         if {d.id for d in descriptors} == prior_ids:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,15 @@ class TestTransferAndDynamic:
         next(d for d in descriptors if d["kind"] == "composite")["base"] = value
         self.assert_descriptors_rejected(runner, tmp_path, graph, descriptors)
 
+    @pytest.mark.parametrize("was, kind", [("composite", "composite"), ("primitive", "attribute")])
+    def test_descriptor_with_an_attribute_key_rejected(self, runner, tmp_path, was, kind):
+        # a key that is not a descriptor field was ignored; an attribute row
+        # named an input column that no CLI run can supply
+        graph = self.fit_chain(runner, tmp_path)
+        descriptors = json.loads((tmp_path / "descriptors.json").read_text())
+        next(d for d in descriptors if d["kind"] == was).update(kind=kind, primitive=None, attribute=0)
+        self.assert_descriptors_rejected(runner, tmp_path, graph, descriptors)
+
     @staticmethod
     def assert_descriptors_rejected(runner, tmp_path, graph, descriptors):
         (tmp_path / "bad.json").write_text(json.dumps(descriptors))
@@ -708,6 +718,22 @@ class TestTooling:
             if not any(word.search(line) and not own.match(line) for line in lines):
                 unreached.append(name)
         assert unreached == []
+
+    def test_learn_sets_every_feature_config_field(self, runner, tmp_path, monkeypatch):
+        # a field that no learn flag sets is a library parameter that no CLI
+        # run reaches; every flag below differs from its default
+        import rolemine.cli as cli
+
+        configs = []
+        monkeypatch.setattr(cli, "learn_features",
+                            lambda g, config: configs.append(config) or learn_features(g, config))
+        graph = tmp_path / "graph.txt"
+        graph.write_text(write_edge_list(erdos_renyi(12, 0.35, seed=2)))
+        invoke_ok(runner, ["learn", str(graph), "--primitives", "degree", "--operators", "max",
+                           "--bin-fraction", "0.25", "--lambda", "0.5", "--maxiter", "2",
+                           "--output-dir", str(tmp_path)])
+        [config] = configs
+        assert [f.name for f in fields(config) if getattr(config, f.name) == f.default] == []
 
     def test_six_subcommands(self):
         assert sorted(main.commands) == sorted(SUBCOMMANDS)

@@ -2,7 +2,6 @@ import csv
 import hashlib
 import io
 import itertools
-import json
 import math
 import multiprocessing
 import os
@@ -35,7 +34,7 @@ from rolemine import (
 )
 
 from rolemine import features as features_module
-from rolemine.features import _aggregate, _agreement_roots, log_bin_rows
+from rolemine.features import _agreement_roots, log_bin_rows
 
 from forks import (
     count_forks,
@@ -47,6 +46,7 @@ from forks import (
     without_fork,
 )
 from oracles import (
+    aggregate_rows,
     agreement,
     all_at_once_learn,
     earliest_per_component,
@@ -235,7 +235,7 @@ class TestPrimitives:
 
 
 def aggregate_column(g, column, op):
-    return _aggregate(g, np.array(column, dtype=float)[None], (op,), False)[0][0]
+    return aggregate_rows(g, np.array(column, dtype=float)[None], (op,), False)[0][0]
 
 
 class TestOperators:
@@ -259,8 +259,12 @@ class TestOperators:
         assert aggregate_column(g, [0.0, 1.9, 2.4], "mode")[0] == 1.0
 
     def test_bad_base_or_op_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_column(P3, [1.0, 2.0, 1.0], "median")
+        # the kernel reads any op it does not name as mode, so its entry
+        # points check ops: a descriptor here, learn_features in TestFailFast
+        with pytest.raises(ValueError, match="unknown operator 'median'"):
+            FeatureDescriptor(id=1, kind="composite", operator="median", base=0)
+        with pytest.raises(ValueError, match="base id must precede"):
+            FeatureDescriptor(id=1, kind="composite", operator="sum", base=1)
 
     @pytest.mark.parametrize(
         "edges, column, node, want",
@@ -296,7 +300,7 @@ class TestOperators:
         g = erdos_renyi(60, 0.3, seed=5)
         rng = np.random.default_rng(5)
         rows = np.floor(rng.uniform(0, 4, (6, 60)) * 3) / 3
-        got = _aggregate(g, rows, ("sum", "mode", "max"), True)[1]
+        got = aggregate_rows(g, rows, ("sum", "mode", "max"), True)[1]
         assert got.tolist() == [naive_aggregate(g, row.tolist(), "mode") for row in rows]
 
     @given(
@@ -505,25 +509,6 @@ class TestLearnFeatures:
         assert kinds <= {"in-degree", "out-degree"}
         assert len(kinds) >= 1
 
-    def test_duplicate_attribute_column_pruned(self):
-        attrs = np.array([[1.0], [2.0], [1.0]])  # equals the degree column on P3
-        x = learn_features(
-            P3, FeatureLearnConfig(primitives=("degree",), maxiter=1, attributes=attrs)
-        )
-        assert all(d.kind != "attribute" for d in x.descriptors)
-
-    def test_informative_attribute_survives_and_recurses(self):
-        attrs = np.array([[5.0], [0.0], [5.0]])
-        config = FeatureLearnConfig(primitives=("degree",), maxiter=2, attributes=attrs)
-        x = learn_features(P3, config)
-        kinds = {d.kind for d in x.descriptors}
-        assert "attribute" in kinds
-
-    def test_negative_attributes_rejected(self):
-        attrs = np.array([[-1.0], [0.0], [1.0]])
-        with pytest.raises(ValueError):
-            learn_features(P3, FeatureLearnConfig(attributes=attrs))
-
     @given(graphs(min_n=1, max_n=6))
     @settings(max_examples=40)
     def test_orbit_members_share_rows_exactly(self, g):
@@ -554,24 +539,6 @@ class TestRecompute:
     def test_degree_on_path(self):
         d = (FeatureDescriptor(id=0, kind="primitive", primitive="degree"),)
         assert recompute(P3, d).values[:, 0].tolist() == [1, 2, 1]
-
-    def test_attribute_descriptors_need_columns(self):
-        d = (FeatureDescriptor(id=0, kind="attribute", attribute=0),)
-        with pytest.raises(ValueError):
-            recompute(P3, d)
-        got = recompute(P3, d, attributes=np.array([[1.0], [2.0], [3.0]]))
-        assert got.values[:, 0].tolist() == [1, 2, 3]
-
-    def test_attributes_of_the_wrong_length_rejected(self, monkeypatch):
-        d = (
-            FeatureDescriptor(id=0, kind="attribute", attribute=0),
-            FeatureDescriptor(id=1, kind="composite", operator="sum", base=0),
-        )
-        calls = []
-        monkeypatch.setattr(features_module, "_aggregate", lambda *a: calls.append(a))
-        with pytest.raises(ValueError, match="one row per node"):
-            recompute(P3, d, attributes=np.array([[1.0], [2.0]]))
-        assert calls == []
 
     def test_malformed_descriptor_order_rejected(self):
         d = (
@@ -637,35 +604,18 @@ class TestSerialization:
         assert features_from_csv("node,feat_0\n0,1.0\n\n1,2.0\n").tolist() == [[1.0], [2.0]]
 
     def test_descriptor_json_round_trip(self):
-        x = learn_features(
-            S3, FeatureLearnConfig(maxiter=2, attributes=np.array([[9.0], [1.0], [1.0], [4.0]]))
-        )
+        x = learn_features(S3, FeatureLearnConfig(maxiter=2))
         text = descriptors_to_json(x.descriptors)
         assert descriptors_from_json(text) == x.descriptors
-
-    def test_descriptor_json_attribute_key_only_when_relevant(self):
-        rows = json.loads(
-            descriptors_to_json(
-                (
-                    FeatureDescriptor(id=0, kind="primitive", primitive="degree"),
-                    FeatureDescriptor(id=1, kind="attribute", attribute=2),
-                )
-            )
-        )
-        assert "attribute" not in rows[0]
-        assert rows[1]["attribute"] == 2
 
     @pytest.mark.parametrize("fields", [
         {"kind": "composite", "operator": "sum", "base": True},
         {"kind": "composite", "operator": "sum", "base": 0.0},
         {"kind": "composite", "operator": "sum", "base": -1},
-        {"kind": "attribute", "attribute": False},
-        {"kind": "attribute", "attribute": 1.0},
-        {"kind": "attribute", "attribute": -1},
     ])
     def test_descriptor_base_and_attribute_must_be_integers(self, fields):
         # base=True was read as base 1, and base=0.0 as base 0
-        with pytest.raises(ValueError, match="^descriptor (base|attribute) must be"):
+        with pytest.raises(ValueError, match="^descriptor base must be"):
             FeatureDescriptor(id=2, **fields)
 
 
@@ -805,17 +755,9 @@ class TestStreamedRound:
         graphs(min_n=1, max_n=9, weighted=True),
         st.sampled_from(STREAM_CONFIGS),
         st.integers(1, 40),
-        st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_all_at_once_learn(self, g, config, block, data):
-        # zero to two attribute columns join round 0's candidates; small
-        # integers tie with each other and with the primitives
-        k = data.draw(st.integers(0, 2))
-        if k:
-            values = st.integers(0, 3).map(float)
-            attrs = data.draw(st.lists(values, min_size=g.n * k, max_size=g.n * k))
-            config = replace(config, attributes=np.reshape(attrs, (g.n, k)))
+    def test_matches_all_at_once_learn(self, g, config, block):
         want = all_at_once_learn(g, config)
         with pytest.MonkeyPatch.context() as mp:
             # survivor blocks of one column up to several
@@ -1039,7 +981,7 @@ class TestAggregationKernel:
             g = Graph(n=43, edges=np.vstack([g.edges, hub]))  # nodes 41 and 42 are isolated
             block = rng.random((g.n, columns)) * 10.0 ** rng.integers(-3, 4, size=columns)
             ops = ("sum", "mean", "max", "min")
-            for op, got in zip(ops, _aggregate(g, block.T, ops, columns > 1)):
+            for op, got in zip(ops, aggregate_rows(g, block.T, ops, columns > 1)):
                 assert got.T.tobytes() == per_node_aggregate(g, block, op).tobytes()
 
 
