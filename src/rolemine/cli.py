@@ -114,7 +114,7 @@ def _run_learn(config: RunConfig, outdir: Path) -> dict:
 
 
 def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
-    x = features_from_csv(_read(config.inputs[0]))
+    x = _load(config.inputs[0], features_from_csv, "features")
     descriptors = None
     if len(config.inputs) > 1:
         descriptors = _load(config.inputs[1], descriptors_from_json, "descriptors")

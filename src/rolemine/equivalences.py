@@ -7,9 +7,7 @@ by smallest member).
 
 from __future__ import annotations
 
-import numpy as np
-
-from .graph import CSR, Graph, NodePartition, _rows
+from .graph import Graph, NodePartition
 
 AUTOMORPHISM_NODE_LIMIT = 10
 
@@ -30,20 +28,10 @@ class _UnionFind:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _row_lists(csr: CSR) -> list[list[int]]:
-    ptr, idx = csr.indptr.tolist(), csr.indices.tolist()
+def _neighbor_rows(g: Graph) -> list[list[int]]:
+    """The neighbors of each node, ascending."""
+    ptr, idx = g.csr.indptr.tolist(), g.csr.indices.tolist()
     return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
-
-
-def _out_in_rows(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """Out- and in-neighbors per node, ascending; both are the neighbors on
-    an undirected graph."""
-    if not g.directed:
-        rows = _row_lists(g.csr)
-        return rows, rows
-    src, dst = g.edges[:, 0], g.edges[:, 1]
-    ones = np.ones(src.size)
-    return _row_lists(_rows(g.n, src, dst, ones)), _row_lists(_rows(g.n, dst, src, ones))
 
 
 def structural_classes(g: Graph, variant: str = "strict") -> NodePartition:
@@ -55,19 +43,15 @@ def structural_classes(g: Graph, variant: str = "strict") -> NodePartition:
         raise ValueError(f"unknown variant {variant!r}")
     if g.n == 0:
         return NodePartition((), 0)
-    if g.directed and variant == "weak":
-        raise ValueError("weak structural equivalence is defined for undirected graphs")
-    out_rows, in_rows = _out_in_rows(g)
-    if g.directed:
-        return NodePartition.from_labels([(tuple(o), tuple(i)) for o, i in zip(out_rows, in_rows)])
-    nbrs = [tuple(row) for row in out_rows]
+    rows = _neighbor_rows(g)
+    nbrs = [tuple(row) for row in rows]
     if variant == "strict":
         return NodePartition.from_labels(nbrs)
     # Weak pairs match on N(u) when non-adjacent or on N(u)|{u} when
     # adjacent. Chains mixing the two keys would force a self-loop, so
     # merging both groupings reproduces exactly the pairwise relation.
     uf = _UnionFind(g.n)
-    for key in (nbrs, [tuple(sorted(row + [u])) for u, row in enumerate(out_rows)]):
+    for key in (nbrs, [tuple(sorted(row + [u])) for u, row in enumerate(rows)]):
         first: dict[tuple, int] = {}
         for u in range(g.n):
             anchor = first.setdefault(key[u], u)
@@ -88,8 +72,8 @@ def automorphic_orbits(g: Graph) -> NodePartition:
     if n == 0:
         return NodePartition((), 0)
 
-    out_adj, in_adj = ([set(row) for row in rows] for rows in _out_in_rows(g))
-    degree = [(len(out_adj[u]), len(in_adj[u])) for u in range(n)]
+    adj = [set(row) for row in _neighbor_rows(g)]
+    degree = [len(a) for a in adj]
 
     def find_automorphism(src: int, dst: int) -> list[int] | None:
         image = [-1] * n
@@ -102,14 +86,7 @@ def automorphic_orbits(g: Graph) -> NodePartition:
             for v in candidates:
                 if used[v] or degree[v] != degree[k]:
                     continue
-                ok = True
-                for j in range(k):
-                    if ((k in out_adj[j]) != (v in out_adj[image[j]])) or (
-                        (k in in_adj[j]) != (v in in_adj[image[j]])
-                    ):
-                        ok = False
-                        break
-                if not ok:
+                if any((k in adj[j]) != (v in adj[image[j]]) for j in range(k)):
                     continue
                 image[k] = v
                 used[v] = True
@@ -141,13 +118,9 @@ def regular_refinement(g: Graph) -> NodePartition:
     if g.n == 0:
         return NodePartition((), 0)
     labels = [0] * g.n
-    out_rows, in_rows = _out_in_rows(g)
-    sides = (out_rows, in_rows) if g.directed else (out_rows,)
+    rows = _neighbor_rows(g)
     while True:
-        sigs = [
-            (labels[u], *(frozenset(labels[v] for v in rows[u]) for rows in sides))
-            for u in range(g.n)
-        ]
+        sigs = [(labels[u], frozenset(labels[v] for v in rows[u])) for u in range(g.n)]
         refined = NodePartition.from_labels(sigs)
         if list(refined.assignment) == labels:
             return refined

@@ -44,7 +44,7 @@ import numpy as np
 from .equivalences import _UnionFind
 from .graph import Graph
 
-PRIMITIVE_KINDS = (
+PRIMITIVE_KINDS = DEFAULT_PRIMITIVES = (
     "degree",
     "weighted-degree",
     "wedge-count",
@@ -52,20 +52,8 @@ PRIMITIVE_KINDS = (
     "egonet-internal-edges",
     "egonet-external-edges",
     "core-number",
-    "in-degree",
-    "out-degree",
 )
 OPERATOR_KINDS = ("sum", "mean", "max", "min", "mode")
-
-DEFAULT_PRIMITIVES = (
-    "degree",
-    "weighted-degree",
-    "wedge-count",
-    "triangle-count",
-    "egonet-internal-edges",
-    "egonet-external-edges",
-    "core-number",
-)
 DEFAULT_OPERATORS = ("sum", "mean")
 
 
@@ -101,7 +89,11 @@ class FeatureDescriptor:
         if self.kind == "primitive":
             if self.primitive not in PRIMITIVE_KINDS:
                 raise ValueError(f"unknown primitive {self.primitive!r}")
+            if (self.operator, self.base, self.iteration) != (None, None, 0):
+                raise ValueError("a primitive descriptor has no operator or base, and iteration 0")
         elif self.kind == "composite":
+            if self.primitive is not None:
+                raise ValueError("a composite descriptor has no primitive")
             if self.operator not in OPERATOR_KINDS:
                 raise ValueError(f"unknown operator {self.operator!r}")
             if self.base is None or self.base >= self.id:
@@ -168,15 +160,13 @@ def _check_threshold(lam: float) -> None:
         raise ValueError("lambda threshold must lie in (0, 1]")
 
 
-def _check_primitive(g: Graph, kind: str) -> None:
+def _check_primitive(kind: str) -> None:
     if kind not in PRIMITIVE_KINDS:
         raise ValueError(f"unknown primitive {kind!r}")
-    if kind in ("in-degree", "out-degree") and not g.directed:
-        raise ValueError(f"{kind} requires a directed graph")
 
 
 def _triangle_counts(g: Graph) -> np.ndarray:
-    """Triangles at each node, ignoring edge direction.
+    """Triangles at each node.
 
     Every edge points from its endpoint of lower (degree, id) rank to the
     higher one, so each triangle is found once, at its lowest corner, as an
@@ -242,17 +232,14 @@ def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndar
     """Evaluate a structural primitive at every node.
 
     All values are non-negative and depend only on the graph up to
-    relabeling. in/out-degree require directed=True; plain degree counts all
-    adjacent nodes on either graph kind. cache, when given, keeps triangle
-    counts between calls on the same graph.
+    relabeling. cache, when given, keeps triangle counts between calls on
+    the same graph.
     """
-    _check_primitive(g, kind)
+    _check_primitive(kind)
     indptr, indices, weights = g.csr
     deg = np.diff(indptr).astype(float)
     if kind == "degree":
         return deg
-    if kind in ("in-degree", "out-degree"):
-        return np.bincount(g.edges[:, int(kind == "in-degree")], minlength=g.n).astype(float)
     if kind == "weighted-degree":
         # summed like a lone column: sorted, then numpy's pairwise sum
         groups = _degree_groups(indptr, np.arange(indices.size))
@@ -427,9 +414,8 @@ def _spans_nodes(rows: np.ndarray) -> bool:
     return np.linalg.matrix_rank(rows / np.where(top > 0, top, 1.0)) == n
 
 
-def _learn_primitives(g: Graph, config: FeatureLearnConfig) -> list[str]:
-    """Check config before any feature is computed; returns the primitives
-    to evaluate (degree expands to in- and out-degree on directed graphs)."""
+def _check_config(config: FeatureLearnConfig) -> None:
+    """Check config before any feature is computed."""
     if config.maxiter < 1:
         raise ValueError("maxiter must be >= 1")
     if not config.primitives:
@@ -439,15 +425,8 @@ def _learn_primitives(g: Graph, config: FeatureLearnConfig) -> list[str]:
     for op in config.operators:
         if op not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator {op!r}")
-    primitives = []
     for kind in config.primitives:
-        if kind == "degree" and g.directed:
-            primitives.extend(["in-degree", "out-degree"])
-        else:
-            primitives.append(kind)
-    for kind in primitives:
-        _check_primitive(g, kind)
-    return primitives
+        _check_primitive(kind)
 
 
 def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, p: float):
@@ -518,11 +497,12 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     The returned values are column-major: each feature's column is
     contiguous, as the survivors are grown in place.
     """
-    primitives = _learn_primitives(g, config)
+    _check_config(config)
     cache: dict = {}
-    columns = np.array([compute_primitive(g, kind, cache) for kind in primitives])
+    columns = np.array([compute_primitive(g, kind, cache) for kind in config.primitives])
     first = [
-        FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
+        FeatureDescriptor(id=j, kind="primitive", primitive=kind)
+        for j, kind in enumerate(config.primitives)
     ]
     ops, p = config.operators, config.bin_fraction
     groups = _degree_groups(*g.csr[:2])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,37 +22,21 @@ class CSR(NamedTuple):
     weights: np.ndarray
 
 
-def _rows(n: int, src: np.ndarray, dst: np.ndarray, wt: np.ndarray) -> CSR:
-    """CSR of the arcs src[k] -> dst[k] weighing wt[k]. An arc given more
-    than once keeps its largest weight."""
-    key = src * n + dst
-    order = np.lexsort((wt, key))
-    key, wt = key[order], wt[order]
-    last = np.ones(key.size, dtype=bool)
-    last[:-1] = key[1:] != key[:-1]
-    key, wt = key[last], wt[last]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-    return CSR(indptr, key % n, wt)
-
-
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple graph with dense node ids 0..n-1.
 
-    ``edges`` is an (m, 2) int64 array of distinct rows sorted ascending;
-    undirected rows have u < v, directed rows keep their orientation.
-    ``weights`` is None (unweighted) or a float array aligned with ``edges``.
-    The constructor takes any (m, 2) integer array-like and positive finite
-    weights, one per row; it orients undirected rows, sorts the rows and
-    merges repeated rows, summing their weights. Both arrays are read-only.
-    Graphs compare by identity.
+    ``edges`` is an (m, 2) int64 array of distinct undirected rows u < v,
+    sorted ascending. ``weights`` is None (unweighted) or a float array
+    aligned with ``edges``. The constructor takes any (m, 2) integer
+    array-like and positive finite weights, one per row; it orients the rows
+    u < v, sorts them and merges repeated rows, summing their weights. Both
+    arrays are read-only. Graphs compare by identity.
     """
 
     n: int
     edges: np.ndarray = ()
     weights: np.ndarray | None = None
-    directed: bool = False
 
     def __post_init__(self):
         n = self.n
@@ -81,8 +65,7 @@ class Graph:
                 k = bad.argmax()
                 raise ValueError(f"weight {w[k]} on edge ({e[k, 0]}, {e[k, 1]}) "
                                  "must be a positive finite number")
-        if not self.directed:
-            e = np.sort(e, axis=1)
+        e = np.sort(e, axis=1)
         keys, inverse = np.unique(e[:, 0] * n + e[:, 1], return_inverse=True)
         edges = np.stack([keys // n, keys % n], axis=1)
         if w is not None:
@@ -95,18 +78,15 @@ class Graph:
 
     @cached_property
     def csr(self) -> CSR:
-        """The direction-free adjacency, built once.
-
-        Row u holds every node adjacent to u. On a weighted graph an edge
-        weighs its weight from either end; an unweighted edge weighs 1. On a
-        directed graph an arc u -> v weighs nothing seen from v, and a
-        reciprocal pair keeps the out-arc's weight at each end.
-        """
-        src, dst = self.edges.T
-        w = np.ones(src.size) if self.weights is None else self.weights
-        back = np.zeros(src.size) if self.directed else w
-        return _rows(self.n, np.concatenate([src, dst]), np.concatenate([dst, src]),
-                     np.concatenate([w, back]))
+        """The adjacency, built once: row u holds every node adjacent to u,
+        and an edge weighs its weight (1 if unweighted) from either end."""
+        n = self.n
+        src, dst = np.concatenate([self.edges, self.edges[:, ::-1]]).T
+        w = np.ones(len(self.edges)) if self.weights is None else self.weights
+        order = np.argsort(src * n + dst)  # distinct edges give distinct keys
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return CSR(indptr, dst[order], np.concatenate([w, w])[order])
 
 
 @dataclass(frozen=True)
@@ -158,7 +138,7 @@ class NodePartition:
         return {"classes": [list(c) for c in self.classes]}
 
 
-def load_edge_list(source: str | Iterable[str], directed: bool = False) -> Graph:
+def load_edge_list(source: str) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
 
     Lines are "u v" or "u v w"; '#' and '%' lines are comments. Node labels
@@ -169,12 +149,11 @@ def load_edge_list(source: str | Iterable[str], directed: bool = False) -> Graph
     Raises ValueError naming the offending line for self-loops, non-positive
     or non-finite weights, and malformed tokens.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
     ids: dict[int, int] = {}
     ends: list[int] = []
     weights: list[float] = []
     any_weighted = False
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
             continue
@@ -202,7 +181,7 @@ def load_edge_list(source: str | Iterable[str], directed: bool = False) -> Graph
         weights.append(w)
     edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
     weights = weights if any_weighted else None
-    return Graph(n=len(ids), edges=edges, weights=weights, directed=directed)
+    return Graph(n=len(ids), edges=edges, weights=weights)
 
 
 def write_edge_list(g: Graph) -> str:
@@ -248,4 +227,4 @@ def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
     p = np.asarray(perm, dtype=np.int64)
     if p.shape != (g.n,) or not (np.sort(p) == np.arange(g.n)).all():
         raise ValueError("perm must be a bijection on 0..n-1")
-    return Graph(n=g.n, edges=p[g.edges], weights=g.weights, directed=g.directed)
+    return Graph(n=g.n, edges=p[g.edges], weights=g.weights)

@@ -7,25 +7,18 @@ import numpy as np
 from .graph import Graph, apply_permutation
 
 
-def erdos_renyi(n: int, p: float, seed: int = 1, directed: bool = False) -> Graph:
+def erdos_renyi(n: int, p: float, seed: int = 1) -> Graph:
     """G(n, p) with a seeded generator. Self-loops are never drawn."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    # one draw per candidate pair (u, v), in row-major order of the
-    # adjacency matrix; a row at a time keeps memory at O(n + m)
-    heads = []
-    for u in range(n):
-        if directed:
-            v = np.flatnonzero(rng.random(n - 1) < p)
-            v += v >= u  # step over the diagonal
-        else:
-            v = u + 1 + np.flatnonzero(rng.random(n - 1 - u) < p)
-        heads.append(v)
+    # one draw per candidate pair u < v, in row-major order of the upper
+    # triangle; a row at a time keeps memory at O(n + m)
+    heads = [u + 1 + np.flatnonzero(rng.random(n - 1 - u) < p) for u in range(n)]
     tails = np.repeat(np.arange(n), [v.size for v in heads])
-    return Graph(n=n, edges=np.column_stack([tails, np.concatenate(heads)]), directed=directed)
+    return Graph(n=n, edges=np.column_stack([tails, np.concatenate(heads)]))
 
 
 def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, tuple[int, ...]]:

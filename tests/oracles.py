@@ -96,7 +96,8 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
     every candidate of a round is aggregated, binned and pruned at once.
     Kept as an oracle for the streamed loop; rank_stop=False runs it as it
     was before the rank rule, to maxiter or a fixed point."""
-    primitives = features_module._learn_primitives(g, config)
+    features_module._check_config(config)
+    primitives = config.primitives
     cache = {}
     columns = [compute_primitive(g, kind, cache) for kind in primitives]
     cand_descs = [

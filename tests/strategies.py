@@ -10,7 +10,6 @@ def same_graph(a, b):
     """Graphs compare by identity; this compares their arrays."""
     return (
         a.n == b.n
-        and a.directed == b.directed
         and np.array_equal(a.edges, b.edges)
         and (a.weights is None) == (b.weights is None)
         and (a.weights is None or np.array_equal(a.weights, b.weights))
@@ -27,12 +26,9 @@ def neighbor_lists(g):
 
 
 @st.composite
-def graphs(draw, min_n=1, max_n=8, directed=False, weighted=False):
+def graphs(draw, min_n=1, max_n=8, weighted=False):
     n = draw(st.integers(min_n, max_n))
-    if directed:
-        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    else:
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     if pairs:
         chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     else:
@@ -47,7 +43,7 @@ def graphs(draw, min_n=1, max_n=8, directed=False, weighted=False):
             )
         )
         weights = vals
-    return Graph(n=n, edges=chosen, weights=weights, directed=directed)
+    return Graph(n=n, edges=chosen, weights=weights)
 
 
 @st.composite
@@ -58,7 +54,7 @@ def graph_with_permutation(draw, **kwargs):
 
 
 @st.composite
-def edge_list_texts(draw, max_label=9, directed=False):
+def edge_list_texts(draw, max_label=9):
     """Raw loader input: whitespace edge lines, optional weights/comments."""
     weighted = draw(st.booleans())
     raw = draw(

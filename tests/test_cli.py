@@ -17,6 +17,8 @@ from rolemine import (
     FeatureLearnConfig,
     FeatureDescriptor,
     NnlsReport,
+    OPERATOR_KINDS,
+    PRIMITIVE_KINDS,
     RoleModel,
     descriptors_from_json,
     descriptors_to_json,
@@ -303,6 +305,19 @@ class TestSelectRankAndAssign:
         assert result.stderr.startswith("error: malformed descriptors file")
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("text", [
+        "node,feat_0\nx,1.0\n", "node,feat_0\n0,abc\n", "node,feat_0\n0,1.0,2.0\n",
+        "feat_0\n1.0\n",
+    ])
+    def test_malformed_features_file_rejected(self, runner, tmp_path, text):
+        # the path says which of the chain's inputs is bad
+        path = tmp_path / "features.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["select-rank", str(path), "--output-dir", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+        assert result.stderr.startswith(f"error: malformed features file {path}: "), result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestSweepCounters:
     def select(self, runner, tmp_path, *flags):
@@ -433,6 +448,20 @@ class TestTransferAndDynamic:
         graph = self.fit_chain(runner, tmp_path)
         descriptors = json.loads((tmp_path / "descriptors.json").read_text())
         next(d for d in descriptors if d["kind"] == was).update(kind=kind, primitive=None, attribute=0)
+        self.assert_descriptors_rejected(runner, tmp_path, graph, descriptors)
+
+    @pytest.mark.parametrize("kind, extra", [
+        ("primitive", {"operator": "max", "base": 7}), ("primitive", {"base": 0}),
+        ("primitive", {"iteration": 5}), ("composite", {"primitive": "core-number"}),
+    ])
+    def test_descriptor_with_a_field_of_the_other_kind_rejected(
+        self, runner, tmp_path, kind, extra
+    ):
+        # recompute reads every iteration to order a composite's sums, and a
+        # field of the other kind would pass into model.json unread
+        graph = self.fit_chain(runner, tmp_path)
+        descriptors = json.loads((tmp_path / "descriptors.json").read_text())
+        next(d for d in descriptors if d["kind"] == kind).update(extra)
         self.assert_descriptors_rejected(runner, tmp_path, graph, descriptors)
 
     @staticmethod
@@ -734,6 +763,15 @@ class TestTooling:
                            "--output-dir", str(tmp_path)])
         [config] = configs
         assert [f.name for f in fields(config) if getattr(config, f.name) == f.default] == []
+
+    @pytest.mark.parametrize("flag, kind", [
+        *(("--primitives", k) for k in PRIMITIVE_KINDS), *(("--operators", k) for k in OPERATOR_KINDS)
+    ])
+    def test_every_kind_runs_from_learn(self, runner, tmp_path, flag, kind):
+        # a kind that no learn run can use is library-only code
+        graph = tmp_path / "graph.txt"
+        graph.write_text(write_edge_list(erdos_renyi(12, 0.35, seed=2)))
+        invoke_ok(runner, ["learn", str(graph), flag, kind, "--output-dir", str(tmp_path)])
 
     def test_six_subcommands(self):
         assert sorted(main.commands) == sorted(SUBCOMMANDS)

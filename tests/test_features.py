@@ -197,13 +197,6 @@ class TestPrimitives:
         g = load_edge_list("0 1 2.5\n1 2 0.5")
         assert compute_primitive(g, "weighted-degree").tolist() == [2.5, 3.0, 0.5]
 
-    def test_in_out_degree_directed_only(self):
-        g = Graph(n=3, edges=[(0, 1), (2, 1)], directed=True)
-        assert compute_primitive(g, "in-degree").tolist() == [0, 2, 0]
-        assert compute_primitive(g, "out-degree").tolist() == [1, 0, 1]
-        with pytest.raises(ValueError):
-            compute_primitive(P3, "in-degree")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             compute_primitive(P3, "pagerank")
@@ -502,13 +495,6 @@ class TestLearnFeatures:
         with pytest.raises(ValueError):
             learn_features(P3, FeatureLearnConfig(primitives=()))
 
-    def test_directed_degree_expands_to_in_and_out(self):
-        g = Graph(n=3, edges=[(0, 1), (1, 2)], directed=True)
-        x = learn_features(g, FeatureLearnConfig(primitives=("degree",), maxiter=1))
-        kinds = {d.primitive for d in x.descriptors}
-        assert kinds <= {"in-degree", "out-degree"}
-        assert len(kinds) >= 1
-
     @given(graphs(min_n=1, max_n=6))
     @settings(max_examples=40)
     def test_orbit_members_share_rows_exactly(self, g):
@@ -627,11 +613,11 @@ class TestSerialization:
 # reproduce them bit for bit.
 
 
-def weighted_er(n, p, seed, directed=False):
-    g = erdos_renyi(n, p, seed=seed, directed=directed)
+def weighted_er(n, p, seed):
+    g = erdos_renyi(n, p, seed=seed)
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.25, 4.0, size=len(g.edges))
-    return Graph(n=n, edges=g.edges, weights=w, directed=directed)
+    return Graph(n=n, edges=g.edges, weights=w)
 
 
 def learned_digest(x):
@@ -664,13 +650,6 @@ GOLDEN_CASES = {
         (6, 18, 40, 77, 115),
         "923d58ea787f50797bed3a95b32041e71a2a8d7dee831f524210baf1832c60a7",
     ),
-    # reciprocal edges: a neighbor reached only by an in-edge weighs 0
-    "weighted-directed": (
-        lambda: weighted_er(60, 0.15, seed=9, directed=True),
-        FeatureLearnConfig(maxiter=4),
-        (8, 24, 54, 96),
-        "385afa5dc563e552c348b366659063d3f6e732939ac2284a3aa34851fec8de9d",
-    ),
     # a one-column round: numpy sums a lone column pairwise, not in sequence
     "one-column": (
         lambda: weighted_er(60, 0.2, seed=2),
@@ -702,7 +681,6 @@ GOLDEN_CASES = {
 UNCUT_DIGESTS = {
     "er-maxiter": "fb6763c7a2a36e44fbd87b1b1d5942e3808db4ab162dff385fc4b5d9c8e0530c",
     "weighted": "a37176fae41ffb588822d41adae242168c9095907d845f1a84f51f01fce183ba",
-    "weighted-directed": "a4a2d88c4ef97e9be3e645188411219b663fa84e3f5f48eba79754eba0730b96",
     "mode": "369f575aeba5958955fb708c2b05f6388458a490f0fd4d8ac79b086bfe1efd60",
 }
 
@@ -842,10 +820,11 @@ class TestRankStop:
         assert got.stopped == "fixed-point"
 
     def test_primitives_of_rank_n_stop_after_round_0(self):
-        # in- and out-degree of one directed edge already span R^2
-        g = Graph(n=2, edges=[(0, 1)], directed=True)
+        # a weighted triangle 0-1-2 with a pendant 3: the four primitives
+        # that survive round 0 already span R^4
+        g = Graph(n=4, edges=[(0, 1), (0, 2), (0, 3), (1, 2)], weights=[1.0, 3.0, 3.0, 3.0])
         got = learn_features(g)
-        assert got.iteration_sizes == (3,) and got.stopped == "rank"
+        assert got.iteration_sizes == (4,) and got.stopped == "rank"
         assert_same_learn(got, truncated_at_full_rank(all_at_once_learn(g, rank_stop=False)))
 
     def test_rule_applies_below_lambda_one(self):
@@ -928,11 +907,6 @@ class TestCoreNumber:
     def test_matches_quadratic_peel(self, g):
         assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
 
-    @given(graphs(max_n=8, directed=True))
-    @settings(max_examples=60)
-    def test_matches_quadratic_peel_directed(self, g):
-        assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
-
     def test_isolated_nodes(self):
         g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (2, 4)])
         assert compute_primitive(g, "core-number").tolist() == [2, 2, 2, 0, 1, 0]
@@ -995,7 +969,10 @@ class TestFailFast:
             (FeatureLearnConfig(threshold=1.5), "lambda"),
             (FeatureLearnConfig(operators=("sum", "median")), "unknown operator"),
             (FeatureLearnConfig(primitives=("degree", "pagerank")), "unknown primitive"),
-            (FeatureLearnConfig(primitives=("in-degree",)), "directed"),
+            pytest.param(
+                FeatureLearnConfig(primitives=("in-degree",)), "unknown primitive",
+                id="config6-directed",
+            ),
             (FeatureLearnConfig(maxiter=0), "maxiter"),
         ],
     )

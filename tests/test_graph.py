@@ -27,7 +27,6 @@ class TestLoad:
         g = load_edge_list("0 1\n1 2")
         assert g.n == 3
         assert g.edges.tolist() == [[0, 1], [1, 2]]
-        assert not g.directed
         assert g.weights is None
 
     def test_duplicate_undirected_edge_collapses(self):
@@ -72,14 +71,6 @@ class TestLoad:
         with pytest.raises(ValueError, match="line 1"):
             load_edge_list("0 1 inf")
 
-    def test_directed_keeps_both_orientations(self):
-        g = load_edge_list("0 1\n1 0", directed=True)
-        assert g.directed
-        assert g.edges.tolist() == [[0, 1], [1, 0]]
-
-    def test_accepts_iterable_of_lines(self):
-        g = load_edge_list(["0 1", "1 2"])
-        assert g.n == 3
 
 
 class TestGraphValidation:
@@ -122,8 +113,6 @@ class TestGraphValidation:
         assert g.edges.tolist() == [[0, 1], [1, 2]]
         assert g.weights.tolist() == [(0.1 + 0.2) + 0.3, 0.5]
         assert Graph(n=3, edges=[(1, 0), (0, 1)]).edges.tolist() == [[0, 1]]
-        directed = Graph(n=3, edges=[(1, 0), (0, 1), (1, 0)], directed=True)
-        assert directed.edges.tolist() == [[0, 1], [1, 0]]
 
     def test_arrays_are_read_only(self):
         g = Graph(n=3, edges=[(0, 1)], weights=[2.0])
@@ -139,42 +128,17 @@ class TestGraphValidation:
 
 def csr_rows_oracle(g):
     """Graph.csr's rows as sorted (neighbor, weight) lists, one edge at a
-    time: an edge weighs its weight (1 unweighted) from both ends; a
-    directed arc weighs 0 from its head unless the reverse arc exists."""
+    time: an edge weighs its weight (1 unweighted) from both ends."""
     rows = [{} for _ in range(g.n)]
     weights = [1.0] * len(g.edges) if g.weights is None else g.weights.tolist()
     for (u, v), w in zip(g.edges.tolist(), weights):
-        rows[u][v] = w
-        if g.directed:
-            rows[v].setdefault(u, 0.0)
-        else:
-            rows[v][u] = w
+        rows[u][v] = rows[v][u] = w
     return [sorted(row.items()) for row in rows]
 
 
 class TestCSR:
     @given(graphs(max_n=8, weighted=True))
     def test_rows_match_neighbors_and_weights(self, g):
-        self.check(g)
-
-    @given(graphs(max_n=7, directed=True, weighted=True))
-    def test_rows_match_neighbors_and_weights_directed(self, g):
-        self.check(g)
-
-    @given(graphs(max_n=7, directed=True))
-    def test_rows_match_neighbors_and_weights_directed_unweighted(self, g):
-        self.check(g)
-
-    def test_unweighted_directed_in_edge_weighs_zero(self):
-        g = Graph(n=3, edges=[(0, 1), (1, 0), (2, 0)], directed=True)
-        assert g.csr.indptr.tolist() == [0, 2, 3, 4]
-        assert g.csr.indices.tolist() == [1, 2, 0, 0]
-        assert g.csr.weights.tolist() == [1.0, 0.0, 1.0, 1.0]
-
-    def test_reciprocal_arcs_keep_their_out_weight(self):
-        g = Graph(n=3, edges=[(1, 0), (0, 1), (2, 1)], weights=[3.0, 2.0, 5.0], directed=True)
-        assert g.csr.indices.tolist() == [1, 0, 2, 1]
-        assert g.csr.weights.tolist() == [2.0, 3.0, 0.0, 5.0]
         self.check(g)
 
     @staticmethod
@@ -213,11 +177,6 @@ class TestWrite:
     def test_round_trip_identity_for_loaded_graphs(self, text):
         g = load_edge_list(text)
         assert same_graph(load_edge_list(write_edge_list(g)), g)
-
-    @given(edge_list_texts(directed=True))
-    def test_round_trip_identity_directed(self, text):
-        g = load_edge_list(text, directed=True)
-        assert same_graph(load_edge_list(write_edge_list(g), directed=True), g)
 
 
 class TestApplyPermutation:
