@@ -209,7 +209,7 @@ def _run_oracle(config: RunConfig, outdir: Path) -> None:
     if config.kind not in _ORACLES:
         raise ValueError(f"unknown oracle kind {config.kind!r}")
     partition = _ORACLES[config.kind](load_edge_list(_read(config.inputs[0])))
-    text = json.dumps(partition.to_classes_dict(), indent=2) + "\n"
+    text = json.dumps({"classes": partition.classes}, indent=2) + "\n"
     (outdir / "classes.json").write_text(text)
     print(text, end="")
 

@@ -30,7 +30,6 @@ close.
 
 from __future__ import annotations
 
-import csv
 import json
 import multiprocessing
 import os
@@ -705,21 +704,34 @@ def features_to_csv(x: FeatureMatrix, out) -> None:
             shutil.copyfileobj(output, out, 1 << 20)
 
 
+# every character of a features.csv row: node ids, repr of finite floats,
+# commas and line breaks
+_ROW_BYTES = b"0123456789.e+-,\r\n"
+
+
 def features_from_csv(text: str) -> np.ndarray:
-    lines = text.splitlines(keepends=True)
-    rows = csv.reader(lines)
-    header = next(rows, None)
-    if not header or header[0] != "node":
+    """Parse features.csv as features_to_csv writes it: row i is node i and
+    its values, each a finite non-negative float. Anything else, or a file
+    without rows or feature columns, raises ValueError."""
+    header, *lines = text.splitlines() or [""]
+    names = header.split(",")
+    if names[0] != "node" or len(names) < 2:
         raise ValueError("expected a 'node,feat_0,...' header row")
-    data = np.empty((len(lines) - 1, len(header) - 1))
+    if text[len(header):].encode().translate(None, _ROW_BYTES):
+        raise ValueError("a row holds a character that features_to_csv never writes")
+    data = np.empty((len(lines), len(names) - 1))
     i = 0
-    for row in rows:
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"row {i} has {len(row)} columns; the header has {len(header)}")
-        if int(row[0]) != i:
-            raise ValueError(f"row {i} has node id {row[0]}, expected {i}")
+    for row in (line.split(",") for line in lines if line):
+        if len(row) != len(names):
+            raise ValueError(f"row {i} has {len(row)} columns; the header has {len(names)}")
+        if row[0] != str(i):
+            raise ValueError(f"row {i} has node id {row[0]!r}, expected {i}")
         data[i] = row[1:]  # float() of each value, bit for bit
         i += 1
+    if not i:
+        raise ValueError("no node rows")
+    bad = np.argwhere(~(np.isfinite(data[:i]) & (data[:i] >= 0)))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"row {r}, column {names[c + 1]}: {data[r, c]} is not finite and non-negative")
     return data[:i]

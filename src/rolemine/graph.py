@@ -134,22 +134,19 @@ class NodePartition:
                 return False
         return True
 
-    def to_classes_dict(self) -> dict:
-        return {"classes": [list(c) for c in self.classes]}
-
 
 def load_edge_list(source: str) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
 
-    Lines are "u v" or "u v w"; '#' and '%' lines are comments. Node labels
-    are compacted to 0..n-1 in first-appearance order. Duplicate edges
-    collapse; when any line carries a weight the graph is weighted and
-    duplicates sum (weightless lines count 1.0).
+    Lines are "u v" or "u v w"; '#' and '%' lines are comments. Node ids are
+    the ranks of the integer labels among the distinct labels, ascending, so
+    neither the order of the lines nor that of a line's two ends moves them.
+    Duplicate edges collapse; when any line carries a weight the graph is
+    weighted and duplicates sum (weightless lines count 1.0).
 
     Raises ValueError naming the offending line for self-loops, non-positive
     or non-finite weights, and malformed tokens.
     """
-    ids: dict[int, int] = {}
     ends: list[int] = []
     weights: list[float] = []
     any_weighted = False
@@ -175,51 +172,21 @@ def load_edge_list(source: str) -> Graph:
             if not (w > 0 and math.isfinite(w)):
                 raise ValueError(f"line {lineno}: weight must be a positive finite number")
             any_weighted = True
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
-        ends += (u, v)
+        ends += (a, b)
         weights.append(w)
-    edges = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    weights = weights if any_weighted else None
-    return Graph(n=len(ids), edges=edges, weights=weights)
+    # labels stay Python ints, so any integer label sorts and loads
+    ids = {label: i for i, label in enumerate(sorted(set(ends)))}
+    edges = np.array([ids[label] for label in ends], dtype=np.int64).reshape(-1, 2)
+    return Graph(n=len(ids), edges=edges, weights=weights if any_weighted else None)
 
 
 def write_edge_list(g: Graph) -> str:
-    """Serialize to edge-list text (one edge per line, LF endings).
-
-    Line order makes reloading assign the same node ids whenever the graph
-    came from load_edge_list: a head of discovery lines introduces nodes in
-    id order (for node k, prefer an edge to a smaller id; else the edge
-    where k leads with the smallest partner), then the remaining edges
-    follow in sorted order. Isolated nodes are not representable.
+    """Serialize to edge-list text: the stored edges in their sorted order,
+    one per line, LF endings. Loading the text gives back g whenever g has
+    no isolated node, which an edge list cannot name.
     """
-    e, m = g.edges, len(g.edges)
-    node, other = e.T.ravel(), e[:, ::-1].T.ravel()
-    row = np.tile(np.arange(m), 2)
-    # node k's introducing edge has the least (rank, partner, row): rank 0
-    # to a smaller id, 1 led by k, 2 led by a larger id
-    rank = np.where(other < node, 0, np.repeat([1, 2], m))
-    order = np.lexsort((row, other, rank, node))
-    nodes, first = np.unique(node[order], return_index=True)
-    intro = np.full(g.n, -1)
-    intro[nodes] = row[order[first]]
-    pairs = e.tolist()
-    seen = [False] * g.n
-    head = []
-    for k, r in enumerate(intro.tolist()):
-        if r >= 0 and not seen[k]:
-            head.append(r)
-            u, v = pairs[r]
-            seen[u] = seen[v] = True
-    rest = np.ones(m, dtype=bool)
-    rest[head] = False
-    order = np.concatenate([np.array(head, dtype=np.int64), np.flatnonzero(rest)])
-    pairs = e[order].tolist()
-    if g.weights is None:
-        lines = [f"{u} {v}" for u, v in pairs]
-    else:
-        lines = [f"{u} {v} {w!r}" for (u, v), w in zip(pairs, g.weights[order].tolist())]
-    return "\n".join(lines) + ("\n" if lines else "")
+    weights = [""] * len(g.edges) if g.weights is None else [f" {w!r}" for w in g.weights.tolist()]
+    return "".join([f"{u} {v}{w}\n" for (u, v), w in zip(g.edges.tolist(), weights)])
 
 
 def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:

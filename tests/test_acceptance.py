@@ -6,6 +6,7 @@ matrices via a module cache); every test recomputes its own evidence.
 """
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -447,4 +448,38 @@ def test_criterion_14_equal_rows_share_a_role(capsys):
         f"{violations} of {tied} tied-row classes split over 30 planted and 200 small graphs; "
         f"4 planted classes recovered at units 30: {recovered[30]}/10, "
         f"300: {recovered[300]}/10 (need 10 each), 3: {recovered[3]}/10 (not gated), {dt:.1f}s",
+    )
+
+
+def test_criterion_15_line_order_keeps_node_identity(capsys, tmp_path):
+    # one planted graph written twice, the second time with its lines
+    # shuffled and each line's ends flipped at random: the same graph, so
+    # `rolemine dynamic` over the pair must find no role changing
+    from rolemine.cli import RunConfig, execute
+
+    t0 = time.perf_counter()
+    errs = []
+    for seed in range(1, 6):
+        root = tmp_path / f"seed{seed}"
+        root.mkdir()
+        g, _ = planted_role_graph(seed=seed, units=10)
+        rng = np.random.default_rng(seed)
+        edges = g.edges[rng.permutation(len(g.edges))]
+        edges = np.where((rng.random(len(edges)) < 0.5)[:, None], edges[:, ::-1], edges)
+        (root / "ordered.txt").write_text(write_edge_list(g))
+        (root / "shuffled.txt").write_text("".join(f"{u} {v}\n" for u, v in edges.tolist()))
+        (root / "snapshots.txt").write_text("ordered.txt\nshuffled.txt\n")
+        for name, *inputs in (
+            ("learn", "ordered.txt"),
+            ("select-rank", "features.csv", "descriptors.json"),
+            ("dynamic", "model.json", "snapshots.txt"),
+        ):
+            execute(RunConfig(name, tuple(str(root / p) for p in inputs), str(root)))
+        t = np.array(json.loads((root / "transition.json").read_text()))
+        errs.append(float(np.abs(t - np.eye(len(t))).max()))
+    dt = time.perf_counter() - t0
+    _report(
+        capsys, 15, "shuffled edge lines give the identity transition",
+        max(errs) <= 1e-4,
+        f"max|T-I| per seed 1-5: {', '.join(f'{e:.2e}' for e in errs)} (need <= 1e-4), {dt:.1f}s",
     )

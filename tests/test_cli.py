@@ -308,6 +308,10 @@ class TestSelectRankAndAssign:
     @pytest.mark.parametrize("text", [
         "node,feat_0\nx,1.0\n", "node,feat_0\n0,abc\n", "node,feat_0\n0,1.0,2.0\n",
         "feat_0\n1.0\n",
+        # Python's int and float read these, features_to_csv never writes them
+        "node,feat_0\n0,1_0\n", "node,feat_0\n-0,1.0\n", "node,feat_0\n 0,1.0\n",
+        # select_rank refuses these too, but without the path
+        "node,feat_0\n0,1e400\n", "node,feat_0\n0,-1.0\n", "node,feat_0\n", "node\n0\n",
     ])
     def test_malformed_features_file_rejected(self, runner, tmp_path, text):
         # the path says which of the chain's inputs is bad
@@ -853,16 +857,16 @@ class TestDeterminism:
         for key in a:
             assert a[key] == b[key], key
 
-    # sha256 of each file of the planted chain below, recorded at the commit
-    # before the writers formatted each distinct row once: the bytes must not
-    # change with the writers
+    # sha256 of each file of the planted chain below. They equal the digests
+    # of the same chain with each graph passed in memory, not parsed from its
+    # file: loading the written graphs renumbers no node
     PINNED = {
-        "model.json": "12ce2445b1298a8d7fc2642e899496f2d52bd6dce29130669fde4765fc6ceb65",
-        "soft/assignments.csv": "f513e02fa6d89d00fdfe10b34e69c3cfc0e20e31b3acefccd27892226d224737",
-        "hard/assignments.csv": "b90c7a72465b47441b83de3f98067875e1fa0fa268a3b713b7b3bb99a6291d0b",
-        "memberships.csv": "c6db0259d83fd6f7641941c25d8da1fc07cc97820b8bdfe0b01adeaee69d03fe",
-        "series.csv": "50c8ab6c3c6569c0aba81cdf62e7fbea49fed977231c3be4b93db617ec16e547",
-        "transition.json": "c4be60126972c42c8c0c180dc3bb913b8c3116e049443c425577330c55d1de05",
+        "model.json": "9d57f7b3d6870e584b1eafa6518a4bbb5e4db36f6e130bc1a0da09ccca9545c8",
+        "soft/assignments.csv": "25f0f763c9fb994f996ac8d8f3fb0b3cd76874b2077d8040c3f8a375e4068d9b",
+        "hard/assignments.csv": "ca8539439030ab1a8ec8b288f1b1a1ce05f0f04a7350066afc3f62d5c13ddec6",
+        "memberships.csv": "0be3062ee389e256193e10126f412b17532c9a40e14ed103ffa853563b9d356f",
+        "series.csv": "8e13eec94ce5809a6c03a9dc2dbfb6c9412748d52585ef88e381325408f97551",
+        "transition.json": "7379fdd12271a596d14a3154da170ee9b893adf7dbed2ab91630ae42777719a0",
     }
 
     def test_planted_chain_bytes_are_pinned(self, runner, tmp_path):

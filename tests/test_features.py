@@ -586,6 +586,18 @@ class TestSerialization:
         assert back.dtype == np.float64
         assert back.tobytes() == np.ascontiguousarray(x.values).tobytes()
 
+    @pytest.mark.parametrize("text, message", [
+        ("node,feat_0,feat_1\n0,1.0,2.0\n1,3.0,1e400\n", "row 1, column feat_1: inf"),
+        ("node,feat_0,feat_1\n0,1.0,-2.0\n", "row 0, column feat_1: -2.0"),
+        ("node,feat_0\n0,nan\n", "character"),
+        ("node,feat_0\n0,1.0\n01,2.0\n", "row 1 has node id '01'"),
+        ("node,feat_0\n\n", "no node rows"),
+        ("node\n0\n", "header"),
+    ])
+    def test_csv_reads_only_what_the_writer_writes(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            features_from_csv(text)
+
     def test_csv_blank_line_between_rows_skipped(self):
         assert features_from_csv("node,feat_0\n0,1.0\n\n1,2.0\n").tolist() == [[1.0], [2.0]]
 

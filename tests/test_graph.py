@@ -3,9 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from rolemine import Graph, NodePartition, apply_permutation, load_edge_list, write_edge_list
+from rolemine import (
+    Graph,
+    NodePartition,
+    apply_permutation,
+    erdos_renyi,
+    load_edge_list,
+    planted_role_graph,
+    write_edge_list,
+)
 
 from strategies import edge_list_texts, graph_with_permutation, graphs, neighbor_lists, same_graph
 
@@ -42,10 +51,27 @@ class TestLoad:
         g = load_edge_list("# header\n\n% other comment\n0 1\n")
         assert g.edges.tolist() == [[0, 1]]
 
-    def test_labels_compact_by_first_appearance(self):
+    def test_labels_compact_in_ascending_order(self):
         g = load_edge_list("7 3\n3 9")
         assert g.n == 3
-        assert g.edges.tolist() == [[0, 1], [1, 2]]
+        assert g.edges.tolist() == [[0, 1], [0, 2]]
+
+    def test_labels_past_int64_load(self):
+        big = 2**64
+        g = load_edge_list(f"{big + 1} {-big}\n{big + 1} 5")
+        assert g.n == 3
+        assert g.edges.tolist() == [[0, 2], [1, 2]]
+
+    @given(graphs(max_n=8, weighted=True), st.randoms(use_true_random=False))
+    def test_line_order_and_endpoint_order_do_not_matter(self, g, rnd):
+        # each edge once: repeated weighted lines sum in line order
+        lines = write_edge_list(g).splitlines()
+        rnd.shuffle(lines)
+        for k, line in enumerate(lines):
+            u, v, *w = line.split()
+            if rnd.random() < 0.5:
+                lines[k] = " ".join([v, u, *w])
+        assert same_graph(load_edge_list("\n".join(lines)), load_edge_list(write_edge_list(g)))
 
     def test_duplicate_weighted_edges_sum(self):
         g = load_edge_list("0 1 2.0\n1 0 3.0")
@@ -157,17 +183,11 @@ class TestWrite:
     def test_endpoints_ascending_and_lf(self):
         g = load_edge_list("0 2\n2 1")
         text = write_edge_list(g)
-        assert text == "0 1\n1 2\n"
+        assert text == "0 2\n1 2\n"
 
     def test_weights_written_with_repr(self):
         g = load_edge_list("0 1 0.1")
         assert write_edge_list(g) == "0 1 0.1\n"
-
-    def test_discovery_order_example(self):
-        # sorted-by-endpoint emission would relabel this one on reload
-        g = load_edge_list("0 1\n2 3\n0 3")
-        assert write_edge_list(g) == "0 1\n2 3\n0 3\n"
-        assert same_graph(load_edge_list(write_edge_list(g)), g)
 
     def test_empty_graph_writes_empty_text(self):
         g = Graph(n=0)
@@ -176,6 +196,18 @@ class TestWrite:
     @given(edge_list_texts())
     def test_round_trip_identity_for_loaded_graphs(self, text):
         g = load_edge_list(text)
+        assert same_graph(load_edge_list(write_edge_list(g)), g)
+
+    @pytest.mark.parametrize("units", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_round_trip_identity_for_planted_graphs(self, units, seed):
+        g, _ = planted_role_graph(seed=seed, units=units)
+        assert same_graph(load_edge_list(write_edge_list(g)), g)
+
+    @given(st.integers(2, 30), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    def test_round_trip_identity_for_er_graphs_without_isolated_nodes(self, n, p, seed):
+        g = erdos_renyi(n, p, seed=seed)
+        assume(np.unique(g.edges).size == n)
         assert same_graph(load_edge_list(write_edge_list(g)), g)
 
 
