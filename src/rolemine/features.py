@@ -474,7 +474,10 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     """Run the recursive feature-learning loop.
 
     Round 0's candidates are the primitives; a later round's are every
-    operator applied to every surviving feature.
+    operator applied to every surviving feature. At threshold 1.0 a round
+    after round 1 aggregates only the survivors the previous round added,
+    unless that round had one survivor and summed pairwise: the older
+    survivors' candidates would have the same bits, all already seen.
     Every round prunes its candidates against the survivors the same way.
     The loop stops, and the result's stopped says why, at the first of: a
     round that leaves the survivors as they were ("fixed-point"); a round
@@ -513,6 +516,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     next_id = 0
     sizes = []
     stopped = "maxiter"
+    start = 0  # survivors below start gave their candidates last round
 
     for iteration in range(config.maxiter + 1):
         f = len(descriptors)
@@ -524,7 +528,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
             # lazy: each block reads rows, which must not change until all are made
             blocks = (
                 _candidate_block(g, groups, rows, lo, lo + width, ops, p)
-                for lo in range(0, f if ops else 0, width)
+                for lo in range(start, f if ops else 0, width)
             )
 
             def describe(i: int) -> FeatureDescriptor:
@@ -555,6 +559,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
             rows, descriptors = rows[idx], [descriptors[j] for j in idx]
             seen = {b.tobytes() for b in bins[idx]}
         next_id += count
+        start = f if config.threshold == 1.0 and f > 1 else 0
         sizes.append(len(descriptors))
         changed = [d.id for d in descriptors] != prior_ids
         if not changed or _spans_nodes(rows):
@@ -571,9 +576,9 @@ def recompute(g: Graph, descriptors) -> FeatureMatrix:
     rejected).
 
     Values equal learn_features' bit for bit: a composite of iteration t
-    was aggregated inside a block of every descriptor with an earlier
-    iteration, which sums in sequence when that block has more than one
-    column, so its base is summed the same way here.
+    was made in round t, whose survivors were the descriptors with an
+    earlier iteration, and that round sums in sequence when it has more
+    than one survivor, so its base is summed the same way here.
     """
     descriptors = tuple(descriptors)
     iterations = np.sort([d.iteration for d in descriptors])

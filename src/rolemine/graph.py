@@ -30,8 +30,8 @@ class Graph:
     sorted ascending. ``weights`` is None (unweighted) or a float array
     aligned with ``edges``. The constructor takes any (m, 2) integer
     array-like and positive finite weights, one per row; it orients the rows
-    u < v, sorts them and merges repeated rows, summing their weights. Both
-    arrays are read-only. Graphs compare by identity.
+    u < v, sorts them and merges repeated rows, summing their weights in
+    ascending order. Both arrays are read-only. Graphs compare by identity.
     """
 
     n: int
@@ -69,8 +69,9 @@ class Graph:
         keys, inverse = np.unique(e[:, 0] * n + e[:, 1], return_inverse=True)
         edges = np.stack([keys // n, keys % n], axis=1)
         if w is not None:
-            # repeated rows sum in row order, from 0.0
-            w = np.bincount(inverse, weights=w, minlength=keys.size)
+            # repeated rows sum in ascending weight order, so row order never reaches the bits
+            order = np.lexsort((w, inverse))
+            w = np.bincount(inverse[order], weights=w[order], minlength=keys.size)
             w.flags.writeable = False
         edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)

@@ -737,6 +737,7 @@ STREAM_CONFIGS = [
     FeatureLearnConfig(operators=("mean", "sum", "max", "min"), maxiter=3),
     FeatureLearnConfig(operators=("sum", "mode"), bin_fraction=0.3, maxiter=3),
     FeatureLearnConfig(threshold=0.75, maxiter=3),
+    FeatureLearnConfig(primitives=("weighted-degree",), maxiter=4),
 ]
 
 
@@ -763,6 +764,39 @@ class TestStreamedRound:
         got = learn_features(g, config)
         assert_same_learn(got, want)
         assert learned_digest(got) == digest
+
+    def test_round_after_a_lone_survivor_aggregates_it_again(self):
+        # a lone survivor sums pairwise and the next round in sequence; on the
+        # hub's nine neighbours the two sums differ in the last bit, which
+        # moves a bin, so that round gives sum(weighted-degree) once more
+        w = [0.1] * 5 + [0.3] * 4
+        g = Graph(n=12, edges=[(0, j) for j in range(1, 10)] + [(10, 11)], weights=w + [1.7])
+        config = FeatureLearnConfig(primitives=("weighted-degree",), maxiter=3)
+        got = learn_features(g, config)
+        assert_same_learn(got, all_at_once_learn(g, config))
+        assert [(d.base, d.iteration) for d in got.descriptors[1:]] == [(0, 1), (0, 2)]
+
+    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    def test_a_round_aggregates_only_what_it_must(self, monkeypatch, lam):
+        # at lambda = 1 a round aggregates only the survivors the previous
+        # round added, whose sizes telescope to the last round's input;
+        # below it a prune resets seen, so every survivor goes through
+        calls = []
+        aggregate = features_module._aggregate_slots
+
+        def counted(n, groups, rows, ops, in_sequence):
+            calls.append((len(rows), ops))
+            return aggregate(n, groups, rows, ops, in_sequence)
+
+        monkeypatch.setattr(features_module, "_aggregate_slots", counted)
+        config = FeatureLearnConfig() if lam == 1.0 else FeatureLearnConfig(threshold=lam, maxiter=6)
+        x = learn_features(erdos_renyi(400, 8 / 399, seed=1), config)
+        # the weighted-degree primitive is one more call, with ("sum",) alone
+        rows = sum(k for k, ops in calls if ops == config.operators)
+        if lam == 1.0:
+            assert rows == x.iteration_sizes[-2] == 496
+        else:
+            assert rows == sum(x.iteration_sizes[:-1])
 
     @pytest.mark.parametrize("make", [
         lambda: planted_role_graph(seed=1, units=30)[0],

@@ -62,21 +62,32 @@ class TestLoad:
         assert g.n == 3
         assert g.edges.tolist() == [[0, 2], [1, 2]]
 
-    @given(graphs(max_n=8, weighted=True), st.randoms(use_true_random=False))
-    def test_line_order_and_endpoint_order_do_not_matter(self, g, rnd):
-        # each edge once: repeated weighted lines sum in line order
+    @given(
+        graphs(max_n=8, weighted=True),
+        st.lists(st.tuples(st.integers(0, 99), st.floats(0.125, 8.0)), max_size=12),
+        st.randoms(use_true_random=False),
+    )
+    def test_line_order_and_endpoint_order_do_not_matter(self, g, repeats, rnd):
+        # repeated weighted lines too: each edge's weights sum in one order
         lines = write_edge_list(g).splitlines()
+        if lines:
+            lines += [f"{lines[k % len(lines)].rsplit(' ', 1)[0]} {w!r}" for k, w in repeats]
+        want = load_edge_list("\n".join(lines))
         rnd.shuffle(lines)
         for k, line in enumerate(lines):
             u, v, *w = line.split()
             if rnd.random() < 0.5:
                 lines[k] = " ".join([v, u, *w])
-        assert same_graph(load_edge_list("\n".join(lines)), load_edge_list(write_edge_list(g)))
+        assert same_graph(load_edge_list("\n".join(lines)), want)
 
     def test_duplicate_weighted_edges_sum(self):
         g = load_edge_list("0 1 2.0\n1 0 3.0")
         assert g.edges.tolist() == [[0, 1]]
         assert g.weights.tolist() == [5.0]
+        # in ascending order: in line order the first text gave
+        # 0.6000000000000001 and the second 0.6
+        for text in ["0 1 0.1\n0 1 0.2\n0 1 0.3", "1 0 0.3\n0 1 0.2\n1 0 0.1"]:
+            assert load_edge_list(text).weights.tolist() == [0.1 + 0.2 + 0.3]
 
     def test_weightless_lines_default_to_one_in_weighted_graph(self):
         g = load_edge_list("0 1 2.5\n1 2")
