@@ -278,7 +278,8 @@ _COMMANDS = {
         _run_oracle, "Exact node-equivalence classes: EDGELIST -> classes.json (+ stdout).",
         ("EDGELIST",),
         (_option("--kind", type=click.Choice(list(_ORACLES)), default="structural",
-                 help="Equivalence relation to compute."),),
+                 help="Equivalence relation to compute; regular splits isolated nodes "
+                 "from the rest, so it is one class for any edge list."),),
     ),
 }
 

@@ -7,121 +7,98 @@ by smallest member).
 
 from __future__ import annotations
 
+import numpy as np
+
+from .features import _byte_rows, _degree_groups
 from .graph import Graph, NodePartition
 
 AUTOMORPHISM_NODE_LIMIT = 10
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _neighbor_rows(g: Graph) -> list[list[int]]:
-    """The neighbors of each node, ascending."""
-    ptr, idx = g.csr.indptr.tolist(), g.csr.indices.tolist()
-    return [idx[a:b] for a, b in zip(ptr, ptr[1:])]
+def _row_classes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """A label per node, equal iff the nodes' ascending CSR rows are equal:
+    a byte-row group-by within each degree bucket. Empty rows get label 0,
+    and every label is below len(indptr)."""
+    labels = np.zeros(len(indptr) - 1, dtype=np.int64)
+    top = 1
+    for nodes, rows in _degree_groups(indptr, indices):
+        labels[nodes] = top + np.unique(_byte_rows(rows), return_inverse=True)[1]
+        top += len(nodes)
+    return labels
 
 
 def structural_classes(g: Graph, variant: str = "strict") -> NodePartition:
     """Group nodes by neighbor sets.
 
-    strict: u ~ v iff N(u) = N(v). weak: u ~ v iff N(u)\\{v} = N(v)\\{u}.
+    strict: u ~ v iff N(u) = N(v). weak: u ~ v iff N(u)\\{v} = N(v)\\{u},
+    so v is an open twin of u (N(u) = N(v), not adjacent) or a closed twin
+    (N(u)|{u} = N(v)|{v}, adjacent). No node has both: with open twin v and
+    closed twin w, w is in N(u) = N(v), so v is in N(w)|{w} = N(u)|{u},
+    making u and v adjacent. So a node keeps its strict class when it
+    shares it, and otherwise takes its class of closed neighborhoods.
     """
     if variant not in ("strict", "weak"):
         raise ValueError(f"unknown variant {variant!r}")
-    if g.n == 0:
-        return NodePartition((), 0)
-    rows = _neighbor_rows(g)
-    nbrs = [tuple(row) for row in rows]
-    if variant == "strict":
-        return NodePartition.from_labels(nbrs)
-    # Weak pairs match on N(u) when non-adjacent or on N(u)|{u} when
-    # adjacent. Chains mixing the two keys would force a self-loop, so
-    # merging both groupings reproduces exactly the pairwise relation.
-    uf = _UnionFind(g.n)
-    for key in (nbrs, [tuple(sorted(row + [u])) for u, row in enumerate(rows)]):
-        first: dict[tuple, int] = {}
-        for u in range(g.n):
-            anchor = first.setdefault(key[u], u)
-            uf.union(anchor, u)
-    return NodePartition.from_labels([uf.find(u) for u in range(g.n)])
+    indptr, indices = g.csr[:2]
+    labels = _row_classes(indptr, indices)
+    if variant == "weak":
+        # each row with its own node inserted in order
+        nodes = np.arange(g.n)
+        rows = np.concatenate([np.repeat(nodes, np.diff(indptr)), nodes])
+        cols = np.concatenate([indices, nodes])
+        closed = _row_classes(indptr + np.arange(g.n + 1), cols[np.lexsort((cols, rows))])
+        shared = np.bincount(labels)[labels] > 1
+        labels = np.where(shared, labels, g.n + 1 + closed)
+    return NodePartition.from_labels(labels.tolist())
 
 
 def automorphic_orbits(g: Graph) -> NodePartition:
     """Orbits of the automorphism group, by brute-force search (n <= 10).
 
-    For each unmerged pair (u, v) a backtracking search over
-    degree-compatible partial maps looks for one automorphism sending u to v;
-    a found map merges all its (w, image(w)) pairs at once.
+    Each node v joins the orbit of the first smaller node u, among those
+    that head their orbits, for which a backtracking search over
+    degree-compatible partial maps finds an automorphism sending u to v.
     """
     n = g.n
     if n > AUTOMORPHISM_NODE_LIMIT:
         raise ValueError(f"automorphic_orbits is oracle-scale only (n <= {AUTOMORPHISM_NODE_LIMIT})")
-    if n == 0:
-        return NodePartition((), 0)
+    indptr, indices = g.csr[:2]
+    degree = np.diff(indptr)
+    dense = np.zeros((n, n), dtype=bool)
+    dense[np.repeat(np.arange(n), degree), indices] = True
+    adj, degree = dense.tolist(), degree.tolist()
 
-    adj = [set(row) for row in _neighbor_rows(g)]
-    degree = [len(a) for a in adj]
-
-    def find_automorphism(src: int, dst: int) -> list[int] | None:
-        image = [-1] * n
-        used = [False] * n
+    def maps(src: int, dst: int) -> bool:
+        image: list[int] = []  # the images of nodes 0..k-1
 
         def extend(k: int) -> bool:
             if k == n:
                 return True
-            candidates = (dst,) if k == src else range(n)
-            for v in candidates:
-                if used[v] or degree[v] != degree[k]:
-                    continue
-                if any((k in adj[j]) != (v in adj[image[j]]) for j in range(k)):
-                    continue
-                image[k] = v
-                used[v] = True
-                if extend(k + 1):
-                    return True
-                image[k] = -1
-                used[v] = False
+            for v in (dst,) if k == src else range(n):
+                if v not in image and degree[v] == degree[k] and all(
+                    adj[k][j] == adj[v][image[j]] for j in range(k)
+                ):
+                    image.append(v)
+                    if extend(k + 1):
+                        return True
+                    image.pop()
             return False
 
-        return image if extend(0) else None
+        return extend(0)
 
-    uf = _UnionFind(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if degree[u] != degree[v] or uf.find(u) == uf.find(v):
-                continue
-            image = find_automorphism(u, v)
-            if image is not None:
-                for w, iw in enumerate(image):
-                    uf.union(w, iw)
-    return NodePartition.from_labels([uf.find(u) for u in range(g.n)])
+    head = list(range(n))
+    for v in range(n):
+        head[v] = next((u for u in range(v) if head[u] == u and degree[u] == degree[v]
+                        and maps(u, v)), v)
+    return NodePartition.from_labels(head)
 
 
 def regular_refinement(g: Graph) -> NodePartition:
-    """Coarsest regular-consistent partition: starting from one class,
-    repeatedly splits classes whose members see different sets of neighbor
-    class labels, simultaneously over all classes, until a fixed point.
+    """Coarsest regular partition, the fixed point of splitting classes
+    whose members see different sets of neighbor classes: isolated nodes
+    and the rest. From one class, the first split separates the nodes that
+    see no class from those that see it. After that, every neighbor of a
+    non-isolated node is non-isolated, so each of them sees exactly that
+    class and the split is final.
     """
-    if g.n == 0:
-        return NodePartition((), 0)
-    labels = [0] * g.n
-    rows = _neighbor_rows(g)
-    while True:
-        sigs = [(labels[u], frozenset(labels[v] for v in rows[u])) for u in range(g.n)]
-        refined = NodePartition.from_labels(sigs)
-        if list(refined.assignment) == labels:
-            return refined
-        labels = list(refined.assignment)
+    return NodePartition.from_labels((np.diff(g.csr.indptr) > 0).tolist())

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivalences import _UnionFind
 from .graph import Graph
 
 PRIMITIVE_KINDS = DEFAULT_PRIMITIVES = (
@@ -373,6 +372,21 @@ def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
             # a row past its last bin sits at its maximum and gains nothing
             out += block > ranked[lanes, top][:, None]
     return bins
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def _agreement_roots(bins: np.ndarray, lam: float) -> list[int]:

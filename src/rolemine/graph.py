@@ -109,12 +109,8 @@ class NodePartition:
     def from_labels(cls, labels: Sequence) -> "NodePartition":
         """Canonicalize arbitrary hashable labels: classes are numbered in
         order of their smallest member."""
-        first_member: dict = {}
-        for u, lab in enumerate(labels):
-            first_member.setdefault(lab, u)
-        order = sorted(first_member, key=first_member.get)
-        remap = {lab: i for i, lab in enumerate(order)}
-        return cls(tuple(remap[lab] for lab in labels), len(order))
+        remap = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}  # first-seen order
+        return cls(tuple(remap[lab] for lab in labels), len(remap))
 
     @property
     def classes(self) -> tuple[tuple[int, ...], ...]:
@@ -145,12 +141,16 @@ def load_edge_list(source: str) -> Graph:
     Duplicate edges collapse; when any line carries a weight the graph is
     weighted and duplicates sum (weightless lines count 1.0).
 
+    A label is an optional '-' then ASCII digits, and a weight holds no '_'.
     Raises ValueError naming the offending line for self-loops, non-positive
     or non-finite weights, and malformed tokens.
     """
     ends: list[int] = []
     weights: list[float] = []
     any_weighted = False
+    # int and float also read '+', '_' and non-ASCII digits ('1_0' is 10), so a
+    # text holding one checks each token; '?' for '_' makes float refuse it
+    strict = not source.isascii() or "_" in source or "+" in source
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
@@ -159,15 +159,17 @@ def load_edge_list(source: str) -> Graph:
         if len(tokens) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', got {len(tokens)} columns")
         try:
+            if strict and not all(t.isascii() and t.lstrip("-").isdigit() for t in tokens[:2]):
+                raise ValueError
             a, b = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer node id") from None
+            raise ValueError(f"line {lineno}: a node id is an optional '-' and ASCII digits") from None
         if a == b:
             raise ValueError(f"line {lineno}: self-loop at node {a}")
         w = 1.0
         if len(tokens) == 3:
             try:
-                w = float(tokens[2])
+                w = float(tokens[2].replace("_", "?") if strict else tokens[2])
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed weight {tokens[2]!r}") from None
             if not (w > 0 and math.isfinite(w)):

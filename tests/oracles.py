@@ -1,12 +1,18 @@
 """Independent references for learn_features, shared by the unit and
-acceptance suites: the all-at-once round, its prune below lambda = 1 and the
-rank rule written out."""
+acceptance suites: the all-at-once round, its prune below lambda = 1, the
+rank rule written out and the equitable partition its rows are constant on."""
 
 import itertools
 
 import numpy as np
 
-from rolemine import FeatureDescriptor, FeatureLearnConfig, FeatureMatrix, compute_primitive
+from rolemine import (
+    DEFAULT_PRIMITIVES,
+    FeatureDescriptor,
+    FeatureLearnConfig,
+    FeatureMatrix,
+    compute_primitive,
+)
 from rolemine import features as features_module
 from rolemine.features import _aggregate_slots, _degree_groups, log_bin_rows
 
@@ -15,6 +21,24 @@ def aggregate_rows(g, rows, ops, in_sequence):
     """Every op of the library kernel over each node's neighbors, for every
     feature row of rows (f x n); ops are not checked."""
     return _aggregate_slots(g.n, _degree_groups(*g.csr[:2]), rows, ops, in_sequence)
+
+
+def equitable_partition(g):
+    """Colour refinement from the default primitives' rows: each round
+    splits nodes by their class and their count of neighbors in each class,
+    until no class splits. The result Q is the coarsest equitable partition
+    that refines the primitives' rows. Returns a class id per node."""
+    rows = np.column_stack([compute_primitive(g, kind) for kind in DEFAULT_PRIMITIVES])
+    labels = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+    src, dst = np.concatenate([g.edges, g.edges[:, ::-1]]).T
+    while True:
+        counts = np.zeros((g.n, labels.max() + 1), dtype=np.int64)
+        np.add.at(counts, (src, labels[dst]), 1)
+        keys = np.column_stack([labels, counts])
+        refined = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+        if refined.max() == labels.max():
+            return refined
+        labels = refined
 
 
 def normalized_singular_values(columns):

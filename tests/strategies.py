@@ -16,6 +16,18 @@ def same_graph(a, b):
     )
 
 
+def rewire(g, fraction, rng):
+    """Replace a fraction of the edges of g with random node pairs."""
+    m = len(g.edges)
+    kept = np.delete(g.edges, rng.choice(m, size=int(m * fraction), replace=False), axis=0)
+    edges = set(map(tuple, kept.tolist()))
+    while len(edges) < m:
+        u, v = sorted(int(a) for a in rng.integers(g.n, size=2))
+        if u != v:
+            edges.add((u, v))
+    return Graph(n=g.n, edges=sorted(edges))
+
+
 def neighbor_lists(g):
     """Direction-free adjacent nodes per node, ascending, one edge at a time."""
     adj = [set() for _ in range(g.n)]

@@ -18,6 +18,7 @@ import numpy as np
 import rolemine
 from rolemine import (
     FeatureLearnConfig,
+    NodePartition,
     apply_permutation,
     automorphic_orbits,
     erdos_renyi,
@@ -36,7 +37,13 @@ from rolemine import (
 )
 from rolemine.features import log_bin_rows
 
-from oracles import all_at_once_learn, normalized_singular_values, truncated_at_full_rank
+from oracles import (
+    all_at_once_learn,
+    equitable_partition,
+    normalized_singular_values,
+    truncated_at_full_rank,
+)
+from strategies import rewire
 
 
 def _report(capsys, num, name, ok, details):
@@ -482,4 +489,40 @@ def test_criterion_15_line_order_keeps_node_identity(capsys, tmp_path):
         capsys, 15, "shuffled edge lines give the identity transition",
         max(errs) <= 1e-4,
         f"max|T-I| per seed 1-5: {', '.join(f'{e:.2e}' for e in errs)} (need <= 1e-4), {dt:.1f}s",
+    )
+
+
+def test_criterion_16_learned_rows_constant_on_the_equitable_partition(capsys):
+    # Q is grown by colour refinement from the default primitives' rows;
+    # every learned feature is a primitive or an aggregate over neighbors,
+    # so each is constant on Q's classes, bit for bit
+    t0 = time.perf_counter()
+    cases = [("planted units 200", planted_role_graph(seed=1, units=200)[0], FeatureLearnConfig())]
+    for fraction in (0.01, 0.05):
+        for seed in range(1, 11):
+            g, _ = planted_role_graph(seed=seed, units=30)
+            cases.append((f"units 30 {fraction:.0%} seed {seed}",
+                          rewire(g, fraction, np.random.default_rng(seed)),
+                          FeatureLearnConfig(maxiter=6)))
+    for n in (400, 1000):
+        cases.append((f"ER({n})", erdos_renyi(n, 8 / (n - 1), seed=1), FeatureLearnConfig()))
+    split, counts = [], []
+    for name, g, config in cases:
+        q = equitable_partition(g)
+        x = learn_features(g, config).values
+        distinct = len({row.tobytes() for row in x})
+        if len({(c, row.tobytes()) for c, row in zip(q.tolist(), x)}) != q.max() + 1:
+            split.append(name)
+        counts.append(f"{name} {q.max() + 1}/{distinct}")
+    coarse = sum(
+        not automorphic_orbits(g).refines(NodePartition.from_labels(equitable_partition(g).tolist()))
+        for g in _small_graph_corpus()
+    )
+    dt = time.perf_counter() - t0
+    _report(
+        capsys, 16, "learned rows are constant on the equitable partition Q",
+        not split and coarse == 0,
+        f"classes of Q split by learned rows on {len(split)} of {len(cases)} graphs {split}; "
+        f"orbits refine Q on {200 - coarse}/200 criterion-02 graphs; "
+        f"q/distinct learned rows: {'; '.join(counts)}; {dt:.1f}s",
     )

@@ -393,6 +393,32 @@ class TestOracle:
         result = runner.invoke(main, ["oracle", str(graph), "--kind", "exotic"])
         assert result.exit_code == 2
 
+    # sha256 of classes.json per graph and --kind, recorded before the
+    # oracles were rewritten over the CSR arrays. "twins" has open twins
+    # (1, 2), closed twins (4, 5) and the path 6-7-8-9, whose orbits
+    # (6, 9) and (7, 8) are no twin class
+    TWINS_TEXT = "0 1\n0 2\n0 3\n3 4\n3 5\n4 5\n6 7\n7 8\n8 9\n"
+    PINNED = {
+        ("planted", "structural"): "eba857229cf7d130b5f27e3690b3d7ba26a7730505024e2f9557f7eeab3991b0",
+        ("planted", "structural-weak"): "eba857229cf7d130b5f27e3690b3d7ba26a7730505024e2f9557f7eeab3991b0",
+        ("planted", "regular"): "5c1f45f033a8dee18078f36acaf74298c64a20d2a7a2cc337916b3cc86d388b6",
+        ("twins", "structural"): "8e5d9c15eadd3346bad34f52ce1dbe7818c5fdbd3ec8808b5ce0fed7055943ec",
+        ("twins", "structural-weak"): "b89f2b7068e185a310dd6cd0a5b22a8bae47cd02e43146abffa06bdbf6ac8388",
+        ("twins", "automorphic"): "7bef6829d643756d64d837f83c3a0e38ca4f19e190e0823dc20e6d0be36082b4",
+        ("twins", "regular"): "24da35409614436946d87393a19124e50ac82ecde2e6f9671cb1de3a58350924",
+    }
+
+    def test_classes_bytes_are_pinned(self, runner, tmp_path):
+        g, _ = planted_role_graph(seed=1, units=4)
+        (tmp_path / "planted.txt").write_text(write_edge_list(g))
+        (tmp_path / "twins.txt").write_text(self.TWINS_TEXT)
+        for (graph, kind), digest in self.PINNED.items():
+            out = tmp_path / f"{graph}-{kind}"
+            invoke_ok(runner, ["oracle", str(tmp_path / f"{graph}.txt"), "--kind", kind,
+                               "--output-dir", str(out)])
+            assert hashlib.sha256((out / "classes.json").read_bytes()).hexdigest() == digest, (
+                graph, kind)
+
 
 class TestTransferAndDynamic:
     def fit_chain(self, runner, tmp_path):

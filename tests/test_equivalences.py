@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -46,6 +47,20 @@ def exhaustive_orbits(g):
     return NodePartition.from_labels([find(u) for u in range(g.n)])
 
 
+def regular_fixed_point(g):
+    """The refinement loop regular_refinement replaced, kept as its
+    reference: from one class, split classes by the set of neighbor classes
+    their members see, until no class splits."""
+    nbrs = neighbor_lists(g)
+    labels = [0] * g.n
+    while True:
+        sigs = [(labels[u], frozenset(labels[v] for v in nbrs[u])) for u in range(g.n)]
+        refined = list(NodePartition.from_labels(sigs).assignment)
+        if refined == labels:
+            return NodePartition.from_labels(labels)
+        labels = refined
+
+
 class TestStructural:
     def test_star_leaves_share_class(self):
         assert structural_classes(S3).classes == ((0,), (1, 2, 3))
@@ -78,6 +93,30 @@ class TestStructural:
             base = set(nbrs[cls[0]])
             for u in cls[1:]:
                 assert set(nbrs[u]) == base
+
+
+    def test_closed_twin_labels_stay_apart_from_open_ones(self):
+        # node 2 has no twin; its closed-neighborhood class must not take
+        # the label of the open-twin class {0, 5}
+        g = Graph(n=8, edges=[(0, 1), (0, 6), (1, 4), (1, 5), (1, 7), (2, 6), (5, 6)])
+        assert structural_classes(g, variant="weak").classes == (
+            (0, 5), (1,), (2,), (3,), (4, 7), (6,))
+
+    def test_both_variants_match_the_pairwise_relations(self):
+        # seeded G(n, p) with n <= 9 and isolated nodes allowed: u and v share
+        # a strict class iff N(u) = N(v), a weak one iff N(u)\{v} = N(v)\{u}
+        rng = np.random.default_rng(27)
+        for _ in range(2000):
+            n = int(rng.integers(1, 10))
+            upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+            g = Graph(n=n, edges=np.argwhere(upper))
+            nbrs = [set(row) for row in neighbor_lists(g)]
+            strict = structural_classes(g, variant="strict").assignment
+            weak = structural_classes(g, variant="weak").assignment
+            for u, v in itertools.combinations(range(n), 2):
+                assert (strict[u] == strict[v]) == (nbrs[u] == nbrs[v]), (g.edges.tolist(), u, v)
+                assert (weak[u] == weak[v]) == (nbrs[u] - {v} == nbrs[v] - {u}), (
+                    g.edges.tolist(), u, v)
 
 
 class TestAutomorphic:
@@ -115,6 +154,10 @@ class TestRegular:
     def test_isolated_node_splits_from_single_class(self):
         g = Graph(n=3, edges=[(1, 2)])
         assert regular_refinement(g).classes == ((0,), (1, 2))
+
+    @given(graphs(max_n=7))
+    def test_matches_the_refinement_loop(self, g):
+        assert regular_refinement(g) == regular_fixed_point(g)
 
     @given(graphs(max_n=7))
     def test_idempotent(self, g):

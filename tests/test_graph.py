@@ -100,6 +100,23 @@ class TestLoad:
         with pytest.raises(ValueError, match="line 1"):
             load_edge_list("0 1 2 3")
 
+    @pytest.mark.parametrize("text", [
+        "0 1\n1_0 2\n10 3\n", "0 1\n٣ 1\n3 2\n", "0 1\n+1 2\n", "0 1\n1 -\n", "0 1\n2 1²\n",
+    ])
+    def test_label_is_an_optional_minus_then_ascii_digits(self, text):
+        # int() reads each of these, so '1_0' would merge with '10' and the
+        # Arabic-Indic digit three with '3'
+        with pytest.raises(ValueError, match="line 2: a node id is an optional"):
+            load_edge_list(text)
+
+    def test_weight_with_underscore_rejected(self):
+        with pytest.raises(ValueError, match="line 2: malformed weight '1_0.5'"):
+            load_edge_list("0 1 2.0\n1 2 1_0.5\n")
+
+    def test_comments_may_hold_any_text(self):
+        g = load_edge_list("# naïve_labels +\n% café\n-3 4 +2.5\n4 0007\n")
+        assert (g.n, g.edges.tolist(), g.weights.tolist()) == (3, [[0, 1], [1, 2]], [2.5, 1.0])
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             load_edge_list("0 1 0.0")

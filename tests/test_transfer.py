@@ -24,7 +24,7 @@ from rolemine import (
 
 from rolemine import transfer as transfer_module
 
-from strategies import graph_with_permutation
+from strategies import graph_with_permutation, rewire
 
 
 def trained_model(g, maxiter=500, tol=1e-6):
@@ -266,18 +266,6 @@ class TestNnlsReport:
         assert report.steps >= 1
 
 
-def _rewire(g, fraction, rng):
-    """Replace a fraction of the edges of g with random node pairs."""
-    m = len(g.edges)
-    kept = np.delete(g.edges, rng.choice(m, size=int(m * fraction), replace=False), axis=0)
-    edges = set(map(tuple, kept.tolist()))
-    while len(edges) < m:
-        u, v = sorted(int(a) for a in rng.integers(g.n, size=2))
-        if u != v:
-            edges.add((u, v))
-    return Graph(n=g.n, edges=sorted(edges))
-
-
 class TestDynamicAtScale:
     def test_rank_16_series_rows_are_exact(self):
         # the shape of perfbench's er-dynamic: a rank-16 model on G(150, mean
@@ -289,7 +277,7 @@ class TestDynamicAtScale:
         rng = np.random.default_rng(7)
         snaps = [erdos_renyi(150, 8 / 149, seed=7)]
         for _ in range(3):
-            snaps.append(_rewire(snaps[-1], 0.05, rng))
+            snaps.append(rewire(snaps[-1], 0.05, rng))
         x = learn_features(snaps[0], FeatureLearnConfig(maxiter=3))
         model = select_rank(x.values, rank=16, descriptors=x.descriptors)
         worst = 0.0
