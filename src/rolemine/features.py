@@ -4,8 +4,12 @@ Primitives (degree, wedge, triangle, egonet, core) seed the feature set;
 neighbor-aggregation operators grow it one round at a time. Every new column
 is vertically log-binned once, when it is made. A column survives unless
 its bin vector equals that of an earlier column (a group-by on the bin
-bytes); below the default agreement threshold of 1.0 the components of the
->= lambda agreement graph over what is left then keep their earliest member.
+bytes) or it lies in the span of the survivors, all that the role
+factorization can use, so f <= n; below the default agreement threshold of
+1.0 the components of the >= lambda agreement graph over what is left then
+keep their earliest member. Sum and mean are linear, so a dropped column's
+descendants lie in the span of the survivors' own, which only the bin
+group-by can lose; under max, min and mode, not linear, they could add rank.
 Descriptors record how to rebuild every surviving column on any other graph.
 
 A round streams its candidates: survivor columns go through in blocks, and
@@ -14,12 +18,8 @@ checked against the bin vectors already seen, so only the columns that may
 survive outlive their block. The stash is resolved in candidate-id order, so
 the group-by keeps the same columns as a prune over the whole round. The
 survivors grow in place, one feature per row, and the returned matrix is a
-view of them; a round holds the survivors, one candidate block and the kept
-columns, not the whole candidate set.
-
-Growth also stops once a round's survivors have numerical rank n, the node
-count: every later candidate is then a linear combination of them, which a
-low-rank factorization of the features cannot use.
+view of them; a round holds the survivors, a basis of their span, one
+candidate block and the kept columns, not the whole candidate set.
 
 Everything runs on the graph's CSR arrays. Aggregations sort each node's
 neighbor values once and every operator, mode included, reduces them sorted,
@@ -146,6 +146,9 @@ class FeatureLearnConfig:
 # Elements in one temporary block of binning or aggregation, and in one
 # block of a round's candidates; bounds memory.
 _BLOCK_ELEMENTS = 1 << 17
+
+_SPAN_TOL = 1e-12  # a residual at most this share of a candidate's norm lies in the span
+_SPAN_BLOCK = 64  # candidates projected together
 
 
 def _check_fraction(p: float) -> None:
@@ -415,16 +418,31 @@ def _required_ancestors(descriptors_by_id: dict[int, FeatureDescriptor], kept: s
     return needed
 
 
-def _spans_nodes(rows: np.ndarray) -> bool:
-    """Whether the survivors (one feature per row, f x n) have numerical rank
-    n >= 1: the singular values of the column-max-normalized features
-    against np.linalg.matrix_rank's default tolerance, sigma_1 max(n, f) eps.
-    Run only when f >= n, as fewer features cannot reach rank n."""
-    f, n = rows.shape
-    if n == 0 or f < n:
-        return False
-    top = rows.max(axis=1, keepdims=True)
-    return np.linalg.matrix_rank(rows / np.where(top > 0, top, 1.0)) == n
+def _extend_basis(basis: np.ndarray, rows) -> list[int]:
+    """Grow basis (k x n, orthonormal rows, owning its buffer) in place by the
+    rows outside its span, in order, and return their positions: a row scaled
+    to maximum 1 is kept iff its residual exceeds _SPAN_TOL of its norm. Each
+    block is projected twice (CGS2) by GEMMs, then row by row onto its kept rows."""
+    kept: list[int] = []
+    for lo in range(0, len(rows), _SPAN_BLOCK):
+        v = np.array(rows[lo : lo + _SPAN_BLOCK], dtype=float)
+        v /= np.maximum(v.max(axis=1, initial=0.0, keepdims=True), np.finfo(float).tiny)
+        limit = _SPAN_TOL * np.linalg.norm(v, axis=1)
+        for _ in range(2):
+            v -= (v @ basis.T) @ basis
+        m = 0  # v[:m] holds the block's kept rows, orthonormal
+        for j, w in enumerate(v):
+            for _ in range(2):
+                w -= (v[:m] @ w) @ v[:m]
+            norm = np.linalg.norm(w)
+            if norm > limit[j]:
+                v[m] = w / norm
+                m += 1
+                kept.append(lo + j)
+        v[:m] -= (v[:m] @ basis.T) @ basis  # the row steps mix some basis back in
+        basis.resize((len(basis) + m, basis.shape[1]), refcheck=False)
+        basis[len(basis) - m :] = v[:m]
+    return kept
 
 
 def _check_config(config: FeatureLearnConfig) -> None:
@@ -470,16 +488,11 @@ def _unseen_candidates(blocks, seen: set[bytes]):
     """
     stash: dict[bytes, tuple[int, np.ndarray]] = {}
     for index, cand, bins in blocks:
-        picked: dict[bytes, tuple[int, int]] = {}  # a block runs in index order
         for pos, (i, b) in enumerate(zip(index.tolist(), bins)):
             key = b.tobytes()
-            if key in seen or key in picked or (key in stash and stash[key][0] < i):
-                continue
-            picked[key] = (i, pos)
-        kept = cand[[pos for _, pos in picked.values()]]  # a copy, so cand can go
-        for r, (key, (i, _)) in enumerate(picked.items()):
-            stash[key] = (i, kept[r])
-        del cand, bins, kept  # before the next block is made
+            if key not in seen and (key not in stash or stash[key][0] > i):
+                stash[key] = (i, cand[pos].copy())  # one buffer per row, so cand can go
+        del cand, bins  # before the next block is made
     seen.update(stash)
     return sorted(stash.values(), key=lambda entry: entry[0])
 
@@ -492,26 +505,21 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     after round 1 aggregates only the survivors the previous round added,
     unless that round had one survivor and summed pairwise: the older
     survivors' candidates would have the same bits, all already seen.
-    Every round prunes its candidates against the survivors the same way.
     The loop stops, and the result's stopped says why, at the first of: a
     round that leaves the survivors as they were ("fixed-point"); a round
-    whose f >= n survivors have numerical rank n ("rank"; see _spans_nodes),
-    past which every candidate is a linear combination of them; or the
-    maxiter cap on the rounds after round 0 ("maxiter"). The rank stop only
-    truncates: the result is the uncapped run's first rounds, bit for bit.
+    that brings them to n ("rank"), when they span every later candidate;
+    or the maxiter cap on the rounds after round 0 ("maxiter").
 
-    Every column is binned once, when it is made. A column survives unless
-    its bin vector equals that of an earlier column; the candidates stream
-    through in survivor blocks and only the unseen ones are kept until the
-    round ends. Below threshold 1.0 the components of the >= threshold
-    agreement graph over the survivors and those unseen candidates then
-    keep their earliest member; a pruned old feature could orphan the
-    recipe of a surviving composite, so such ancestors are re-protected
-    after each prune and every returned descriptor list stays evaluable via
-    recompute.
-
-    The returned values are column-major: each feature's column is
-    contiguous, as the survivors are grown in place.
+    The candidates stream through in survivor blocks; those with unseen bin
+    vectors are kept to the round's end, then, in candidate-id order, only
+    outside the survivors' span (_extend_basis) or as a zero first survivor.
+    Below threshold 1.0 the components of the >= threshold agreement graph
+    over the survivors then keep their earliest member, and the basis is
+    rebuilt from them; a pruned old feature could orphan the recipe of a
+    surviving composite, so such ancestors are re-protected after each
+    prune and every returned descriptor list stays evaluable via recompute.
+    The returned values are column-major, each feature's column contiguous,
+    as the survivors are grown in place.
     """
     _check_config(config)
     cache: dict = {}
@@ -525,6 +533,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     # survivor rows per candidate block: a block holds about _BLOCK_ELEMENTS
     width = max(1, _BLOCK_ELEMENTS // max(g.n * len(ops), 1))
     rows = np.zeros((0, g.n))  # the survivors, one feature per row
+    basis = np.zeros((0, g.n))  # an orthonormal basis of their span
     seen: set[bytes] = set()  # bin vectors of the survivors
     descriptors: list[FeatureDescriptor] = []
     next_id = 0
@@ -556,15 +565,19 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
 
         prior_ids = [d.id for d in descriptors]
         new = _unseen_candidates(blocks, seen)
+        admit = _extend_basis(basis, [row for _, row in new])
+        if new and not descriptors and admit[:1] != [0]:
+            admit.insert(0, 0)  # a zero first survivor, outside the basis
+        new = [new[j] for j in admit]  # frees the dropped rows before rows grows
         # rows owns its buffer and no view of it outlived the round, so it
         # can grow where it lies
         rows.resize((f + len(new), g.n), refcheck=False)
         for r, (_, row) in enumerate(new):
             rows[f + r] = row
         descriptors += [describe(i) for i, _ in new]
-        del new  # the stashed rows, before a prune or a rank check copies the survivors
+        del new  # the stashed rows, before a prune copies the survivors
         if config.threshold < 1.0 and g.n:  # empty columns agree vacuously
-            # a candidate dropped above agrees with every row as its earlier
+            # a bin twin dropped above agrees with every row as its earlier
             # twin does, so it would have changed no component and no root
             bins = log_bin_rows(rows, p)
             kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
@@ -572,11 +585,13 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
             idx = [j for j, d in enumerate(descriptors) if d.id in kept]
             rows, descriptors = rows[idx], [descriptors[j] for j in idx]
             seen = {b.tobytes() for b in bins[idx]}
+            basis = np.zeros((0, g.n))
+            _extend_basis(basis, rows)
         next_id += count
         start = f if config.threshold == 1.0 and f > 1 else 0
         sizes.append(len(descriptors))
         changed = [d.id for d in descriptors] != prior_ids
-        if not changed or _spans_nodes(rows):
+        if not changed or 0 < g.n == len(basis):
             stopped = "rank" if changed else "fixed-point"
             break
 

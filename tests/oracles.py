@@ -1,6 +1,7 @@
 """Independent references for learn_features, shared by the unit and
 acceptance suites: the all-at-once round, its prune below lambda = 1, the
-rank rule written out and the equitable partition its rows are constant on."""
+span rule checked by least squares and the equitable partition its rows are
+constant on."""
 
 import itertools
 
@@ -41,37 +42,43 @@ def equitable_partition(g):
         labels = refined
 
 
-def normalized_singular_values(columns):
-    """Singular values of a node-by-feature matrix after scaling each
-    nonzero column to maximum 1, and the tolerance np.linalg.matrix_rank
-    would use on it: sigma_1 max(n, f) eps."""
-    columns = np.asarray(columns, dtype=float)
-    top = columns.max(axis=0)
-    scaled = columns[:, top > 0] / top[top > 0]
-    s = np.linalg.svd(scaled, compute_uv=False) if scaled.size else np.zeros(0)
-    tol = (s[0] if s.size else 0.0) * max(columns.shape) * np.finfo(float).eps
-    return s, tol
+def lstsq_residuals(basis, v):
+    """v (one vector per row) minus its np.linalg.lstsq fit by the rows of
+    basis, refined by one more solve on the residual: without it the
+    residual of a vector in the span stays near eps times the condition
+    number of basis, too close to _SPAN_TOL."""
+    r = v
+    for _ in range(2):
+        r = r - np.linalg.lstsq(basis.T, r.T, rcond=None)[0].T @ basis
+    return r
 
 
-def has_full_row_rank(columns):
-    """The rank rule: n >= 1 nodes, f >= n features, and n singular values
-    above the tolerance."""
-    n, f = np.shape(columns)
-    if n == 0 or f < n:
-        return False
-    s, tol = normalized_singular_values(columns)
-    return s.size == n and s[-1] > tol
+def span_admitted(kept, cand, ratios=None):
+    """Positions of the rows of cand (one feature per row) that the span rule
+    admits after kept (k x n): each row, scaled to maximum 1, is admitted iff
+    its least-squares residual against the scaled kept rows and the rows
+    admitted before it exceeds _SPAN_TOL times its norm. The residual is
+    taken against kept first, then against the admitted rows' residuals;
+    rows between two admissions share those, so they are solved together.
+    ratios, when given, gets (admitted, residual over norm) per row."""
+    def scaled(x):
+        return x / np.maximum(x.max(axis=1, initial=0.0, keepdims=True), np.finfo(float).tiny)
 
-
-def truncated_at_full_rank(x):
-    """A learn at threshold 1.0 run without the rank rule, cut after its
-    first round whose survivors, a prefix of its columns, have rank n."""
-    for t, f in enumerate(x.iteration_sizes):
-        if has_full_row_rank(x.values[:, :f]):
-            return FeatureMatrix(
-                x.values[:, :f], x.descriptors[:f], x.iteration_sizes[: t + 1], "rank"
-            )
-    return x
+    v = scaled(cand)
+    norm = np.maximum(np.linalg.norm(v, axis=1), np.finfo(float).tiny)
+    r = lstsq_residuals(scaled(kept), v)
+    admitted, j = [], 0
+    while j < len(v):
+        ratio = np.linalg.norm(lstsq_residuals(r[admitted], r[j:]), axis=1) / norm[j:]
+        over = np.flatnonzero(ratio > features_module._SPAN_TOL)
+        stop = int(over[0]) if over.size else len(ratio)
+        if ratios is not None:
+            ratios += [(False, x) for x in ratio[:stop].tolist()]
+            ratios += [(True, float(ratio[stop]))] if over.size else []
+        if over.size:
+            admitted.append(j + stop)
+        j += stop + 1
+    return admitted
 
 
 def agreement(a, b):
@@ -115,11 +122,12 @@ def with_bases(by_id, kept):
         kept = kept | bases
 
 
-def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
+def all_at_once_learn(g, config=FeatureLearnConfig(), span=True, ratios=None):
     """learn_features as it was before rounds streamed their candidates:
-    every candidate of a round is aggregated, binned and pruned at once.
-    Kept as an oracle for the streamed loop; rank_stop=False runs it as it
-    was before the rank rule, to maxiter or a fixed point."""
+    every candidate of a round is aggregated, binned and pruned at once,
+    and the span rule is checked by least squares (see span_admitted).
+    Kept as an oracle for the streamed loop; span=False runs it as it was
+    before the span rule, to maxiter or a fixed point."""
     features_module._check_config(config)
     primitives = config.primitives
     cache = {}
@@ -135,31 +143,41 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
     seen = set()
 
     def prune(cand_rows, cands):
-        nonlocal rows, bins, descriptors
+        nonlocal rows, bins, descriptors, seen
         cand_bins = log_bin_rows(cand_rows, config.bin_fraction)
-        if config.threshold == 1.0 or g.n == 0:
+        if span or config.threshold == 1.0 or g.n == 0:
             keep = []
             for j, b in enumerate(cand_bins):
                 if b.tobytes() not in seen:
                     seen.add(b.tobytes())
                     keep.append(j)
-            rows = np.concatenate([rows, cand_rows[keep]])
-            descriptors = descriptors + [cands[j] for j in keep]
-            return
+            if span:
+                admitted = span_admitted(rows, cand_rows[keep], ratios)
+                if keep and not descriptors and admitted[:1] != [0]:
+                    admitted.insert(0, 0)  # the first survivor, zero
+                keep = [keep[j] for j in admitted]
+            cand_rows, cand_bins, cands = cand_rows[keep], cand_bins[keep], [cands[j] for j in keep]
         rows = np.concatenate([rows, cand_rows])
         bins = np.concatenate([bins, cand_bins])
         descriptors = descriptors + cands
+        if config.threshold == 1.0 or g.n == 0:
+            return
         roots = earliest_per_component(len(bins), pairwise_feature_graph(bins, config.threshold))
         kept = with_bases(all_by_id, {descriptors[j].id for j in roots})
         idx = [j for j, d in enumerate(descriptors) if d.id in kept]
         rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
+        seen = {b.tobytes() for b in bins}
+
+    def full_rank():
+        # the span rule admits only independent rows, and a zero row only first
+        return span and 0 < g.n == np.count_nonzero(rows.any(axis=1))
 
     def result(stopped):
         return FeatureMatrix(np.ascontiguousarray(rows.T), tuple(descriptors), tuple(sizes), stopped)
 
     prune(np.array(columns).reshape(len(columns), g.n), cand_descs)
     sizes = [len(descriptors)]
-    if rank_stop and has_full_row_rank(rows.T):
+    if full_rank():
         return result("rank")
     for iteration in range(1, config.maxiter + 1):
         prior_ids = {d.id for d in descriptors}
@@ -176,6 +194,6 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), rank_stop=True):
         sizes.append(len(descriptors))
         if {d.id for d in descriptors} == prior_ids:
             return result("fixed-point")
-        if rank_stop and has_full_row_rank(rows.T):
+        if full_rank():
             return result("rank")
     return result("maxiter")

@@ -35,14 +35,9 @@ from rolemine import (
     transfer_memberships,
     write_edge_list,
 )
-from rolemine.features import log_bin_rows
+from rolemine.features import _SPAN_TOL, log_bin_rows
 
-from oracles import (
-    all_at_once_learn,
-    equitable_partition,
-    normalized_singular_values,
-    truncated_at_full_rank,
-)
+from oracles import all_at_once_learn, equitable_partition
 from strategies import rewire
 
 
@@ -368,41 +363,39 @@ def test_criterion_12_exact_transfer_memberships(capsys):
 
 
 def test_criterion_13_growth_stops_at_full_row_rank(capsys):
-    # the uncut all-at-once learn is the engine as it was before the rank
-    # rule; the stopped learn must be its prefix up to the first round
-    # whose survivors have rank n. Margins: the kept sigma_n over the
-    # tolerance, and the tolerance over the largest singular value it cut
-    # in an earlier round with f >= n
+    # the all-at-once learn checks the span rule by least squares: a
+    # candidate is kept iff its residual against the kept columns, each
+    # scaled to maximum 1, exceeds _SPAN_TOL of its norm. The learn must
+    # equal it bit for bit and stop once n columns are kept. Margins: the
+    # tolerance over the largest residual ratio it dropped, and the
+    # smallest ratio it kept over the tolerance
     t0 = time.perf_counter()
     ok, details = True, []
     for n in (120, 400):
         g = erdos_renyi(n, 8 / (n - 1), seed=1)
         got = learn_features(g)
-        uncut = all_at_once_learn(g, rank_stop=False)
-        want = truncated_at_full_rank(uncut)
+        ratios = []
+        want = all_at_once_learn(g, ratios=ratios)
         same = (
             got.values.tobytes() == want.values.tobytes()
             and got.descriptors == want.descriptors
             and got.iteration_sizes == want.iteration_sizes
-            and got.stopped == "rank"
+            and got.stopped == want.stopped == "rank"
+            and got.f == n
         )
-        s, tol = normalized_singular_values(got.values)
-        above = s[n - 1] / tol if s.size >= n else 0.0
-        below = np.inf
-        for f in uncut.iteration_sizes[: len(got.iteration_sizes) - 1]:
-            if f >= n:
-                s_f, tol_f = normalized_singular_values(uncut.values[:, :f])
-                cut = s_f[s_f <= tol_f]
-                if cut.size:
-                    below = min(below, tol_f / max(cut.max(), np.finfo(float).tiny))
+        dropped = [r for kept, r in ratios if not kept]
+        kept = [r for kept, r in ratios if kept]
+        below = _SPAN_TOL / max(max(dropped), np.finfo(float).tiny)
+        above = min(kept) / _SPAN_TOL
         ok = ok and same and above >= 100 and below >= 100
         details.append(
-            f"n={n}: {got.f} of {uncut.f} features, {'same' if same else 'DIFFERENT'} prefix, "
-            f"sigma_n {above:.1e}x tol, tol {below:.1e}x the cut"
+            f"n={n}: {got.f} kept, {len(dropped)} dropped as in the span, "
+            f"{'same' if same else 'DIFFERENT'} as the least-squares oracle, "
+            f"tol {below:.1e}x the largest dropped ratio, smallest kept {above:.1e}x tol"
         )
     dt = time.perf_counter() - t0
     _report(
-        capsys, 13, "feature growth stops at full row rank, a prefix of the uncut run",
+        capsys, 13, "feature growth keeps only columns outside the span and stops at n",
         ok, "; ".join(details) + f"; margins need 1e2, {dt:.1f}s",
     )
 
@@ -525,4 +518,53 @@ def test_criterion_16_learned_rows_constant_on_the_equitable_partition(capsys):
         f"classes of Q split by learned rows on {len(split)} of {len(cases)} graphs {split}; "
         f"orbits refine Q on {200 - coarse}/200 criterion-02 graphs; "
         f"q/distinct learned rows: {'; '.join(counts)}; {dt:.1f}s",
+    )
+
+
+def _scaled_columns(x):
+    top = x.max(axis=0)
+    return x / np.where(top > 0, top, 1.0)
+
+
+def test_criterion_17_span_rule_loses_no_rank_under_sum_and_mean(capsys):
+    # sum and mean are linear, so every descendant of a column in the span
+    # of earlier ones lies in the span of theirs, which the run makes; only
+    # the bin group-by could drop one of those. So adding the uncut run's
+    # columns of the same rounds should add no rank. Margins, with the
+    # np.linalg.matrix_rank tolerance of each matrix: the pruned set's
+    # smallest singular value over its tolerance, and the tolerance of
+    # [pruned | uncut] over its singular value r + 1
+    t0 = time.perf_counter()
+    cases = [(f"ER({n})", erdos_renyi(n, 8 / (n - 1), seed=1)) for n in (120, 400)]
+    for seed in range(1, 11):
+        g, _ = planted_role_graph(seed=seed, units=30)
+        cases.append((f"units 30 1% seed {seed}", rewire(g, 0.01, np.random.default_rng(seed))))
+    lost, capped, above, below, counts = [], [], np.inf, np.inf, []
+    for name, g in cases:
+        x = learn_features(g)
+        rounds = len(x.iteration_sizes) - 1
+        uncut = all_at_once_learn(g, FeatureLearnConfig(maxiter=rounds), span=False)
+        pruned = _scaled_columns(x.values)
+        both = np.hstack([pruned, _scaled_columns(uncut.values)])
+        s = np.linalg.svd(pruned, compute_uv=False)
+        s_both = np.linalg.svd(both, compute_uv=False)
+        eps = np.finfo(float).eps
+        tol, tol_both = s[0] * max(pruned.shape) * eps, s_both[0] * max(both.shape) * eps
+        r = int((s > tol).sum())
+        if int((s_both > tol_both).sum()) != r:
+            lost.append(name)
+        above = min(above, s[r - 1] / tol)
+        if s_both.size > r:
+            below = min(below, tol_both / s_both[r])
+        if name.startswith("units") and x.stopped == "maxiter":
+            capped.append(name)
+        distinct = len({row.tobytes() for row in x.values})
+        counts.append(f"{name} {x.f}/{distinct} ({x.stopped}, uncut {uncut.f})")
+    dt = time.perf_counter() - t0
+    _report(
+        capsys, 17, "the span rule loses no rank under sum and mean",
+        not lost and not capped and above >= 100 and below >= 100,
+        f"rank lost on {len(lost)} of {len(cases)} graphs {lost}; noisy planted learns at the "
+        f"cap: {len(capped)} {capped}; sigma_r {above:.1e}x tol, tol {below:.1e}x sigma_r+1 "
+        f"(need 1e2); f/distinct learned rows: {'; '.join(counts)}; {dt:.1f}s",
     )

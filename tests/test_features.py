@@ -51,9 +51,8 @@ from oracles import (
     all_at_once_learn,
     earliest_per_component,
     pairwise_feature_graph,
-    truncated_at_full_rank,
 )
-from strategies import graph_with_permutation, graphs, neighbor_lists
+from strategies import graph_with_permutation, graphs, neighbor_lists, rewire
 
 P3 = load_edge_list("0 1\n1 2")
 K3 = load_edge_list("0 1\n1 2\n0 2")
@@ -641,26 +640,26 @@ def learned_digest(x):
 
 
 GOLDEN_CASES = {
-    # grew to the maxiter cap of 10 rounds (801 features) before the rank
-    # rule; its 206 survivors of round 5 have rank n
+    # grew to the maxiter cap of 10 rounds (801 features) before any stop
+    # rule; round 5 brings its independent survivors to n
     "er-maxiter": (
         lambda: erdos_renyi(120, 8 / 120, seed=11),
         FeatureLearnConfig(),
-        (5, 14, 32, 65, 121, 206),
-        "0b5bbe4bc31b699eb50fbcc97cf862a71684a88073a7c77f63558e67443095ff",
+        (4, 10, 22, 45, 85, 120),
+        "53aac12bfdbd29d2dc9290ad811c5e5765b20f3b665c7ec26c1b45dde1c47826",
     ),
     # stops at a fixed point
     "planted": (
         lambda: planted_role_graph(seed=5, units=6)[0],
         FeatureLearnConfig(),
-        (4, 5, 5),
-        "0f7c946235dcb2d205ace7caacfc1e60a2b67f3688c5ed7be272b5e246ef134c",
+        (3, 4, 4),
+        "24b2ffa39f45089f0939c784fac34e2134c8e8fba7e27beb6997fc9c85da664b",
     ),
     "weighted": (
         lambda: weighted_er(90, 12 / 90, seed=4),
         FeatureLearnConfig(maxiter=6),
-        (6, 18, 40, 77, 115),
-        "923d58ea787f50797bed3a95b32041e71a2a8d7dee831f524210baf1832c60a7",
+        (5, 14, 31, 62, 90),
+        "889eae8fd47106744500b7d16e94eaf63f929e92b67dcf20ab61aac4b66783d2",
     ),
     # a one-column round: numpy sums a lone column pairwise, not in sequence
     "one-column": (
@@ -668,32 +667,35 @@ GOLDEN_CASES = {
         FeatureLearnConfig(
             primitives=("weighted-degree",), operators=("sum", "mean", "max", "min"), maxiter=3
         ),
-        (1, 5, 20, 69),
-        "ce6c83f9958918788fa1740404ce92c7fc8e1fa38e6493cbd16e5f1aceb9f960",
+        (1, 5, 20, 60),
+        "1c969dd84dfc005c1ca7b8495c8f50e9971f2ed1c9b5a2e8b787ead375beb414",
     ),
     # mode: degrees up to 23 and fractional values, so floors tie in runs
     "mode": (
         lambda: weighted_er(90, 12 / 90, seed=4),
         FeatureLearnConfig(operators=("sum", "mean", "mode"), maxiter=4),
-        (6, 23, 71, 203),
-        "2ed72f41cbd456dc6c6b3e61b793cfc61f11f7756021c4128296e275ff139aa9",
+        (5, 18, 55, 90),
+        "0aa47f856afeaa2afd92f0229c8ce92cbdb010e177321554870afec674fe3572",
     ),
     # the agreement-graph route below lambda = 1
     "lambda-0.8": (
         lambda: erdos_renyi(80, 0.1, seed=3),
         FeatureLearnConfig(threshold=0.8, bin_fraction=0.3, maxiter=5),
-        (5, 15, 29, 41, 53, 65),
-        "f65343d7feabc3ed72f0f22f1c8ac7b03bf419ce6675ed22ee9eca73208e5e36",
+        (4, 11, 24, 34, 45, 45),
+        "71ada6245b9a29a3ab1d6b1528396d81e549581887a6a5d47bd6e15efc506ee6",
     ),
 }
 
-# Digests of the cases the rank rule cut short, as pinned before it: the
-# all-at-once oracle without the rule must still give these bytes, and the
-# learn must be their truncation at the first round of rank n.
+# Digests of every case run without the span rule, as pinned before it (and,
+# for the first three, before the rank rule): the all-at-once oracle with
+# span=False must still give these bytes.
 UNCUT_DIGESTS = {
     "er-maxiter": "fb6763c7a2a36e44fbd87b1b1d5942e3808db4ab162dff385fc4b5d9c8e0530c",
     "weighted": "a37176fae41ffb588822d41adae242168c9095907d845f1a84f51f01fce183ba",
     "mode": "369f575aeba5958955fb708c2b05f6388458a490f0fd4d8ac79b086bfe1efd60",
+    "planted": "0f7c946235dcb2d205ace7caacfc1e60a2b67f3688c5ed7be272b5e246ef134c",
+    "one-column": "ce6c83f9958918788fa1740404ce92c7fc8e1fa38e6493cbd16e5f1aceb9f960",
+    "lambda-0.8": "f65343d7feabc3ed72f0f22f1c8ac7b03bf419ce6675ed22ee9eca73208e5e36",
 }
 
 class TestGoldenDigests:
@@ -715,8 +717,10 @@ class TestGoldenDigests:
         assert recompute(g, x.descriptors).values.tobytes() == x.values.tobytes()
 
     def test_small_blocks_give_the_same_bytes(self, monkeypatch):
-        # binning and aggregation walk the matrix in column blocks
+        # binning and aggregation walk the matrix in column blocks, and the
+        # span rule the candidates in row blocks
         monkeypatch.setattr(features_module, "_BLOCK_ELEMENTS", 97)
+        monkeypatch.setattr(features_module, "_SPAN_BLOCK", 3)
         make, config, sizes, digest = GOLDEN_CASES["weighted"]
         x = learn_features(make(), config)
         assert learned_digest(x) == digest
@@ -751,8 +755,9 @@ class TestStreamedRound:
     def test_matches_all_at_once_learn(self, g, config, block):
         want = all_at_once_learn(g, config)
         with pytest.MonkeyPatch.context() as mp:
-            # survivor blocks of one column up to several
+            # survivor and span blocks of one column up to several
             mp.setattr(features_module, "_BLOCK_ELEMENTS", block)
+            mp.setattr(features_module, "_SPAN_BLOCK", block)
             assert_same_learn(learn_features(g, config), want)
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
@@ -765,16 +770,28 @@ class TestStreamedRound:
         assert_same_learn(got, want)
         assert learned_digest(got) == digest
 
-    def test_round_after_a_lone_survivor_aggregates_it_again(self):
+    def test_round_after_a_lone_survivor_aggregates_it_again(self, monkeypatch):
         # a lone survivor sums pairwise and the next round in sequence; on the
         # hub's nine neighbours the two sums differ in the last bit, which
-        # moves a bin, so that round gives sum(weighted-degree) once more
+        # moves a bin, so round 2 makes sum(weighted-degree) once more. It
+        # lies in the span of round 1's, so the span rule drops it
+        calls = []
+        aggregate = features_module._aggregate_slots
+
+        def counted(n, groups, rows, ops, in_sequence):
+            calls.append((len(rows), ops, in_sequence))
+            return aggregate(n, groups, rows, ops, in_sequence)
+
+        monkeypatch.setattr(features_module, "_aggregate_slots", counted)
         w = [0.1] * 5 + [0.3] * 4
         g = Graph(n=12, edges=[(0, j) for j in range(1, 10)] + [(10, 11)], weights=w + [1.7])
         config = FeatureLearnConfig(primitives=("weighted-degree",), maxiter=3)
         got = learn_features(g, config)
+        # the primitive, round 1 on the lone survivor, round 2 on both
+        assert calls == [(1, ("sum",), False), (1, config.operators, False),
+                         (2, config.operators, True)]
         assert_same_learn(got, all_at_once_learn(g, config))
-        assert [(d.base, d.iteration) for d in got.descriptors[1:]] == [(0, 1), (0, 2)]
+        assert [(d.base, d.iteration) for d in got.descriptors[1:]] == [(0, 1)]
 
     @pytest.mark.parametrize("lam", [1.0, 0.9])
     def test_a_round_aggregates_only_what_it_must(self, monkeypatch, lam):
@@ -794,7 +811,7 @@ class TestStreamedRound:
         # the weighted-degree primitive is one more call, with ("sum",) alone
         rows = sum(k for k, ops in calls if ops == config.operators)
         if lam == 1.0:
-            assert rows == x.iteration_sizes[-2] == 496
+            assert rows == x.iteration_sizes[-2] == 356
         else:
             assert rows == sum(x.iteration_sizes[:-1])
 
@@ -819,27 +836,27 @@ class TestStreamedRound:
     def test_peak_memory_bounded_by_the_result(self):
         # the all-at-once round peaked at 4.75x the returned matrix on
         # erdos_renyi(400, 8/399, seed=1): survivors, their contiguous copy,
-        # every candidate and the kept copy were alive together. That graph
-        # now stops at rank n after 850 features; two twin leaves on node 0
-        # share a feature row, so rank n is out of reach and growth runs to
-        # the cap, rank checks included
-        er = erdos_renyi(400, 8 / 399, seed=1)
-        g = Graph(n=402, edges=np.vstack([er.edges, [[0, 400], [0, 401]]]))
+        # every candidate and the kept copy were alive together. Here f
+        # stays below n at the cap: the last round holds the survivors, the
+        # basis of their span and the stashed candidates
+        g = erdos_renyi(2500, 8 / 2499, seed=1)
         g.csr
         tracemalloc.start()
         try:
-            x = learn_features(g)
+            x = learn_features(g, FeatureLearnConfig(maxiter=8))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert x.iteration_sizes[-1] > 2000 and len(x.iteration_sizes) == 11
+        assert 1000 < x.f < g.n and len(x.iteration_sizes) == 9
         assert x.stopped == "maxiter"
         assert peak <= 3.0 * x.values.nbytes, peak / x.values.nbytes
 
 
 class TestRankStop:
-    """Growth stops after the first round whose survivors have numerical
-    rank n; the result is the run without that rule, truncated there."""
+    """A candidate is kept only outside the span of the survivors, so growth
+    stops once they number n. The result is the all-at-once oracle's with
+    the rule checked by least squares; the oracle without the rule, the
+    uncut run, keeps its digests from before the rule."""
 
     @pytest.mark.parametrize(
         "name", sorted(k for k, case in GOLDEN_CASES.items() if case[1].threshold == 1.0)
@@ -847,23 +864,24 @@ class TestRankStop:
     def test_golden_cases_are_the_uncut_run_truncated(self, name):
         make, config, _, digest = GOLDEN_CASES[name]
         g = make()
-        uncut = all_at_once_learn(g, config, rank_stop=False)
-        assert learned_digest(uncut) == UNCUT_DIGESTS.get(name, digest)
+        uncut = all_at_once_learn(g, config, span=False)
+        assert learned_digest(uncut) == UNCUT_DIGESTS[name]
         got = learn_features(g, config)
-        assert_same_learn(got, truncated_at_full_rank(uncut))
-        if name in UNCUT_DIGESTS:
-            assert got.stopped == "rank" and got.f < uncut.f
+        assert_same_learn(got, all_at_once_learn(g, config))
+        assert got.f < uncut.f or name == "planted" and got.f == uncut.f - 1
+        assert got.stopped == ("fixed-point" if name == "planted" else "rank")
 
     @pytest.mark.parametrize("lam", [1.0, 0.5])
     @pytest.mark.parametrize("n", [0, 5])
     def test_empty_and_edgeless_graphs_keep_their_output(self, n, lam):
-        # n = 0 runs no rank check; five isolated nodes have all-zero
-        # features, of rank 0
+        # n = 0 and five isolated nodes have all-zero features, of rank 0;
+        # the first survivor is kept all the same, so f >= 1
         g = Graph(n=n)
         config = FeatureLearnConfig(threshold=lam)
         got = learn_features(g, config)
-        assert_same_learn(got, all_at_once_learn(g, config, rank_stop=False))
-        assert got.stopped == "fixed-point"
+        assert_same_learn(got, all_at_once_learn(g, config, span=False))
+        assert_same_learn(got, all_at_once_learn(g, config))
+        assert got.stopped == "fixed-point" and got.f == 1
 
     def test_primitives_of_rank_n_stop_after_round_0(self):
         # a weighted triangle 0-1-2 with a pendant 3: the four primitives
@@ -871,18 +889,36 @@ class TestRankStop:
         g = Graph(n=4, edges=[(0, 1), (0, 2), (0, 3), (1, 2)], weights=[1.0, 3.0, 3.0, 3.0])
         got = learn_features(g)
         assert got.iteration_sizes == (4,) and got.stopped == "rank"
-        assert_same_learn(got, truncated_at_full_rank(all_at_once_learn(g, rank_stop=False)))
+        assert_same_learn(got, all_at_once_learn(g))
 
     def test_rule_applies_below_lambda_one(self):
-        # below 1.0 a prune can drop old survivors, so the stopped run is
-        # compared with the uncut run capped at the same round
+        # below 1.0 a prune can drop old survivors, and the basis is rebuilt
+        # from those it keeps
         g = erdos_renyi(30, 8 / 29, seed=1)
-        got = learn_features(g, FeatureLearnConfig(threshold=0.9, maxiter=6))
-        assert got.stopped == "rank" and len(got.iteration_sizes) == 5
-        want = all_at_once_learn(g, FeatureLearnConfig(threshold=0.9, maxiter=4), rank_stop=False)
-        assert_same_learn(got, replace(want, stopped="rank"))
-        uncut = all_at_once_learn(g, FeatureLearnConfig(threshold=0.9, maxiter=6), rank_stop=False)
-        assert uncut.f > got.f
+        config = FeatureLearnConfig(threshold=0.95, maxiter=6)
+        got = learn_features(g, config)
+        assert got.stopped == "rank" and got.iteration_sizes == (4, 11, 24, 30)
+        assert_same_learn(got, all_at_once_learn(g, config))
+        assert all_at_once_learn(g, config, span=False).f > got.f
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_basis_stays_orthonormal(self, seed):
+        # the survivors of a noisy planted graph are independent, so the
+        # span rule keeps them all; its row steps mix some of the basis back
+        # into the rows they keep (5e-12 here), which a last GEMM removes
+        g, _ = planted_role_graph(seed=seed, units=30)
+        x = learn_features(rewire(g, 0.01, np.random.default_rng(seed)))
+        basis = np.zeros((0, g.n))
+        assert features_module._extend_basis(basis, x.values.T) == list(range(x.f))
+        assert np.abs(basis @ basis.T - np.eye(x.f)).max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_basis_follows_the_prune_below_lambda_one(self, seed):
+        # the agreement prune drops columns the span rule kept; a basis
+        # still spanning them would drop candidates in their span
+        g = erdos_renyi(40, 0.15, seed=seed)
+        config = FeatureLearnConfig(threshold=0.8, maxiter=5)
+        assert_same_learn(learn_features(g, config), all_at_once_learn(g, config))
 
 
 def reference_log_bin(values, p):

@@ -44,6 +44,7 @@ from forks import (
     set_cpus,
     without_fork,
 )
+from oracles import all_at_once_learn
 
 nonneg_matrices = arrays(
     dtype=float,
@@ -538,8 +539,11 @@ class TestBatchedSweep:
 class TestDistinctRows:
     def test_all_distinct_rows_keep_the_full_row_bits(self):
         # recorded with the full-row sweep and fixed-rank fit, before both
-        # fitted the distinct rows: every row here is distinct
-        x = er_features(1)
+        # fitted the distinct rows: every row here is distinct. The input is
+        # er_features(1) as learned before the span rule, 68 columns
+        g = erdos_renyi(150, 8 / 149, seed=1)
+        x = all_at_once_learn(g, FeatureLearnConfig(maxiter=3), span=False).values
+        assert x.shape == (150, 68)
         digest = hashlib.sha256()
         for model in (select_rank(x), select_rank(x, rank=5)):
             digest.update(np.array([model.r, model.cost]).tobytes())
@@ -549,9 +553,12 @@ class TestDistinctRows:
 
     def test_tied_rows_keep_their_bits(self):
         # 570 rows, 4 distinct; recorded while the fixed-rank fit had its
-        # own code path. Rank 5 lies above the distinct row count
+        # own code path. Rank 5 lies above the distinct row count, so the
+        # input is the 5 columns learned before the span rule, which keeps
+        # at most as many columns as there are distinct rows
         g, _ = planted_role_graph(seed=1, units=30)
-        x = learn_features(g).values
+        x = all_at_once_learn(g, span=False).values
+        assert x.shape == (570, 5)
         digest = hashlib.sha256()
         fits = (lambda s: select_rank(x, sweep=s),
                 lambda s: select_rank(x, rank=4, sweep=s),
@@ -729,12 +736,12 @@ class TestForkedStacks:
         assert len(pools) == 1
 
     def test_planted_features_fork_nothing(self, monkeypatch):
-        # 3800 x 5 features, as the planted-cli benchmark's, of 4 distinct rows
+        # 3800 x 4 features, as the planted-cli benchmark's, of 4 distinct rows
         g, _ = planted_role_graph(seed=1, units=200)
         x = learn_features(g).values
         monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
         pools = count_pools(monkeypatch)
         sweep = RankSweep()
         select_rank(x, sweep=sweep)
-        assert x.shape == (3800, 5) and sweep.distinct_rows == 4
+        assert x.shape == (3800, 4) and sweep.distinct_rows == 4
         assert pools == []
