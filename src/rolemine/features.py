@@ -15,11 +15,12 @@ Descriptors record how to rebuild every surviving column on any other graph.
 A round streams its candidates: survivor columns go through in blocks, and
 each block is aggregated (every operator off one shared sort), binned and
 checked against the bin vectors already seen, so only the columns that may
-survive outlive their block. The stash is resolved in candidate-id order, so
-the group-by keeps the same columns as a prune over the whole round. The
+survive outlive their block. They are decided in candidate-id order, as
+soon as no later block can hold an earlier one, so the group-by and the
+span rule keep the same columns as a prune over the whole round. The
 survivors grow in place, one feature per row, and the returned matrix is a
 view of them; a round holds the survivors, a basis of their span, one
-candidate block and the kept columns, not the whole candidate set.
+candidate block and the columns still waiting, not the whole candidate set.
 
 Everything runs on the graph's CSR arrays. Aggregations sort each node's
 neighbor values once and every operator, mode included, reduces them sorted,
@@ -147,7 +148,9 @@ class FeatureLearnConfig:
 # block of a round's candidates; bounds memory.
 _BLOCK_ELEMENTS = 1 << 17
 
-_SPAN_TOL = 1e-12  # a residual at most this share of a candidate's norm lies in the span
+# a residual at most this share of a candidate's norm lies in the span; midway (log scale)
+# from rounding, up to 2.8e-13 on noisy planted graphs, to 3.1e-11 kept on ER(3000)
+_SPAN_TOL = 3e-12
 _SPAN_BLOCK = 64  # candidates projected together
 
 
@@ -418,18 +421,25 @@ def _required_ancestors(descriptors_by_id: dict[int, FeatureDescriptor], kept: s
     return needed
 
 
+def _span_residuals(basis: np.ndarray, rows):
+    """rows scaled to maximum 1, projected off basis twice (CGS2), and the
+    norm above which each lies outside its span: _SPAN_TOL of its own."""
+    v = np.array(rows, dtype=float)
+    v /= np.maximum(v.max(axis=1, initial=0.0, keepdims=True), np.finfo(float).tiny)
+    limit = _SPAN_TOL * np.linalg.norm(v, axis=1)
+    for _ in range(2):
+        v -= (v @ basis.T) @ basis
+    return v, limit
+
+
 def _extend_basis(basis: np.ndarray, rows) -> list[int]:
     """Grow basis (k x n, orthonormal rows, owning its buffer) in place by the
-    rows outside its span, in order, and return their positions: a row scaled
-    to maximum 1 is kept iff its residual exceeds _SPAN_TOL of its norm. Each
-    block is projected twice (CGS2) by GEMMs, then row by row onto its kept rows."""
+    rows outside its span, in order, and return their positions (see
+    _span_residuals). Each block is projected off the basis, then row by row
+    off its own kept rows."""
     kept: list[int] = []
     for lo in range(0, len(rows), _SPAN_BLOCK):
-        v = np.array(rows[lo : lo + _SPAN_BLOCK], dtype=float)
-        v /= np.maximum(v.max(axis=1, initial=0.0, keepdims=True), np.finfo(float).tiny)
-        limit = _SPAN_TOL * np.linalg.norm(v, axis=1)
-        for _ in range(2):
-            v -= (v @ basis.T) @ basis
+        v, limit = _span_residuals(basis, rows[lo : lo + _SPAN_BLOCK])
         m = 0  # v[:m] holds the block's kept rows, orthonormal
         for j, w in enumerate(v):
             for _ in range(2):
@@ -476,25 +486,47 @@ def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, 
     return index, cand, log_bin_rows(cand, p)
 
 
-def _unseen_candidates(blocks, seen: set[bytes]):
-    """The candidates of one round whose bin vectors are not in seen, the
-    earliest per bin vector, as (index, row) pairs in index order; blocks
-    yields the round's candidates as (index, rows, bins) blocks (see
-    _candidate_block). Their bin vectors join seen.
+def _admitted_candidates(blocks, seen: set[bytes], basis: np.ndarray, first: bool):
+    """The (index, row) pairs, in index order, of the candidates of one round
+    (see _candidate_block) that survive: the earliest per bin vector not in
+    seen, outside the span of basis and the rows admitted before it, or a
+    zero first survivor when first. basis grows; the bin vectors join seen.
 
-    The stash maps bin bytes to the earliest candidate seen so far with
-    them; a later block can hold an earlier candidate, made by a lower
-    operator, so it is resolved only once every block is through.
+    A later block can hold an earlier candidate, made by a lower operator.
+    So once 4 * _SPAN_BLOCK rows wait, those below the next block's first
+    index are final and go through _extend_basis; if most lay in the span,
+    the rest are dropped if in the span of the basis, which only grows.
     """
-    stash: dict[bytes, tuple[int, np.ndarray]] = {}
+    earliest: dict[bytes, int] = {}  # unseen bin vector -> its earliest candidate so far
+    pending: dict[bytes, np.ndarray] = {}  # rows neither admitted nor dropped
+    fresh, admitted = [], []  # keys pending since the last check; (index, row)
+
+    def check(below) -> None:
+        ready = sorted((earliest[key], key) for key in pending if earliest[key] < below)
+        rows = [pending.pop(key) for _, key in ready]
+        keep = _extend_basis(basis, rows)
+        if first and ready and keep[:1] != [0]:
+            keep.insert(0, 0)  # a zero first survivor, outside the basis
+        admitted.extend((ready[j][0], rows[j]) for j in keep)
+        late = [key for key in dict.fromkeys(fresh) if key in pending]
+        if late and 2 * len(keep) < len(ready):  # most lay in the span; the rest may too
+            v, limit = _span_residuals(basis, [pending[key] for key in late])
+            for key in np.array(late, dtype=object)[np.linalg.norm(v, axis=1) <= limit]:
+                del pending[key]
+        fresh.clear()
+
     for index, cand, bins in blocks:
+        if len(fresh) >= 4 * _SPAN_BLOCK:
+            check(index[0])
         for pos, (i, b) in enumerate(zip(index.tolist(), bins)):
             key = b.tobytes()
-            if key not in seen and (key not in stash or stash[key][0] > i):
-                stash[key] = (i, cand[pos].copy())  # one buffer per row, so cand can go
+            if key not in seen and earliest.get(key, i + 1) > i:
+                earliest[key], pending[key] = i, cand[pos].copy()  # one buffer per row, so cand can go
+                fresh.append(key)
         del cand, bins  # before the next block is made
-    seen.update(stash)
-    return sorted(stash.values(), key=lambda entry: entry[0])
+    check(np.inf)
+    seen.update(earliest)
+    return admitted
 
 
 def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) -> FeatureMatrix:
@@ -511,8 +543,8 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     or the maxiter cap on the rounds after round 0 ("maxiter").
 
     The candidates stream through in survivor blocks; those with unseen bin
-    vectors are kept to the round's end, then, in candidate-id order, only
-    outside the survivors' span (_extend_basis) or as a zero first survivor.
+    vectors are kept, in candidate-id order, only outside the survivors'
+    span or as a zero first survivor (_admitted_candidates).
     Below threshold 1.0 the components of the >= threshold agreement graph
     over the survivors then keep their earliest member, and the basis is
     rebuilt from them; a pruned old feature could orphan the recipe of a
@@ -564,11 +596,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
                 )
 
         prior_ids = [d.id for d in descriptors]
-        new = _unseen_candidates(blocks, seen)
-        admit = _extend_basis(basis, [row for _, row in new])
-        if new and not descriptors and admit[:1] != [0]:
-            admit.insert(0, 0)  # a zero first survivor, outside the basis
-        new = [new[j] for j in admit]  # frees the dropped rows before rows grows
+        new = _admitted_candidates(blocks, seen, basis, not descriptors)
         # rows owns its buffer and no view of it outlived the round, so it
         # can grow where it lies
         rows.resize((f + len(new), g.n), refcheck=False)

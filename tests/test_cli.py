@@ -37,6 +37,8 @@ from rolemine import (
 from rolemine.cli import RunConfig, _memberships_csv, execute, main
 from rolemine.features import csv_rows
 
+from strategies import rewire
+
 P4_TEXT = "0 1\n1 2\n2 3\n"
 
 
@@ -164,23 +166,32 @@ class TestLearn:
 
     def test_blas_threads_leave_the_bytes_alone(self, tmp_path):
         # the span rule projects candidates with GEMMs, whose rounding may
-        # follow the BLAS thread count; its decisions, so the files, must not
-        graph = tmp_path / "graph.txt"
-        graph.write_text(write_edge_list(erdos_renyi(400, 8 / 399, seed=1)))
+        # follow the BLAS thread count; its decisions, so the files, must
+        # not. The noisy planted graph, as loaded without its isolated
+        # nodes, drops columns with residual ratios up to 2.6e-13, closest
+        # to the tolerance of the graphs measured
+        noisy, _ = planted_role_graph(seed=10, units=30)
+        graphs = {
+            "er": (erdos_renyi(400, 8 / 399, seed=1), 400),
+            "noisy": (load_edge_list(write_edge_list(rewire(noisy, 0.05, np.random.default_rng(10)))), 303),
+        }
         src = str(Path(rolemine.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        files = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "rolemine.cli", "learn", str(graph), "--output-dir", str(out)],
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-                capture_output=True,
-            )
-            assert proc.returncode == 0, proc.stderr.decode()
-            files.append([(out / name).read_bytes() for name in ("features.csv", "descriptors.json")])
-        assert files[0] == files[1]
-        assert files[0][0].count(b"\n") == 401 and files[0][0].count(b"feat_") == 400
+        for name, (g, f) in graphs.items():
+            graph = tmp_path / f"{name}.txt"
+            graph.write_text(write_edge_list(g))
+            files = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "rolemine.cli", "learn", str(graph), "--output-dir", str(out)],
+                    env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                    capture_output=True,
+                )
+                assert proc.returncode == 0, proc.stderr.decode()
+                files.append([(out / file).read_bytes() for file in ("features.csv", "descriptors.json")])
+            assert files[0] == files[1], name
+            assert files[0][0].count(b"\n") == g.n + 1 and files[0][0].count(b"feat_") == f
 
     def test_custom_primitive_and_operator_lists(self, runner, tmp_path):
         graph = tmp_path / "graph.txt"

@@ -7,7 +7,6 @@ import multiprocessing
 import os
 import time
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -836,20 +835,21 @@ class TestStreamedRound:
     def test_peak_memory_bounded_by_the_result(self):
         # the all-at-once round peaked at 4.75x the returned matrix on
         # erdos_renyi(400, 8/399, seed=1): survivors, their contiguous copy,
-        # every candidate and the kept copy were alive together. Here f
-        # stays below n at the cap: the last round holds the survivors, the
-        # basis of their span and the stashed candidates
-        g = erdos_renyi(2500, 8 / 2499, seed=1)
-        g.csr
-        tracemalloc.start()
-        try:
-            x = learn_features(g, FeatureLearnConfig(maxiter=8))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert 1000 < x.f < g.n and len(x.iteration_sizes) == 9
-        assert x.stopped == "maxiter"
-        assert peak <= 3.0 * x.values.nbytes, peak / x.values.nbytes
+        # every candidate and the kept copy were alive together. These runs
+        # end at a fixed point below n, so a round holds the survivors, the
+        # basis of their span and the candidates not yet checked, then one
+        # in which every candidate lies in that span
+        for n, degree in ((3000, 8), (2000, 4)):
+            g = erdos_renyi(n, degree / (n - 1), seed=1)
+            g.csr
+            tracemalloc.start()
+            try:
+                x = learn_features(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert 0.9 * n < x.f < n and x.stopped == "fixed-point"
+            assert peak <= 3.0 * x.values.nbytes, (n, peak / x.values.nbytes)
 
 
 class TestRankStop:
