@@ -245,9 +245,8 @@ def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndar
     if kind == "degree":
         return deg
     if kind == "weighted-degree":
-        # summed like a lone column: sorted, then numpy's pairwise sum
         groups = _degree_groups(indptr, np.arange(indices.size))
-        return _aggregate_slots(g.n, groups, weights[None, :], ("sum",), False)[0][0]
+        return _aggregate_slots(g.n, groups, weights[None, :], ("sum",))[0][0]
     if kind == "wedge-count":
         return deg * (deg - 1) / 2.0
     if kind == "core-number":
@@ -296,15 +295,14 @@ def _sorted_mode(v: np.ndarray) -> np.ndarray:
     return np.take_along_axis(v, run.argmax(axis=-1)[..., None], -1)[..., 0]
 
 
-def _aggregate_slots(n, groups, rows, ops, in_sequence):
+def _aggregate_slots(n, groups, rows, ops):
     """Reduce each row of rows (f x slots) over every node's slots in groups
     (see _degree_groups), per op; returns one (f x n) array per op, with 0
     at a node in no group. Callers check ops: any op not named is mode.
 
-    Each node's values are sorted ascending once, for every op. Sums match
-    np.sort(block, axis=0).sum(axis=0) on a node's (degree x f) block bit
-    for bit when in_sequence says how numpy would add it: in sequence when
-    f > 1, pairwise for a lone column. Rows go through in blocks.
+    Each node's values are sorted ascending once, for every op, and summed
+    in sequence, so a row's result does not depend on the rows beside it.
+    Rows go through in blocks.
     """
     f = rows.shape[0]
     outs = [np.zeros((f, n)) for _ in ops]
@@ -314,12 +312,9 @@ def _aggregate_slots(n, groups, rows, ops, in_sequence):
         for lo in range(0, f, step):
             v = rows[lo : lo + step][:, slots]  # (rows, nodes, d)
             v.sort(axis=-1)
-            if in_sequence:
-                total = v[..., 0].copy()
-                for k in range(1, d):
-                    total += v[..., k]
-            else:
-                total = v.sum(axis=-1)
+            total = v[..., 0].copy()
+            for k in range(1, d):
+                total += v[..., k]
             for op, out in zip(ops, outs):
                 block = out[lo : lo + step]
                 if op == "sum":
@@ -457,8 +452,7 @@ def _extend_basis(basis: np.ndarray, rows) -> list[int]:
 
 def _check_config(config: FeatureLearnConfig) -> None:
     """Check config before any feature is computed."""
-    if config.maxiter < 1:
-        raise ValueError("maxiter must be >= 1")
+    _check_count("maxiter", config.maxiter, 1)
     if not config.primitives:
         raise ValueError("primitive set must not be empty")
     _check_fraction(config.bin_fraction)
@@ -476,12 +470,11 @@ def _candidate_block(g: Graph, groups, rows: np.ndarray, lo: int, hi: int, ops, 
 
     Returns (index, cand, bins): index is each candidate's place in the
     round's candidate-id order (op-major over all f survivors) and bins are
-    cand's log bins. Sums run in sequence iff the round has more than one
-    survivor, whatever the block's width, as recompute assumes.
+    cand's log bins.
     """
     f = rows.shape[0]
     hi = min(hi, f)
-    cand = np.concatenate(_aggregate_slots(g.n, groups, rows[lo:hi], ops, f > 1))
+    cand = np.concatenate(_aggregate_slots(g.n, groups, rows[lo:hi], ops))
     index = (np.arange(len(ops))[:, None] * f + np.arange(lo, hi)).ravel()
     return index, cand, log_bin_rows(cand, p)
 
@@ -534,9 +527,9 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
 
     Round 0's candidates are the primitives; a later round's are every
     operator applied to every surviving feature. At threshold 1.0 a round
-    after round 1 aggregates only the survivors the previous round added,
-    unless that round had one survivor and summed pairwise: the older
-    survivors' candidates would have the same bits, all already seen.
+    after round 1 aggregates only the survivors the previous round added:
+    the older survivors' candidates would have the same bits, all already
+    seen.
     The loop stops, and the result's stopped says why, at the first of: a
     round that leaves the survivors as they were ("fixed-point"); a round
     that brings them to n ("rank"), when they span every later candidate;
@@ -616,7 +609,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
             basis = np.zeros((0, g.n))
             _extend_basis(basis, rows)
         next_id += count
-        start = f if config.threshold == 1.0 and f > 1 else 0
+        start = f if config.threshold == 1.0 else 0
         sizes.append(len(descriptors))
         changed = [d.id for d in descriptors] != prior_ids
         if not changed or 0 < g.n == len(basis):
@@ -630,15 +623,10 @@ def recompute(g: Graph, descriptors) -> FeatureMatrix:
     """Evaluate a descriptor list on a graph, in id order, with no pruning.
 
     Composite bases must appear earlier in the list (malformed DAGs are
-    rejected).
-
-    Values equal learn_features' bit for bit: a composite of iteration t
-    was made in round t, whose survivors were the descriptors with an
-    earlier iteration, and that round sums in sequence when it has more
-    than one survivor, so its base is summed the same way here.
+    rejected). Values equal learn_features' bit for bit: a composite's
+    bits depend only on its base column and its operator.
     """
     descriptors = tuple(descriptors)
-    iterations = np.sort([d.iteration for d in descriptors])
     values: dict[int, np.ndarray] = {}
     cache: dict = {}
     groups = None
@@ -654,8 +642,7 @@ def recompute(g: Graph, descriptors) -> FeatureMatrix:
                 raise ValueError(f"descriptor {d.id} references missing base {d.base}")
             if groups is None:
                 groups = _degree_groups(*g.csr[:2])
-            width = np.searchsorted(iterations, d.iteration)
-            col = _aggregate_slots(g.n, groups, values[d.base][None], (d.operator,), width > 1)[0][0]
+            col = _aggregate_slots(g.n, groups, values[d.base][None], (d.operator,))[0][0]
         values[d.id] = col
     return FeatureMatrix(
         values=np.column_stack(list(values.values())) if values else np.zeros((g.n, 0)),

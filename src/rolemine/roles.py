@@ -189,10 +189,10 @@ def _fit_stack(x, w_full, h_full, ranks, maxiter, tol):
 
 
 def _check_fit(x: np.ndarray, r: int, maxiter: int) -> None:
+    _check_count("rank", r)
     if not 1 <= r <= min(x.shape):
         raise ValueError(f"rank {r} outside 1..min(n,f)={min(x.shape)}")
-    if maxiter < 1:
-        raise ValueError("maxiter must be >= 1")
+    _check_count("maxiter", maxiter, 1)
 
 
 def _start(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -331,8 +331,7 @@ def select_rank(
     failures in rank order; the model and the sweep are the same bits on
     any CPU count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", trials, 1)
     _check_criterion(criterion, b)
     _check_count("seed", seed)
     xn, scales = normalize_columns(_validate_input(x))

@@ -18,10 +18,10 @@ from rolemine import features as features_module
 from rolemine.features import _aggregate_slots, _degree_groups, log_bin_rows
 
 
-def aggregate_rows(g, rows, ops, in_sequence):
+def aggregate_rows(g, rows, ops):
     """Every op of the library kernel over each node's neighbors, for every
     feature row of rows (f x n); ops are not checked."""
-    return _aggregate_slots(g.n, _degree_groups(*g.csr[:2]), rows, ops, in_sequence)
+    return _aggregate_slots(g.n, _degree_groups(*g.csr[:2]), rows, ops)
 
 
 def equitable_partition(g):
@@ -189,7 +189,7 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), span=True, ratios=None):
                 ))
                 all_by_id[next_id] = cands[-1]
                 next_id += 1
-        aggregated = aggregate_rows(g, rows, config.operators, len(rows) > 1)
+        aggregated = aggregate_rows(g, rows, config.operators)
         prune(np.concatenate([rows[:0], *aggregated]), cands)
         sizes.append(len(descriptors))
         if {d.id for d in descriptors} == prior_ids:

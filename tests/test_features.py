@@ -226,7 +226,7 @@ class TestPrimitives:
 
 
 def aggregate_column(g, column, op):
-    return aggregate_rows(g, np.array(column, dtype=float)[None], (op,), False)[0][0]
+    return aggregate_rows(g, np.array(column, dtype=float)[None], (op,))[0][0]
 
 
 class TestOperators:
@@ -291,7 +291,7 @@ class TestOperators:
         g = erdos_renyi(60, 0.3, seed=5)
         rng = np.random.default_rng(5)
         rows = np.floor(rng.uniform(0, 4, (6, 60)) * 3) / 3
-        got = aggregate_rows(g, rows, ("sum", "mode", "max"), True)[1]
+        got = aggregate_rows(g, rows, ("sum", "mode", "max"))[1]
         assert got.tolist() == [naive_aggregate(g, row.tolist(), "mode") for row in rows]
 
     @given(
@@ -514,11 +514,36 @@ class TestLearnFeatures:
                 assert agreement(bins[i], bins[j]) < 1.0
 
 
+def weighted_gnp(seed):
+    """A seeded weighted G(n, p): n in 10..59, mean degree 2..14, weights
+    uniform in [0.25, 4)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 60))
+    g = erdos_renyi(n, min(rng.uniform(2, 14) / (n - 1), 1.0), seed=seed)
+    return Graph(n=n, edges=g.edges, weights=rng.uniform(0.25, 4.0, size=len(g.edges)))
+
+
+def weighted_pair_config(lam):
+    return FeatureLearnConfig(primitives=("weighted-degree", "degree"), threshold=lam, maxiter=4)
+
+
 class TestRecompute:
-    def test_reproduces_learned_matrix(self):
-        x = learn_features(S3, FeatureLearnConfig(maxiter=2))
-        y = recompute(S3, x.descriptors)
-        assert (x.values == y.values).all()
+    @pytest.mark.parametrize("cases", [
+        pytest.param(lambda: [(S3, FeatureLearnConfig(maxiter=2))], id="star"),
+        # the prune keeps one of round 1's two survivors, so a summation
+        # order read from a round's width gets the mean of feature 0 wrong
+        # by 3.6e-15
+        pytest.param(lambda: [(weighted_gnp(14), weighted_pair_config(0.5))], id="lambda-0.5"),
+        pytest.param(
+            lambda: [(weighted_gnp(s), weighted_pair_config(lam))
+                     for s in range(80) for lam in (1.0, 0.8, 0.5)],
+            id="weighted-sweep",
+        ),
+    ])
+    def test_reproduces_learned_matrix(self, cases):
+        for g, config in cases():
+            x = learn_features(g, config)
+            assert recompute(g, x.descriptors).values.tobytes() == x.values.tobytes(), config
 
     def test_degree_on_path(self):
         d = (FeatureDescriptor(id=0, kind="primitive", primitive="degree"),)
@@ -658,23 +683,23 @@ GOLDEN_CASES = {
         lambda: weighted_er(90, 12 / 90, seed=4),
         FeatureLearnConfig(maxiter=6),
         (5, 14, 31, 62, 90),
-        "889eae8fd47106744500b7d16e94eaf63f929e92b67dcf20ab61aac4b66783d2",
+        "daf4e45169f3c2b79b2a275748e897e5c2a2b203c21b531ad172f3dcd9fa54fe",
     ),
-    # a one-column round: numpy sums a lone column pairwise, not in sequence
+    # a one-column round: its lone survivor is summed as every other column
     "one-column": (
         lambda: weighted_er(60, 0.2, seed=2),
         FeatureLearnConfig(
             primitives=("weighted-degree",), operators=("sum", "mean", "max", "min"), maxiter=3
         ),
         (1, 5, 20, 60),
-        "1c969dd84dfc005c1ca7b8495c8f50e9971f2ed1c9b5a2e8b787ead375beb414",
+        "260fa798500a71fe22ccc01a35e6bedc054c6f3cd4e8557a4a4e2740eaa3aa8c",
     ),
     # mode: degrees up to 23 and fractional values, so floors tie in runs
     "mode": (
         lambda: weighted_er(90, 12 / 90, seed=4),
         FeatureLearnConfig(operators=("sum", "mean", "mode"), maxiter=4),
         (5, 18, 55, 90),
-        "0aa47f856afeaa2afd92f0229c8ce92cbdb010e177321554870afec674fe3572",
+        "8be41e12682f38ce1c08bfc7216c26539cd9a9d1fdbbb635a888c5baa5465987",
     ),
     # the agreement-graph route below lambda = 1
     "lambda-0.8": (
@@ -685,15 +710,14 @@ GOLDEN_CASES = {
     ),
 }
 
-# Digests of every case run without the span rule, as pinned before it (and,
-# for the first three, before the rank rule): the all-at-once oracle with
-# span=False must still give these bytes.
+# Digests of every case run without the span rule: the all-at-once oracle
+# with span=False must still give these bytes.
 UNCUT_DIGESTS = {
     "er-maxiter": "fb6763c7a2a36e44fbd87b1b1d5942e3808db4ab162dff385fc4b5d9c8e0530c",
-    "weighted": "a37176fae41ffb588822d41adae242168c9095907d845f1a84f51f01fce183ba",
-    "mode": "369f575aeba5958955fb708c2b05f6388458a490f0fd4d8ac79b086bfe1efd60",
+    "weighted": "9b6a78de6a4243bd8540138a02e1049a4cbf869b7b0d2270712e036066b7bcba",
+    "mode": "621e4fa455e82d21758e95ef5b22c246f1cf66fa5cecf9f6b37f857c79aa9904",
     "planted": "0f7c946235dcb2d205ace7caacfc1e60a2b67f3688c5ed7be272b5e246ef134c",
-    "one-column": "ce6c83f9958918788fa1740404ce92c7fc8e1fa38e6493cbd16e5f1aceb9f960",
+    "one-column": "5860dcf7f6636990cbfb5d532370af4fcc502dba03c5929642e5de51b2cb90a1",
     "lambda-0.8": "f65343d7feabc3ed72f0f22f1c8ac7b03bf419ce6675ed22ee9eca73208e5e36",
 }
 
@@ -708,8 +732,8 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_recomputed_bytes_unchanged(self, name):
         # recompute gives the learned bytes, whose digests are pinned above;
-        # "er-maxiter" has nodes of degree 8 and more, where a composite
-        # summed pairwise instead of in sequence differs in the last bits
+        # "er-maxiter" has nodes of degree 8 and more, where a sum in another
+        # order would differ in the last bits
         make, config, _, _ = GOLDEN_CASES[name]
         g = make()
         x = learn_features(g, config)
@@ -769,50 +793,50 @@ class TestStreamedRound:
         assert_same_learn(got, want)
         assert learned_digest(got) == digest
 
-    def test_round_after_a_lone_survivor_aggregates_it_again(self, monkeypatch):
-        # a lone survivor sums pairwise and the next round in sequence; on the
-        # hub's nine neighbours the two sums differ in the last bit, which
-        # moves a bin, so round 2 makes sum(weighted-degree) once more. It
-        # lies in the span of round 1's, so the span rule drops it
-        calls = []
-        aggregate = features_module._aggregate_slots
-
-        def counted(n, groups, rows, ops, in_sequence):
-            calls.append((len(rows), ops, in_sequence))
-            return aggregate(n, groups, rows, ops, in_sequence)
-
-        monkeypatch.setattr(features_module, "_aggregate_slots", counted)
-        w = [0.1] * 5 + [0.3] * 4
-        g = Graph(n=12, edges=[(0, j) for j in range(1, 10)] + [(10, 11)], weights=w + [1.7])
-        config = FeatureLearnConfig(primitives=("weighted-degree",), maxiter=3)
-        got = learn_features(g, config)
-        # the primitive, round 1 on the lone survivor, round 2 on both
-        assert calls == [(1, ("sum",), False), (1, config.operators, False),
-                         (2, config.operators, True)]
-        assert_same_learn(got, all_at_once_learn(g, config))
-        assert [(d.base, d.iteration) for d in got.descriptors[1:]] == [(0, 1)]
-
-    @pytest.mark.parametrize("lam", [1.0, 0.9])
-    def test_a_round_aggregates_only_what_it_must(self, monkeypatch, lam):
+    @pytest.mark.parametrize("make, config", [
+        pytest.param(lambda: erdos_renyi(400, 8 / 399, seed=1), FeatureLearnConfig(), id="1.0"),
+        pytest.param(
+            lambda: erdos_renyi(400, 8 / 399, seed=1),
+            FeatureLearnConfig(threshold=0.9, maxiter=6),
+            id="0.9",
+        ),
+        # one primitive, so round 0 keeps a lone survivor
+        pytest.param(
+            lambda: Graph(
+                n=12,
+                edges=[(0, j) for j in range(1, 10)] + [(10, 11)],
+                weights=[0.1] * 5 + [0.3] * 4 + [1.7],
+            ),
+            FeatureLearnConfig(primitives=("weighted-degree",), maxiter=3),
+            id="lone-survivor",
+        ),
+    ])
+    def test_a_round_aggregates_only_what_it_must(self, monkeypatch, make, config):
         # at lambda = 1 a round aggregates only the survivors the previous
-        # round added, whose sizes telescope to the last round's input;
-        # below it a prune resets seen, so every survivor goes through
+        # round added, a lone one included, whose sizes telescope to the
+        # last round's input; below it a prune resets seen, so every
+        # survivor goes through
         calls = []
         aggregate = features_module._aggregate_slots
 
-        def counted(n, groups, rows, ops, in_sequence):
+        def counted(n, groups, rows, ops):
             calls.append((len(rows), ops))
-            return aggregate(n, groups, rows, ops, in_sequence)
+            return aggregate(n, groups, rows, ops)
 
         monkeypatch.setattr(features_module, "_aggregate_slots", counted)
-        config = FeatureLearnConfig() if lam == 1.0 else FeatureLearnConfig(threshold=lam, maxiter=6)
-        x = learn_features(erdos_renyi(400, 8 / 399, seed=1), config)
+        g = make()
+        x = learn_features(g, config)
         # the weighted-degree primitive is one more call, with ("sum",) alone
         rows = sum(k for k, ops in calls if ops == config.operators)
-        if lam == 1.0:
+        if config.threshold < 1.0:
+            assert rows == sum(x.iteration_sizes[:-1])
+        elif g.n == 400:
             assert rows == x.iteration_sizes[-2] == 356
         else:
-            assert rows == sum(x.iteration_sizes[:-1])
+            # each round after round 0 adds one survivor and aggregates it alone
+            assert calls == [(1, ("sum",))] + [(1, config.operators)] * 3
+            assert x.iteration_sizes == (1, 2, 3, 3) and rows == x.iteration_sizes[-2]
+            assert_same_learn(x, all_at_once_learn(g, config))
 
     @pytest.mark.parametrize("make", [
         lambda: planted_role_graph(seed=1, units=30)[0],
@@ -861,7 +885,7 @@ class TestRankStop:
     @pytest.mark.parametrize(
         "name", sorted(k for k, case in GOLDEN_CASES.items() if case[1].threshold == 1.0)
     )
-    def test_golden_cases_are_the_uncut_run_truncated(self, name):
+    def test_golden_cases_match_the_span_oracle(self, name):
         make, config, _, digest = GOLDEN_CASES[name]
         g = make()
         uncut = all_at_once_learn(g, config, span=False)
@@ -1007,16 +1031,19 @@ class TestCoreNumber:
 
 def per_node_aggregate(g, block, op):
     """The per-node loop the CSR kernel replaced, kept as an oracle for
-    bitwise equality."""
+    bitwise equality; each node's sorted values are added in sequence."""
     out = np.zeros_like(block)
     for u, nbrs in enumerate(neighbor_lists(g)):
         if not nbrs:
             continue
         vals = np.sort(block[nbrs], axis=0)
+        total = vals[0].copy()
+        for row in vals[1:]:
+            total += row
         if op == "sum":
-            out[u] = vals.sum(axis=0)
+            out[u] = total
         elif op == "mean":
-            out[u] = vals.sum(axis=0) / len(nbrs)
+            out[u] = total / len(nbrs)
         elif op == "max":
             out[u] = vals[-1]
         else:
@@ -1027,9 +1054,9 @@ def per_node_aggregate(g, block, op):
 class TestAggregationKernel:
     @pytest.mark.parametrize("columns", [1, 2, 7])
     def test_bitwise_equal_to_per_node_loop(self, columns):
-        # dense enough that many nodes have 8+ neighbors, where a pairwise
-        # and a sequential sum differ in the last bits; a hub of degree 40
-        # sits alone in its degree bucket
+        # dense enough that many nodes have 8+ neighbors, where numpy's
+        # pairwise sum would differ from the sequential one in the last
+        # bits; a hub of degree 40 sits alone in its degree bucket
         rng = np.random.default_rng(columns)
         for seed in range(6):
             g = erdos_renyi(40, 0.45, seed=seed)
@@ -1037,7 +1064,7 @@ class TestAggregationKernel:
             g = Graph(n=43, edges=np.vstack([g.edges, hub]))  # nodes 41 and 42 are isolated
             block = rng.random((g.n, columns)) * 10.0 ** rng.integers(-3, 4, size=columns)
             ops = ("sum", "mean", "max", "min")
-            for op, got in zip(ops, aggregate_rows(g, block.T, ops, columns > 1)):
+            for op, got in zip(ops, aggregate_rows(g, block.T, ops)):
                 assert got.T.tobytes() == per_node_aggregate(g, block, op).tobytes()
 
 
@@ -1056,6 +1083,8 @@ class TestFailFast:
                 id="config6-directed",
             ),
             (FeatureLearnConfig(maxiter=0), "maxiter"),
+            (FeatureLearnConfig(maxiter=2.5), "maxiter must be an integer, not 2.5"),
+            (FeatureLearnConfig(maxiter=True), "maxiter must be an integer, not True"),
         ],
     )
     def test_invalid_config_rejected_before_any_primitive(self, monkeypatch, config, message):

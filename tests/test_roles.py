@@ -124,6 +124,10 @@ class TestNMF:
             nmf_factorize(x, 3)
         with pytest.raises(ValueError):
             nmf_factorize(x, 1, maxiter=0)
+        with pytest.raises(ValueError, match="^maxiter must be an integer, not 2.5$"):
+            nmf_factorize(x, 1, maxiter=2.5)
+        with pytest.raises(ValueError, match="^rank must be an integer, not 1.0$"):
+            nmf_factorize(x, 1.0)
 
     @given(nonneg_matrices, st.integers(0, 5))
     @settings(max_examples=60)
@@ -254,6 +258,12 @@ class TestSelectRank:
         x = np.ones((3, 3))
         with pytest.raises(ValueError):
             select_rank(x, trials=0)
+        with pytest.raises(ValueError, match="^trials must be an integer, not True$"):
+            select_rank(x, trials=True)
+        with pytest.raises(ValueError, match="^rank must be an integer, not 2.0$"):
+            select_rank(x, rank=2.0)
+        with pytest.raises(ValueError, match="^maxiter must be an integer, not 2.5$"):
+            select_rank(x, maxiter=2.5)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(criterion="bic"), "unknown criterion 'bic'"),
