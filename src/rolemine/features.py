@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _check_count
 
 PRIMITIVE_KINDS = DEFAULT_PRIMITIVES = (
     "degree",
@@ -54,15 +54,6 @@ PRIMITIVE_KINDS = DEFAULT_PRIMITIVES = (
 )
 OPERATOR_KINDS = ("sum", "mean", "max", "min", "mode")
 DEFAULT_OPERATORS = ("sum", "mean")
-
-
-def _check_count(name: str, value, least: int = 0) -> None:
-    """Reject a value that is not an int >= least. A bool is refused too,
-    though True == 1: JSON would write it as true."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -427,13 +418,21 @@ def _span_residuals(basis: np.ndarray, rows):
     return v, limit
 
 
+def _full(basis: np.ndarray) -> bool:
+    """Whether basis (k x n, orthonormal rows) spans all of R^n, n > 0."""
+    return 0 < basis.shape[1] == len(basis)
+
+
 def _extend_basis(basis: np.ndarray, rows) -> list[int]:
     """Grow basis (k x n, orthonormal rows, owning its buffer) in place by the
     rows outside its span, in order, and return their positions (see
     _span_residuals). Each block is projected off the basis, then row by row
-    off its own kept rows."""
+    off its own kept rows. Once the basis spans R^n the remaining rows lie in
+    it, and are not projected."""
     kept: list[int] = []
     for lo in range(0, len(rows), _SPAN_BLOCK):
+        if _full(basis):
+            break
         v, limit = _span_residuals(basis, rows[lo : lo + _SPAN_BLOCK])
         m = 0  # v[:m] holds the block's kept rows, orthonormal
         for j, w in enumerate(v):
@@ -489,6 +488,8 @@ def _admitted_candidates(blocks, seen: set[bytes], basis: np.ndarray, first: boo
     So once 4 * _SPAN_BLOCK rows wait, those below the next block's first
     index are final and go through _extend_basis; if most lay in the span,
     the rest are dropped if in the span of the basis, which only grows.
+    Once the basis spans every row, all that waits is dropped and no
+    further block is read.
     """
     earliest: dict[bytes, int] = {}  # unseen bin vector -> its earliest candidate so far
     pending: dict[bytes, np.ndarray] = {}  # rows neither admitted nor dropped
@@ -501,6 +502,8 @@ def _admitted_candidates(blocks, seen: set[bytes], basis: np.ndarray, first: boo
         if first and ready and keep[:1] != [0]:
             keep.insert(0, 0)  # a zero first survivor, outside the basis
         admitted.extend((ready[j][0], rows[j]) for j in keep)
+        if _full(basis):
+            pending.clear()
         late = [key for key in dict.fromkeys(fresh) if key in pending]
         if late and 2 * len(keep) < len(ready):  # most lay in the span; the rest may too
             v, limit = _span_residuals(basis, [pending[key] for key in late])
@@ -511,6 +514,8 @@ def _admitted_candidates(blocks, seen: set[bytes], basis: np.ndarray, first: boo
     for index, cand, bins in blocks:
         if len(fresh) >= 4 * _SPAN_BLOCK:
             check(index[0])
+        if _full(basis):
+            break
         for pos, (i, b) in enumerate(zip(index.tolist(), bins)):
             key = b.tobytes()
             if key not in seen and earliest.get(key, i + 1) > i:
@@ -612,7 +617,7 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
         start = f if config.threshold == 1.0 else 0
         sizes.append(len(descriptors))
         changed = [d.id for d in descriptors] != prior_ids
-        if not changed or 0 < g.n == len(basis):
+        if not changed or _full(basis):
             stopped = "rank" if changed else "fixed-point"
             break
 
@@ -670,13 +675,27 @@ def _byte_rows(x: np.ndarray) -> np.ndarray:
     return x.view(np.dtype((np.void, x.itemsize * x.shape[1]))).ravel()
 
 
+def _first_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, inverse, counts) for the byte-distinct rows of the 2-d x, at
+    least one column wide, in order of first appearance: the row where each
+    first appears, the place of each row of x among them, and how many rows
+    each stands for. Rows are compared as bytes: on a 1000 x 1872 matrix
+    (2-vCPU VM) that sorts in 9 ms, where np.unique(axis=0), comparing
+    column by column, takes 69 ms."""
+    _, first, inverse, counts = np.unique(
+        _byte_rows(x), return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse], counts[order]
+
+
 def _row_texts(x: np.ndarray, sep: str) -> list[str]:
     """sep.join of the repr of each value, for each row of the 2-d float
     array x. Each distinct row is formatted once; equal bytes give equal
     text."""
     if not x.shape[1]:
         return [""] * len(x)
-    _, first, inverse = np.unique(_byte_rows(x), return_index=True, return_inverse=True)
+    first, inverse, _ = _first_rows(x)
     texts = [sep.join(map(repr, row)) for row in x[first].tolist()]
     return [texts[i] for i in inverse.tolist()]
 
@@ -761,7 +780,9 @@ _ROW_BYTES = b"0123456789.e+-,\r\n"
 def features_from_csv(text: str) -> np.ndarray:
     """Parse features.csv as features_to_csv writes it: row i is node i and
     its values, each a finite non-negative float. Anything else, or a file
-    without rows or feature columns, raises ValueError."""
+    without rows or feature columns, raises ValueError. Every row's node id
+    and width are checked; each distinct value text is parsed and checked
+    once, and a value out of range is named at the first row holding it."""
     header, *lines = text.splitlines() or [""]
     names = header.split(",")
     if names[0] != "node" or len(names) < 2:
@@ -769,18 +790,26 @@ def features_from_csv(text: str) -> np.ndarray:
     if text[len(header):].encode().translate(None, _ROW_BYTES):
         raise ValueError("a row holds a character that features_to_csv never writes")
     data = np.empty((len(lines), len(names) - 1))
-    i = 0
-    for row in (line.split(",") for line in lines if line):
-        if len(row) != len(names):
-            raise ValueError(f"row {i} has {len(row)} columns; the header has {len(names)}")
-        if row[0] != str(i):
-            raise ValueError(f"row {i} has node id {row[0]!r}, expected {i}")
-        data[i] = row[1:]  # float() of each value, bit for bit
-        i += 1
-    if not i:
+    rows: dict[str, int] = {}  # each distinct value text -> its row of data
+    firsts, index = [], []  # the first line of each row of data; each line's row
+    for i, line in enumerate(line for line in lines if line):
+        node, comma, values = line.partition(",")
+        if node != str(i):
+            raise ValueError(f"row {i} has node id {node!r}, expected {i}")
+        k = rows.get(values)
+        if k is None:
+            row = values.split(",") if comma else []
+            if len(row) + 1 != len(names):
+                raise ValueError(f"row {i} has {len(row) + 1} columns; the header has {len(names)}")
+            k = rows[values] = len(firsts)
+            data[k] = row  # float() of each value, bit for bit
+            firsts.append(i)
+        index.append(k)
+    if not index:
         raise ValueError("no node rows")
-    bad = np.argwhere(~(np.isfinite(data[:i]) & (data[:i] >= 0)))
+    data = data[: len(firsts)]
+    bad = np.argwhere(~(np.isfinite(data) & (data >= 0)))
     if bad.size:
-        r, c = bad[0]
-        raise ValueError(f"row {r}, column {names[c + 1]}: {data[r, c]} is not finite and non-negative")
-    return data[:i]
+        k, c = bad[0]
+        raise ValueError(f"row {firsts[k]}, column {names[c + 1]}: {data[k, c]} is not finite and non-negative")
+    return data[index]

@@ -10,6 +10,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Reject a value that is not an int >= least. A bool is refused too,
+    though True == 1: JSON would write it as true."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 class CSR(NamedTuple):
     """Compressed sparse rows of an adjacency.
 
@@ -40,8 +49,7 @@ class Graph:
 
     def __post_init__(self):
         n = self.n
-        if n < 0:
-            raise ValueError("node count must be non-negative")
+        _check_count("node count", n)
         e = np.asarray(self.edges)
         if e.size == 0:
             e = np.zeros((0, 2), dtype=np.int64)

@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureDescriptor, _byte_rows, _check_count, _cpu_count, _row_texts
+from .features import FeatureDescriptor, _cpu_count, _first_rows, _row_texts
+from .graph import _check_count
 
 _EPS0 = 1e-12
 # a sweep forks its fit worker only for an x of at least this many values:
@@ -75,6 +76,8 @@ class RoleModel:
         w = np.asarray(self.w, dtype=float)
         h = np.asarray(self.h, dtype=float)
         scales = np.asarray(self.column_scales, dtype=float)
+        if w.ndim != 2 or h.ndim != 2:
+            raise ValueError("factors must be 2-d")
         if not (np.isfinite(w).all() and np.isfinite(h).all() and np.isfinite(scales).all()):
             raise ValueError("factors and column scales must be finite")
         if not (1 <= self.r == w.shape[1] == h.shape[0]):
@@ -204,20 +207,6 @@ def _start(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(rng.standard_normal((n, r))) * scale, np.abs(rng.standard_normal((r, f))) * scale
 
 
-def _distinct_rows(xn: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, inverse, root): the distinct rows of the row-major xn in order of
-    first appearance, each scaled by the square root of its count; the
-    index of each row of xn in u; and the column of those square roots.
-    Rows are compared as bytes: on a 1000 x 1872 matrix (2-vCPU VM) that
-    sorts in 9 ms, where np.unique(axis=0), comparing column by column,
-    takes 69 ms."""
-    rows = _byte_rows(xn)
-    _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True, return_counts=True)
-    order = np.argsort(first)
-    root = np.sqrt(counts[order])[:, None]
-    return xn[first[order]] * root, np.argsort(order)[inverse], root
-
-
 def nmf_factorize(
     x: np.ndarray,
     r: int,
@@ -243,6 +232,7 @@ def svd_factorize(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError("x must be a non-empty 2-d matrix")
+    _check_count("rank", r)
     if not 1 <= r <= min(x.shape):
         raise ValueError(f"rank {r} outside 1..min(n,f)={min(x.shape)}")
     u, s, vt = np.linalg.svd(x, full_matrices=False)
@@ -337,7 +327,10 @@ def select_rank(
     xn, scales = normalize_columns(_validate_input(x))
     top = min(xn.shape) if rank is None else rank  # the rank of the drawn start
     _check_fit(xn, top, maxiter)
-    u, inverse, root = _distinct_rows(xn)
+    # the byte-distinct rows, first seen first, each scaled by sqrt(count)
+    first, inverse, counts = _first_rows(xn)
+    root = np.sqrt(counts)[:, None]
+    u = xn[first] * root
     lo, rmax = (1, min(u.shape)) if rank is None else (rank, rank)
     sweep = RankSweep() if sweep is None else sweep
     sweep.distinct_rows = len(u)
@@ -424,8 +417,11 @@ def _json_matrix(x: np.ndarray) -> str:
 
 
 def model_to_json(model: RoleModel) -> str:
-    """The model in json.dumps(..., indent=2) layout, with W and H written by
-    _json_matrix: json's indent encoder is pure Python."""
+    """The model in json.dumps(..., indent=2) layout. "W" holds the
+    byte-distinct rows of W in order of first appearance and "W_index" the
+    row of each node, so W is W_rows[W_index]. W, W_index and H are written
+    here: json's indent encoder is pure Python."""
+    first, inverse, _ = _first_rows(model.w)
     head = json.dumps({
         "r": model.r,
         "criterion": model.criterion,
@@ -434,8 +430,9 @@ def model_to_json(model: RoleModel) -> str:
         "column_scales": model.column_scales.tolist(),
         "descriptors": None if model.descriptors is None else [vars(d) for d in model.descriptors],
     }, indent=2).removesuffix("\n}")
-    return (f'{head},\n  "W": {_json_matrix(model.w)},\n  "H": {_json_matrix(model.h)},\n'
-            f'  "cost": {float(model.cost)!r}\n}}\n')
+    index = ",\n    ".join(map(str, inverse.tolist()))
+    return (f'{head},\n  "W": {_json_matrix(model.w[first])},\n  "W_index": [\n    {index}\n  ],\n'
+            f'  "H": {_json_matrix(model.h)},\n  "cost": {float(model.cost)!r}\n}}\n')
 
 
 def model_from_json(text: str) -> RoleModel:
@@ -443,9 +440,14 @@ def model_from_json(text: str) -> RoleModel:
     descriptors = doc.get("descriptors")
     if descriptors is not None:
         descriptors = tuple(FeatureDescriptor(**row) for row in descriptors)
+    w, index = np.array(doc["W"], dtype=float), doc["W_index"]
+    # one row of W per node: ints (not true or 1.0) in range
+    if (not isinstance(index, list) or set(map(type, index)) != {int}
+            or not 0 <= min(index) <= max(index) < len(w)):
+        raise ValueError("W_index must list a row number of W for each node")
     return RoleModel(
         r=doc["r"],
-        w=np.array(doc["W"], dtype=float),
+        w=w[index],
         h=np.array(doc["H"], dtype=float),
         column_scales=np.array(doc["column_scales"], dtype=float),
         descriptors=descriptors,

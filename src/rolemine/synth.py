@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, apply_permutation
+from .graph import Graph, _check_count, apply_permutation
 
 
 def erdos_renyi(n: int, p: float, seed: int = 1) -> Graph:
     """G(n, p) with a seeded generator. Self-loops are never drawn."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -32,8 +31,7 @@ def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, tuple[int,
 
     Returns (graph, role label per node).
     """
-    if units < 1:
-        raise ValueError("units must be >= 1")
+    _check_count("units", units, 1)
     edges = []
     labels = []
     n = 0

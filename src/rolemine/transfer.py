@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .features import _byte_rows, csv_rows, recompute
+from .features import _byte_rows, _first_rows, csv_rows, recompute
 from .graph import Graph
 from .roles import RoleModel
 
@@ -162,16 +162,19 @@ def memberships_for_matrix(
 ) -> np.ndarray:
     """Exact NNLS memberships (n x r) for an already normalized feature
     matrix against fixed role definitions h; `report`, when given, records
-    the solve and the residual X - W H."""
+    the solve and the residual X - W H over every row. Each byte-distinct
+    row of the matrix is solved once, so equal rows get equal memberships."""
     x2n = np.asarray(x2n, dtype=float)
     h = np.asarray(h, dtype=float)
     if x2n.ndim != 2 or x2n.shape[1] != h.shape[1]:
         raise ValueError("feature matrix width must match role definitions")
+    first, inverse, _ = _first_rows(x2n)
     # min_W ||X - W H|| == min_B ||X^T - H^T B|| with B = W^T
-    b, steps = _nnls(h @ h.T, h @ x2n.T)
+    b, steps = _nnls(h @ h.T, h @ x2n[first].T)
+    w = b.T[inverse]
     if report is not None:
-        report.steps, report.residual = steps, float(np.linalg.norm(x2n - b.T @ h))
-    return b.T
+        report.steps, report.residual = steps, float(np.linalg.norm(x2n - w @ h))
+    return w
 
 
 def estimate_transition_model(

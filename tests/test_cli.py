@@ -30,6 +30,7 @@ from rolemine import (
     model_from_json,
     model_to_json,
     planted_role_graph,
+    recompute,
     series_to_csv,
     transfer_memberships,
     write_edge_list,
@@ -305,18 +306,29 @@ class TestSelectRankAndAssign:
     @pytest.mark.parametrize("key, value", [
         ("r", True), ("b", 2.5), ("seed", -3), ("criterion", "bogus"),
         ("W", [[float("nan")], [1.0]]), ("column_scales", [1.0, float("inf")]),
+        # W_index names a row of W for each node; anything else is refused
+        # as a malformed file, not left to fail as an IndexError
+        ("W_index", None), ("W_index", [0, 2]), ("W_index", [-1, 0]), ("W_index", [0, True]),
+        ("W_index", [0, 1.0]), ("W_index", []), ("W_index", 0), ("W", [1.0, 2.0]),
     ])
     def test_model_file_json_cannot_hold_rejected(self, runner, tmp_path, key, value):
-        doc = {"r": 1, "criterion": "aic", "b": 16, "seed": 1, "column_scales": [1.0, 1.0],
-               "descriptors": None, "W": [[1.0], [1.0]], "H": [[1.0, 1.0]], "cost": 1.0}
+        doc = {"r": 1, "criterion": "aic", "b": 16, "seed": 1, "column_scales": [1.0],
+               "descriptors": [{"id": 0, "kind": "primitive", "primitive": "degree"}],
+               "W": [[1.0], [2.0]], "W_index": [0, 1, 1], "H": [[1.0]], "cost": 1.0}
         model_from_json(json.dumps(doc))
-        # json.dumps writes nan and inf as NaN and Infinity, which json.loads reads
-        (tmp_path / "model.json").write_text(json.dumps({**doc, key: value}))
-        result = runner.invoke(
-            main, ["assign", str(tmp_path / "model.json"), "--output-dir", str(tmp_path / "out")]
-        )
-        assert isinstance(result.exception, SystemExit) and result.exit_code == 1
-        assert result.stderr.startswith("error: malformed model file"), result.stderr
+        # json.dumps writes nan and inf as NaN and Infinity, which json.loads
+        # reads; a None value drops the key
+        doc = {k: v for k, v in {**doc, key: value}.items() if v is not None}
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        (tmp_path / "g.txt").write_text("0 1\n1 2\n")
+        (tmp_path / "snapshots.txt").write_text("g.txt\ng.txt\n")
+        for command, *second in (["assign"], ["transfer", "g.txt"], ["dynamic", "snapshots.txt"]):
+            result = runner.invoke(
+                main, [command, str(tmp_path / "model.json"), *(str(tmp_path / p) for p in second),
+                       "--output-dir", str(tmp_path / "out")]
+            )
+            assert isinstance(result.exception, SystemExit) and result.exit_code == 1
+            assert result.stderr.startswith("error: malformed model file"), (command, result.stderr)
 
     def test_model_file_that_is_not_an_object_rejected(self, runner, tmp_path):
         (tmp_path / "model.json").write_text("[1]\n")
@@ -542,6 +554,36 @@ class TestTransferAndDynamic:
             assert isinstance(result.exception, SystemExit) and result.exit_code == 1
             assert result.stderr.startswith(f"error: malformed {what} file"), result.stderr
             assert "Traceback" not in result.stderr
+
+    def test_equal_feature_rows_get_equal_memberships(self, runner, tmp_path):
+        # each distinct feature row is solved once, so nodes whose
+        # normalized features are equal bytes get the same membership text;
+        # a 1%-rewired planted graph ties most rows, not all
+        g = rewire(planted_role_graph(seed=1, units=10)[0], 0.01, np.random.default_rng(1))
+        graph = tmp_path / "graph.txt"
+        graph.write_text(write_edge_list(g))
+        (tmp_path / "snapshots.txt").write_text("graph.txt\ngraph.txt\n")
+        invoke_ok(runner, ["learn", str(graph), "--output-dir", str(tmp_path)])
+        invoke_ok(runner, ["select-rank", str(tmp_path / "features.csv"),
+                           str(tmp_path / "descriptors.json"), "--output-dir", str(tmp_path)])
+        model = str(tmp_path / "model.json")
+        invoke_ok(runner, ["transfer", model, str(graph), "--output-dir", str(tmp_path / "t")])
+        invoke_ok(runner, ["dynamic", model, str(tmp_path / "snapshots.txt"),
+                           "--output-dir", str(tmp_path / "d")])
+        m = model_from_json((tmp_path / "model.json").read_text())
+        g = load_edge_list(graph.read_text())
+        x = np.minimum(recompute(g, m.descriptors).values / m.column_scales, 10.0)
+        rows = [row.tobytes() for row in x]
+        assert 1 < len(set(rows)) < g.n / 4
+        series = (tmp_path / "d" / "series.csv").read_text().splitlines()[1:]
+        for lines, skip in (
+            ((tmp_path / "t" / "memberships.csv").read_text().splitlines()[1:], 1),
+            (series[: g.n], 2), (series[g.n :], 2),
+        ):
+            text = {}
+            for row, line in zip(rows, lines, strict=True):
+                values = line.split(",", skip)[-1]
+                assert text.setdefault(row, values) == values
 
     def test_dynamic_series_and_transition(self, runner, tmp_path):
         graph = self.fit_chain(runner, tmp_path)
@@ -916,17 +958,19 @@ class TestDeterminism:
         for key in a:
             assert a[key] == b[key], key
 
-    # sha256 of each file of the planted chain below, recorded when the span
-    # rule cut learn's five columns to four. They equal the digests of the
-    # same chain with each graph passed in memory, not parsed from its
+    # sha256 of each file of the planted chain below. The assignments were
+    # recorded when the span rule cut learn's five columns to four; the
+    # rest when model.json came to hold W's distinct rows once and transfer
+    # to solve each distinct feature row once. They equal the digests of
+    # the same chain with each graph passed in memory, not parsed from its
     # file: loading the written graphs renumbers no node
     PINNED = {
-        "model.json": "97e94a2cbfffb3f33ae07e9ab11633ae7f4b6c04e3f7424246be14191d35627a",
+        "model.json": "5a8fd6896f1a25534dcadf9d26c453868f2f86329d9fd06450b3d2bc3cd91199",
         "soft/assignments.csv": "3a3195c55e1eb794f600bc96eda82a2ba2ddf994b6ec46bd5862dc13cd147bcb",
         "hard/assignments.csv": "4cf82b7de0b10e89fd4cab27305cbad31f11d23bace8b2545fbc00fa096c8f60",
-        "memberships.csv": "54a1a2c473c9e01139fde61a3188ca8b0dcfb35efa515c6ad6b78a03123d2ddb",
-        "series.csv": "c147494414a30f5db874f45ac14e1de1b8dfd707eb25ca5aa9785c7a44ab2fff",
-        "transition.json": "8ab3fdd5ddc218d9f58b59e41b7c410277d7f87409f99879b9845bc9a895c52e",
+        "memberships.csv": "e5f071b1cbed2d88c88d1afe714981b1478026271e3fe0c635c043e49ed716e3",
+        "series.csv": "686397263839e22011fbd9349147b5ff1393e0c84bcaa3979c9057665b54e963",
+        "transition.json": "ae6abf719a331907b6af852e5483d5babcf59cc2a12b40d728345e6b26ba5b50",
     }
 
     def test_planted_chain_bytes_are_pinned(self, runner, tmp_path):
@@ -1017,9 +1061,15 @@ class TestRowWriters:
         model = RoleModel(r=r, w=w, h=h, column_scales=scales, descriptors=descriptors,
                           cost=data.draw(st.sampled_from([-1e16, 1 / 3, 0.0])),
                           criterion="mdl", b=3, seed=data.draw(st.integers(0, 2**64)))
+        # W's distinct rows by bytes, first seen first, and each node's row
+        rows = list(dict.fromkeys(row.tobytes() for row in w))
         doc = {
             "r": r, "criterion": "mdl", "b": 3, "seed": model.seed, "column_scales": scales,
             "descriptors": None if descriptors is None else json.loads(descriptors_to_json(descriptors)),
-            "W": w.tolist(), "H": h.tolist(), "cost": model.cost,
+            "W": [np.frombuffer(row).tolist() for row in rows],
+            "W_index": [rows.index(row.tobytes()) for row in w],
+            "H": h.tolist(), "cost": model.cost,
         }
-        assert model_to_json(model) == json.dumps(doc, indent=2) + "\n"
+        text = model_to_json(model)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert model_from_json(text).w.tobytes() == w.tobytes()

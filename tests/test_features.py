@@ -614,6 +614,12 @@ class TestSerialization:
         ("node,feat_0,feat_1\n0,1.0,-2.0\n", "row 0, column feat_1: -2.0"),
         ("node,feat_0\n0,nan\n", "character"),
         ("node,feat_0\n0,1.0\n01,2.0\n", "row 1 has node id '01'"),
+        # each distinct value text is parsed once, yet every row is checked
+        # and a refusal names the row at fault
+        ("node,feat_0\n0,1.0\n0,1.0\n", "row 1 has node id '0'"),
+        ("node,feat_0\n0,2.0\n1,-1.0\n2,-1.0\n", "row 1, column feat_0: -1.0"),
+        ("node,feat_0\n0,1.0\n1,1.0\n2\n", "row 2 has 1 columns"),
+        ("node,feat_0\n0,1.0,2.0\n1,1.0,2.0\n", "row 0 has 3 columns"),
         ("node,feat_0\n\n", "no node rows"),
         ("node\n0\n", "header"),
     ])
@@ -913,6 +919,22 @@ class TestRankStop:
         g = Graph(n=4, edges=[(0, 1), (0, 2), (0, 3), (1, 2)], weights=[1.0, 3.0, 3.0, 3.0])
         got = learn_features(g)
         assert got.iteration_sizes == (4,) and got.stopped == "rank"
+        assert_same_learn(got, all_at_once_learn(g))
+
+    def test_no_projection_against_a_full_basis(self, monkeypatch):
+        # once the survivors number n every candidate lies in their span:
+        # the round drops what waits and reads no further block
+        full = []
+        residuals = features_module._span_residuals
+
+        def counted(basis, rows):
+            full.append(len(basis) == basis.shape[1])
+            return residuals(basis, rows)
+
+        monkeypatch.setattr(features_module, "_span_residuals", counted)
+        g = erdos_renyi(400, 8 / 399, seed=1)
+        got = learn_features(g)
+        assert got.stopped == "rank" and full and not any(full)
         assert_same_learn(got, all_at_once_learn(g))
 
     def test_rule_applies_below_lambda_one(self):

@@ -132,6 +132,12 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match="self-loop at node 1"):
             Graph(n=2, edges=[(0, 1), (1, 1)])
 
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_node_count_must_be_a_non_negative_integer(self, n):
+        # n = 2.5 was accepted, and learn_features failed on it deep in numpy
+        with pytest.raises(ValueError, match="node count"):
+            Graph(n=n, edges=[(0, 1)])
+
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValueError, match=r"edge \(0, 2\) outside"):
             Graph(n=2, edges=[(0, 2)])

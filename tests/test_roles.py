@@ -175,11 +175,10 @@ class TestSVD:
         assert s[0] >= s[1] >= s[2] >= 0
 
     def test_rank_range_validated(self):
-        x = np.ones((3, 2))
-        with pytest.raises(ValueError):
-            svd_factorize(x, 0)
-        with pytest.raises(ValueError):
-            svd_factorize(x, 3)
+        # a float or bool rank failed as a raw TypeError in the slicing
+        for r in (0, 3, 2.0, True):
+            with pytest.raises(ValueError):
+                svd_factorize(np.ones((3, 2)), r)
 
     def test_beats_random_candidates(self):
         rng = np.random.default_rng(7)
@@ -376,10 +375,13 @@ class TestModelJson:
         assert (back.w == model.w).all()
 
     def test_bytes_match_per_value_floats(self):
-        # .tolist() gives the Python floats float(v) gave, so the same text
+        # .tolist() gives the Python floats float(v) gave, so the same text;
+        # "W" holds W's distinct rows, first seen first, and "W_index" the
+        # row of each node
         awkward = [0.1, 1 / 3, 1e-300, 1e16, 5e-324, 7.0]
+        rows = np.array(awkward).reshape(3, 2)
         model = RoleModel(
-            r=2, w=np.array(awkward).reshape(3, 2), h=np.array([awkward, awkward[::-1]]),
+            r=2, w=rows[[0, 1, 0, 2, 1]], h=np.array([awkward, awkward[::-1]]),
             column_scales=np.array(awkward), descriptors=None, cost=1 / 3,
             criterion="aic", b=16, seed=1,
         )
@@ -387,7 +389,8 @@ class TestModelJson:
             "r": 2, "criterion": "aic", "b": 16, "seed": 1,
             "column_scales": [float(v) for v in model.column_scales],
             "descriptors": None,
-            "W": [[float(v) for v in row] for row in model.w],
+            "W": [[float(v) for v in row] for row in rows],
+            "W_index": [0, 1, 0, 2, 1],
             "H": [[float(v) for v in row] for row in model.h],
             "cost": float(model.cost),
         }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rolemine import erdos_renyi
+from rolemine import erdos_renyi, planted_role_graph
 
 
 def scalar_erdos_renyi(n, p, seed):
@@ -27,7 +27,15 @@ class TestErdosRenyi:
         assert g.edges.tolist() == scalar_erdos_renyi(n, p, seed)
 
     def test_bad_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            erdos_renyi(0, 0.5)
-        with pytest.raises(ValueError):
-            erdos_renyi(3, 1.5)
+        # True ran as n = 1 and 5.5 failed as a raw TypeError
+        for n, p in ((0, 0.5), (3, 1.5), (True, 0.5), (5.5, 0.5)):
+            with pytest.raises(ValueError):
+                erdos_renyi(n, p)
+
+
+class TestPlantedRoleGraph:
+    # True ran as one unit and 2.5 failed as a raw TypeError
+    @pytest.mark.parametrize("units", [0, True, 2.5])
+    def test_units_must_be_a_positive_integer(self, units):
+        with pytest.raises(ValueError, match="units"):
+            planted_role_graph(seed=1, units=units)
