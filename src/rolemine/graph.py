@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -140,6 +141,13 @@ class NodePartition:
         return True
 
 
+# a plain line: two labels of at most 18 digits, so both fit int64, and one space
+_PLAIN_LINE = r"-?[0-9]{1,18} -?[0-9]{1,18}(?:\n|\Z)"
+_FIRST_PLAIN = re.compile(_PLAIN_LINE)
+# the LF before the first line that is not plain; scanning for LF is faster than for ^
+_NOT_PLAIN = re.compile(rf"\n(?!{_PLAIN_LINE}|\Z)")
+
+
 def load_edge_list(source: str) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
 
@@ -152,7 +160,17 @@ def load_edge_list(source: str) -> Graph:
     A label is an optional '-' then ASCII digits, and a weight holds no '_'.
     Raises ValueError naming the offending line for self-loops, non-positive
     or non-finite weights, and malformed tokens.
+
+    A plain text, every line "u v" with labels of at most 18 digits, one
+    space and LF endings, is parsed in one array pass; any other text, and a
+    plain one holding a self-loop, goes line by line, to the same graph.
     """
+    if _FIRST_PLAIN.match(source) and _NOT_PLAIN.search(source) is None:
+        # fromstring reads whitespace-separated ints without a str per token
+        labels, pairs = np.unique(np.fromstring(source, dtype=np.int64, sep=" "), return_inverse=True)
+        pairs = pairs.reshape(-1, 2)
+        if not (pairs[:, 0] == pairs[:, 1]).any():  # else the loop names the self-loop's line
+            return Graph(n=labels.size, edges=pairs)
     ends: list[int] = []
     weights: list[float] = []
     any_weighted = False

@@ -186,8 +186,9 @@ def estimate_transition_model(
     never expresses (all-zero columns) get all-zero transition rows.
     `report`, when given, records the solve and the residual W_b - W_a T.
     """
-    w_a = np.asarray(w_a, dtype=float)
-    w_b = np.asarray(w_b, dtype=float)
+    # C order for both, so the BLAS products' bits depend on the values alone
+    w_a = np.ascontiguousarray(w_a, dtype=float)
+    w_b = np.ascontiguousarray(w_b, dtype=float)
     if w_a.shape != w_b.shape:
         raise ValueError("membership matrices must have equal shapes")
     t, steps = _nnls(w_a.T @ w_a, w_a.T @ w_b)

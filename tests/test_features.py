@@ -1,3 +1,4 @@
+import collections
 import csv
 import hashlib
 import io
@@ -1068,8 +1069,12 @@ def per_node_aggregate(g, block, op):
             out[u] = total / len(nbrs)
         elif op == "max":
             out[u] = vals[-1]
-        else:
+        elif op == "min":
             out[u] = vals[0]
+        else:  # mode: the smallest of the most frequent floored values
+            for j, col in enumerate(np.floor(vals).T.tolist()):
+                counts = collections.Counter(col)
+                out[u, j] = min(counts, key=lambda x: (-counts[x], x))
     return out
 
 
@@ -1088,6 +1093,16 @@ class TestAggregationKernel:
             ops = ("sum", "mean", "max", "min")
             for op, got in zip(ops, aggregate_rows(g, block.T, ops)):
                 assert got.T.tobytes() == per_node_aggregate(g, block, op).tobytes()
+
+    def test_hub_above_the_cut_equal_to_per_node_loop(self):
+        # the hub's group sums in one accumulate call, its leaves' in the loop
+        d = features_module._HUB_DEGREE + 45
+        leaves = erdos_renyi(d, 0.05, seed=9)
+        g = Graph(n=d + 1, edges=np.vstack([leaves.edges, [(v, d) for v in range(d)]]))
+        block = np.random.default_rng(9).random((g.n, 7)) * 10.0 ** np.arange(-3, 4)
+        ops = ("sum", "mean", "max", "min", "mode")
+        for op, got in zip(ops, aggregate_rows(g, block.T, ops)):
+            assert got.T.tobytes() == per_node_aggregate(g, block, op).tobytes()
 
 
 class TestFailFast:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from rolemine import (
     planted_role_graph,
     write_edge_list,
 )
+
+from rolemine import graph as graph_module
 
 from strategies import edge_list_texts, graph_with_permutation, graphs, neighbor_lists, same_graph
 
@@ -125,6 +128,91 @@ class TestLoad:
         with pytest.raises(ValueError, match="line 1"):
             load_edge_list("0 1 inf")
 
+
+LABEL_MAX = 10**18 - 1  # the widest label the array pass reads: 18 digits
+
+
+@st.composite
+def plain_texts(draw):
+    """A graph from graphs() as plain text: each node a distinct label in
+    ±LABEL_MAX, zero-padded to at most 18 digits, 0 sometimes written '-0',
+    either end first; the last LF is optional. The graph has an edge, as
+    the empty text goes through the loop."""
+    g = draw(graphs(min_n=2, max_n=10).filter(lambda g: len(g.edges)))
+    labels = draw(st.lists(st.integers(-LABEL_MAX, LABEL_MAX), min_size=g.n, max_size=g.n, unique=True))
+    texts = [
+        ("-" if label < 0 or (label == 0 and draw(st.booleans())) else "")
+        + str(abs(label)).zfill(draw(st.integers(0, 18)))
+        for label in labels
+    ]
+    lines = [
+        f"{texts[u]} {texts[v]}" if draw(st.booleans()) else f"{texts[v]} {texts[u]}"
+        for u, v in g.edges.tolist()
+    ]
+    return "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+
+
+def takes_array_pass(text):
+    return bool(graph_module._FIRST_PLAIN.match(text)) and graph_module._NOT_PLAIN.search(text) is None
+
+
+class TestPlainText:
+    """Plain text goes through the array pass; a comment line forces the loop."""
+
+    @given(plain_texts())
+    def test_array_pass_gives_the_loops_graph(self, text):
+        assert takes_array_pass(text)
+        assert same_graph(load_edge_list(text), load_edge_list(text.rstrip("\n") + "\n# end"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 1\n1 2\n3 3\n4 5\n", "line 3: self-loop at node 3"),
+        ("5 6\n007 7", "line 2: self-loop at node 7"),
+        ("-0 0\n", "line 1: self-loop at node 0"),
+    ])
+    def test_self_loop_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            load_edge_list(text)
+
+    @pytest.mark.parametrize("text", [
+        "0 1\r\n1 2\r\n", "0\t1\n1 2\n", "0  1\n1 2\n", " 0 1\n1 2\n", "0 1 \n1 2\n",
+        "0 1\n\n1 2\n", "0 1\n1 2\n\n", "\n0 1\n1 2",
+    ])
+    def test_other_layouts_take_the_loop(self, text):
+        assert not takes_array_pass(text)
+        assert same_graph(load_edge_list(text), load_edge_list("0 1\n1 2\n"))
+
+    def test_nineteen_digit_labels_load(self):
+        # 2**63 does not fit int64; the loop reads these lines
+        text = "1000000000000000000 -1\n-1 0000000000000000002\n9223372036854775808 2\n"
+        assert not takes_array_pass(text)
+        g = load_edge_list(text)
+        assert (g.n, g.edges.tolist()) == (4, [[0, 1], [0, 2], [1, 3]])
+
+    @pytest.mark.parametrize("text, n, edges", [
+        ("", 0, []),
+        ("3 1\n1 2", 3, [[0, 1], [0, 2]]),
+        ("3 1\n1 2\n", 3, [[0, 1], [0, 2]]),
+    ])
+    def test_empty_text_and_last_line_without_lf(self, text, n, edges):
+        g = load_edge_list(text)
+        assert (g.n, g.edges.tolist(), g.weights) == (n, edges, None)
+
+    def test_array_pass_peak_memory_at_most_the_loops(self):
+        rng = np.random.default_rng(1)
+        u = rng.integers(10**4, size=10**5)
+        v = u + 1 + rng.integers(10**4, size=u.size)
+        text = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
+        assert takes_array_pass(text)
+
+        def peak(source):
+            tracemalloc.start()
+            try:
+                load_edge_list(source)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(text) <= peak(text + "# end\n")
 
 
 class TestGraphValidation:

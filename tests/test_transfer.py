@@ -367,6 +367,16 @@ class TestTransitionModel:
             cand = rng.random((2, 2)) * 2
             assert best <= ((w_b - w_a @ cand) ** 2).sum() + 1e-9
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_memory_layout_does_not_reach_the_bits(self, seed):
+        # Fortran-ordered copies of the same values gave other last bits
+        rng = np.random.default_rng(seed)
+        w_a, w_b = rng.random((150, 16)), rng.random((150, 16))
+        want = transition_to_json(estimate_transition_model(w_a, w_b))
+        f_a, f_b = np.asfortranarray(w_a), np.asfortranarray(w_b)
+        assert transition_to_json(estimate_transition_model(f_a, f_b)) == want
+        assert transition_to_json(estimate_transition_model(f_a, w_b)) == want
+
 
 class TestSeriesSerialization:
     def test_csv_round_trip_exact(self):
