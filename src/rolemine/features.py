@@ -138,8 +138,6 @@ class FeatureLearnConfig:
 # Elements in one temporary block of binning or aggregation, and in one
 # block of a round's candidates; bounds memory.
 _BLOCK_ELEMENTS = 1 << 17
-# from this degree on, one add.accumulate call sums a full block faster than d - 1 adds
-_HUB_DEGREE = 256
 
 # a residual at most this share of a candidate's norm lies in the span; midway (log scale)
 # from rounding, up to 2.8e-13 on noisy planted graphs, to 3.1e-11 kept on ER(3000)
@@ -305,12 +303,9 @@ def _aggregate_slots(n, groups, rows, ops):
         for lo in range(0, f, step):
             v = rows[lo : lo + step][:, slots]  # (rows, nodes, d)
             v.sort(axis=-1)
-            if d < _HUB_DEGREE:
-                total = v[..., 0].copy()
-                for k in range(1, d):
-                    total += v[..., k]
-            else:  # the same additions in the same order, in one call
-                total = np.add.accumulate(v, axis=-1)[..., -1]
+            total = v[..., 0].copy()
+            for k in range(1, d):
+                total += v[..., k]
             for op, out in zip(ops, outs):
                 block = out[lo : lo + step]
                 if op == "sum":

@@ -148,6 +148,11 @@ _FIRST_PLAIN = re.compile(_PLAIN_LINE)
 _NOT_PLAIN = re.compile(rf"\n(?!{_PLAIN_LINE}|\Z)")
 
 
+def _is_plain(source: str) -> bool:
+    """Whether every line of `source` is plain, so the array pass reads it."""
+    return _FIRST_PLAIN.match(source) is not None and _NOT_PLAIN.search(source) is None
+
+
 def load_edge_list(source: str) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
 
@@ -165,7 +170,7 @@ def load_edge_list(source: str) -> Graph:
     space and LF endings, is parsed in one array pass; any other text, and a
     plain one holding a self-loop, goes line by line, to the same graph.
     """
-    if _FIRST_PLAIN.match(source) and _NOT_PLAIN.search(source) is None:
+    if _is_plain(source):
         # fromstring reads whitespace-separated ints without a str per token
         labels, pairs = np.unique(np.fromstring(source, dtype=np.int64, sep=" "), return_inverse=True)
         pairs = pairs.reshape(-1, 2)

@@ -1094,9 +1094,9 @@ class TestAggregationKernel:
             for op, got in zip(ops, aggregate_rows(g, block.T, ops)):
                 assert got.T.tobytes() == per_node_aggregate(g, block, op).tobytes()
 
-    def test_hub_above_the_cut_equal_to_per_node_loop(self):
-        # the hub's group sums in one accumulate call, its leaves' in the loop
-        d = features_module._HUB_DEGREE + 45
+    def test_hub_equal_to_per_node_loop(self):
+        # a degree-301 group: few rows per block, and 300 additions in sequence
+        d = 301
         leaves = erdos_renyi(d, 0.05, seed=9)
         g = Graph(n=d + 1, edges=np.vstack([leaves.edges, [(v, d) for v in range(d)]]))
         block = np.random.default_rng(9).random((g.n, 7)) * 10.0 ** np.arange(-3, 4)

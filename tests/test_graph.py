@@ -152,16 +152,12 @@ def plain_texts(draw):
     return "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
 
 
-def takes_array_pass(text):
-    return bool(graph_module._FIRST_PLAIN.match(text)) and graph_module._NOT_PLAIN.search(text) is None
-
-
 class TestPlainText:
     """Plain text goes through the array pass; a comment line forces the loop."""
 
     @given(plain_texts())
     def test_array_pass_gives_the_loops_graph(self, text):
-        assert takes_array_pass(text)
+        assert graph_module._is_plain(text)
         assert same_graph(load_edge_list(text), load_edge_list(text.rstrip("\n") + "\n# end"))
 
     @pytest.mark.parametrize("text, message", [
@@ -178,13 +174,13 @@ class TestPlainText:
         "0 1\n\n1 2\n", "0 1\n1 2\n\n", "\n0 1\n1 2",
     ])
     def test_other_layouts_take_the_loop(self, text):
-        assert not takes_array_pass(text)
+        assert not graph_module._is_plain(text)
         assert same_graph(load_edge_list(text), load_edge_list("0 1\n1 2\n"))
 
     def test_nineteen_digit_labels_load(self):
         # 2**63 does not fit int64; the loop reads these lines
         text = "1000000000000000000 -1\n-1 0000000000000000002\n9223372036854775808 2\n"
-        assert not takes_array_pass(text)
+        assert not graph_module._is_plain(text)
         g = load_edge_list(text)
         assert (g.n, g.edges.tolist()) == (4, [[0, 1], [0, 2], [1, 3]])
 
@@ -202,7 +198,7 @@ class TestPlainText:
         u = rng.integers(10**4, size=10**5)
         v = u + 1 + rng.integers(10**4, size=u.size)
         text = "".join(f"{a} {b}\n" for a, b in zip(u.tolist(), v.tolist()))
-        assert takes_array_pass(text)
+        assert graph_module._is_plain(text)
 
         def peak(source):
             tracemalloc.start()
