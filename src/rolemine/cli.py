@@ -24,6 +24,7 @@ from .features import (
     DEFAULT_OPERATORS,
     DEFAULT_PRIMITIVES,
     FeatureLearnConfig,
+    _check_config,
     csv_rows,
     descriptors_from_json,
     descriptors_to_json,
@@ -52,7 +53,8 @@ from .transfer import (
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved flags for one CLI run; run.json echoes the ones the
-    subcommand has a flag for."""
+    subcommand has a flag for. lam has no flag and learn refuses any value
+    but 1.0: the bin-agreement threshold is fixed at 1."""
 
     subcommand: str
     inputs: tuple[str, ...]
@@ -93,22 +95,27 @@ def _memberships_csv(w: np.ndarray) -> str:
 
 
 def _run_learn(config: RunConfig, outdir: Path) -> dict:
-    g = load_edge_list(_read(config.inputs[0]))
+    """The config is checked before the edge list is read. Round 1
+    aggregates every survivor of round 0 and each later round only those
+    the round before added, so "candidates" counts those times the
+    operators."""
+    if config.lam != 1.0:
+        raise ValueError(f"the bin-agreement threshold lambda is fixed at 1.0, not {config.lam}")
     fl = FeatureLearnConfig(
         primitives=config.primitives,
         operators=config.operators,
         bin_fraction=config.bin_fraction,
-        threshold=config.lam,
         maxiter=config.maxiter,
     )
-    x = learn_features(g, fl)
+    _check_config(fl)
+    x = learn_features(load_edge_list(_read(config.inputs[0])), fl)
     with open(outdir / "features.csv", "w") as out:
         features_to_csv(x, out)
     (outdir / "descriptors.json").write_text(descriptors_to_json(x.descriptors))
     sizes = list(x.iteration_sizes)
     return {
         "iteration_sizes": sizes,
-        "candidates": [size * len(config.operators) for size in sizes[:-1]],
+        "candidates": [len(config.operators) * (b - a) for a, b in zip([0] + sizes, sizes[:-1])],
         "stopped": x.stopped,
     }
 
@@ -239,8 +246,6 @@ _COMMANDS = {
             _option("--operators", default=",".join(DEFAULT_OPERATORS), callback=_split_names,
                     help="Comma-separated neighbor aggregation operators."),
             _option("--bin-fraction", default=0.5, help="Log-binning fraction p."),
-            _option("--lambda", "lam", default=1.0,
-                    help="Bin-agreement threshold for merging features."),
             _option("--maxiter", default=10, help="Feature recursion depth cap."),
         ),
     ),

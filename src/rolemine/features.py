@@ -5,11 +5,10 @@ neighbor-aggregation operators grow it one round at a time. Every new column
 is vertically log-binned once, when it is made. A column survives unless
 its bin vector equals that of an earlier column (a group-by on the bin
 bytes) or it lies in the span of the survivors, all that the role
-factorization can use, so f <= n; below the default agreement threshold of
-1.0 the components of the >= lambda agreement graph over what is left then
-keep their earliest member. Sum and mean are linear, so a dropped column's
-descendants lie in the span of the survivors' own, which only the bin
-group-by can lose; under max, min and mode, not linear, they could add rank.
+factorization can use, so f <= n. Sum and mean are linear, so a dropped
+column's descendants lie in the span of the survivors' own, which only the
+bin group-by can lose; under max, min and mode, not linear, they could add
+rank.
 Descriptors record how to rebuild every surviving column on any other graph.
 
 A round streams its candidates: survivor columns go through in blocks, and
@@ -131,7 +130,6 @@ class FeatureLearnConfig:
     primitives: tuple[str, ...] = DEFAULT_PRIMITIVES
     operators: tuple[str, ...] = DEFAULT_OPERATORS
     bin_fraction: float = 0.5
-    threshold: float = 1.0
     maxiter: int = 10
 
 
@@ -148,11 +146,6 @@ _SPAN_BLOCK = 64  # candidates projected together
 def _check_fraction(p: float) -> None:
     if not 0 < p < 1:
         raise ValueError("bin fraction p must lie strictly between 0 and 1")
-
-
-def _check_threshold(lam: float) -> None:
-    if not 0 < lam <= 1:
-        raise ValueError("lambda threshold must lie in (0, 1]")
 
 
 def _check_primitive(kind: str) -> None:
@@ -366,47 +359,6 @@ def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
     return bins
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _agreement_roots(bins: np.ndarray, lam: float) -> list[int]:
-    """Rows of bins (f x n, n > 0) that survive a prune below threshold 1.0:
-    each connected component of the graph joining rows whose bins agree on
-    at least lam of the nodes keeps its earliest row. Agreement is computed
-    in blocks of rows to bound memory at O(n * block * f)."""
-    uf = _UnionFind(len(bins))
-    step = max(1, (1 << 24) // bins.size)
-    for lo in range(0, len(bins), step):
-        agree = (bins[lo : lo + step, None, :] == bins[None, :, :]).mean(axis=2)
-        ii, jj = np.nonzero(agree >= lam)
-        for i, j in zip((ii + lo).tolist(), jj.tolist()):
-            uf.union(i, j)
-    return [j for j in range(len(bins)) if uf.find(j) == j]
-
-
-def _required_ancestors(descriptors_by_id: dict[int, FeatureDescriptor], kept: set[int]) -> set[int]:
-    needed = set()
-    stack = list(kept)
-    while stack:
-        d = descriptors_by_id[stack.pop()]
-        if d.kind == "composite" and d.base not in kept and d.base not in needed:
-            needed.add(d.base)
-            stack.append(d.base)
-    return needed
-
-
 def _span_residuals(basis: np.ndarray, rows):
     """rows scaled to maximum 1, projected off basis twice (CGS2), and the
     norm above which each lies outside its span: _SPAN_TOL of its own."""
@@ -455,7 +407,6 @@ def _check_config(config: FeatureLearnConfig) -> None:
     if not config.primitives:
         raise ValueError("primitive set must not be empty")
     _check_fraction(config.bin_fraction)
-    _check_threshold(config.threshold)
     for op in config.operators:
         if op not in OPERATOR_KINDS:
             raise ValueError(f"unknown operator {op!r}")
@@ -531,23 +482,18 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     """Run the recursive feature-learning loop.
 
     Round 0's candidates are the primitives; a later round's are every
-    operator applied to every surviving feature. At threshold 1.0 a round
-    after round 1 aggregates only the survivors the previous round added:
-    the older survivors' candidates would have the same bits, all already
-    seen.
+    operator applied to every surviving feature. A round after round 1
+    aggregates only the survivors the previous round added: the older
+    survivors' candidates would have the same bits, all already seen.
     The loop stops, and the result's stopped says why, at the first of: a
-    round that leaves the survivors as they were ("fixed-point"); a round
-    that brings them to n ("rank"), when they span every later candidate;
-    or the maxiter cap on the rounds after round 0 ("maxiter").
+    round that admits nothing ("fixed-point"); a round that brings the
+    survivors to n ("rank"), when they span every later candidate; or the
+    maxiter cap on the rounds after round 0 ("maxiter").
 
     The candidates stream through in survivor blocks; those with unseen bin
     vectors are kept, in candidate-id order, only outside the survivors'
-    span or as a zero first survivor (_admitted_candidates).
-    Below threshold 1.0 the components of the >= threshold agreement graph
-    over the survivors then keep their earliest member, and the basis is
-    rebuilt from them; a pruned old feature could orphan the recipe of a
-    surviving composite, so such ancestors are re-protected after each
-    prune and every returned descriptor list stays evaluable via recompute.
+    span or as a zero first survivor (_admitted_candidates). No survivor is
+    ever dropped, so every composite's base stays among them.
     The returned values are column-major, each feature's column contiguous,
     as the survivors are grown in place.
     """
@@ -569,10 +515,10 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
     next_id = 0
     sizes = []
     stopped = "maxiter"
-    start = 0  # survivors below start gave their candidates last round
+    f = 0  # survivors below f gave their candidates last round
 
     for iteration in range(config.maxiter + 1):
-        f = len(descriptors)
+        start, f = f, len(descriptors)
         if iteration == 0:
             count, describe = len(first), first.__getitem__
             blocks = [(np.arange(count), columns, log_bin_rows(columns, p))]
@@ -593,7 +539,6 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
                     iteration=iteration,
                 )
 
-        prior_ids = [d.id for d in descriptors]
         new = _admitted_candidates(blocks, seen, basis, not descriptors)
         # rows owns its buffer and no view of it outlived the round, so it
         # can grow where it lies
@@ -601,25 +546,12 @@ def learn_features(g: Graph, config: FeatureLearnConfig = FeatureLearnConfig()) 
         for r, (_, row) in enumerate(new):
             rows[f + r] = row
         descriptors += [describe(i) for i, _ in new]
-        del new  # the stashed rows, before a prune copies the survivors
-        if config.threshold < 1.0 and g.n:  # empty columns agree vacuously
-            # a bin twin dropped above agrees with every row as its earlier
-            # twin does, so it would have changed no component and no root
-            bins = log_bin_rows(rows, p)
-            kept = {descriptors[j].id for j in _agreement_roots(bins, config.threshold)}
-            kept |= _required_ancestors({d.id: d for d in descriptors}, kept)
-            idx = [j for j, d in enumerate(descriptors) if d.id in kept]
-            rows, descriptors = rows[idx], [descriptors[j] for j in idx]
-            seen = {b.tobytes() for b in bins[idx]}
-            basis = np.zeros((0, g.n))
-            _extend_basis(basis, rows)
         next_id += count
-        start = f if config.threshold == 1.0 else 0
         sizes.append(len(descriptors))
-        changed = [d.id for d in descriptors] != prior_ids
-        if not changed or _full(basis):
-            stopped = "rank" if changed else "fixed-point"
+        if not new or _full(basis):
+            stopped = "rank" if new else "fixed-point"
             break
+        del new  # the stashed rows, before the next round's are made
 
     return FeatureMatrix(rows.T, tuple(descriptors), tuple(sizes), stopped)
 

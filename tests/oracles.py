@@ -1,9 +1,6 @@
 """Independent references for learn_features, shared by the unit and
-acceptance suites: the all-at-once round, its prune below lambda = 1, the
-span rule checked by least squares and the equitable partition its rows are
-constant on."""
-
-import itertools
+acceptance suites: the all-at-once round, the span rule checked by least
+squares and the equitable partition its rows are constant on."""
 
 import numpy as np
 
@@ -81,47 +78,6 @@ def span_admitted(kept, cand, ratios=None):
     return admitted
 
 
-def agreement(a, b):
-    """The share of nodes on which bin rows a and b agree."""
-    return (a == b).mean()
-
-
-def pairwise_feature_graph(bins, lam):
-    """The all-pairs feature graph that the prune below lambda = 1 replaced,
-    kept as an oracle: edge (i, j), i < j, carries the agreement of bin rows
-    i and j and exists iff it is at least lam."""
-    edges = {}
-    for i, j in itertools.combinations(range(len(bins)), 2):
-        sim = agreement(bins[i], bins[j])
-        if sim >= lam:
-            edges[(i, j)] = sim
-    return edges
-
-
-def earliest_per_component(f, edges):
-    """Smallest vertex of each connected component, by min-label propagation."""
-    label = list(range(f))
-    changed = True
-    while changed:
-        changed = False
-        for i, j in edges:
-            low = min(label[i], label[j])
-            if label[i] != low or label[j] != low:
-                label[i] = label[j] = low
-                changed = True
-    return sorted(set(label))
-
-
-def with_bases(by_id, kept):
-    """kept ids plus the base of every kept composite, repeated until no
-    base joins."""
-    while True:
-        bases = {by_id[i].base for i in kept if by_id[i].kind == "composite"}
-        if bases <= kept:
-            return kept
-        kept = kept | bases
-
-
 def all_at_once_learn(g, config=FeatureLearnConfig(), span=True, ratios=None):
     """learn_features as it was before rounds streamed their candidates:
     every candidate of a round is aggregated, binned and pruned at once,
@@ -135,38 +91,25 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), span=True, ratios=None):
     cand_descs = [
         FeatureDescriptor(id=j, kind="primitive", primitive=kind) for j, kind in enumerate(primitives)
     ]
-    all_by_id = {d.id: d for d in cand_descs}
     next_id = len(cand_descs)
     rows = np.zeros((0, g.n))
-    bins = log_bin_rows(rows, config.bin_fraction)
     descriptors = []
     seen = set()
 
     def prune(cand_rows, cands):
-        nonlocal rows, bins, descriptors, seen
-        cand_bins = log_bin_rows(cand_rows, config.bin_fraction)
-        if span or config.threshold == 1.0 or g.n == 0:
-            keep = []
-            for j, b in enumerate(cand_bins):
-                if b.tobytes() not in seen:
-                    seen.add(b.tobytes())
-                    keep.append(j)
-            if span:
-                admitted = span_admitted(rows, cand_rows[keep], ratios)
-                if keep and not descriptors and admitted[:1] != [0]:
-                    admitted.insert(0, 0)  # the first survivor, zero
-                keep = [keep[j] for j in admitted]
-            cand_rows, cand_bins, cands = cand_rows[keep], cand_bins[keep], [cands[j] for j in keep]
-        rows = np.concatenate([rows, cand_rows])
-        bins = np.concatenate([bins, cand_bins])
-        descriptors = descriptors + cands
-        if config.threshold == 1.0 or g.n == 0:
-            return
-        roots = earliest_per_component(len(bins), pairwise_feature_graph(bins, config.threshold))
-        kept = with_bases(all_by_id, {descriptors[j].id for j in roots})
-        idx = [j for j, d in enumerate(descriptors) if d.id in kept]
-        rows, bins, descriptors = rows[idx], bins[idx], [descriptors[j] for j in idx]
-        seen = {b.tobytes() for b in bins}
+        nonlocal rows, descriptors
+        keep = []
+        for j, b in enumerate(log_bin_rows(cand_rows, config.bin_fraction)):
+            if b.tobytes() not in seen:
+                seen.add(b.tobytes())
+                keep.append(j)
+        if span:
+            admitted = span_admitted(rows, cand_rows[keep], ratios)
+            if keep and not descriptors and admitted[:1] != [0]:
+                admitted.insert(0, 0)  # the first survivor, zero
+            keep = [keep[j] for j in admitted]
+        rows = np.concatenate([rows, cand_rows[keep]])
+        descriptors = descriptors + [cands[j] for j in keep]
 
     def full_rank():
         # the span rule admits only independent rows, and a zero row only first
@@ -187,7 +130,6 @@ def all_at_once_learn(g, config=FeatureLearnConfig(), span=True, ratios=None):
                 cands.append(FeatureDescriptor(
                     id=next_id, kind="composite", operator=op, base=d.id, iteration=iteration
                 ))
-                all_by_id[next_id] = cands[-1]
                 next_id += 1
         aggregated = aggregate_rows(g, rows, config.operators)
         prune(np.concatenate([rows[:0], *aggregated]), cands)

@@ -68,7 +68,7 @@ def invoke_ok(runner, args):
 # counters, and nothing else
 RUN_JSON_COMMON = {"subcommand", "inputs", "output_dir", "version"}
 RUN_JSON_KEYS = {
-    "learn": {"primitives", "operators", "bin_fraction", "lam", "maxiter",
+    "learn": {"primitives", "operators", "bin_fraction", "maxiter",
               "iteration_sizes", "candidates", "stopped"},
     "select-rank": {"maxiter", "criterion", "bits", "trials", "seed", "rank", "sweep", "stopped",
                     "distinct_rows"},
@@ -130,13 +130,13 @@ class TestLearn:
         "flags, candidates, stopped",
         [
             # ER(40) still grows at round 2: the cap stops it
-            (["--maxiter", "2"], [8, 18], "maxiter"),
-            (["--maxiter", "2", "--operators", "sum,mean,max"], [12, 33], "maxiter"),
+            (["--maxiter", "2"], [8, 10], "maxiter"),
+            (["--maxiter", "2", "--operators", "sum,mean,max"], [12, 21], "maxiter"),
             # a path reaches its fixed point in round 2, before the cap
             (["--maxiter", "5", "--primitives", "degree"], None, "fixed-point"),
             # round 4 brings ER(40)'s independent survivors to 40: nothing
             # later could add to their span
-            (["--maxiter", "10"], [8, 18, 38, 76], "rank"),
+            (["--maxiter", "10"], [8, 10, 20, 38], "rank"),
         ],
     )
     def test_run_json_records_candidates_and_stop(
@@ -147,9 +147,11 @@ class TestLearn:
         graph.write_text(text)
         invoke_ok(runner, ["learn", str(graph), *flags, "--output-dir", str(tmp_path)])
         run = json.loads((tmp_path / "run.json").read_text())
+        # round 1 aggregates round 0's survivors, each later round those the
+        # round before added
         sizes = run["iteration_sizes"]
-        ops = len(run["operators"])
-        assert run["candidates"] == [size * ops for size in sizes[:-1]]
+        added = [b - a for a, b in zip([0, *sizes], sizes[:-1])]
+        assert run["candidates"] == [k * len(run["operators"]) for k in added]
         if candidates is not None:
             assert run["candidates"] == candidates
         assert run["stopped"] == stopped
@@ -226,6 +228,34 @@ class TestLearn:
         result = runner.invoke(main, ["learn", str(graph), "--bin-fraction", "1.5"])
         assert result.exit_code == 1
         assert "bin fraction" in result.stderr
+
+    def test_config_checked_before_the_edge_list_is_read(self, runner, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("0 1\nnot an edge\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["learn", str(graph), "--operators", "sum,median",
+                                      "--output-dir", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == "error: unknown operator 'median'\n"
+        assert not out.exists()
+
+    def test_lambda_flag_is_gone(self, runner, tmp_path):
+        graph = tmp_path / "graph.txt"
+        graph.write_text("0 1\n")
+        result = runner.invoke(main, ["learn", str(graph), "--lambda", "0.9"])
+        assert result.exit_code == 2
+        assert re.search(r"No such option:? '?--lambda", result.stderr), result.stderr
+
+    def test_lam_other_than_one_refused_before_any_input(self, tmp_path, monkeypatch):
+        import rolemine.cli as cli
+
+        reads = []
+        monkeypatch.setattr(cli, "_read", lambda path: reads.append(path) or "0 1\n")
+        out = tmp_path / "out"
+        config = RunConfig("learn", (str(tmp_path / "graph.txt"),), str(out), lam=0.9)
+        with pytest.raises(ValueError, match="lambda is fixed at 1.0, not 0.9"):
+            execute(config)
+        assert reads == [] and not out.exists()
 
 
 class TestSelectRankAndAssign:
@@ -733,7 +763,7 @@ class TestRunJson:
         "oracle": (["graph.txt"], ["--kind", "regular"]),
     }
     ECHOED = {
-        "learn": {"maxiter": 2, "operators": ["sum"], "lam": 1.0},
+        "learn": {"maxiter": 2, "operators": ["sum"]},
         "select-rank": {"trials": 2, "seed": 4, "rank": None, "maxiter": 500},
         "assign": {"hard": True},
         "transfer": {},
@@ -748,7 +778,6 @@ class TestRunJson:
                            "egonet-internal-edges", "egonet-external-edges", "core-number"],
             "operators": ["sum", "mean"],
             "bin_fraction": 0.5,
-            "lam": 1.0,
             "maxiter": 10,
         },
         "select-rank": {"maxiter": 500, "criterion": "aic", "bits": 16, "trials": 5, "seed": 1,
@@ -864,7 +893,7 @@ class TestTooling:
         graph = tmp_path / "graph.txt"
         graph.write_text(write_edge_list(erdos_renyi(12, 0.35, seed=2)))
         invoke_ok(runner, ["learn", str(graph), "--primitives", "degree", "--operators", "max",
-                           "--bin-fraction", "0.25", "--lambda", "0.5", "--maxiter", "2",
+                           "--bin-fraction", "0.25", "--maxiter", "2",
                            "--output-dir", str(tmp_path)])
         [config] = configs
         assert [f.name for f in fields(config) if getattr(config, f.name) == f.default] == []

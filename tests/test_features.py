@@ -34,7 +34,7 @@ from rolemine import (
 )
 
 from rolemine import features as features_module
-from rolemine.features import _agreement_roots, log_bin_rows
+from rolemine.features import log_bin_rows
 
 from forks import (
     count_forks,
@@ -45,13 +45,7 @@ from forks import (
     set_cpus,
     without_fork,
 )
-from oracles import (
-    aggregate_rows,
-    agreement,
-    all_at_once_learn,
-    earliest_per_component,
-    pairwise_feature_graph,
-)
+from oracles import aggregate_rows, all_at_once_learn
 from strategies import graph_with_permutation, graphs, neighbor_lists, rewire
 
 P3 = load_edge_list("0 1\n1 2")
@@ -372,103 +366,12 @@ class TestVerticalLogBin:
             assert bins.dtype == np.uint8  # at most log2(n) + 1 bins
 
 
-class TestFeatureSimilarity:
-    """Agreement of two bin rows: the share of nodes in the same bin."""
-
-    def test_identical_is_one(self):
-        a = bin_row([1, 2, 3, 4])
-        assert agreement(a, a) == 1.0
-
-    def test_total_disagreement_is_zero(self):
-        assert agreement(bin_row([1, 1, 2, 2]), bin_row([2, 2, 1, 1])) == 0.0
-
-    def test_partial_agreement(self):
-        assert agreement(bin_row([1, 1, 2, 3]), bin_row([1, 1, 2, 2])) == 0.75
-
-
-def survivors(columns, lam):
-    """Rows the prune keeps, after checking them against the oracle."""
-    bins = log_bin_rows(np.array(columns, dtype=float))
-    got = _agreement_roots(bins, lam)
-    assert got == earliest_per_component(len(bins), pairwise_feature_graph(bins, lam))
-    return got
-
-
-class TestCreateFeatureGraph:
-    """The >= lambda agreement graph and the prune that keeps the earliest
-    member of each of its components, against the pairwise oracle."""
-
-    def test_identical_columns_connect(self):
-        bins = log_bin_rows(np.array([[1, 2, 3], [1, 2, 3]], dtype=float))
-        assert pairwise_feature_graph(bins, 1.0) == {(0, 1): 1.0}
-        assert survivors([[1, 2, 3], [1, 2, 3]], 1.0) == [0]
-
-    def test_star_degree_vs_constant_no_edge(self):
-        bins = log_bin_rows(np.array([[3, 1, 1, 1], [1, 1, 1, 1]], dtype=float))
-        assert pairwise_feature_graph(bins, 1.0) == {}
-        assert survivors([[3, 1, 1, 1], [1, 1, 1, 1]], 1.0) == [0, 1]
-
-    def test_single_feature_no_edges(self):
-        assert survivors([[1, 2, 3]], 0.2) == [0]
-
-    def test_threshold_validated(self):
-        for lam in (0.0, 1.5, -0.5):
-            with pytest.raises(ValueError, match="lambda"):
-                learn_features(P3, FeatureLearnConfig(threshold=lam))
-        for lam in (1e-9, 1.0):
-            learn_features(P3, FeatureLearnConfig(threshold=lam, maxiter=1))
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 3), min_size=5, max_size=5), min_size=2, max_size=8
-        ),
-        st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
-    )
-    @settings(max_examples=80)
-    def test_edges_match_pairwise_similarity(self, cols, lam):
-        # survivors are the oracle's, and no two of them agree on lam
-        kept = survivors(cols, lam)
-        bins = log_bin_rows(np.array(cols, dtype=float))
-        for i, j in itertools.combinations(kept, 2):
-            assert agreement(bins[i], bins[j]) < lam
-
-
 class TestPrune:
-    def test_keep_earliest_per_component(self):
-        assert survivors([[1, 2, 3], [9, 1, 2], [5, 5, 5], [1, 2, 3]], 1.0) == [0, 1, 2]
-
-    def test_edgeless_graph_keeps_everything(self):
-        assert survivors([[1, 2, 3], [3, 2, 1]], 1.0) == [0, 1]
-
-    def test_three_copies_keep_first(self):
-        assert survivors([[1, 2, 3]] * 3, 1.0) == [0]
-
-    def test_survivors_separated_below_threshold(self):
-        rng = np.random.default_rng(3)
-        cols = rng.integers(0, 3, size=(6, 8))
-        kept = survivors(cols, 0.5)
-        bins = log_bin_rows(cols.astype(float))
-        for i, j in itertools.combinations(kept, 2):
-            assert agreement(bins[i], bins[j]) < 0.5
-
-    def test_agreement_in_several_row_blocks(self):
-        # 400 rows of 120 nodes exceed one block of 2**24 compared elements;
-        # the rows are shuffled noisy copies of 40 random bin patterns, so
-        # each pattern is one component, kept at its first copy
-        rng = np.random.default_rng(4)
-        labels = rng.permutation(np.repeat(np.arange(40), 10))
-        bins = rng.integers(0, 2, size=(40, 120), dtype=np.uint8)[labels]
-        bins ^= (rng.random(bins.shape) < 0.03).astype(np.uint8)
-        kept = _agreement_roots(bins, 0.75)
-        assert kept == earliest_per_component(len(bins), pairwise_feature_graph(bins, 0.75))
-        assert kept == sorted(np.unique(labels, return_index=True)[1].tolist())
-
     def test_empty_graph_keeps_the_first_column(self):
-        # empty columns agree vacuously, at every threshold
-        for lam in (1.0, 0.5):
-            x = learn_features(Graph(n=0), FeatureLearnConfig(threshold=lam))
-            assert [d.id for d in x.descriptors] == [0]
-            assert x.iteration_sizes == (1, 1)
+        # empty columns share one bin vector
+        x = learn_features(Graph(n=0))
+        assert [d.id for d in x.descriptors] == [0]
+        assert x.iteration_sizes == (1, 1)
 
 
 class TestLearnFeatures:
@@ -510,9 +413,6 @@ class TestLearnFeatures:
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
         bins = log_bin_rows(x.values.T)
         assert len({b.tobytes() for b in bins}) == x.f
-        for i in range(min(x.f, 40)):
-            for j in range(i + 1, min(x.f, 40)):
-                assert agreement(bins[i], bins[j]) < 1.0
 
 
 def weighted_gnp(seed):
@@ -524,22 +424,14 @@ def weighted_gnp(seed):
     return Graph(n=n, edges=g.edges, weights=rng.uniform(0.25, 4.0, size=len(g.edges)))
 
 
-def weighted_pair_config(lam):
-    return FeatureLearnConfig(primitives=("weighted-degree", "degree"), threshold=lam, maxiter=4)
+WEIGHTED_PAIR = FeatureLearnConfig(primitives=("weighted-degree", "degree"), maxiter=4)
 
 
 class TestRecompute:
     @pytest.mark.parametrize("cases", [
         pytest.param(lambda: [(S3, FeatureLearnConfig(maxiter=2))], id="star"),
-        # the prune keeps one of round 1's two survivors, so a summation
-        # order read from a round's width gets the mean of feature 0 wrong
-        # by 3.6e-15
-        pytest.param(lambda: [(weighted_gnp(14), weighted_pair_config(0.5))], id="lambda-0.5"),
-        pytest.param(
-            lambda: [(weighted_gnp(s), weighted_pair_config(lam))
-                     for s in range(80) for lam in (1.0, 0.8, 0.5)],
-            id="weighted-sweep",
-        ),
+        pytest.param(lambda: [(weighted_gnp(s), WEIGHTED_PAIR) for s in range(80)],
+                     id="weighted-sweep"),
     ])
     def test_reproduces_learned_matrix(self, cases):
         for g, config in cases():
@@ -708,13 +600,6 @@ GOLDEN_CASES = {
         (5, 18, 55, 90),
         "8be41e12682f38ce1c08bfc7216c26539cd9a9d1fdbbb635a888c5baa5465987",
     ),
-    # the agreement-graph route below lambda = 1
-    "lambda-0.8": (
-        lambda: erdos_renyi(80, 0.1, seed=3),
-        FeatureLearnConfig(threshold=0.8, bin_fraction=0.3, maxiter=5),
-        (4, 11, 24, 34, 45, 45),
-        "71ada6245b9a29a3ab1d6b1528396d81e549581887a6a5d47bd6e15efc506ee6",
-    ),
 }
 
 # Digests of every case run without the span rule: the all-at-once oracle
@@ -725,7 +610,6 @@ UNCUT_DIGESTS = {
     "mode": "621e4fa455e82d21758e95ef5b22c246f1cf66fa5cecf9f6b37f857c79aa9904",
     "planted": "0f7c946235dcb2d205ace7caacfc1e60a2b67f3688c5ed7be272b5e246ef134c",
     "one-column": "5860dcf7f6636990cbfb5d532370af4fcc502dba03c5929642e5de51b2cb90a1",
-    "lambda-0.8": "f65343d7feabc3ed72f0f22f1c8ac7b03bf419ce6675ed22ee9eca73208e5e36",
 }
 
 class TestGoldenDigests:
@@ -770,7 +654,6 @@ STREAM_CONFIGS = [
     FeatureLearnConfig(maxiter=4),
     FeatureLearnConfig(operators=("mean", "sum", "max", "min"), maxiter=3),
     FeatureLearnConfig(operators=("sum", "mode"), bin_fraction=0.3, maxiter=3),
-    FeatureLearnConfig(threshold=0.75, maxiter=3),
     FeatureLearnConfig(primitives=("weighted-degree",), maxiter=4),
 ]
 
@@ -802,11 +685,6 @@ class TestStreamedRound:
 
     @pytest.mark.parametrize("make, config", [
         pytest.param(lambda: erdos_renyi(400, 8 / 399, seed=1), FeatureLearnConfig(), id="1.0"),
-        pytest.param(
-            lambda: erdos_renyi(400, 8 / 399, seed=1),
-            FeatureLearnConfig(threshold=0.9, maxiter=6),
-            id="0.9",
-        ),
         # one primitive, so round 0 keeps a lone survivor
         pytest.param(
             lambda: Graph(
@@ -819,10 +697,8 @@ class TestStreamedRound:
         ),
     ])
     def test_a_round_aggregates_only_what_it_must(self, monkeypatch, make, config):
-        # at lambda = 1 a round aggregates only the survivors the previous
-        # round added, a lone one included, whose sizes telescope to the
-        # last round's input; below it a prune resets seen, so every
-        # survivor goes through
+        # a round aggregates only the survivors the previous round added, a
+        # lone one included, whose sizes telescope to the last round's input
         calls = []
         aggregate = features_module._aggregate_slots
 
@@ -835,33 +711,13 @@ class TestStreamedRound:
         x = learn_features(g, config)
         # the weighted-degree primitive is one more call, with ("sum",) alone
         rows = sum(k for k, ops in calls if ops == config.operators)
-        if config.threshold < 1.0:
-            assert rows == sum(x.iteration_sizes[:-1])
-        elif g.n == 400:
+        if g.n == 400:
             assert rows == x.iteration_sizes[-2] == 356
         else:
             # each round after round 0 adds one survivor and aggregates it alone
             assert calls == [(1, ("sum",))] + [(1, config.operators)] * 3
             assert x.iteration_sizes == (1, 2, 3, 3) and rows == x.iteration_sizes[-2]
             assert_same_learn(x, all_at_once_learn(g, config))
-
-    @pytest.mark.parametrize("make", [
-        lambda: planted_role_graph(seed=1, units=30)[0],
-        lambda: erdos_renyi(400, 8 / 399, seed=1),
-    ], ids=["planted", "er"])
-    def test_agreement_prune_sees_no_exact_duplicates(self, monkeypatch, make):
-        # below lambda = 1 the group-by drops every candidate whose bin
-        # vector an earlier row has before the agreement prune runs
-        calls = []
-        roots = features_module._agreement_roots
-
-        def counted(bins, lam):
-            calls.append((len(bins), len({b.tobytes() for b in bins})))
-            return roots(bins, lam)
-
-        monkeypatch.setattr(features_module, "_agreement_roots", counted)
-        learn_features(make(), FeatureLearnConfig(threshold=0.9, maxiter=6))
-        assert calls and all(rows == distinct for rows, distinct in calls), calls
 
     def test_peak_memory_bounded_by_the_result(self):
         # the all-at-once round peaked at 4.75x the returned matrix on
@@ -889,9 +745,7 @@ class TestRankStop:
     the rule checked by least squares; the oracle without the rule, the
     uncut run, keeps its digests from before the rule."""
 
-    @pytest.mark.parametrize(
-        "name", sorted(k for k, case in GOLDEN_CASES.items() if case[1].threshold == 1.0)
-    )
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_golden_cases_match_the_span_oracle(self, name):
         make, config, _, digest = GOLDEN_CASES[name]
         g = make()
@@ -902,16 +756,14 @@ class TestRankStop:
         assert got.f < uncut.f or name == "planted" and got.f == uncut.f - 1
         assert got.stopped == ("fixed-point" if name == "planted" else "rank")
 
-    @pytest.mark.parametrize("lam", [1.0, 0.5])
     @pytest.mark.parametrize("n", [0, 5])
-    def test_empty_and_edgeless_graphs_keep_their_output(self, n, lam):
+    def test_empty_and_edgeless_graphs_keep_their_output(self, n):
         # n = 0 and five isolated nodes have all-zero features, of rank 0;
         # the first survivor is kept all the same, so f >= 1
         g = Graph(n=n)
-        config = FeatureLearnConfig(threshold=lam)
-        got = learn_features(g, config)
-        assert_same_learn(got, all_at_once_learn(g, config, span=False))
-        assert_same_learn(got, all_at_once_learn(g, config))
+        got = learn_features(g)
+        assert_same_learn(got, all_at_once_learn(g, span=False))
+        assert_same_learn(got, all_at_once_learn(g))
         assert got.stopped == "fixed-point" and got.f == 1
 
     def test_primitives_of_rank_n_stop_after_round_0(self):
@@ -938,16 +790,6 @@ class TestRankStop:
         assert got.stopped == "rank" and full and not any(full)
         assert_same_learn(got, all_at_once_learn(g))
 
-    def test_rule_applies_below_lambda_one(self):
-        # below 1.0 a prune can drop old survivors, and the basis is rebuilt
-        # from those it keeps
-        g = erdos_renyi(30, 8 / 29, seed=1)
-        config = FeatureLearnConfig(threshold=0.95, maxiter=6)
-        got = learn_features(g, config)
-        assert got.stopped == "rank" and got.iteration_sizes == (4, 11, 24, 30)
-        assert_same_learn(got, all_at_once_learn(g, config))
-        assert all_at_once_learn(g, config, span=False).f > got.f
-
     @pytest.mark.parametrize("seed", [1, 3])
     def test_basis_stays_orthonormal(self, seed):
         # the survivors of a noisy planted graph are independent, so the
@@ -958,14 +800,6 @@ class TestRankStop:
         basis = np.zeros((0, g.n))
         assert features_module._extend_basis(basis, x.values.T) == list(range(x.f))
         assert np.abs(basis @ basis.T - np.eye(x.f)).max() <= 1e-13
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_basis_follows_the_prune_below_lambda_one(self, seed):
-        # the agreement prune drops columns the span rule kept; a basis
-        # still spanning them would drop candidates in their span
-        g = erdos_renyi(40, 0.15, seed=seed)
-        config = FeatureLearnConfig(threshold=0.8, maxiter=5)
-        assert_same_learn(learn_features(g, config), all_at_once_learn(g, config))
 
 
 def reference_log_bin(values, p):
@@ -1111,17 +945,20 @@ class TestFailFast:
         [
             (FeatureLearnConfig(bin_fraction=1.5), "bin fraction"),
             (FeatureLearnConfig(bin_fraction=0.0), "bin fraction"),
-            (FeatureLearnConfig(threshold=0.0), "lambda"),
-            (FeatureLearnConfig(threshold=1.5), "lambda"),
-            (FeatureLearnConfig(operators=("sum", "median")), "unknown operator"),
-            (FeatureLearnConfig(primitives=("degree", "pagerank")), "unknown primitive"),
+            # explicit ids keep each case's name stable as cases come and go
+            pytest.param(FeatureLearnConfig(operators=("sum", "median")), "unknown operator",
+                         id="config4-unknown operator"),
+            pytest.param(FeatureLearnConfig(primitives=("degree", "pagerank")), "unknown primitive",
+                         id="config5-unknown primitive"),
             pytest.param(
                 FeatureLearnConfig(primitives=("in-degree",)), "unknown primitive",
                 id="config6-directed",
             ),
-            (FeatureLearnConfig(maxiter=0), "maxiter"),
-            (FeatureLearnConfig(maxiter=2.5), "maxiter must be an integer, not 2.5"),
-            (FeatureLearnConfig(maxiter=True), "maxiter must be an integer, not True"),
+            pytest.param(FeatureLearnConfig(maxiter=0), "maxiter", id="config7-maxiter"),
+            pytest.param(FeatureLearnConfig(maxiter=2.5), "maxiter must be an integer, not 2.5",
+                         id="config8-maxiter must be an integer, not 2.5"),
+            pytest.param(FeatureLearnConfig(maxiter=True), "maxiter must be an integer, not True",
+                         id="config9-maxiter must be an integer, not True"),
         ],
     )
     def test_invalid_config_rejected_before_any_primitive(self, monkeypatch, config, message):
