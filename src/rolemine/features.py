@@ -76,8 +76,7 @@ class FeatureDescriptor:
         if self.base is not None:
             _check_count("descriptor base", self.base)
         if self.kind == "primitive":
-            if self.primitive not in PRIMITIVE_KINDS:
-                raise ValueError(f"unknown primitive {self.primitive!r}")
+            _check_primitive(self.primitive)
             if (self.operator, self.base, self.iteration) != (None, None, 0):
                 raise ValueError("a primitive descriptor has no operator or base, and iteration 0")
         elif self.kind == "composite":
@@ -133,8 +132,8 @@ class FeatureLearnConfig:
     maxiter: int = 10
 
 
-# Elements in one temporary block of binning or aggregation, and in one
-# block of a round's candidates; bounds memory.
+# Elements in one temporary block of aggregation, and in one block of a
+# round's candidates, which are binned whole; bounds memory.
 _BLOCK_ELEMENTS = 1 << 17
 
 # a residual at most this share of a candidate's norm lies in the span; midway (log scale)
@@ -321,8 +320,8 @@ def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
     its values; values tying a bin's top value join it, so equal values
     never split across bins. Each row is sorted once, then the bin
     boundaries (about log n of them) are walked for all rows together; a
-    value's bin is the number of bins whose top value it exceeds. Rows go
-    through in blocks to bound the temporaries.
+    value's bin is the number of bins whose top value it exceeds. All rows
+    go through at once, so callers bound them (learn_features by block).
     """
     _check_fraction(p)
     rows = np.asarray(rows, dtype=float)
@@ -336,26 +335,23 @@ def log_bin_rows(rows, p: float = 0.5) -> np.ndarray:
     while cut < n:
         count, cut = count + 1, int(last[cut]) + 1
     bins = np.zeros((f, n), dtype=np.min_scalar_type(count))
-    if n == 0:
+    if not bins.size:
         return bins
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for lo in range(0, f, step):
-        block, out = rows[lo : lo + step], bins[lo : lo + step]
-        lanes = np.arange(block.shape[0])
-        ranked = np.sort(block, axis=1)
-        # end[r, t]: one past the last sorted position tying with position t,
-        # so ties at the top of a bin join it
-        end = np.full(ranked.shape, n, dtype=np.int64)
-        end[:, :-1] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, n), n)
-        end = np.minimum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
-        cut = np.zeros(lanes.size, dtype=np.int64)  # where each row's next bin starts
-        while True:
-            top = last[cut]
-            cut = end[lanes, top]
-            if cut.min() == n:
-                break
-            # a row past its last bin sits at its maximum and gains nothing
-            out += block > ranked[lanes, top][:, None]
+    lanes = np.arange(f)
+    ranked = np.sort(rows, axis=1)
+    # end[r, t]: one past the last sorted position tying with position t,
+    # so ties at the top of a bin join it
+    end = np.full(ranked.shape, n, dtype=np.int64)
+    end[:, :-1] = np.where(ranked[:, 1:] != ranked[:, :-1], np.arange(1, n), n)
+    end = np.minimum.accumulate(end[:, ::-1], axis=1)[:, ::-1]
+    cut = np.zeros(f, dtype=np.int64)  # where each row's next bin starts
+    while True:
+        top = last[cut]
+        cut = end[lanes, top]
+        if cut.min() == n:
+            break
+        # a row past its last bin sits at its maximum and gains nothing
+        bins += rows > ranked[lanes, top][:, None]
     return bins
 
 
@@ -566,7 +562,7 @@ def recompute(g: Graph, descriptors) -> FeatureMatrix:
     descriptors = tuple(descriptors)
     values: dict[int, np.ndarray] = {}
     cache: dict = {}
-    groups = None
+    groups = _degree_groups(*g.csr[:2])
     last_id = -1
     for d in descriptors:
         if d.id <= last_id:
@@ -577,8 +573,6 @@ def recompute(g: Graph, descriptors) -> FeatureMatrix:
         else:
             if d.base not in values:
                 raise ValueError(f"descriptor {d.id} references missing base {d.base}")
-            if groups is None:
-                groups = _degree_groups(*g.csr[:2])
             col = _aggregate_slots(g.n, groups, values[d.base][None], (d.operator,))[0][0]
         values[d.id] = col
     return FeatureMatrix(

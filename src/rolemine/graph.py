@@ -179,9 +179,6 @@ def load_edge_list(source: str) -> Graph:
     ends: list[int] = []
     weights: list[float] = []
     any_weighted = False
-    # int and float also read '+', '_' and non-ASCII digits ('1_0' is 10), so a
-    # text holding one checks each token; '?' for '_' makes float refuse it
-    strict = not source.isascii() or "_" in source or "+" in source
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line[0] in "#%":
@@ -189,18 +186,16 @@ def load_edge_list(source: str) -> Graph:
         tokens = line.split()
         if len(tokens) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', got {len(tokens)} columns")
-        try:
-            if strict and not all(t.isascii() and t.lstrip("-").isdigit() for t in tokens[:2]):
-                raise ValueError
-            a, b = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: a node id is an optional '-' and ASCII digits") from None
+        # int also reads '+', '_' and non-ASCII digits, so each label is checked first
+        if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens[:2]):
+            raise ValueError(f"line {lineno}: a node id is an optional '-' and ASCII digits")
+        a, b = int(tokens[0]), int(tokens[1])
         if a == b:
             raise ValueError(f"line {lineno}: self-loop at node {a}")
         w = 1.0
         if len(tokens) == 3:
             try:
-                w = float(tokens[2].replace("_", "?") if strict else tokens[2])
+                w = float(tokens[2].replace("_", "?"))  # float reads '1_0' as 10; '?' it refuses
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed weight {tokens[2]!r}") from None
             if not (w > 0 and math.isfinite(w)):

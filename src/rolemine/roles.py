@@ -155,15 +155,11 @@ def _nmf_batch(
     live = list(range(len(ranks)))
     out: list = [None] * len(ranks)
     wtw = wt @ wt.transpose(0, 2, 1)
-    buf = np.empty_like(wt)
     while live:
         h *= (wt @ x) / (wtw @ h + eps)
         hxt = h @ xt
         hht = h @ h.transpose(0, 2, 1)
-        np.matmul(hht, wt, out=buf)
-        buf += eps
-        np.divide(hxt, buf, out=buf)
-        wt *= buf
+        wt *= hxt / (hht @ wt + eps)
         wtw = wt @ wt.transpose(0, 2, 1)
         k = len(live)
         cross = (wt.reshape(k, 1, -1) @ hxt.reshape(k, -1, 1)).ravel().tolist()
@@ -182,7 +178,6 @@ def _nmf_batch(
             live = [live[j] for j in keep]
             width = max((ranks[i] for i in live), default=0)
             wt, h, wtw = wt[keep, :width], h[keep, :width], wtw[keep, :width, :width]
-            buf = np.empty_like(wt)
     return out
 
 

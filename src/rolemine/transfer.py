@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .features import _byte_rows, _first_rows, csv_rows, recompute
+from .features import _first_rows, csv_rows, recompute
 from .graph import Graph
 from .roles import RoleModel
 
@@ -41,9 +41,7 @@ def _passive_solve(g: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndar
     share one solve; the columns alone in theirs go through one masked
     batched solve. Only a singular set takes the least-norm minimizer."""
     s = np.zeros(c.shape)
-    _, first, group, count = np.unique(
-        _byte_rows(passive.T), return_index=True, return_inverse=True, return_counts=True
-    )
+    first, group, count = _first_rows(passive.T)
     lone = np.flatnonzero(count[group] == 1)
     if lone.size:
         p = passive[:, lone]
@@ -148,7 +146,7 @@ def transfer_memberships(
     """
     if model.descriptors is None:
         raise ValueError("model carries no feature descriptors; cannot recompute features")
-    if clamp is not None and clamp <= 0:
+    if clamp is not None and not clamp > 0:  # NaN too
         raise ValueError("clamp must be positive")
     x2 = recompute(g2, model.descriptors)
     x2n = x2.values / model.column_scales
@@ -168,6 +166,8 @@ def memberships_for_matrix(
     h = np.asarray(h, dtype=float)
     if x2n.ndim != 2 or x2n.shape[1] != h.shape[1]:
         raise ValueError("feature matrix width must match role definitions")
+    if not (np.isfinite(x2n).all() and np.isfinite(h).all()):
+        raise ValueError("feature matrix and role definitions must be finite")
     first, inverse, _ = _first_rows(x2n)
     # min_W ||X - W H|| == min_B ||X^T - H^T B|| with B = W^T
     b, steps = _nnls(h @ h.T, h @ x2n[first].T)
@@ -191,6 +191,8 @@ def estimate_transition_model(
     w_b = np.ascontiguousarray(w_b, dtype=float)
     if w_a.shape != w_b.shape:
         raise ValueError("membership matrices must have equal shapes")
+    if not (np.isfinite(w_a).all() and np.isfinite(w_b).all()):
+        raise ValueError("membership matrices must be finite")
     t, steps = _nnls(w_a.T @ w_a, w_a.T @ w_b)
     if report is not None:
         report.steps, report.residual = steps, float(np.linalg.norm(w_b - w_a @ t))

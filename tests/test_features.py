@@ -631,8 +631,9 @@ class TestGoldenDigests:
         assert recompute(g, x.descriptors).values.tobytes() == x.values.tobytes()
 
     def test_small_blocks_give_the_same_bytes(self, monkeypatch):
-        # binning and aggregation walk the matrix in column blocks, and the
-        # span rule the candidates in row blocks
+        # aggregation walks the matrix in column blocks, binning takes each
+        # candidate block whole, and the span rule checks the candidates in
+        # row blocks
         monkeypatch.setattr(features_module, "_BLOCK_ELEMENTS", 97)
         monkeypatch.setattr(features_module, "_SPAN_BLOCK", 3)
         make, config, sizes, digest = GOLDEN_CASES["weighted"]
@@ -718,6 +719,27 @@ class TestStreamedRound:
             assert calls == [(1, ("sum",))] + [(1, config.operators)] * 3
             assert x.iteration_sizes == (1, 2, 3, 3) and rows == x.iteration_sizes[-2]
             assert_same_learn(x, all_at_once_learn(g, config))
+
+    @pytest.mark.parametrize("block", [None, 97])
+    def test_each_binning_call_is_bounded(self, monkeypatch, block):
+        # log_bin_rows bins all it is given at once, so learn_features must
+        # bound each call: round 0 holds a row per primitive, a later round
+        # a candidate block
+        if block is not None:
+            monkeypatch.setattr(features_module, "_BLOCK_ELEMENTS", block)
+        sizes = []
+        binner = features_module.log_bin_rows
+
+        def recorded(rows, p):
+            sizes.append(rows.size)
+            return binner(rows, p)
+
+        monkeypatch.setattr(features_module, "log_bin_rows", recorded)
+        g, config = erdos_renyi(400, 8 / 399, seed=1), FeatureLearnConfig()
+        learn_features(g, config)
+        n, ops = g.n, len(config.operators)
+        bound = max(features_module._BLOCK_ELEMENTS, ops * n, len(config.primitives) * n)
+        assert len(sizes) > 1 and max(sizes) <= bound
 
     def test_peak_memory_bounded_by_the_result(self):
         # the all-at-once round peaked at 4.75x the returned matrix on

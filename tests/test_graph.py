@@ -105,6 +105,7 @@ class TestLoad:
 
     @pytest.mark.parametrize("text", [
         "0 1\n1_0 2\n10 3\n", "0 1\n٣ 1\n3 2\n", "0 1\n+1 2\n", "0 1\n1 -\n", "0 1\n2 1²\n",
+        "0 1\n--5 2\n", "0 1\n5- 2\n",
     ])
     def test_label_is_an_optional_minus_then_ascii_digits(self, text):
         # int() reads each of these, so '1_0' would merge with '10' and the

@@ -77,6 +77,13 @@ class TestTransferMemberships:
         with pytest.raises(ValueError):
             transfer_memberships(g, model, clamp=0.0)
 
+    def test_nan_clamp_rejected(self):
+        # NaN passes a clamp <= 0 test, and the NaN features it makes gave zero memberships
+        g = load_edge_list("0 1\n1 2")
+        _, model = trained_model(g)
+        with pytest.raises(ValueError, match="clamp"):
+            transfer_memberships(g, model, clamp=float("nan"))
+
     def test_clamp_checked_before_features_are_recomputed(self, monkeypatch):
         g = load_edge_list("0 1\n1 2")
         _, model = trained_model(g)
@@ -101,6 +108,14 @@ class TestMembershipsForMatrix:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             memberships_for_matrix(np.ones((3, 4)), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", ["x", "h"])
+    def test_non_finite_input_rejected(self, bad):
+        # a NaN feature row would otherwise get an all-zero membership row
+        x, h = np.ones((3, 4)), np.ones((2, 4))
+        {"x": x, "h": h}[bad][1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            memberships_for_matrix(x, h)
 
     @given(st.integers(0, 50))
     @settings(max_examples=30)
@@ -356,6 +371,14 @@ class TestTransitionModel:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             estimate_transition_model(np.ones((4, 2)), np.ones((5, 2)))
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_non_finite_membership_rejected(self, bad):
+        # a NaN membership would otherwise give an all-zero transition
+        w = [np.ones((4, 2)), np.ones((4, 2))]
+        w[bad][2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            estimate_transition_model(*w)
 
     def test_beats_random_candidates(self):
         rng = np.random.default_rng(35)
