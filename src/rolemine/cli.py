@@ -132,8 +132,8 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
                         seed=config.seed, descriptors=descriptors, maxiter=config.maxiter,
                         sweep=sweep, rank=config.rank)
     (outdir / "model.json").write_text(model_to_json(model))
-    return {"sweep": [asdict(fit) for fit in sweep.fits], "stopped": sweep.stopped,
-            "distinct_rows": sweep.distinct_rows}
+    return {"sweep": [asdict(fit) for fit in sweep.fits], "skipped": sweep.skipped,
+            "stopped": sweep.stopped, "distinct_rows": sweep.distinct_rows}
 
 
 def _run_assign(config: RunConfig, outdir: Path) -> None:

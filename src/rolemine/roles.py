@@ -19,6 +19,12 @@ stacked width, so fixed stacks give the same bits on any CPU count. The
 ranks tried, the iterates and the stop rule are those of fitting one rank
 at a time; nmf_factorize is the kernel's one-slice case.
 
+When the d distinct rows number at most f, rank d is fitted exactly with no
+iteration: W one-hot per distinct row, H those rows. Its batch skips each
+rank whose Eckart-Young bound (the cost at the least squared error of any
+rank-r fit) exceeds that cost and the best before the batch: such a rank
+cannot be the model, and counts as non-improving.
+
 Nodes with equal feature rows must share a role, so both fits factorize the
 distinct rows of the normalized matrix, in order of first appearance, each
 scaled by the square root of its count: for tied rows the objective
@@ -249,9 +255,12 @@ def model_cost(x: np.ndarray, w: np.ndarray, h: np.ndarray, criterion: str = "ai
     if w.shape[0] != x.shape[0] or h.shape[1] != x.shape[1] or w.shape[1] != h.shape[0]:
         raise ValueError("shape mismatch between x, w, h")
     _check_criterion(criterion, b)
-    n, f = x.shape
-    r = w.shape[1]
-    sse = float(((x - w @ h) ** 2).sum())
+    return _cost(float(((x - w @ h) ** 2).sum()), *x.shape, w.shape[1], criterion, b)
+
+
+def _cost(sse: float, n: int, f: int, r: int, criterion: str, b: int) -> float:
+    """The cost of a rank-r fit of an n x f matrix with squared error sse;
+    it never falls as sse grows."""
     mse = sse / (n * f)
     if criterion == "mdl":
         error_bits = (n * f / 2.0) * np.log2(mse + _EPS0)
@@ -262,7 +271,7 @@ def model_cost(x: np.ndarray, w: np.ndarray, h: np.ndarray, criterion: str = "ai
 @dataclass(frozen=True)
 class RankFit:
     """One fitted rank: NMF iterations run, whether they hit maxiter, and
-    the model cost."""
+    the model cost; 0 iterations is the exact fit at the distinct-row count."""
 
     rank: int
     iterations: int
@@ -275,12 +284,14 @@ class RankSweep:
     """What a rank search did, filled in by select_rank: one RankFit per
     fitted rank in fitting order; why the sweep stopped: "trials" (that many
     non-improving ranks in a row), "rmax" (reached min(distinct rows, f)) or
-    "rank" (a fixed rank, no sweep); and the number of distinct rows of the
-    normalized matrix, the rows it fitted."""
+    "rank" (a fixed rank, no sweep); the number of distinct rows of the
+    normalized matrix, the rows it fitted; and the ranks left unfitted, as
+    their cost bounds showed they could not be the model."""
 
     fits: list[RankFit] = field(default_factory=list)
     stopped: str | None = None
     distinct_rows: int | None = None
+    skipped: list[int] = field(default_factory=list)
 
 
 def select_rank(
@@ -307,8 +318,8 @@ def select_rank(
     consecutive ranks without a cost improvement or at r = min(distinct
     rows, f), and the cheapest model, scored on the full matrix, wins. A
     given rank may be up to min(n, f) and is the one-rank batch
-    range(rank, rank + 1), stopped "rank". `sweep`, when given, records
-    each fit.
+    range(rank, rank + 1), stopped "rank". Rank d = distinct rows is exact
+    (module docstring). `sweep`, when given, records each fit and skip.
 
     After `failed` non-improving ranks the next `trials - failed` ranks are
     tried whatever their costs, so they are fitted together as one batch
@@ -341,10 +352,21 @@ def select_rank(
         pool = None
         while failed < trials and lo <= rmax:
             ranks = range(lo, min(lo + trials - failed, rmax + 1))
+            todo, fits = list(ranks), {}
+            if ranks[-1] == len(u):  # rank d: W one-hot, H the distinct rows
+                fits[todo.pop()] = (np.eye(len(u)) * root, xn[first], [0.0])
+                # no rank-r fit of xn (U^T U = xn^T xn) has less squared
+                # error than U's squared singular values past the r-th;
+                # 1e-8 of their sum, far above their rounding, is taken off
+                limit = min(best[0], _cost(0.0, *xn.shape, len(u), criterion, b))
+                s2 = np.linalg.svd(u, compute_uv=False) ** 2
+                margin = 1e-8 * s2.sum()
+                todo = [r for r in todo
+                        if _cost(max(s2[r:].sum() - margin, 0.0), *xn.shape, r, criterion, b) <= limit]
             # two stacks fixed by the ranks alone: the narrower half here,
             # the wider one in the worker when it forks, else after it
-            cut = (len(ranks) + 1) // 2
-            narrow, wide = ranks[:cut], ranks[cut:]
+            cut = (len(todo) + 1) // 2
+            narrow, wide = todo[:cut], todo[cut:]
             args = (u, w_full[:, : ranks[-1]], h_full[: ranks[-1]], wide, maxiter, tol)
             future = None
             if wide and u.size >= _VALUES_PER_FIT_WORKER and _cpu_count() >= 2:
@@ -354,10 +376,16 @@ def select_rank(
                     pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
                     stack.callback(pool.shutdown, cancel_futures=True)
                 future = pool.submit(_fit_stack, *args)
-            fits = _fit_stack(u, w_full, h_full, narrow, maxiter, tol)
+            if narrow:
+                fits.update(zip(narrow, _fit_stack(u, w_full, h_full, narrow, maxiter, tol)))
             if wide:
-                fits += _fit_stack(*args) if future is None else future.result()
-            for r, (w, h, history) in zip(ranks, fits):
+                fits.update(zip(wide, _fit_stack(*args) if future is None else future.result()))
+            for r in ranks:
+                if r not in fits:  # its bound shows it cannot be the model
+                    sweep.skipped.append(r)
+                    failed += 1
+                    continue
+                w, h, history = fits[r]
                 w = (w / root)[inverse]
                 cost = model_cost(xn, w, h, criterion=criterion, b=b)
                 iterations = len(history) - 1

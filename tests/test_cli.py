@@ -70,8 +70,8 @@ RUN_JSON_COMMON = {"subcommand", "inputs", "output_dir", "version"}
 RUN_JSON_KEYS = {
     "learn": {"primitives", "operators", "bin_fraction", "maxiter",
               "iteration_sizes", "candidates", "stopped"},
-    "select-rank": {"maxiter", "criterion", "bits", "trials", "seed", "rank", "sweep", "stopped",
-                    "distinct_rows"},
+    "select-rank": {"maxiter", "criterion", "bits", "trials", "seed", "rank", "sweep", "skipped",
+                    "stopped", "distinct_rows"},
     "assign": {"hard"},
     "transfer": {"nnls"},
     "dynamic": {"pairs", "nnls"},
@@ -441,6 +441,19 @@ class TestSweepCounters:
                            "--output-dir", str(tmp_path / "rank")])
         run = json.loads((tmp_path / "rank" / "run.json").read_text())
         assert run["distinct_rows"] == 2
+
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]], ids=["sweep", "rank"])
+    def test_exact_rank_and_skipped_ranks(self, runner, tmp_path, rank):
+        # two distinct rows: rank 2 is the exact fit, run for no iteration,
+        # and rank 1's bound lies above its cost, so the sweep skips it
+        (tmp_path / "features.csv").write_text(two_pattern_csv())
+        invoke_ok(runner, ["select-rank", str(tmp_path / "features.csv"), *rank,
+                           "--output-dir", str(tmp_path / "rank")])
+        run = json.loads((tmp_path / "rank" / "run.json").read_text())
+        model = json.loads((tmp_path / "rank" / "model.json").read_text())
+        assert run["sweep"] == [{"rank": 2, "iterations": 0, "capped": False, "cost": model["cost"]}]
+        assert run["skipped"] == ([] if rank else [1])
+        assert model["r"] == 2 and sorted(map(sorted, model["W"])) == [[0.0, 1.0], [0.0, 1.0]]
 
 
 class TestOracle:
@@ -817,7 +830,7 @@ class TestRunJson:
     def test_echoes_every_default_without_flags(self, runner, tmp_path, monkeypatch, sub):
         doc = self.run(runner, tmp_path, monkeypatch, sub, [])
         flags = set(doc) - RUN_JSON_COMMON - {"iteration_sizes", "candidates", "stopped",
-                                              "sweep", "distinct_rows", "nnls", "pairs"}
+                                              "sweep", "skipped", "distinct_rows", "nnls", "pairs"}
         assert flags == set(self.DEFAULTS[sub])
         for key, value in self.DEFAULTS[sub].items():
             assert doc[key] == value, key
@@ -987,19 +1000,18 @@ class TestDeterminism:
         for key in a:
             assert a[key] == b[key], key
 
-    # sha256 of each file of the planted chain below. The assignments were
-    # recorded when the span rule cut learn's five columns to four; the
-    # rest when model.json came to hold W's distinct rows once and transfer
-    # to solve each distinct feature row once. They equal the digests of
-    # the same chain with each graph passed in memory, not parsed from its
-    # file: loading the written graphs renumbers no node
+    # sha256 of each file of the planted chain below, recorded when the
+    # sweep's rank 4, the distinct-row count, became the exact fit (W one-hot
+    # per distinct row, H those rows). They equal the digests of the same
+    # chain with each graph passed in memory, not parsed from its file:
+    # loading the written graphs renumbers no node
     PINNED = {
-        "model.json": "5a8fd6896f1a25534dcadf9d26c453868f2f86329d9fd06450b3d2bc3cd91199",
-        "soft/assignments.csv": "3a3195c55e1eb794f600bc96eda82a2ba2ddf994b6ec46bd5862dc13cd147bcb",
-        "hard/assignments.csv": "4cf82b7de0b10e89fd4cab27305cbad31f11d23bace8b2545fbc00fa096c8f60",
-        "memberships.csv": "e5f071b1cbed2d88c88d1afe714981b1478026271e3fe0c635c043e49ed716e3",
-        "series.csv": "686397263839e22011fbd9349147b5ff1393e0c84bcaa3979c9057665b54e963",
-        "transition.json": "ae6abf719a331907b6af852e5483d5babcf59cc2a12b40d728345e6b26ba5b50",
+        "model.json": "7891a53399c50e4c27067deae55ac66ec0288fe5caaf6895d23cfb62c52f4f61",
+        "soft/assignments.csv": "81a78abd1f9961a4f718d2fb89f2ba6c43a39c5bcadad83d3545a1ace993f5b6",
+        "hard/assignments.csv": "04f6c2b7ff019b8e7b8bddc0bc1b03c43dc7643481a49dc413723c37d9e408d2",
+        "memberships.csv": "7a00bde30c2db9c4f424c5d27b147b9b0506a63f1fe7e57552e43b0586e01f62",
+        "series.csv": "43a9ba09085a0cbb96967e5e36feccd5c0d513b02bfbaecd352ba6a5f5072322",
+        "transition.json": "c8ee6ee2ca3933cd7ab3c660b96f3f503740b8d95d3e9438f6ab805db6bb0097",
     }
 
     def test_planted_chain_bytes_are_pinned(self, runner, tmp_path):

@@ -33,7 +33,8 @@ from rolemine import (
 )
 from rolemine import roles as roles_module
 from rolemine.cli import main
-from rolemine.roles import _nmf_batch
+from rolemine.features import _first_rows
+from rolemine.roles import RankFit, _nmf_batch
 
 from forks import (
     count_forks,
@@ -463,11 +464,12 @@ def sequential_nmf(x, w0, h0, maxiter, tol):
 
 def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6):
     """The rank sweep before batching, on the distinct rows, kept as an
-    oracle: one rank at a time, stopping after `trials` non-improving ranks.
-    The distinct rows, in order of first appearance, are scaled by
-    sqrt(count) and start at sqrt(count) times their members' mean drawn
-    row. Returns the chosen (rank, cost, W) and one (rank, iterations, cost)
-    per fitted rank."""
+    oracle: one rank at a time, every rank fitted, stopping after `trials`
+    non-improving ranks. The distinct rows, in order of first appearance,
+    are scaled by sqrt(count) and start at sqrt(count) times their members'
+    mean drawn row. Rank d, the distinct-row count, is the exact fit: W
+    one-hot per distinct row, H those rows. Returns the chosen (rank, cost,
+    W) and one (rank, iterations, cost) per fitted rank."""
     xn, _ = normalize_columns(x)
     n, f = xn.shape
     rng = np.random.default_rng(seed)
@@ -488,8 +490,11 @@ def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6):
     fits = []
     failed = 0
     for r in range(1, min(len(groups), f) + 1):
-        w, h, history = sequential_nmf(u, w_full[:, :r], h_full[:r, :], maxiter, tol)
-        w = (w / root)[inverse]
+        if r == len(groups):
+            w, h, history = np.eye(r)[inverse], xn[[group[0] for group in groups]], [0.0]
+        else:
+            w, h, history = sequential_nmf(u, w_full[:, :r], h_full[:r, :], maxiter, tol)
+            w = (w / root)[inverse]
         cost = model_cost(xn, w, h)
         fits.append((r, len(history) - 1, cost))
         if best is None or cost < best[1]:
@@ -508,13 +513,19 @@ def er_features(seed, n=150, degree=8.0):
 
 
 def assert_same_sweep(x, **kwargs):
+    """select_rank picks the oracle's (r, cost, W); it fits each rank the
+    oracle fits, to the same iterations and cost, except the ranks it
+    skips."""
     (r, cost, w), want = sequential_sweep(x, **kwargs)
     sweep = RankSweep()
     model = select_rank(x, sweep=sweep, **kwargs)
-    got = [(fit.rank, fit.iterations, fit.cost) for fit in sweep.fits]
-    assert [g[:2] for g in got] == [o[:2] for o in want]
-    for (_, _, c_got), (_, _, c_want) in zip(got, want):
-        assert abs(c_got - c_want) <= 1e-12 * abs(c_want)
+    got = {fit.rank: (fit.iterations, fit.cost) for fit in sweep.fits}
+    assert [fit.rank for fit in sweep.fits] == sorted(got)
+    assert sorted([*got, *sweep.skipped]) == [o[0] for o in want]
+    for rank, iterations, c_want in want:
+        if rank in got:
+            assert got[rank][0] == iterations
+            assert abs(got[rank][1] - c_want) <= 1e-12 * abs(c_want)
     assert model.r == r
     assert abs(model.cost - cost) <= 1e-12 * abs(cost)
     assert np.abs(model.w - w).max() <= 1e-9 * max(1.0, np.abs(w).max())
@@ -528,8 +539,18 @@ class TestBatchedSweep:
         assert sweep.stopped == "trials"
 
     def test_matches_sequential_sweep_on_planted_roles(self):
+        # 4 distinct rows of 4 columns: rank 4 is exact, and its cost beats
+        # the bounds of ranks 1-3
         g, _ = planted_role_graph(seed=3, units=6)
-        assert_same_sweep(learn_features(g).values)
+        sweep = assert_same_sweep(learn_features(g).values)
+        assert [fit.rank for fit in sweep.fits] == [4] and sweep.skipped == [1, 2, 3]
+
+    def test_matches_sequential_sweep_with_a_skipped_rank(self):
+        # 4 distinct rows of rank 2: only rank 1's bound lies above the
+        # exact fit's cost. At 100 iterations ranks 2 and 3 stop at the cap,
+        # before their objectives near the rounding of the Gram identity
+        sweep = assert_same_sweep(rank_two_rows(), maxiter=100)
+        assert [fit.rank for fit in sweep.fits] == [2, 3, 4] and sweep.skipped == [1]
 
     def test_slices_that_stop_at_different_iterations(self):
         # tall and nearly rank one: rank 1 converges long before the others
@@ -565,10 +586,12 @@ class TestDistinctRows:
         assert digest.hexdigest() == "ff7d2f2ec1e04d491420ba8250e63d66601c597d45d7ba0b9d7bc8cf8c21ce43"
 
     def test_tied_rows_keep_their_bits(self):
-        # 570 rows, 4 distinct; recorded while the fixed-rank fit had its
-        # own code path. Rank 5 lies above the distinct row count, so the
-        # input is the 5 columns learned before the span rule, which keeps
-        # at most as many columns as there are distinct rows
+        # 570 rows, 4 distinct. Rank 5 lies above the distinct row count, so
+        # the input is the 5 columns learned before the span rule, which
+        # keeps at most as many columns as there are distinct rows. The
+        # sweep and rank 4 were recorded when rank 4 became the exact fit;
+        # rank 5 keeps the model bits recorded while the fixed-rank fit had
+        # its own code path
         g, _ = planted_role_graph(seed=1, units=30)
         x = all_at_once_learn(g, span=False).values
         assert x.shape == (570, 5)
@@ -583,7 +606,7 @@ class TestDistinctRows:
             digest.update(model.w.tobytes())
             digest.update(model.h.tobytes())
             digest.update(repr(sweep).encode())
-        assert digest.hexdigest() == "7c0203c2d86b9bb3d73ce8f86dfc43af6239db6aac587d8bf386ec01a0564a90"
+        assert digest.hexdigest() == "1f8d957cc993f81eec7177e4ffaa591e429c34a10501a6eb711754372ebb068a"
 
     def test_fixed_rank_above_the_distinct_row_count(self):
         x = np.tile([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0]], (5, 1))
@@ -596,12 +619,85 @@ class TestDistinctRows:
             select_rank(x, rank=5)
 
     def test_sweep_stops_at_the_distinct_row_count(self):
-        x = np.repeat(np.random.default_rng(8).random((3, 6)), [4, 1, 2], axis=0)
         sweep = RankSweep()
-        select_rank(x, sweep=sweep)
+        select_rank(tied_rows(), sweep=sweep)
         assert sweep.distinct_rows == 3
-        assert [fit.rank for fit in sweep.fits] == [1, 2, 3]
+        # rank 3 is exact, and its cost beats the bounds of ranks 1 and 2
+        assert [fit.rank for fit in sweep.fits] == [3] and sweep.skipped == [1, 2]
         assert sweep.stopped == "rmax"
+
+
+def rank_two_rows():
+    """11 rows, 4 distinct, in the span of 2 non-negative rows."""
+    rng = np.random.default_rng(5)
+    return np.repeat(rng.random((4, 2)) @ rng.random((2, 6)), [3, 1, 2, 5], axis=0)
+
+
+def tied_rows():
+    return np.repeat(np.random.default_rng(8).random((3, 6)), [4, 1, 2], axis=0)
+
+
+def planted_units_30():
+    g, _ = planted_role_graph(seed=1, units=30)
+    return learn_features(g).values
+
+
+def aic_bound(x, r):
+    """The AIC cost at the least squared error of any rank-r fit of the
+    normalized x: its squared singular values past the r-th."""
+    xn, _ = normalize_columns(x)
+    n, f = xn.shape
+    tail = (np.linalg.svd(xn, compute_uv=False)[r:] ** 2).sum()
+    return 2.0 * (n * r + r * f) + n * f * np.log(tail / (n * f) + 1e-12)
+
+
+class TestExactRank:
+    @pytest.mark.parametrize("make", [tied_rows, planted_units_30])
+    def test_exact_fit_bytes(self, make):
+        x = make()
+        xn, _ = normalize_columns(x)
+        first, inverse, _ = _first_rows(xn)
+        n, f, d = *xn.shape, len(first)
+        floor = 2.0 * (n * d + d * f) + n * f * np.log(1e-12)
+        for kwargs in ({}, {"rank": d}):
+            sweep = RankSweep()
+            model = select_rank(x, sweep=sweep, **kwargs)
+            assert model.r == d
+            assert np.array_equal(model.w, np.eye(d)[inverse])
+            assert model.h.tobytes() == xn[first].tobytes()
+            assert model.cost == floor == model_cost(xn, model.w, model.h)
+            assert sweep.fits[-1] == RankFit(d, 0, False, floor)
+
+    @pytest.mark.parametrize("make", [tied_rows, planted_units_30, rank_two_rows])
+    def test_skipped_ranks_reach_no_fit(self, make, monkeypatch):
+        given = []
+        batch = roles_module._nmf_batch
+
+        def record(x, w0s, h0s, maxiter, tol):
+            given.extend(w0.shape[1] for w0 in w0s)
+            return batch(x, w0s, h0s, maxiter, tol)
+
+        monkeypatch.setattr(roles_module, "_nmf_batch", record)
+        sweep = RankSweep()
+        select_rank(make(), sweep=sweep)
+        assert sweep.skipped
+        assert sorted(given) == [fit.rank for fit in sweep.fits if fit.iterations > 0]
+        assert not set(given) & set(sweep.skipped)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda s=s: np.random.default_rng(s).random((int(10 + 7 * s), 2 + s)) for s in range(4)),
+        lambda: np.repeat(np.random.default_rng(4).random((4, 7)), [3, 2, 1, 4], axis=0),
+        rank_two_rows,
+        lambda: er_features(1),
+    ], ids=["random-0", "random-1", "random-2", "random-3", "tied", "rank-two", "er1"])
+    def test_every_fitted_cost_is_above_its_bound(self, make):
+        x = make()
+        for kwargs in ({}, {"rank": 2}):
+            sweep = RankSweep()
+            select_rank(x, sweep=sweep, **kwargs)
+            for fit in sweep.fits:
+                bound = aic_bound(x, fit.rank)
+                assert fit.cost >= bound - 1e-9 * abs(bound), fit
 
 
 class TestGramObjective:
