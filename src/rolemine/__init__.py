@@ -41,11 +41,9 @@ from .roles import (
     model_cost,
     model_from_json,
     model_to_json,
-    nmf_factorize,
     normalize_columns,
     select_rank,
     soft_memberships,
-    svd_factorize,
 )
 from .synth import erdos_renyi, planted_role_graph
 from .transfer import (
@@ -89,7 +87,6 @@ __all__ = [
     "model_cost",
     "model_from_json",
     "model_to_json",
-    "nmf_factorize",
     "normalize_columns",
     "planted_role_graph",
     "recompute",
@@ -98,7 +95,6 @@ __all__ = [
     "series_to_csv",
     "soft_memberships",
     "structural_classes",
-    "svd_factorize",
     "transfer_memberships",
     "transition_to_json",
     "write_edge_list",

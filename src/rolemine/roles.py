@@ -1,23 +1,23 @@
 """Role assignment: low-rank factorization of the feature matrix.
 
-NMF with multiplicative updates is the main route (W rows are per-node role
-memberships, H rows define roles over features); SVD is the alternative
-assignment. Rank is chosen by a greedy sweep that scores each rank with an
-information criterion and stops after a run of non-improving ranks.
+NMF with multiplicative updates is the factorization (W rows are per-node
+role memberships, H rows define roles over features); the SVD gives only
+the floors that skip ranks. Rank is chosen by a greedy sweep that scores
+each rank with an information criterion and stops after a run of
+non-improving ranks.
 
 The sweep fits its ranks in batches: the ranks it must try whatever their
 costs (the next `trials - failed` of them). A fixed rank r (select_rank's
-rank) is the one-rank batch range(r, r + 1), from a start drawn at rank r as
-nmf_factorize draws it. A stack of ranks runs through one
-multiplicative-update kernel, _nmf_batch, as zero-padded factor pairs that
-share x, with the objective read off Gram identities. A batch of two or more
-ranks is cut, by its ranks alone, into two stacks: the narrower half (one
-more when the count is odd) runs in process, and the wider half in a worker
-forked once per sweep when the distinct rows are large enough and two CPUs
-are free, or else in process afterwards. BLAS rounding depends on the
-stacked width, so fixed stacks give the same bits on any CPU count. The
-ranks tried, the iterates and the stop rule are those of fitting one rank
-at a time; nmf_factorize is the kernel's one-slice case.
+rank) is the one-rank batch range(r, r + 1), from a start drawn at rank r.
+A stack of ranks runs through one multiplicative-update kernel, _nmf_batch,
+as zero-padded factor pairs that share x, with the objective read off Gram
+identities. A batch of two or more ranks is cut, by its ranks alone, into
+two stacks: the narrower half (one more when the count is odd) runs in
+process, and the wider half in a worker forked once per sweep when the
+distinct rows are large enough and two CPUs are free, or else in process
+afterwards. BLAS rounding depends on the stacked width, so fixed stacks
+give the same bits on any CPU count. The ranks tried, the iterates and the
+stop rule are those of fitting one rank at a time, a one-slice stack.
 
 When the d distinct rows number at most f, rank d is fitted exactly with no
 iteration: W one-hot per distinct row, H those rows. Its batch skips each
@@ -192,13 +192,6 @@ def _fit_stack(x, w_full, h_full, ranks, maxiter, tol):
     return _nmf_batch(x, [w_full[:, :r] for r in ranks], [h_full[:r] for r in ranks], maxiter, tol)
 
 
-def _check_fit(x: np.ndarray, r: int, maxiter: int) -> None:
-    _check_count("rank", r)
-    if not 1 <= r <= min(x.shape):
-        raise ValueError(f"rank {r} outside 1..min(n,f)={min(x.shape)}")
-    _check_count("maxiter", maxiter, 1)
-
-
 def _start(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The random start of a rank-r fit of x: W, then H, each |N(0,1)|
     scaled by max(x), drawn from seed."""
@@ -206,38 +199,6 @@ def _start(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     scale = x.max() if x.max() > 0 else 1.0
     return np.abs(rng.standard_normal((n, r))) * scale, np.abs(rng.standard_normal((r, f))) * scale
-
-
-def nmf_factorize(
-    x: np.ndarray,
-    r: int,
-    seed: int = 0,
-    maxiter: int = 500,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Multiplicative-update NMF for the Frobenius objective 0.5*||x - WH||^2.
-
-    Returns (W, H, objective history). The history starts at the initial
-    point and never increases. The start is |N(0,1)| scaled by max(x),
-    drawn from seed. A fit stops when the objective falls by less than
-    tol relative to the previous iterate, or after maxiter iterations.
-    """
-    x = _validate_input(x)
-    _check_fit(x, r, maxiter)
-    w, h = _start(x, r, seed)
-    return _nmf_batch(x, [w], [h], maxiter, tol)[0]
-
-
-def svd_factorize(x: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank-r truncated SVD: returns (U_r, S_r, V_r) with x ~ U_r diag(S_r) V_r^T."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError("x must be a non-empty 2-d matrix")
-    _check_count("rank", r)
-    if not 1 <= r <= min(x.shape):
-        raise ValueError(f"rank {r} outside 1..min(n,f)={min(x.shape)}")
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    return u[:, :r], s[:r], vt[:r].T
 
 
 def _check_criterion(criterion: str, b: int) -> None:
@@ -266,6 +227,13 @@ def _cost(sse: float, n: int, f: int, r: int, criterion: str, b: int) -> float:
         error_bits = (n * f / 2.0) * np.log2(mse + _EPS0)
         return float(b * (n * r + r * f) + max(0.0, error_bits))
     return float(2.0 * (n * r + r * f) + (n * f) * np.log(mse + _EPS0))
+
+
+def _floors(u: np.ndarray) -> list[float]:
+    """For r = 0..min(u.shape), the least squared error of any rank-r fit
+    of u (Eckart-Young): its squared singular values past the r-th."""
+    s2 = np.linalg.svd(u, compute_uv=False) ** 2
+    return [float(s2[r:].sum()) for r in range(len(s2) + 1)]
 
 
 @dataclass(frozen=True)
@@ -332,7 +300,10 @@ def select_rank(
     _check_count("seed", seed)
     xn, scales = normalize_columns(_validate_input(x))
     top = min(xn.shape) if rank is None else rank  # the rank of the drawn start
-    _check_fit(xn, top, maxiter)
+    _check_count("rank", top)
+    if not 1 <= top <= min(xn.shape):
+        raise ValueError(f"rank {top} outside 1..min(n,f)={min(xn.shape)}")
+    _check_count("maxiter", maxiter, 1)
     # the byte-distinct rows, first seen first, each scaled by sqrt(count)
     first, inverse, counts = _first_rows(xn)
     root = np.sqrt(counts)[:, None]
@@ -356,13 +327,13 @@ def select_rank(
             if ranks[-1] == len(u):  # rank d: W one-hot, H the distinct rows
                 fits[todo.pop()] = (np.eye(len(u)) * root, xn[first], [0.0])
                 # no rank-r fit of xn (U^T U = xn^T xn) has less squared
-                # error than U's squared singular values past the r-th;
-                # 1e-8 of their sum, far above their rounding, is taken off
+                # error than U's floor; 1e-8 of ||U||^2, far above the
+                # floors' rounding, is taken off
                 limit = min(best[0], _cost(0.0, *xn.shape, len(u), criterion, b))
-                s2 = np.linalg.svd(u, compute_uv=False) ** 2
-                margin = 1e-8 * s2.sum()
+                floors = _floors(u)
+                margin = 1e-8 * floors[0]
                 todo = [r for r in todo
-                        if _cost(max(s2[r:].sum() - margin, 0.0), *xn.shape, r, criterion, b) <= limit]
+                        if _cost(max(floors[r] - margin, 0.0), *xn.shape, r, criterion, b) <= limit]
             # two stacks fixed by the ranks alone: the narrower half here,
             # the wider one in the worker when it forks, else after it
             cut = (len(todo) + 1) // 2

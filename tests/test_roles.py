@@ -24,17 +24,15 @@ from rolemine import (
     model_cost,
     model_from_json,
     model_to_json,
-    nmf_factorize,
     normalize_columns,
     planted_role_graph,
     select_rank,
     soft_memberships,
-    svd_factorize,
 )
 from rolemine import roles as roles_module
 from rolemine.cli import main
 from rolemine.features import _first_rows
-from rolemine.roles import RankFit, _nmf_batch
+from rolemine.roles import RankFit, _floors, _nmf_batch, _start
 
 from forks import (
     count_forks,
@@ -92,20 +90,26 @@ class TestNormalizeColumns:
         assert (a.r, a.w.tobytes(), a.h.tobytes()) == (b.r, b.w.tobytes(), b.h.tobytes())
 
 
+def mu_fit(x, r, seed=0, maxiter=500, tol=1e-6):
+    """One multiplicative-update fit from the start drawn at rank r: (W, H, history)."""
+    w0, h0 = _start(x, r, seed)
+    return _nmf_batch(x, [w0], [h0], maxiter, tol)[0]
+
+
 class TestNMF:
     def test_rank_one_matrix_fits_exactly(self):
         x = np.array([[2.0, 4.0], [1.0, 2.0]])
-        w, h, history = nmf_factorize(x, 1, seed=0)
+        w, h, history = mu_fit(x, 1, seed=0)
         assert history[-1] < 1e-6
         assert w.shape == (2, 1) and h.shape == (1, 2)
 
     def test_zero_matrix_reaches_zero_objective(self):
-        w, h, history = nmf_factorize(np.zeros((3, 2)), 1, seed=0)
+        w, h, history = mu_fit(np.zeros((3, 2)), 1, seed=0)
         assert history[-1] == 0.0
         assert (w @ h == 0).all()
 
     def test_identity_fits_at_full_rank(self):
-        _, _, history = nmf_factorize(np.eye(3), 3, seed=0)
+        _, _, history = mu_fit(np.eye(3), 3, seed=0)
         assert history[-1] < 1e-6
 
     def test_history_starts_at_initial_objective(self):
@@ -116,25 +120,26 @@ class TestNMF:
         assert history[0] == 0.5 * ((x - w0 @ h0) ** 2).sum()
 
     def test_bad_inputs_rejected(self):
+        # a fit at a given rank checks its input, rank and maxiter first
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
-            nmf_factorize(np.array([[1.0, -1.0]]), 1)
+            select_rank(np.array([[1.0, -1.0]]), rank=1)
         with pytest.raises(ValueError):
-            nmf_factorize(x, 0)
+            select_rank(x, rank=0)
         with pytest.raises(ValueError):
-            nmf_factorize(x, 3)
+            select_rank(x, rank=3)
         with pytest.raises(ValueError):
-            nmf_factorize(x, 1, maxiter=0)
+            select_rank(x, rank=1, maxiter=0)
         with pytest.raises(ValueError, match="^maxiter must be an integer, not 2.5$"):
-            nmf_factorize(x, 1, maxiter=2.5)
+            select_rank(x, rank=1, maxiter=2.5)
         with pytest.raises(ValueError, match="^rank must be an integer, not 1.0$"):
-            nmf_factorize(x, 1.0)
+            select_rank(x, rank=1.0)
 
     @given(nonneg_matrices, st.integers(0, 5))
     @settings(max_examples=60)
     def test_objective_never_increases(self, x, seed):
         r = min(x.shape)
-        w, h, history = nmf_factorize(x, r, seed=seed, maxiter=40)
+        w, h, history = mu_fit(x, r, seed=seed, maxiter=40)
         for prev, cur in zip(history, history[1:]):
             assert cur <= prev + 1e-9
         assert (w >= 0).all() and (h >= 0).all()
@@ -143,49 +148,45 @@ class TestNMF:
     @settings(max_examples=20)
     def test_deterministic_for_a_seed(self, seed):
         x = np.arange(12, dtype=float).reshape(4, 3) + 1
-        w1, h1, hist1 = nmf_factorize(x, 2, seed=seed, maxiter=30)
-        w2, h2, hist2 = nmf_factorize(x, 2, seed=seed, maxiter=30)
+        w1, h1, hist1 = mu_fit(x, 2, seed=seed, maxiter=30)
+        w2, h2, hist2 = mu_fit(x, 2, seed=seed, maxiter=30)
         assert (w1 == w2).all() and (h1 == h2).all() and hist1 == hist2
 
 
 class TestSVD:
+    """_floors(x)[r], the least squared error of any rank-r fit of x."""
+
     def test_truncation_error_is_dropped_energy(self):
-        x = np.diag([3.0, 2.0, 1.0])
-        u, s, v = svd_factorize(x, 2)
-        assert np.allclose(s, [3.0, 2.0])
-        err = ((x - u @ np.diag(s) @ v.T) ** 2).sum()
-        assert abs(err - 1.0) < 1e-12
+        floors = _floors(np.diag([3.0, 2.0, 1.0]))
+        assert np.allclose(floors, [14.0, 5.0, 1.0, 0.0])
+        assert abs(floors[2] - 1.0) < 1e-12
 
     def test_rank_one_outer_product_exact(self):
-        x = np.outer([1.0, 2.0], [1.0, 1.0])
-        u, s, v = svd_factorize(x, 1)
-        assert ((x - u @ np.diag(s) @ v.T) ** 2).sum() < 1e-9
+        assert _floors(np.outer([1.0, 2.0], [1.0, 1.0]))[1] < 1e-9
 
     def test_full_rank_reconstructs(self):
-        rng = np.random.default_rng(5)
-        x = rng.random((4, 4))
-        u, s, v = svd_factorize(x, 4)
-        assert ((x - u @ np.diag(s) @ v.T) ** 2).sum() < 1e-9
+        x = np.random.default_rng(5).random((4, 4))
+        floors = _floors(x)
+        assert floors[4] == 0.0
+        assert abs(floors[0] - (x**2).sum()) < 1e-12 * (x**2).sum()
 
-    def test_factor_columns_orthonormal(self):
-        rng = np.random.default_rng(6)
-        x = rng.random((6, 4))
-        u, s, v = svd_factorize(x, 3)
-        assert np.abs(u.T @ u - np.eye(3)).max() < 1e-8
-        assert np.abs(v.T @ v - np.eye(3)).max() < 1e-8
-        assert s[0] >= s[1] >= s[2] >= 0
+    def test_floors_never_rise_with_rank(self):
+        floors = _floors(np.random.default_rng(6).random((6, 4)))
+        assert len(floors) == 5
+        assert all(a >= b >= 0.0 for a, b in zip(floors, floors[1:]))
 
     def test_rank_range_validated(self):
-        # a float or bool rank failed as a raw TypeError in the slicing
+        # the floors cover ranks 0..min(n, f); a fit refuses any other rank,
+        # and a float or bool one
+        assert len(_floors(np.ones((3, 2)))) == 3
         for r in (0, 3, 2.0, True):
             with pytest.raises(ValueError):
-                svd_factorize(np.ones((3, 2)), r)
+                select_rank(np.ones((3, 2)), rank=r)
 
     def test_beats_random_candidates(self):
         rng = np.random.default_rng(7)
         x = rng.random((4, 4))
-        u, s, v = svd_factorize(x, 2)
-        best = ((x - u @ np.diag(s) @ v.T) ** 2).sum()
+        best = _floors(x)[2]
         for _ in range(200):
             a = rng.standard_normal((4, 2))
             b = rng.standard_normal((2, 4))
@@ -214,7 +215,7 @@ class TestModelCost:
         x = two_pattern_matrix()
         costs = {}
         for r in (1, 2, 3):
-            w, h, _ = nmf_factorize(x, r, seed=3, maxiter=500)
+            w, h, _ = mu_fit(x, r, seed=3, maxiter=500)
             costs[r] = model_cost(x, w, h, criterion="aic")
         assert costs[2] < costs[1]
         assert costs[2] < costs[3]
@@ -718,7 +719,7 @@ class TestGramObjective:
     def test_last_value_is_the_objective_of_the_returned_factors(self, steps):
         rng = np.random.default_rng(steps)
         x = rng.random((50, 20))
-        w, h, history = nmf_factorize(x, 5, seed=steps, maxiter=steps, tol=0.0)
+        w, h, history = mu_fit(x, 5, seed=steps, maxiter=steps, tol=0.0)
         assert len(history) == steps + 1
         direct = 0.5 * float(((x - w @ h) ** 2).sum())
         assert abs(history[-1] - direct) <= 1e-12 * float((x**2).sum())
@@ -730,7 +731,7 @@ class TestGramObjective:
         n, f = int(rng.integers(2, 12)), int(rng.integers(2, 8))
         r = int(rng.integers(1, min(n, f) + 1))
         x = rng.integers(0, 4, (n, r)).astype(float) @ rng.integers(0, 4, (r, f)).astype(float)
-        _, _, history = nmf_factorize(x, r, seed=seed, maxiter=2000, tol=0.0)
+        _, _, history = mu_fit(x, r, seed=seed, maxiter=2000, tol=0.0)
         assert min(history) == 0.0
 
 

@@ -57,14 +57,22 @@ def test_feature_growth_reports_peak_memory(tmp_path):
     assert 1 <= int(row["final_features"]) <= 30
 
 
-# er-dynamic is the one workload that runs select-rank --rank and dynamic
-@pytest.mark.parametrize("workload", ["planted-cli", "er-deep-features", "er-dynamic"])
-def test_benchmark_workload_passes_once(workload, tmp_path):
+# er-dynamic is the one workload that runs select-rank --rank and dynamic.
+# A traced pass wraps library functions by name, and reports one it no
+# longer finds as absent
+@pytest.mark.parametrize(
+    "workload, flags",
+    [("planted-cli", ()), ("er-deep-features", ()), ("er-dynamic", ()),
+     ("planted-cli", ("--trace", "1"))],
+    ids=["planted-cli", "er-deep-features", "er-dynamic", "planted-cli-traced"],
+)
+def test_benchmark_workload_passes_once(workload, flags, tmp_path):
     # one pass (--seconds 0) over the sources beside the runner: a library
     # change that breaks a call the benchmark makes fails here. The runner
     # writes .perfbench/ under its working directory
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH), "--workload", workload, "--seed", "1", "--seconds", "0"],
+        [sys.executable, str(PERFBENCH), "--workload", workload, "--seed", "1", "--seconds", "0",
+         *flags],
         cwd=tmp_path,
         capture_output=True,
         text=True,
