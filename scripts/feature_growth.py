@@ -2,7 +2,9 @@
 
 For each (n, mean degree) cell, learns features on a seeded random graph and
 prints the per-iteration surviving feature counts, the final count, why
-growth stopped (fixed-point, rank or maxiter), the wall time, the time
+growth stopped (fixed-point, rank or maxiter), the wall time, the seconds
+the default primitives take on the graph (computed as learn_features does,
+triangles once for the triangle and egonet kinds), the time
 features_to_csv takes to write the matrix (to os.devnull), and the peak
 memory learn_features allocates (traced by tracemalloc in a second, untimed
 run, since tracing slows it down). Optionally writes the table as CSV. Every
@@ -19,7 +21,14 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from rolemine import FeatureLearnConfig, erdos_renyi, features_to_csv, learn_features
+from rolemine import (
+    DEFAULT_PRIMITIVES,
+    FeatureLearnConfig,
+    compute_primitive,
+    erdos_renyi,
+    features_to_csv,
+    learn_features,
+)
 
 
 def main(argv=None):
@@ -32,7 +41,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     rows = []
-    print(f"{'n':>5} {'deg':>5} {'final':>6} {'stopped':>11} {'time':>7} {'csv':>7} "
+    print(f"{'n':>5} {'deg':>5} {'final':>6} {'stopped':>11} {'time':>7} {'prim':>8} {'csv':>7} "
           f"{'peak_mb':>8}  growth")
     for n in args.sizes:
         for d in args.degrees:
@@ -42,6 +51,11 @@ def main(argv=None):
             t0 = time.perf_counter()
             x = learn_features(g, config)
             dt = time.perf_counter() - t0
+            cache: dict = {}
+            t0 = time.perf_counter()
+            for kind in DEFAULT_PRIMITIVES:
+                compute_primitive(g, kind, cache)
+            prim_s = time.perf_counter() - t0
             with open(os.devnull, "w") as devnull:
                 t0 = time.perf_counter()
                 features_to_csv(x, devnull)
@@ -53,11 +67,12 @@ def main(argv=None):
             peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
             tracemalloc.stop()
             sizes = list(x.iteration_sizes)
-            print(f"{n:>5} {d:>5g} {x.f:>6} {stopped:>11} {dt:>6.2f}s {csv_s:>6.2f}s "
-                  f"{peak_mb:>8.1f}  {sizes}")
+            print(f"{n:>5} {d:>5g} {x.f:>6} {stopped:>11} {dt:>6.2f}s {prim_s:>7.4f}s "
+                  f"{csv_s:>6.2f}s {peak_mb:>8.1f}  {sizes}")
             rows.append({"n": n, "mean_degree": d, "final_features": x.f,
                          "stopped": stopped,
-                         "seconds": round(dt, 3), "csv_s": round(csv_s, 3),
+                         "seconds": round(dt, 3), "primitives_s": round(prim_s, 4),
+                         "csv_s": round(csv_s, 3),
                          "peak_mb": round(peak_mb, 1),
                          "growth": " ".join(map(str, sizes))})
 

@@ -139,9 +139,9 @@ def _run_select_rank(config: RunConfig, outdir: Path) -> dict:
 def _run_assign(config: RunConfig, outdir: Path) -> None:
     model = _load(config.inputs[0], model_from_json, "model")
     if config.hard:
-        labels = hard_assignment(model.w)
-        lines = ["node,role"] + [f"{node},{int(r)}" for node, r in enumerate(labels)]
-        (outdir / "assignments.csv").write_text("\n".join(lines) + "\n")
+        labels = hard_assignment(model.w).tolist()
+        lines = "".join([f"{node},{r}\n" for node, r in enumerate(labels)])
+        (outdir / "assignments.csv").write_text("node,role\n" + lines)
     else:
         (outdir / "assignments.csv").write_text(_memberships_csv(soft_memberships(model.w)))
 

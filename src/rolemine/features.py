@@ -152,12 +152,21 @@ def _check_primitive(kind: str) -> None:
         raise ValueError(f"unknown primitive {kind!r}")
 
 
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The ranges starts[i]..stops[i] - 1 end to end; starts is not empty."""
+    lens = stops - starts
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)
+
+
 def _triangle_counts(g: Graph) -> np.ndarray:
     """Triangles at each node.
 
     Every edge points from its endpoint of lower (degree, id) rank to the
     higher one, so each triangle is found once, at its lowest corner, as an
     adjacent pair of forward neighbors; forward lists stay short at hubs.
+    Each forward arc is paired with the later forward arcs of its tail, in
+    blocks of about _BLOCK_ELEMENTS pairs, each tested by one searchsorted.
     """
     indptr, indices, _ = g.csr
     n = g.n
@@ -166,53 +175,51 @@ def _triangle_counts(g: Graph) -> np.ndarray:
     rank[np.lexsort((np.arange(n), deg))] = np.arange(n)
     src = np.repeat(np.arange(n), deg)
     forward = rank[indices] > rank[src]
-    head = indices[forward]
-    fdeg = np.bincount(src[forward], minlength=n)
-    fptr = np.concatenate([[0], np.cumsum(fdeg)])
+    tail, head = src[forward], indices[forward]
+    # forward arc p pairs with the arcs after it up to its tail's last one
+    fptr = np.concatenate([[0], np.cumsum(np.bincount(tail, minlength=n))])
+    later = fptr[tail + 1] - np.arange(tail.size) - 1
+    done = np.concatenate([[0], np.cumsum(later)])  # pairs before each arc
     keys = src * n + indices  # ascending, one per adjacent ordered pair
     tri = np.zeros(n)
-    for d in np.unique(fdeg[fdeg > 1]):
-        a_pos, b_pos = np.triu_indices(d, 1)
-        nodes = np.flatnonzero(fdeg == d)
-        step = max(1, _BLOCK_ELEMENTS // a_pos.size)
-        for lo in range(0, nodes.size, step):
-            chunk = nodes[lo : lo + step]
-            fw = head[fptr[chunk][:, None] + np.arange(d)]
-            a, b = fw[:, a_pos], fw[:, b_pos]
-            q = a * n + b
-            hit = keys[np.minimum(np.searchsorted(keys, q), keys.size - 1)] == q
-            corner = np.broadcast_to(chunk[:, None], q.shape)[hit]
-            tri += np.bincount(np.concatenate([corner, a[hit], b[hit]]), minlength=n)
+    lo = 0
+    while lo < tail.size:
+        hi = max(lo + 1, int(np.searchsorted(done, done[lo] + _BLOCK_ELEMENTS, "right")) - 1)
+        arcs = np.arange(lo, hi)
+        p = np.repeat(arcs, later[lo:hi])
+        a, b = head[p], head[_ranges(arcs + 1, fptr[tail[lo:hi] + 1])]
+        q = a * n + b
+        hit = keys[np.minimum(np.searchsorted(keys, q), keys.size - 1)] == q
+        tri += np.bincount(np.concatenate([tail[p[hit]], a[hit], b[hit]]), minlength=n)
+        lo = hi
     return tri
 
 
 def _core_numbers(g: Graph) -> np.ndarray:
-    """Batagelj-Zaversnik bucket peel (arXiv cs/0310049), O(n + m).
+    """Core numbers by a level-synchronous peel.
 
-    Nodes sit in an array ordered by current degree; removing the node of
-    least degree moves each higher-degree neighbor one bucket down by a swap.
+    At level k every live node of degree <= k is removed in waves: a wave
+    lowers its neighbors' degrees, and the live ones that fall to <= k form
+    the next wave. When a wave is empty the level rises to the least live
+    degree. A removed node's degree is lifted past every level, so no wave
+    takes it again; only a new level scans all n nodes.
     """
     indptr, indices, _ = g.csr
-    ptr, nbrs = indptr.tolist(), indices.tolist()
     deg = np.diff(indptr)
-    vert = np.argsort(deg, kind="stable").tolist()
-    pos = [0] * g.n
-    for i, v in enumerate(vert):
-        pos[v] = i
-    start = np.concatenate([[0], np.cumsum(np.bincount(deg))]).tolist()  # bucket heads
-    deg = deg.tolist()
-    for i in range(g.n):
-        v = vert[i]
-        for u in nbrs[ptr[v] : ptr[v + 1]]:
-            du = deg[u]
-            if du > deg[v]:
-                pu, pw = pos[u], start[du]
-                w = vert[pw]
-                vert[pu], vert[pw] = w, u
-                pos[u], pos[w] = pw, pu
-                start[du] += 1
-                deg[u] = du - 1
-    return np.array(deg, dtype=float)
+    removed = 2 * g.n  # less its later-removed neighbors, still above every level (< n)
+    core = np.zeros(g.n)
+    left = g.n
+    while left:
+        k = deg.min()
+        wave = np.flatnonzero(deg == k)
+        while wave.size:
+            core[wave] = k
+            deg[wave] = removed
+            left -= wave.size
+            nbrs = indices[_ranges(indptr[wave], indptr[wave + 1])]
+            np.subtract.at(deg, nbrs, 1)
+            wave = np.unique(nbrs[deg[nbrs] <= k])
+    return core
 
 
 def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndarray:
@@ -228,6 +235,8 @@ def compute_primitive(g: Graph, kind: str, cache: dict | None = None) -> np.ndar
     if kind == "degree":
         return deg
     if kind == "weighted-degree":
+        if g.weights is None:  # a sum of d ones is exactly d
+            return deg
         groups = _degree_groups(indptr, np.arange(indices.size))
         return _aggregate_slots(g.n, groups, weights[None, :], ("sum",))[0][0]
     if kind == "wedge-count":

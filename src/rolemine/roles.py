@@ -280,7 +280,8 @@ def select_rank(
     The sweep fits the distinct rows of the normalized x, each scaled by
     sqrt(count), and expands W back to every node, so equal rows get equal
     W rows. One random (W0, H0) pair is drawn at rank min(n, f), or at the
-    given rank, for all n rows; each distinct row starts at sqrt(count)
+    given rank, for all n rows, when a batch first has a rank to fit by
+    multiplicative updates; each distinct row starts at sqrt(count)
     times its members' mean row of W0, and the start is sliced to the first
     r columns/rows for each candidate rank. The sweep stops after `trials`
     consecutive ranks without a cost improvement or at r = min(distinct
@@ -312,11 +313,7 @@ def select_rank(
     sweep = RankSweep() if sweep is None else sweep
     sweep.distinct_rows = len(u)
 
-    w_drawn, h_full = _start(xn, top, seed)
-    # each distinct row starts at sqrt(count) times its members' mean drawn row
-    w_full = np.zeros((len(u), top))
-    np.add.at(w_full, inverse, w_drawn)
-    w_full /= root
+    w_full = h_full = None  # drawn once a batch has a rank to fit by MU
     best = (np.inf, 0, None, None)
     failed = 0
     with ExitStack() as stack:
@@ -334,11 +331,16 @@ def select_rank(
                 margin = 1e-8 * floors[0]
                 todo = [r for r in todo
                         if _cost(max(floors[r] - margin, 0.0), *xn.shape, r, criterion, b) <= limit]
+            if todo and w_full is None:
+                w_drawn, h_full = _start(xn, top, seed)
+                # each distinct row starts at sqrt(count) times its members' mean drawn row
+                w_full = np.zeros((len(u), top))
+                np.add.at(w_full, inverse, w_drawn)
+                w_full /= root
             # two stacks fixed by the ranks alone: the narrower half here,
             # the wider one in the worker when it forks, else after it
             cut = (len(todo) + 1) // 2
             narrow, wide = todo[:cut], todo[cut:]
-            args = (u, w_full[:, : ranks[-1]], h_full[: ranks[-1]], wide, maxiter, tol)
             future = None
             if wide and u.size >= _VALUES_PER_FIT_WORKER and _cpu_count() >= 2:
                 if pool is None:
@@ -346,11 +348,14 @@ def select_rank(
                     # share of a small sweep importing numpy
                     pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
                     stack.callback(pool.shutdown, cancel_futures=True)
-                future = pool.submit(_fit_stack, *args)
+                # the worker is sent only the start its ranks use
+                future = pool.submit(_fit_stack, u, w_full[:, : ranks[-1]], h_full[: ranks[-1]],
+                                     wide, maxiter, tol)
             if narrow:
                 fits.update(zip(narrow, _fit_stack(u, w_full, h_full, narrow, maxiter, tol)))
             if wide:
-                fits.update(zip(wide, _fit_stack(*args) if future is None else future.result()))
+                fits.update(zip(wide, _fit_stack(u, w_full, h_full, wide, maxiter, tol)
+                                if future is None else future.result()))
             for r in ranks:
                 if r not in fits:  # its bound shows it cannot be the model
                     sweep.skipped.append(r)

@@ -168,6 +168,18 @@ def awkward_matrix(n, f):
     return matrix_from_columns(np.resize(AWKWARD_FLOATS, (f, n)) * np.arange(1, n + 1))
 
 
+def path_graph(n):
+    return Graph(n=n, edges=np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+
+
+def hub_graph():
+    """A sparse random graph on 47 nodes with a K7 on nodes 40..46, every
+    node tied to hub 47."""
+    leaves = erdos_renyi(47, 0.15, seed=3)
+    clique = [(u, v) for u in range(40, 47) for v in range(u + 1, 47)]
+    return Graph(n=48, edges=np.vstack([leaves.edges, clique, [(v, 47) for v in range(47)]]))
+
+
 class TestPrimitives:
     def test_star_degree(self):
         assert compute_primitive(S3, "degree").tolist() == [3, 1, 1, 1]
@@ -189,6 +201,23 @@ class TestPrimitives:
     def test_weighted_degree_uses_weights(self):
         g = load_edge_list("0 1 2.5\n1 2 0.5")
         assert compute_primitive(g, "weighted-degree").tolist() == [2.5, 3.0, 0.5]
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64, 1 << 17])
+    def test_triangle_counts_match_brute_force_in_any_block(self, monkeypatch, block):
+        # blocks of 1, 2 and 5 pairs split the 21 pairs of each hub_graph
+        # node with 7 forward arcs (to neighbors of higher (degree, id))
+        monkeypatch.setattr(features_module, "_BLOCK_ELEMENTS", block)
+        for g in (hub_graph(), erdos_renyi(60, 0.2, seed=7), K3, Graph(n=3)):
+            assert compute_primitive(g, "triangle-count").tolist() == naive_primitive(
+                g, "triangle-count")
+
+    def test_unweighted_weighted_degree_is_the_degree(self):
+        for g in (hub_graph(), erdos_renyi(60, 0.2, seed=7), S3, Graph(n=3), Graph(n=0)):
+            degree = compute_primitive(g, "degree")
+            assert compute_primitive(g, "weighted-degree").tobytes() == degree.tobytes()
+            # the summing path, on the same graph with every weight 1.0
+            ones = Graph(n=g.n, edges=g.edges, weights=np.ones(len(g.edges)))
+            assert compute_primitive(ones, "weighted-degree").tobytes() == degree.tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -906,6 +935,42 @@ class TestCoreNumber:
             cases.append(erdos_renyi(n, float(rng.uniform(0.02, 0.4)), seed=seed))
         for g in cases:
             assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
+
+    # graphs the peel takes apart in many waves of a level, a few nodes each
+    DEEP_PEELS = {
+        "path": lambda: path_graph(150),
+        # node u hangs off node (u - 1) // 2
+        "pendant-tree": lambda: Graph(n=127, edges=[((u - 1) // 2, u) for u in range(1, 127)]),
+        # two paths with rungs: each wave strips one rung from both ends
+        "ladder": lambda: Graph(n=120, edges=(
+            [(u, u + 1) for u in range(59)] + [(u, u + 1) for u in range(60, 119)]
+            + [(u, u + 60) for u in range(60)])),
+        # a spine of 40 with a leaf or two at every spine node
+        "caterpillar": lambda: Graph(n=40 + 60, edges=(
+            [(u, u + 1) for u in range(39)] + [(u % 40, 40 + u) for u in range(60)])),
+        # K6 on 0..5 with a path 5-6-...-29 hanging off it
+        "clique-with-tail": lambda: Graph(n=30, edges=(
+            [(u, v) for u in range(6) for v in range(u + 1, 6)]
+            + [(u, u + 1) for u in range(5, 29)])),
+        # a triangle, a path, and nodes with no edge between and after them
+        "isolated-nodes": lambda: Graph(n=40, edges=(
+            [(0, 1), (1, 2), (0, 2)] + [(u, u + 1) for u in range(10, 30)])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEEP_PEELS))
+    def test_deep_peels_match_quadratic_peel(self, name):
+        g = self.DEEP_PEELS[name]()
+        assert compute_primitive(g, "core-number").tolist() == quadratic_core_numbers(g)
+
+    def test_long_path_finishes(self):
+        # the worst case of the wave peel: n / 2 waves of two nodes each
+        g = path_graph(10**5)
+        g.csr
+        t0 = time.perf_counter()
+        core = compute_primitive(g, "core-number")
+        dt = time.perf_counter() - t0
+        assert core.tolist() == [1.0] * g.n
+        assert dt < 2.0, f"{dt:.2f} s"
 
 
 def per_node_aggregate(g, block, op):

@@ -52,6 +52,7 @@ def test_feature_growth_reports_peak_memory(tmp_path):
         (row,) = csv.DictReader(fh)
     assert float(row["peak_mb"]) > 0
     assert float(row["csv_s"]) >= 0
+    assert float(row["primitives_s"]) >= 0
     assert row["stopped"] in ("fixed-point", "rank", "maxiter")
     # every kept feature lies outside the earlier ones' span: at most n
     assert 1 <= int(row["final_features"]) <= 30
