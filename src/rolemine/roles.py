@@ -28,11 +28,11 @@ cannot be the model, and counts as non-improving.
 Nodes with equal feature rows must share a role, so both fits factorize the
 distinct rows of the normalized matrix, in order of first appearance, each
 scaled by the square root of its count: for tied rows the objective
-sum_i count_i * ||u_i - w_i H||^2 is the same. The start is drawn for all n
-rows, and each distinct row starts at sqrt(count) times the mean of its
-members' drawn rows. W is expanded back by dividing by sqrt(count) and
-indexing by the inverse; costs are those of the full matrix. When every row
-is distinct each step is exact, so the bits are those of the full-row fit.
+sum_i count_i * ||u_i - w_i H||^2 is the same. The start is drawn on those
+scaled rows, so the fit depends only on the distinct rows and their counts,
+not on which nodes hold them. W is expanded back by dividing by sqrt(count)
+and indexing by the inverse; costs are those of the full matrix. When every
+row is distinct each step is exact, so the bits are those of the full-row fit.
 
 Cost criteria: "aic" (default) is 2*(n*r + r*f) + n*f*ln(SSE/(n*f) + 1e-12).
 "mdl" is b*(n*r + r*f) + max(0, (n*f/2)*log2(SSE/(n*f) + 1e-12)); note that
@@ -54,6 +54,7 @@ from .features import FeatureDescriptor, _cpu_count, _first_rows, _row_texts
 from .graph import _check_count
 
 _EPS0 = 1e-12
+_TOL = 1e-6  # an update fit stops when an iteration cuts its objective by a smaller share
 # a sweep forks its fit worker only for an x of at least this many values:
 # with one BLAS thread on 2 CPUs, the forked sweep broke even between 1125
 # and 1410 values of G(n, 8/(n-1)) features (12% slower at 25 x 45, 10%
@@ -73,11 +74,9 @@ class RoleModel:
     cost: float
     criterion: str
     b: int
-    seed: int
 
     def __post_init__(self):
         _check_count("model r", self.r, 1)
-        _check_count("model seed", self.seed)
         _check_criterion(self.criterion, self.b)
         w = np.asarray(self.w, dtype=float)
         h = np.asarray(self.h, dtype=float)
@@ -187,9 +186,9 @@ def _nmf_batch(
     return out
 
 
-def _fit_stack(x, w_full, h_full, ranks, maxiter, tol):
+def _fit_stack(x, w_full, h_full, ranks, maxiter):
     """_nmf_batch on the starts of the given ranks, sliced from one full draw."""
-    return _nmf_batch(x, [w_full[:, :r] for r in ranks], [h_full[:r] for r in ranks], maxiter, tol)
+    return _nmf_batch(x, [w_full[:, :r] for r in ranks], [h_full[:r] for r in ranks], maxiter, _TOL)
 
 
 def _start(x: np.ndarray, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -270,7 +269,6 @@ def select_rank(
     seed: int = 1,
     descriptors=None,
     maxiter: int = 500,
-    tol: float = 1e-6,
     sweep: RankSweep | None = None,
     rank: int | None = None,
 ) -> RoleModel:
@@ -279,11 +277,9 @@ def select_rank(
 
     The sweep fits the distinct rows of the normalized x, each scaled by
     sqrt(count), and expands W back to every node, so equal rows get equal
-    W rows. One random (W0, H0) pair is drawn at rank min(n, f), or at the
-    given rank, for all n rows, when a batch first has a rank to fit by
-    multiplicative updates; each distinct row starts at sqrt(count)
-    times its members' mean row of W0, and the start is sliced to the first
-    r columns/rows for each candidate rank. The sweep stops after `trials`
+    W rows. One random (W0, H0) pair is drawn on those scaled rows, at rank
+    min(distinct rows, f) or at the given rank, and sliced to the first r
+    columns/rows for each candidate rank. The sweep stops after `trials`
     consecutive ranks without a cost improvement or at r = min(distinct
     rows, f), and the cheapest model, scored on the full matrix, wins. A
     given rank may be up to min(n, f) and is the one-rank batch
@@ -300,10 +296,10 @@ def select_rank(
     _check_criterion(criterion, b)
     _check_count("seed", seed)
     xn, scales = normalize_columns(_validate_input(x))
-    top = min(xn.shape) if rank is None else rank  # the rank of the drawn start
-    _check_count("rank", top)
-    if not 1 <= top <= min(xn.shape):
-        raise ValueError(f"rank {top} outside 1..min(n,f)={min(xn.shape)}")
+    if rank is not None:
+        _check_count("rank", rank)
+        if not 1 <= rank <= min(xn.shape):
+            raise ValueError(f"rank {rank} outside 1..min(n,f)={min(xn.shape)}")
     _check_count("maxiter", maxiter, 1)
     # the byte-distinct rows, first seen first, each scaled by sqrt(count)
     first, inverse, counts = _first_rows(xn)
@@ -313,7 +309,7 @@ def select_rank(
     sweep = RankSweep() if sweep is None else sweep
     sweep.distinct_rows = len(u)
 
-    w_full = h_full = None  # drawn once a batch has a rank to fit by MU
+    w_full, h_full = _start(u, rmax, seed)
     best = (np.inf, 0, None, None)
     failed = 0
     with ExitStack() as stack:
@@ -331,12 +327,6 @@ def select_rank(
                 margin = 1e-8 * floors[0]
                 todo = [r for r in todo
                         if _cost(max(floors[r] - margin, 0.0), *xn.shape, r, criterion, b) <= limit]
-            if todo and w_full is None:
-                w_drawn, h_full = _start(xn, top, seed)
-                # each distinct row starts at sqrt(count) times its members' mean drawn row
-                w_full = np.zeros((len(u), top))
-                np.add.at(w_full, inverse, w_drawn)
-                w_full /= root
             # two stacks fixed by the ranks alone: the narrower half here,
             # the wider one in the worker when it forks, else after it
             cut = (len(todo) + 1) // 2
@@ -350,11 +340,11 @@ def select_rank(
                     stack.callback(pool.shutdown, cancel_futures=True)
                 # the worker is sent only the start its ranks use
                 future = pool.submit(_fit_stack, u, w_full[:, : ranks[-1]], h_full[: ranks[-1]],
-                                     wide, maxiter, tol)
+                                     wide, maxiter)
             if narrow:
-                fits.update(zip(narrow, _fit_stack(u, w_full, h_full, narrow, maxiter, tol)))
+                fits.update(zip(narrow, _fit_stack(u, w_full, h_full, narrow, maxiter)))
             if wide:
-                fits.update(zip(wide, _fit_stack(u, w_full, h_full, wide, maxiter, tol)
+                fits.update(zip(wide, _fit_stack(u, w_full, h_full, wide, maxiter)
                                 if future is None else future.result()))
             for r in ranks:
                 if r not in fits:  # its bound shows it cannot be the model
@@ -383,7 +373,6 @@ def select_rank(
         cost=cost,
         criterion=criterion,
         b=b,
-        seed=seed,
     )
 
 
@@ -425,7 +414,6 @@ def model_to_json(model: RoleModel) -> str:
         "r": model.r,
         "criterion": model.criterion,
         "b": model.b,
-        "seed": model.seed,
         "column_scales": model.column_scales.tolist(),
         "descriptors": None if model.descriptors is None else [vars(d) for d in model.descriptors],
     }, indent=2).removesuffix("\n}")
@@ -453,5 +441,4 @@ def model_from_json(text: str) -> RoleModel:
         cost=doc["cost"],
         criterion=doc["criterion"],
         b=doc["b"],
-        seed=doc["seed"],
     )

@@ -334,7 +334,7 @@ class TestSelectRankAndAssign:
         assert result.stderr.startswith("error: malformed model file")
 
     @pytest.mark.parametrize("key, value", [
-        ("r", True), ("b", 2.5), ("seed", -3), ("criterion", "bogus"),
+        ("r", True), ("b", 2.5), ("cost", float("inf")), ("criterion", "bogus"),
         ("W", [[float("nan")], [1.0]]), ("column_scales", [1.0, float("inf")]),
         # W_index names a row of W for each node; anything else is refused
         # as a malformed file, not left to fail as an IndexError
@@ -342,7 +342,7 @@ class TestSelectRankAndAssign:
         ("W_index", [0, 1.0]), ("W_index", []), ("W_index", 0), ("W", [1.0, 2.0]),
     ])
     def test_model_file_json_cannot_hold_rejected(self, runner, tmp_path, key, value):
-        doc = {"r": 1, "criterion": "aic", "b": 16, "seed": 1, "column_scales": [1.0],
+        doc = {"r": 1, "criterion": "aic", "b": 16, "column_scales": [1.0],
                "descriptors": [{"id": 0, "kind": "primitive", "primitive": "degree"}],
                "W": [[1.0], [2.0]], "W_index": [0, 1, 1], "H": [[1.0]], "cost": 1.0}
         model_from_json(json.dumps(doc))
@@ -1002,11 +1002,12 @@ class TestDeterminism:
 
     # sha256 of each file of the planted chain below, recorded when the
     # sweep's rank 4, the distinct-row count, became the exact fit (W one-hot
-    # per distinct row, H those rows). They equal the digests of the same
-    # chain with each graph passed in memory, not parsed from its file:
-    # loading the written graphs renumbers no node
+    # per distinct row, H those rows); model.json's again when it stopped
+    # writing the seed. They equal the digests of the same chain with each
+    # graph passed in memory, not parsed from its file: loading the written
+    # graphs renumbers no node
     PINNED = {
-        "model.json": "7891a53399c50e4c27067deae55ac66ec0288fe5caaf6895d23cfb62c52f4f61",
+        "model.json": "06b80b7fca0560b08897504111dc4265cd059cb61bfd91b1f79ccb6a81a1e5aa",
         "soft/assignments.csv": "81a78abd1f9961a4f718d2fb89f2ba6c43a39c5bcadad83d3545a1ace993f5b6",
         "hard/assignments.csv": "04f6c2b7ff019b8e7b8bddc0bc1b03c43dc7643481a49dc413723c37d9e408d2",
         "memberships.csv": "7a00bde30c2db9c4f424c5d27b147b9b0506a63f1fe7e57552e43b0586e01f62",
@@ -1101,11 +1102,11 @@ class TestRowWriters:
         )]))
         model = RoleModel(r=r, w=w, h=h, column_scales=scales, descriptors=descriptors,
                           cost=data.draw(st.sampled_from([-1e16, 1 / 3, 0.0])),
-                          criterion="mdl", b=3, seed=data.draw(st.integers(0, 2**64)))
+                          criterion="mdl", b=3)
         # W's distinct rows by bytes, first seen first, and each node's row
         rows = list(dict.fromkeys(row.tobytes() for row in w))
         doc = {
-            "r": r, "criterion": "mdl", "b": 3, "seed": model.seed, "column_scales": scales,
+            "r": r, "criterion": "mdl", "b": 3, "column_scales": scales,
             "descriptors": None if descriptors is None else json.loads(descriptors_to_json(descriptors)),
             "W": [np.frombuffer(row).tolist() for row in rows],
             "W_index": [rows.index(row.tobytes()) for row in w],

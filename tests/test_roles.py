@@ -292,8 +292,7 @@ class TestSelectRank:
 
     @pytest.mark.parametrize("seed", [-1, 1.0, True, np.int64(1)])
     def test_seed_checked_before_any_fit(self, monkeypatch, seed):
-        # model.json could not hold it, so the model would be refused after
-        # the whole sweep
+        # refused by name before any fit, not left to the random generator
         def refuse(*args):
             raise AssertionError("a fit ran")
 
@@ -368,7 +367,7 @@ class TestModelJson:
         assert (back.column_scales == model.column_scales).all()
         assert back.descriptors == model.descriptors
         assert back.cost == model.cost
-        assert (back.criterion, back.b, back.seed) == (model.criterion, model.b, model.seed)
+        assert (back.criterion, back.b) == (model.criterion, model.b)
 
     def test_round_trip_without_descriptors(self):
         model = select_rank(np.array([[1.0, 2.0], [2.0, 1.0]]), rank=1)
@@ -385,10 +384,10 @@ class TestModelJson:
         model = RoleModel(
             r=2, w=rows[[0, 1, 0, 2, 1]], h=np.array([awkward, awkward[::-1]]),
             column_scales=np.array(awkward), descriptors=None, cost=1 / 3,
-            criterion="aic", b=16, seed=1,
+            criterion="aic", b=16,
         )
         old = {
-            "r": 2, "criterion": "aic", "b": 16, "seed": 1,
+            "r": 2, "criterion": "aic", "b": 16,
             "column_scales": [float(v) for v in model.column_scales],
             "descriptors": None,
             "W": [[float(v) for v in row] for row in rows],
@@ -408,7 +407,6 @@ class TestModelJson:
         cost=1.0,
         criterion="aic",
         b=16,
-        seed=1,
     )
 
     def test_model_validation(self):
@@ -433,13 +431,13 @@ class TestModelJson:
             RoleModel(r=1, **{**ok, "descriptors": (degree,)})
 
     @pytest.mark.parametrize("field, value", [
-        ("r", True), ("b", 2.5), ("b", True), ("b", 0), ("seed", -3), ("seed", 1.0),
+        ("r", True), ("b", 2.5), ("b", True), ("b", 0), ("r", 2.5), ("cost", np.inf),
         ("criterion", "bogus"), ("w", [[np.nan], [1.0], [1.0]]), ("h", [[1.0, np.inf]]),
         ("column_scales", [1.0, np.inf]),
     ])
     def test_model_rejects_what_json_cannot_hold(self, field, value):
-        # each was accepted, then written to model.json as true, 2.5, NaN,
-        # Infinity or an unknown criterion, and read back
+        # each would reach model.json as true, 2.5, NaN, Infinity or an
+        # unknown criterion
         with pytest.raises(ValueError):
             RoleModel(**{**self.OK, "r": 1, field: value})
 
@@ -467,16 +465,12 @@ def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6):
     """The rank sweep before batching, on the distinct rows, kept as an
     oracle: one rank at a time, every rank fitted, stopping after `trials`
     non-improving ranks. The distinct rows, in order of first appearance,
-    are scaled by sqrt(count) and start at sqrt(count) times their members'
-    mean drawn row. Rank d, the distinct-row count, is the exact fit: W
-    one-hot per distinct row, H those rows. Returns the chosen (rank, cost,
-    W) and one (rank, iterations, cost) per fitted rank."""
+    are scaled by sqrt(count), and the start is drawn on them at rank
+    min(distinct rows, f). Rank d, the distinct-row count, is the exact
+    fit: W one-hot per distinct row, H those rows. Returns the chosen
+    (rank, cost, W) and one (rank, iterations, cost) per fitted rank."""
     xn, _ = normalize_columns(x)
     n, f = xn.shape
-    rng = np.random.default_rng(seed)
-    scale0 = xn.max() if xn.max() > 0 else 1.0
-    w_drawn = np.abs(rng.standard_normal((n, min(n, f)))) * scale0
-    h_full = np.abs(rng.standard_normal((min(n, f), f))) * scale0
     members = {}
     for node, row in enumerate(xn):
         members.setdefault(row.tobytes(), []).append(node)
@@ -486,7 +480,7 @@ def sequential_sweep(x, trials=5, seed=1, maxiter=500, tol=1e-6):
         inverse[group] = i
     root = np.sqrt([[len(group)] for group in groups])
     u = xn[[group[0] for group in groups]] * root
-    w_full = np.array([w_drawn[group].mean(axis=0) for group in groups]) * root
+    w_full, h_full = _start(u, min(u.shape), seed)
     best = None
     fits = []
     failed = 0
@@ -591,8 +585,8 @@ class TestDistinctRows:
         # the input is the 5 columns learned before the span rule, which
         # keeps at most as many columns as there are distinct rows. The
         # sweep and rank 4 were recorded when rank 4 became the exact fit;
-        # rank 5 keeps the model bits recorded while the fixed-rank fit had
-        # its own code path
+        # rank 5, fitted by updates, when its start was first drawn on the
+        # 4 distinct rows
         g, _ = planted_role_graph(seed=1, units=30)
         x = all_at_once_learn(g, span=False).values
         assert x.shape == (570, 5)
@@ -607,7 +601,25 @@ class TestDistinctRows:
             digest.update(model.w.tobytes())
             digest.update(model.h.tobytes())
             digest.update(repr(sweep).encode())
-        assert digest.hexdigest() == "1f8d957cc993f81eec7177e4ffaa591e429c34a10501a6eb711754372ebb068a"
+        assert digest.hexdigest() == "0bcec5d3f6b45a7536cfd47b08d60b48ecf83d0a56532e22cd97ec4ea27f331e"
+
+    def test_which_nodes_hold_the_copies_does_not_reach_the_fit(self):
+        # 100 copies of rows of er_features(1) appended, then only the copies
+        # permuted: the distinct rows and their counts are the same, so the
+        # model, the sweep and each node's W row must be too
+        x = er_features(1)
+        rng = np.random.default_rng(0)
+        copies = x[rng.integers(0, len(x), 100)]
+        perm = rng.permutation(100)
+        runs = []
+        for block in (copies, copies[perm]):
+            sweep = RankSweep()
+            runs.append((select_rank(np.vstack([x, block]), sweep=sweep), sweep))
+        (a, a_sweep), (b, b_sweep) = runs
+        assert a_sweep == b_sweep and a_sweep.distinct_rows == len(x)
+        assert (a.r, a.cost, a.h.tobytes()) == (b.r, b.cost, b.h.tobytes())
+        assert a.w[: len(x)].tobytes() == b.w[: len(x)].tobytes()
+        assert a.w[len(x):][perm].tobytes() == b.w[len(x):].tobytes()
 
     def test_fixed_rank_above_the_distinct_row_count(self):
         x = np.tile([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, 1.0]], (5, 1))

@@ -58,14 +58,15 @@ def test_feature_growth_reports_peak_memory(tmp_path):
     assert 1 <= int(row["final_features"]) <= 30
 
 
-# er-dynamic is the one workload that runs select-rank --rank and dynamic.
-# A traced pass wraps library functions by name, and reports one it no
-# longer finds as absent
+# er-roles is the one workload whose sweep fits ranks by updates, and its
+# check recomputes each model's cost; er-dynamic is the one that runs
+# select-rank --rank and dynamic. A traced pass wraps library functions by
+# name, and reports one it no longer finds as absent
 @pytest.mark.parametrize(
     "workload, flags",
-    [("planted-cli", ()), ("er-deep-features", ()), ("er-dynamic", ()),
+    [("planted-cli", ()), ("er-deep-features", ()), ("er-roles", ()), ("er-dynamic", ()),
      ("planted-cli", ("--trace", "1"))],
-    ids=["planted-cli", "er-deep-features", "er-dynamic", "planted-cli-traced"],
+    ids=["planted-cli", "er-deep-features", "er-roles", "er-dynamic", "planted-cli-traced"],
 )
 def test_benchmark_workload_passes_once(workload, flags, tmp_path):
     # one pass (--seconds 0) over the sources beside the runner: a library

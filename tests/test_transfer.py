@@ -27,9 +27,9 @@ from rolemine import transfer as transfer_module
 from strategies import graph_with_permutation, rewire
 
 
-def trained_model(g, maxiter=500, tol=1e-6):
+def trained_model(g, maxiter=500):
     x = learn_features(g, FeatureLearnConfig(maxiter=2))
-    return x, select_rank(x.values, descriptors=x.descriptors, maxiter=maxiter, tol=tol)
+    return x, select_rank(x.values, descriptors=x.descriptors, maxiter=maxiter)
 
 
 class TestTransferMemberships:
@@ -37,7 +37,7 @@ class TestTransferMemberships:
         # re-estimating W under the training H cannot end up worse than the
         # training W itself (NNLS refines W with H fixed)
         g = erdos_renyi(12, 0.35, seed=5)
-        x, model = trained_model(g, maxiter=5000, tol=1e-13)
+        x, model = trained_model(g, maxiter=5000)
         xn, _ = normalize_columns(x.values)
         w2 = transfer_memberships(g, model)
         train = ((xn - model.w @ model.h) ** 2).sum()
