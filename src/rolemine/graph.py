@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,16 +36,19 @@ class Graph:
     """Simple graph with dense node ids 0..n-1.
 
     ``edges`` is an (m, 2) int64 array of distinct undirected rows u < v,
-    sorted ascending. ``weights`` is None (unweighted) or a float array
-    aligned with ``edges``. The constructor takes any (m, 2) integer
-    array-like and positive finite weights, one per row; it orients the rows
-    u < v, sorts them and merges repeated rows, summing their weights in
-    ascending order. Both arrays are read-only. Graphs compare by identity.
+    sorted ascending. ``weights`` is None or a float array aligned with
+    ``edges``. ``csr`` is the adjacency, each edge weighing its weight (1 if
+    ``weights`` is None) from both ends. The constructor takes any (m, 2)
+    integer array-like and positive finite weights, one per row. One sort of
+    both orientations of the rows gives the CSR; repeated rows merge, summing
+    their weights in ascending order, and its arcs u < v are ``edges``. Edges
+    and weights are read-only. Graphs compare by identity.
     """
 
     n: int
     edges: np.ndarray = ()
     weights: np.ndarray | None = None
+    csr: CSR = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -74,29 +76,24 @@ class Graph:
                 k = bad.argmax()
                 raise ValueError(f"weight {w[k]} on edge ({e[k, 0]}, {e[k, 1]}) "
                                  "must be a positive finite number")
-        e = np.sort(e, axis=1)
-        keys, inverse = np.unique(e[:, 0] * n + e[:, 1], return_inverse=True)
-        edges = np.stack([keys // n, keys % n], axis=1)
+        # both orientations of each row, sorted once: the arcs of the CSR
+        arcs = np.concatenate([e, e[:, ::-1]])
+        keys, inverse = np.unique(arcs[:, 0] * n + arcs[:, 1], return_inverse=True)
+        src, dst = keys // n, keys % n
+        edges = np.stack([src, dst], axis=1)[src < dst]
+        arc_weights = np.ones(keys.size)
         if w is not None:
             # repeated rows sum in ascending weight order, so row order never reaches the bits
+            w = np.concatenate([w, w])
             order = np.lexsort((w, inverse))
-            w = np.bincount(inverse[order], weights=w[order], minlength=keys.size)
+            arc_weights = np.bincount(inverse[order], weights=w[order], minlength=keys.size)
+            w = arc_weights[src < dst]
             w.flags.writeable = False
         edges.flags.writeable = False
+        indptr = np.concatenate([[0], np.bincount(src, minlength=n).cumsum()])
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", w)
-
-    @cached_property
-    def csr(self) -> CSR:
-        """The adjacency, built once: row u holds every node adjacent to u,
-        and an edge weighs its weight (1 if unweighted) from either end."""
-        n = self.n
-        src, dst = np.concatenate([self.edges, self.edges[:, ::-1]]).T
-        w = np.ones(len(self.edges)) if self.weights is None else self.weights
-        order = np.argsort(src * n + dst)  # distinct edges give distinct keys
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return CSR(indptr, dst[order], np.concatenate([w, w])[order])
+        object.__setattr__(self, "csr", CSR(indptr, dst, arc_weights))
 
 
 @dataclass(frozen=True)

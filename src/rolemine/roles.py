@@ -13,11 +13,14 @@ A stack of ranks runs through one multiplicative-update kernel, _nmf_batch,
 as zero-padded factor pairs that share x, with the objective read off Gram
 identities. A batch of two or more ranks is cut, by its ranks alone, into
 two stacks: the narrower half (one more when the count is odd) runs in
-process, and the wider half in a worker forked once per sweep when the
-distinct rows are large enough and two CPUs are free, or else in process
-afterwards. BLAS rounding depends on the stacked width, so fixed stacks
-give the same bits on any CPU count. The ranks tried, the iterates and the
-stop rule are those of fitting one rank at a time, a one-slice stack.
+process, and the wider half in the sweep's one worker, or else in process
+afterwards. The worker's pool opens before the first batch when a batch can
+hold two ranks, the distinct rows are large enough and two CPUs are free; it
+forks at its first wide stack, so it forks nothing when the d distinct rows
+number at most trials and the floor bound skips every rank below d. BLAS
+rounding depends on the stacked width, so fixed stacks give the same bits on
+any CPU count. The ranks tried, the iterates and the stop rule are those of
+fitting one rank at a time, a one-slice stack.
 
 When the d distinct rows number at most f, rank d is fitted exactly with no
 iteration: W one-hot per distinct row, H those rows. Its batch skips each
@@ -45,7 +48,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -312,8 +315,12 @@ def select_rank(
     w_full, h_full = _start(u, rmax, seed)
     best = (np.inf, 0, None, None)
     failed = 0
-    with ExitStack() as stack:
-        pool = None
+    # the fit worker's pool, when a batch can hold two ranks; fork, not spawn:
+    # a spawned worker would spend a large share of a small sweep importing numpy
+    forks = (rank is None and min(trials, rmax) > 1 and u.size >= _VALUES_PER_FIT_WORKER
+             and _cpu_count() >= 2)
+    with (ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) if forks
+          else nullcontext()) as pool:
         while failed < trials and lo <= rmax:
             ranks = range(lo, min(lo + trials - failed, rmax + 1))
             todo, fits = list(ranks), {}
@@ -328,19 +335,12 @@ def select_rank(
                 todo = [r for r in todo
                         if _cost(max(floors[r] - margin, 0.0), *xn.shape, r, criterion, b) <= limit]
             # two stacks fixed by the ranks alone: the narrower half here,
-            # the wider one in the worker when it forks, else after it
+            # the wider one in the worker when there is one, else after it
             cut = (len(todo) + 1) // 2
             narrow, wide = todo[:cut], todo[cut:]
-            future = None
-            if wide and u.size >= _VALUES_PER_FIT_WORKER and _cpu_count() >= 2:
-                if pool is None:
-                    # fork, not spawn: a spawned worker would spend a large
-                    # share of a small sweep importing numpy
-                    pool = ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
-                    stack.callback(pool.shutdown, cancel_futures=True)
-                # the worker is sent only the start its ranks use
-                future = pool.submit(_fit_stack, u, w_full[:, : ranks[-1]], h_full[: ranks[-1]],
-                                     wide, maxiter)
+            # the worker, if any, is sent only the start its ranks use
+            future = pool.submit(_fit_stack, u, w_full[:, : ranks[-1]], h_full[: ranks[-1]],
+                                 wide, maxiter) if wide and pool else None
             if narrow:
                 fits.update(zip(narrow, _fit_stack(u, w_full, h_full, narrow, maxiter)))
             if wide:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, _check_count, apply_permutation
+from .graph import Graph, _check_count
 
 
 def erdos_renyi(n: int, p: float, seed: int = 1) -> Graph:
@@ -53,4 +53,4 @@ def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, tuple[int,
     perm = np.random.default_rng(seed).permutation(n)
     shuffled = np.empty(n, dtype=int)
     shuffled[perm] = labels
-    return apply_permutation(Graph(n=n, edges=edges), perm), tuple(shuffled.tolist())
+    return Graph(n=n, edges=perm[np.array(edges)]), tuple(shuffled.tolist())

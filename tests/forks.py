@@ -6,6 +6,9 @@ import os
 import signal
 from contextlib import contextmanager
 
+# the fork context itself, kept for the helpers below after without_fork hides it
+_FORK = multiprocessing.get_context("fork")
+
 
 def set_cpus(monkeypatch, cpus):
     """Make the process see cpus CPUs, below rolemine's own fork rule."""
@@ -13,22 +16,30 @@ def set_cpus(monkeypatch, cpus):
 
 
 def without_fork(monkeypatch):
-    """Make the platform appear to have no fork start method."""
+    """Make the platform appear to have no fork start method: it is not
+    listed, and asking for its context raises, as where it is missing."""
     methods = [m for m in multiprocessing.get_all_start_methods() if m != "fork"]
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+    get_context = multiprocessing.get_context
+
+    def no_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
 
 
 def count_forks(monkeypatch):
     """Record each process made from the fork context."""
-    fork = multiprocessing.get_context("fork")
-    process = fork.Process
+    process = _FORK.Process
     started = []
 
     def record(*args, **kwargs):
         started.append(process(*args, **kwargs))
         return started[-1]
 
-    monkeypatch.setattr(fork, "Process", record)
+    monkeypatch.setattr(_FORK, "Process", record)
     return started
 
 
@@ -36,7 +47,7 @@ def refuse_forks(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process was started")
 
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", refuse)
+    monkeypatch.setattr(_FORK, "Process", refuse)
 
 
 def in_child_only(monkeypatch, module, name, act):

@@ -28,6 +28,17 @@ def rewire(g, fraction, rng):
     return Graph(n=g.n, edges=sorted(edges))
 
 
+def cycle_units(units=1):
+    """Disjoint copies of the 26-node cycle unit: a plain 10-cycle (nodes
+    0-9), and a second 10-cycle (10-19) threaded through a star centre,
+    node 10, that also has 6 leaves (20-25). Its equitable partition has 8
+    classes: the plain cycle, the centre, the 5 distances 1-5 from the
+    centre along its cycle, and the leaves."""
+    ring = [(i, (i + 1) % 10) for i in range(10)]
+    unit = np.array(ring + [(u + 10, v + 10) for u, v in ring] + [(10, leaf) for leaf in range(20, 26)])
+    return Graph(n=26 * units, edges=np.concatenate([unit + 26 * k for k in range(units)]))
+
+
 def neighbor_lists(g):
     """Direction-free adjacent nodes per node, ascending, one edge at a time."""
     adj = [set() for _ in range(g.n)]

@@ -963,6 +963,29 @@ class TestDependencies:
         assert {name for _, name in found} >= {"numpy", "click"}
         assert sorted(f for f in found if f[1] not in allowed) == []
 
+    def test_chain_runs_without_the_test_dependencies(self, tmp_path):
+        # a None entry in sys.modules makes any import of that name fail
+        script = "\n".join([
+            "import sys",
+            "for name in ('scipy', 'hypothesis', 'pytest'):",
+            "    sys.modules[name] = None",
+            "from rolemine.cli import RunConfig, execute",
+            "root = sys.argv[1]",
+            "execute(RunConfig('learn', (f'{root}/graph.txt',), f'{root}/learn'))",
+            "execute(RunConfig('select-rank', (f'{root}/learn/features.csv',"
+            " f'{root}/learn/descriptors.json'), f'{root}/rank'))",
+            "execute(RunConfig('assign', (f'{root}/rank/model.json',), f'{root}/assign', hard=True))",
+        ])
+        g, _ = planted_role_graph(seed=1, units=3)
+        (tmp_path / "graph.txt").write_text(write_edge_list(g))
+        src = str(Path(rolemine.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env={**os.environ, "PYTHONPATH": path}, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        lines = (tmp_path / "assign" / "assignments.csv").read_text().splitlines()
+        assert lines[0] == "node,role" and len(lines) == g.n + 1
+
 
 class TestDeterminism:
     def run_chain(self, runner, root: Path):

@@ -15,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rolemine import (
+    DEFAULT_PRIMITIVES,
     FeatureDescriptor,
     FeatureLearnConfig,
     FeatureMatrix,
     Graph,
+    NodePartition,
     apply_permutation,
     automorphic_orbits,
     compute_primitive,
@@ -45,8 +47,8 @@ from forks import (
     set_cpus,
     without_fork,
 )
-from oracles import aggregate_rows, all_at_once_learn
-from strategies import graph_with_permutation, graphs, neighbor_lists, rewire
+from oracles import aggregate_rows, all_at_once_learn, equitable_partition
+from strategies import cycle_units, graph_with_permutation, graphs, neighbor_lists, rewire
 
 P3 = load_edge_list("0 1\n1 2")
 K3 = load_edge_list("0 1\n1 2\n0 2")
@@ -1185,3 +1187,21 @@ class TestStreamedCsv:
         refuse_forks(monkeypatch)
         x = FeatureMatrix(np.zeros((2, 0)), ())
         assert csv_text(x) == "node\n0\n1\n"
+
+
+class TestCycleUnit:
+    def test_five_classes_share_every_default_primitive(self):
+        # recursion, not the primitives, must tell these classes apart
+        g = cycle_units()
+        q = equitable_partition(g)
+        # the plain cycle, the centre, distances 1-5 along its cycle, the leaves
+        want = [0] * 10 + [1, 2, 3, 4, 5, 6, 5, 4, 3, 2] + [7] * 6
+        assert q.max() + 1 == 8
+        assert NodePartition.from_labels(q.tolist()) == NodePartition.from_labels(want)
+        rows = np.column_stack([compute_primitive(g, kind) for kind in DEFAULT_PRIMITIVES])
+        class_rows = {c: np.unique(rows[q == c], axis=0) for c in range(8)}
+        assert all(len(r) == 1 for r in class_rows.values())
+        shared = collections.Counter(r.tobytes() for r in class_rows.values())
+        assert max(shared.values()) >= 5
+        # copies keep the classes
+        assert equitable_partition(cycle_units(3)).max() + 1 == 8

@@ -281,10 +281,47 @@ def csr_rows_oracle(g):
     return [sorted(row.items()) for row in rows]
 
 
+def raw_rows_oracle(n, rows, weighted):
+    """Graph.csr's rows as sorted (neighbor, weight) lists from raw (u, v, w)
+    rows in any orientation: each pair weighs its rows' weights summed in
+    ascending order (1 unweighted), from both ends."""
+    pairs = {}
+    for u, v, w in rows:
+        pairs.setdefault((min(u, v), max(u, v)), []).append(w)
+    adj = [{} for _ in range(n)]
+    for (u, v), ws in pairs.items():
+        adj[u][v] = adj[v][u] = sum(sorted(ws)) if weighted else 1.0
+    return [sorted(row.items()) for row in adj]
+
+
 class TestCSR:
     @given(graphs(max_n=8, weighted=True))
     def test_rows_match_neighbors_and_weights(self, g):
         self.check(g)
+
+    @given(st.data())
+    def test_one_sort_of_repeated_rows_in_both_orientations(self, data):
+        n = data.draw(st.integers(2, 6))
+        weight = st.floats(0.125, 8.0)
+        rows = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+                                  .filter(lambda row: row[0] != row[1]), min_size=1, max_size=10))
+        # every row again, reversed and with a weight of its own, then shuffled
+        again = data.draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+        rows = data.draw(st.permutations(rows + [(v, u, w) for (u, v, _), w in zip(rows, again)]))
+        weighted = data.draw(st.booleans())
+        g = Graph(n=n, edges=[row[:2] for row in rows],
+                  weights=[row[2] for row in rows] if weighted else None)
+        indptr, indices, weights = g.csr
+        got = [
+            list(zip(indices[a:b].tolist(), weights[a:b].tolist()))
+            for a, b in zip(indptr[:-1], indptr[1:])
+        ]
+        assert got == raw_rows_oracle(n, rows, weighted)
+        # edges and weights are the CSR's arcs u < v, in its order
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        upper = src < indices
+        assert np.array_equal(g.edges, np.stack([src[upper], indices[upper]], axis=1))
+        assert np.array_equal(g.weights, weights[upper]) if weighted else g.weights is None
 
     @staticmethod
     def check(g):

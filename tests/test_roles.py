@@ -835,6 +835,29 @@ class TestForkedStacks:
         select_rank(x, trials=1, sweep=sweep)
         assert len(sweep.fits) > 1
 
+    def test_one_column_sweep_starts_no_process(self, monkeypatch):
+        # 1300 distinct rows x 1 column: above the worker's size, but rmax = 1
+        x = np.arange(1.0, 1301.0)[:, None]
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+        pools = count_pools(monkeypatch)
+        sweep = RankSweep()
+        select_rank(x, sweep=sweep)
+        assert sweep.distinct_rows * x.shape[1] >= roles_module._VALUES_PER_FIT_WORKER
+        assert [fit.rank for fit in sweep.fits] == [1]
+        assert pools == [] and multiprocessing.active_children() == []
+
+    def test_pool_with_no_wide_stack_forks_nothing(self, monkeypatch):
+        # 3 distinct rows x 420 columns: the one batch is ranks 1..3, and the
+        # floor bound skips 1 and 2, so the pool opens but gets no stack
+        x = np.random.default_rng(1).random((3, 420)).repeat(4, axis=0)
+        monkeypatch.setattr(roles_module, "_cpu_count", lambda: 2)
+        pools = count_pools(monkeypatch)
+        started = count_forks(monkeypatch)
+        sweep = RankSweep()
+        select_rank(x, sweep=sweep)
+        assert sweep.skipped == [1, 2] and [fit.rank for fit in sweep.fits] == [3]
+        assert len(pools) == 1 and started == []
+
     def test_without_fork_the_sweep_runs_in_process(self, monkeypatch):
         x = er_features(1)
         set_cpus(monkeypatch, 2)
