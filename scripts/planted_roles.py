@@ -43,7 +43,7 @@ def main(argv=None):
     roles = sorted(set(int(r) for r in hard))
     print(f"{'':>14}" + "".join(f" role_{r:<3}" for r in roles))
     for lab, name in enumerate(PLANTED):
-        counts = [int(np.sum((hard == r) & (np.array(labels) == lab))) for r in roles]
+        counts = [int(np.sum((hard == r) & (labels == lab))) for r in roles]
         print(f"{name:>14}" + "".join(f" {c:>8}" for c in counts))
 
     centers = {int(hard[u]) for u, lab in enumerate(labels) if lab == 1}

@@ -29,7 +29,6 @@ from .features import (
 )
 from .graph import (
     Graph,
-    NodePartition,
     apply_permutation,
     load_edge_list,
     write_edge_list,
@@ -66,7 +65,6 @@ __all__ = [
     "FeatureMatrix",
     "Graph",
     "NnlsReport",
-    "NodePartition",
     "OPERATOR_KINDS",
     "PRIMITIVE_KINDS",
     "RankSweep",

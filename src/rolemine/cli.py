@@ -203,7 +203,7 @@ def _run_dynamic(config: RunConfig, outdir: Path) -> dict:
     return {"pairs": used, "nnls": asdict(report)}
 
 
-# each --kind and its partition, in --help order, looked up at call time
+# each --kind and its labels, in --help order, looked up at call time
 _ORACLES = {
     "structural": lambda g: structural_classes(g, variant="strict"),
     "structural-weak": lambda g: structural_classes(g, variant="weak"),
@@ -215,8 +215,9 @@ _ORACLES = {
 def _run_oracle(config: RunConfig, outdir: Path) -> None:
     if config.kind not in _ORACLES:
         raise ValueError(f"unknown oracle kind {config.kind!r}")
-    partition = _ORACLES[config.kind](load_edge_list(_read(config.inputs[0])))
-    text = json.dumps({"classes": partition.classes}, indent=2) + "\n"
+    labels = _ORACLES[config.kind](load_edge_list(_read(config.inputs[0])))
+    classes = [np.flatnonzero(labels == c).tolist() for c in np.unique(labels)]
+    text = json.dumps({"classes": classes}, indent=2) + "\n"
     (outdir / "classes.json").write_text(text)
     print(text, end="")
 

@@ -1,16 +1,16 @@
 """Exact node-equivalence oracles: structural, automorphic, regular.
 
 These run at toy scale and serve as ground truth for property tests of the
-feature pipeline. All three return canonical NodePartitions (classes numbered
-by smallest member).
+feature pipeline. All three return an int64 label per node, the classes
+numbered 0..k-1 by their smallest member.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .features import _byte_rows, _degree_groups
-from .graph import Graph, NodePartition
+from .features import _byte_rows, _degree_groups, _first_rows
+from .graph import Graph
 
 AUTOMORPHISM_NODE_LIMIT = 10
 
@@ -27,7 +27,7 @@ def _row_classes(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return labels
 
 
-def structural_classes(g: Graph, variant: str = "strict") -> NodePartition:
+def structural_classes(g: Graph, variant: str = "strict") -> np.ndarray:
     """Group nodes by neighbor sets.
 
     strict: u ~ v iff N(u) = N(v). weak: u ~ v iff N(u)\\{v} = N(v)\\{u},
@@ -49,10 +49,10 @@ def structural_classes(g: Graph, variant: str = "strict") -> NodePartition:
         closed = _row_classes(indptr + np.arange(g.n + 1), cols[np.lexsort((cols, rows))])
         shared = np.bincount(labels)[labels] > 1
         labels = np.where(shared, labels, g.n + 1 + closed)
-    return NodePartition.from_labels(labels.tolist())
+    return _first_rows(labels[:, None])[1]
 
 
-def automorphic_orbits(g: Graph) -> NodePartition:
+def automorphic_orbits(g: Graph) -> np.ndarray:
     """Orbits of the automorphism group, by brute-force search (n <= 10).
 
     Each node v joins the orbit of the first smaller node u, among those
@@ -90,10 +90,10 @@ def automorphic_orbits(g: Graph) -> NodePartition:
     for v in range(n):
         head[v] = next((u for u in range(v) if head[u] == u and degree[u] == degree[v]
                         and maps(u, v)), v)
-    return NodePartition.from_labels(head)
+    return _first_rows(np.array(head)[:, None])[1]
 
 
-def regular_refinement(g: Graph) -> NodePartition:
+def regular_refinement(g: Graph) -> np.ndarray:
     """Coarsest regular partition, the fixed point of splitting classes
     whose members see different sets of neighbor classes: isolated nodes
     and the rest. From one class, the first split separates the nodes that
@@ -101,4 +101,4 @@ def regular_refinement(g: Graph) -> NodePartition:
     non-isolated node is non-isolated, so each of them sees exactly that
     class and the split is final.
     """
-    return NodePartition.from_labels((np.diff(g.csr.indptr) > 0).tolist())
+    return _first_rows((np.diff(g.csr.indptr) > 0)[:, None])[1]

@@ -96,48 +96,6 @@ class Graph:
         object.__setattr__(self, "csr", CSR(indptr, dst, arc_weights))
 
 
-@dataclass(frozen=True)
-class NodePartition:
-    """Partition of nodes into classes labeled 0..class_count-1 (no gaps)."""
-
-    assignment: tuple[int, ...]
-    class_count: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-        seen = set(self.assignment)
-        if self.assignment and seen != set(range(self.class_count)):
-            raise ValueError("labels must be exactly 0..class_count-1")
-        if not self.assignment and self.class_count != 0:
-            raise ValueError("empty assignment requires class_count 0")
-
-    @classmethod
-    def from_labels(cls, labels: Sequence) -> "NodePartition":
-        """Canonicalize arbitrary hashable labels: classes are numbered in
-        order of their smallest member."""
-        remap = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}  # first-seen order
-        return cls(tuple(remap[lab] for lab in labels), len(remap))
-
-    @property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        """Classes as sorted tuples, ordered by smallest member."""
-        groups: dict[int, list[int]] = {}
-        for u, lab in enumerate(self.assignment):
-            groups.setdefault(lab, []).append(u)
-        return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-
-    def refines(self, other: "NodePartition") -> bool:
-        """True if every class of self is contained in a class of other."""
-        if len(self.assignment) != len(other.assignment):
-            raise ValueError("partitions cover different node sets")
-        image: dict[int, int] = {}
-        for u, lab in enumerate(self.assignment):
-            target = other.assignment[u]
-            if image.setdefault(lab, target) != target:
-                return False
-        return True
-
-
 # a plain line: two labels of at most 18 digits, so both fit int64, and one space
 _PLAIN_LINE = r"-?[0-9]{1,18} -?[0-9]{1,18}(?:\n|\Z)"
 _FIRST_PLAIN = re.compile(_PLAIN_LINE)
@@ -216,8 +174,11 @@ def write_edge_list(g: Graph) -> str:
 
 
 def apply_permutation(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel nodes: node u becomes perm[u]. perm must be a bijection."""
-    p = np.asarray(perm, dtype=np.int64)
-    if p.shape != (g.n,) or not (np.sort(p) == np.arange(g.n)).all():
-        raise ValueError("perm must be a bijection on 0..n-1")
+    """Relabel nodes: node u becomes perm[u]. perm must be a bijection on
+    0..n-1 of integers; a float or bool entry is refused, not truncated."""
+    p = np.asarray(perm)
+    bijection = p.shape == (g.n,) and (np.sort(p) == np.arange(g.n)).all()
+    # an int array also holds bools, so the entries' own types are checked
+    if not bijection or g.n and (p.dtype.kind not in "iu" or bool in map(type, perm)):
+        raise ValueError("perm must be a bijection on 0..n-1 of integers")
     return Graph(n=g.n, edges=p[g.edges], weights=g.weights)

@@ -10,6 +10,7 @@ from .graph import Graph, _check_count
 def erdos_renyi(n: int, p: float, seed: int = 1) -> Graph:
     """G(n, p) with a seeded generator. Self-loops are never drawn."""
     _check_count("n", n, 1)
+    _check_count("seed", seed)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -20,7 +21,7 @@ def erdos_renyi(n: int, p: float, seed: int = 1) -> Graph:
     return Graph(n=n, edges=np.column_stack([tails, np.concatenate(heads)]))
 
 
-def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, tuple[int, ...]]:
+def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, np.ndarray]:
     """A graph with four planted structural roles, node ids shuffled by seed.
 
     Each unit is a 6-clique, a star center with 6 leaves, and 6 degree-2
@@ -29,28 +30,19 @@ def planted_role_graph(seed: int = 1, units: int = 3) -> tuple[Graph, tuple[int,
     structural features are constant on each role by construction. Roles:
     0 clique member, 1 star center, 2 leaf, 3 bridge.
 
-    Returns (graph, role label per node).
+    Returns (graph, role labels): an int64 array, the role of each node.
     """
+    _check_count("seed", seed)
     _check_count("units", units, 1)
-    edges = []
-    labels = []
-    n = 0
-    for _ in range(units):
-        clique = list(range(n, n + 6))
-        center = n + 6
-        leaves = list(range(n + 7, n + 13))
-        bridges = list(range(n + 13, n + 19))
-        n += 19
-        for i in range(6):
-            for j in range(i + 1, 6):
-                edges.append((clique[i], clique[j]))
-        for leaf in leaves:
-            edges.append((center, leaf))
-        for j in range(6):
-            edges.append((clique[j], bridges[j]))
-            edges.append((bridges[j], center))
-        labels.extend([0] * 6 + [1] + [2] * 6 + [3] * 6)
-    perm = np.random.default_rng(seed).permutation(n)
-    shuffled = np.empty(n, dtype=int)
-    shuffled[perm] = labels
-    return Graph(n=n, edges=perm[np.array(edges)]), tuple(shuffled.tolist())
+    # one unit: clique 0-5, center 6, leaves 7-12, bridge 13 + j to clique member j
+    j = np.arange(6)
+    unit = np.concatenate([
+        np.column_stack(np.triu_indices(6, 1)),
+        np.column_stack([np.full(6, 6), j + 7]),
+        np.column_stack([j, j + 13]),
+        np.column_stack([j + 13, np.full(6, 6)]),
+    ])
+    edges = (unit + 19 * np.arange(units)[:, None, None]).reshape(-1, 2)
+    labels = np.tile(np.repeat(np.arange(4), [6, 1, 6, 6]), units)
+    perm = np.random.default_rng(seed).permutation(19 * units)
+    return Graph(n=19 * units, edges=perm[edges]), labels[np.argsort(perm)]

@@ -1,6 +1,7 @@
 """Independent references for learn_features, shared by the unit and
 acceptance suites: the all-at-once round, the span rule checked by least
-squares and the equitable partition its rows are constant on."""
+squares and the equitable partition its rows are constant on; and the
+classes of a label array and whether one label array refines another."""
 
 import numpy as np
 
@@ -19,6 +20,18 @@ def aggregate_rows(g, rows, ops):
     """Every op of the library kernel over each node's neighbors, for every
     feature row of rows (f x n); ops are not checked."""
     return _aggregate_slots(g.n, _degree_groups(*g.csr[:2]), rows, ops)
+
+
+def classes(labels):
+    """The classes of a label array, each a sorted tuple of nodes, ordered
+    by smallest member."""
+    return tuple(tuple(np.flatnonzero(labels == c).tolist()) for c in dict.fromkeys(labels.tolist()))
+
+
+def refines(fine, coarse):
+    """Whether each class of the label array fine lies within one class of
+    the label array coarse."""
+    return len(np.unique(np.column_stack([fine, coarse]), axis=0)) == len(np.unique(fine))
 
 
 def equitable_partition(g):

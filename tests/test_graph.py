@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from rolemine import (
     Graph,
-    NodePartition,
     apply_permutation,
     erdos_renyi,
     load_edge_list,
@@ -394,6 +393,16 @@ class TestApplyPermutation:
         with pytest.raises(ValueError):
             apply_permutation(g, (0,))
 
+    @pytest.mark.parametrize("perm", [[2.7, 0.2, 1.9], [2.0, 0.0, 1.0], [True, False, 2],
+                                      np.array([True, True, False])])
+    def test_non_integer_entries_rejected_not_truncated(self, perm):
+        # a float was truncated and a bool read as 0 or 1
+        with pytest.raises(ValueError):
+            apply_permutation(load_edge_list("0 1\n1 2"), perm)
+
+    def test_empty_perm_relabels_the_empty_graph(self):
+        assert apply_permutation(Graph(n=0), ()).n == 0
+
     @given(graph_with_permutation(max_n=7, weighted=True))
     def test_degree_multiset_edges_triangles_preserved(self, case):
         g, perm = case
@@ -403,31 +412,3 @@ class TestApplyPermutation:
         assert naive_triangle_count(g) == naive_triangle_count(h)
         if g.weights is not None:
             assert sorted(g.weights.tolist()) == sorted(h.weights.tolist())
-
-
-class TestNodePartition:
-    def test_from_labels_canonicalizes_by_smallest_member(self):
-        p = NodePartition.from_labels([5, 5, 2, 2, 5])
-        assert p.assignment == (0, 0, 1, 1, 0)
-        assert p.class_count == 2
-
-    def test_classes_ordered_by_smallest_member(self):
-        p = NodePartition.from_labels([1, 0, 1, 0])
-        assert p.classes == ((0, 2), (1, 3))
-
-    def test_refines(self):
-        fine = NodePartition.from_labels([0, 1, 2, 2])
-        coarse = NodePartition.from_labels([0, 0, 1, 1])
-        assert fine.refines(coarse)
-        assert not coarse.refines(fine)
-        assert fine.refines(fine)
-
-    @given(graphs(max_n=6))
-    def test_singleton_and_whole_partitions(self, g):
-        if g.n == 0:
-            return
-        singles = NodePartition.from_labels(list(range(g.n)))
-        whole = NodePartition.from_labels([0] * g.n)
-        assert singles.refines(whole)
-        assert singles.class_count == g.n
-        assert whole.class_count == 1
