@@ -216,7 +216,11 @@ def _run_oracle(config: RunConfig, outdir: Path) -> None:
     if config.kind not in _ORACLES:
         raise ValueError(f"unknown oracle kind {config.kind!r}")
     labels = _ORACLES[config.kind](load_edge_list(_read(config.inputs[0])))
-    classes = [np.flatnonzero(labels == c).tolist() for c in np.unique(labels)]
+    # labels are 0..k-1 by first member: cut the nodes, sorted by class, at
+    # each class's end (none at n = 0)
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    order = np.argsort(labels, kind="stable").tolist()
+    classes = [order[a:b] for a, b in zip([0, *ends], ends)]
     text = json.dumps({"classes": classes}, indent=2) + "\n"
     (outdir / "classes.json").write_text(text)
     print(text, end="")

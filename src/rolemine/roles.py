@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureDescriptor, _cpu_count, _first_rows, _row_texts
+from .features import FeatureDescriptor, _cpu_count, _first_rows
 from .graph import _check_count
 
 _EPS0 = 1e-12
@@ -396,30 +396,22 @@ def hard_assignment(w: np.ndarray) -> np.ndarray:
     return np.argmax(w, axis=1)
 
 
-def _json_matrix(x: np.ndarray) -> str:
-    """json.dumps(x.tolist(), indent=2) as the value of a top-level key, for
-    a finite 2-d float x of at least one row and column: each distinct row
-    is formatted once, and repr is json's text for a finite float."""
-    rows = "\n    ],\n    [\n      ".join(_row_texts(x, ",\n      "))
-    return f"[\n    [\n      {rows}\n    ]\n  ]"
-
-
 def model_to_json(model: RoleModel) -> str:
-    """The model in json.dumps(..., indent=2) layout. "W" holds the
-    byte-distinct rows of W in order of first appearance and "W_index" the
-    row of each node, so W is W_rows[W_index]. W, W_index and H are written
-    here: json's indent encoder is pure Python."""
+    """The model as one line of JSON. "W" holds the byte-distinct rows of W
+    in order of first appearance and "W_index" the row of each node, so W
+    is W_rows[W_index]."""
     first, inverse, _ = _first_rows(model.w)
-    head = json.dumps({
+    return json.dumps({
         "r": model.r,
         "criterion": model.criterion,
         "b": model.b,
         "column_scales": model.column_scales.tolist(),
         "descriptors": None if model.descriptors is None else [vars(d) for d in model.descriptors],
-    }, indent=2).removesuffix("\n}")
-    index = ",\n    ".join(map(str, inverse.tolist()))
-    return (f'{head},\n  "W": {_json_matrix(model.w[first])},\n  "W_index": [\n    {index}\n  ],\n'
-            f'  "H": {_json_matrix(model.h)},\n  "cost": {float(model.cost)!r}\n}}\n')
+        "W": model.w[first].tolist(),
+        "W_index": inverse.tolist(),
+        "H": model.h.tolist(),
+        "cost": float(model.cost),
+    }) + "\n"
 
 
 def model_from_json(text: str) -> RoleModel:

@@ -35,7 +35,7 @@ from rolemine import (
     transfer_memberships,
     write_edge_list,
 )
-from rolemine.cli import RunConfig, _memberships_csv, execute, main
+from rolemine.cli import _ORACLES, RunConfig, _memberships_csv, execute, main
 from rolemine.features import csv_rows
 
 from strategies import rewire
@@ -507,6 +507,25 @@ class TestOracle:
             assert hashlib.sha256((out / "classes.json").read_bytes()).hexdigest() == digest, (
                 graph, kind)
 
+    def test_classes_match_one_scan_per_class(self, tmp_path):
+        # classes.json cuts the nodes sorted by label; the reference scans
+        # the labels once per class. The empty graph has no class, not one
+        # empty class
+        rng = np.random.default_rng(44)
+        for n in range(11):
+            for seed in range(3):
+                p = float(rng.uniform(0.1, 0.6))
+                text = write_edge_list(erdos_renyi(n, p, seed=seed)) if n else ""
+                (tmp_path / "g.txt").write_text(text)
+                for kind, oracle in _ORACLES.items():
+                    labels = oracle(load_edge_list(text))
+                    want = [np.flatnonzero(labels == c).tolist() for c in np.unique(labels)]
+                    execute(RunConfig(subcommand="oracle", inputs=(str(tmp_path / "g.txt"),),
+                                      output_dir=str(tmp_path / "out"), kind=kind))
+                    got = (tmp_path / "out" / "classes.json").read_text()
+                    assert got == json.dumps({"classes": want}, indent=2) + "\n", (n, seed, kind)
+                    assert n or json.loads(got) == {"classes": []}
+
 
 class TestTransferAndDynamic:
     def fit_chain(self, runner, tmp_path):
@@ -538,6 +557,27 @@ class TestTransferAndDynamic:
         run = json.loads((tmp_path / "t" / "run.json").read_text())
         assert run["nnls"] == {"steps": report.steps, "residual": report.residual}
         assert report.steps >= 1 and report.residual > 0
+
+    def test_indented_model_json_still_loads(self, runner, tmp_path):
+        # model.json in the json.dumps(..., indent=2) layout that earlier
+        # versions wrote reads back to the same W and H bits, and assign
+        # and transfer write the same files from it
+        graph = self.fit_chain(runner, tmp_path)
+        text = (tmp_path / "model.json").read_text()
+        (tmp_path / "indented.json").write_text(json.dumps(json.loads(text), indent=2) + "\n")
+        assert "\n  " in (tmp_path / "indented.json").read_text()
+        models = [model_from_json((tmp_path / n).read_text()) for n in ("model.json", "indented.json")]
+        assert models[0].w.tobytes() == models[1].w.tobytes()
+        assert models[0].h.tobytes() == models[1].h.tobytes()
+        outputs = []
+        for name in ("model.json", "indented.json"):
+            out = tmp_path / name.removesuffix(".json")
+            invoke_ok(runner, ["assign", str(tmp_path / name), "--output-dir", str(out / "assign")])
+            invoke_ok(runner, ["transfer", str(tmp_path / name), str(graph),
+                               "--output-dir", str(out / "transfer")])
+            outputs.append({f"{sub}/{f}": (out / sub / f).read_bytes()
+                            for sub, f in (("assign", "assignments.csv"), ("transfer", "memberships.csv"))})
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("field, value", [
         ("iteration", None), ("iteration", -1), ("iteration", 1.5), ("iteration", True),
@@ -1032,11 +1072,12 @@ class TestDeterminism:
     # sha256 of each file of the planted chain below, recorded when the
     # sweep's rank 4, the distinct-row count, became the exact fit (W one-hot
     # per distinct row, H those rows); model.json's again when it stopped
-    # writing the seed. They equal the digests of the same chain with each
+    # writing the seed, and again when it became json.dumps's one line (the
+    # same document). They equal the digests of the same chain with each
     # graph passed in memory, not parsed from its file: loading the written
     # graphs renumbers no node
     PINNED = {
-        "model.json": "06b80b7fca0560b08897504111dc4265cd059cb61bfd91b1f79ccb6a81a1e5aa",
+        "model.json": "edeac9b00185d4e53009fdbfd0bd2e16a8d293135cda89a635c8ad81663f7be1",
         "soft/assignments.csv": "81a78abd1f9961a4f718d2fb89f2ba6c43a39c5bcadad83d3545a1ace993f5b6",
         "hard/assignments.csv": "04f6c2b7ff019b8e7b8bddc0bc1b03c43dc7643481a49dc413723c37d9e408d2",
         "memberships.csv": "7a00bde30c2db9c4f424c5d27b147b9b0506a63f1fe7e57552e43b0586e01f62",
@@ -1142,5 +1183,5 @@ class TestRowWriters:
             "H": h.tolist(), "cost": model.cost,
         }
         text = model_to_json(model)
-        assert text == json.dumps(doc, indent=2) + "\n"
+        assert text == json.dumps(doc) + "\n"
         assert model_from_json(text).w.tobytes() == w.tobytes()

@@ -82,3 +82,8 @@ def test_benchmark_workload_passes_once(workload, flags, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    # every model.json the chain wrote, and read back, is json.dumps's own
+    # one-line layout
+    for path in (tmp_path / ".perfbench").rglob("model.json"):
+        text = path.read_text()
+        assert json.dumps(json.loads(text)) + "\n" == text, path
