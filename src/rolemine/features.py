@@ -203,12 +203,6 @@ def _core_numbers(g: Graph) -> np.ndarray:
     the next wave. When a wave is empty the level rises to the least live
     degree. A removed node's degree is lifted past every level, so no wave
     takes it again; only a new level scans all n nodes.
-
-    Each wave costs 13-20 us of numpy calls (2-vCPU VM), so a long, thin
-    level (a path takes n / 2 waves of two) is finished node by node:
-    after 8 waves of a level, a wave of fewer than 64 nodes goes on a
-    stack, and a node popped from it lowers its neighbors' degrees and
-    pushes each that falls to k.
     """
     indptr, indices, _ = g.csr
     deg = np.diff(indptr)
@@ -216,23 +210,12 @@ def _core_numbers(g: Graph) -> np.ndarray:
     core = np.zeros(g.n)
     left = g.n
     while left:
-        k = int(deg.min())
-        wave, waves = np.flatnonzero(deg == k), 0
+        k = deg.min()
+        wave = np.flatnonzero(deg == k)
         while wave.size:
             core[wave] = k
             deg[wave] = removed
             left -= wave.size
-            waves += 1
-            if waves > 8 and wave.size < 64:
-                stack, d, ptr = wave.tolist(), memoryview(deg), memoryview(indptr)
-                while stack:
-                    v = stack.pop()
-                    for u in indices[ptr[v] : ptr[v + 1]].tolist():
-                        d[u] -= 1
-                        if d[u] == k:  # live, and above k until now
-                            core[u], d[u], left = k, removed, left - 1
-                            stack.append(u)
-                break
             nbrs = indices[_ranges(indptr[wave], indptr[wave + 1])]
             np.subtract.at(deg, nbrs, 1)
             wave = np.unique(nbrs[deg[nbrs] <= k])
